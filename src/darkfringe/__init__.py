@@ -13,8 +13,7 @@ from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
                             SimConfig, field_profile_1d, fringe_radius_sweep,
                             gamma_second_derivative, intensity_profile_1d,
                             psf_eval, simulate_measurement_2d)
-from .fringe_detect import (DetectConfig, FringeMaps, preprocess,
-                            preprocess_stages, recognize_fringes)
+from .fringe_detect import DetectConfig, FringeMaps, recognize_fringes
 from .patterns import (PatternSet, ReferenceLibrary, encode_8bit, make_patterns,
                        reference_library)
 from .path_search import (BlockingStats, PathPlan, blocking_montecarlo,

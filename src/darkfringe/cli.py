@@ -58,8 +58,7 @@ _CONFIG_CASTS = {
     "s1": int, "s2": int, "pixels_per_unit": int, "m": int, "seed": int,
     "band_halfwidth": int, "crop_rows": int,
     "psf_radius": float, "noise_sigma": float, "quadrature_step": float,
-    "highpass_sigma": float, "edge_threshold_frac": float,
-    "fringe_ratio_alpha": float,
+    "highpass_sigma": float, "fringe_ratio_alpha": float,
     "psf_kind": str, "outdir": str, "object_file": str,
     "origins": _parse_origins,
 }
@@ -71,7 +70,11 @@ def _run_config(args) -> RunConfig:
         for key, raw in _parse_config_file(args.config).items():
             if key not in _CONFIG_CASTS:
                 raise _UsageError(f"unknown config key {key!r}")
-            values[key] = _CONFIG_CASTS[key](raw)
+            try:
+                values[key] = _CONFIG_CASTS[key](raw)
+            except ValueError as exc:
+                raise _UsageError(
+                    f"bad value for config key {key!r}: {raw!r} ({exc})") from exc
     for key in _CONFIG_CASTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -91,7 +94,6 @@ def _add_run_options(sub):
     sub.add_argument("--crop-rows", dest="crop_rows", type=int)
     sub.add_argument("--quadrature-step", dest="quadrature_step", type=float)
     sub.add_argument("--highpass-sigma", dest="highpass_sigma", type=float)
-    sub.add_argument("--edge-threshold-frac", dest="edge_threshold_frac", type=float)
     sub.add_argument("--band-halfwidth", dest="band_halfwidth", type=int)
     sub.add_argument("--fringe-ratio-alpha", dest="fringe_ratio_alpha", type=float)
     sub.add_argument("--origins", type=_parse_origins,

@@ -41,6 +41,15 @@ def write_pgm16(path, img: IntensityImage) -> None:
         fh.write(data.tobytes())
 
 
+def _read_payload(fh, path, nbytes: int, kind: str) -> bytes:
+    """Exactly `nbytes` of pixel data, or a format error naming the file."""
+    data = fh.read(nbytes)
+    if len(data) != nbytes:
+        raise ValueError(f"truncated {kind} file {str(path)!r}: expected "
+                         f"{nbytes} data bytes, found {len(data)}")
+    return data
+
+
 def _read_pgm_header(fh) -> tuple[int, int, int, dict]:
     magic = fh.readline().strip()
     if magic != b"P5":
@@ -67,7 +76,8 @@ def read_pgm16(path, pixels_per_unit: int = 1) -> IntensityImage:
         width, height, maxval, meta = _read_pgm_header(fh)
         if maxval != 65535:
             raise ValueError(f"expected 16-bit PGM, maxval={maxval}")
-        raw = np.frombuffer(fh.read(width * height * 2), dtype=">u2")
+        raw = np.frombuffer(_read_payload(fh, path, width * height * 2, "PGM"),
+                            dtype=">u2")
     scale = float(meta.get("scale", 1.0))
     vals = raw.reshape(height, width).astype(float) / scale
     return IntensityImage(vals, pixels_per_unit=pixels_per_unit)
@@ -89,7 +99,8 @@ def read_pgm8(path) -> np.ndarray:
         width, height, maxval, _ = _read_pgm_header(fh)
         if maxval != 255:
             raise ValueError(f"expected 8-bit PGM, maxval={maxval}")
-        raw = np.frombuffer(fh.read(width * height), dtype=np.uint8)
+        raw = np.frombuffer(_read_payload(fh, path, width * height, "PGM"),
+                            dtype=np.uint8)
     return raw.reshape(height, width).copy()
 
 
@@ -243,6 +254,7 @@ def read_complex_field(path) -> ComplexField:
         if len(header) != 3 or header[0] != b"CF32":
             raise ValueError("not a CF32 complex field file")
         rows, cols = int(header[1]), int(header[2])
-        raw = np.frombuffer(fh.read(rows * cols * 8), dtype="<f4")
+        raw = np.frombuffer(_read_payload(fh, path, rows * cols * 8, "CF32"),
+                            dtype="<f4")
     pairs = raw.reshape(rows, cols, 2)
     return ComplexField(pairs[..., 0].astype(float) + 1j * pairs[..., 1].astype(float))

@@ -1,29 +1,44 @@
 """Dark-fringe recognition on measured intensity images.
 
-The preprocessing chain follows the camera-side recipe: invert the image so
-fringes become bright ridges, remove the slow background with a high-pass
-Gaussian filter, and compute a thresholded gradient-magnitude edge map. The
-actual per-boundary decision is a band-contrast test: the mean intensity in a
-narrow band on the boundary line is compared against the mean over the two
-flanking unit interiors, on the raw image AND on the high-pass stage. Two weak
-detectors in conjunction keep ringing and background tilt from producing
-false positives.
+Each adjacent-unit boundary is decided by a band-contrast test. The mean
+intensity in a narrow band on the boundary line is compared against the mean
+over the two flanking unit interiors, on the raw image AND on its high-passed
+version hp = G*raw - raw (G the normalized Gaussian with nearest-edge
+extension, so hp is the inverted image minus its slow background and a fringe
+is a bright ridge on it). The band is dark when its raw mean falls below
+alpha times the flank mean and its high-pass mean exceeds the flank's. Two
+weak detectors in conjunction keep ringing and background tilt from
+producing false positives.
+
+Every band and flank mean is a rectangle mean of the raw image, and the
+Gaussian is separable, so G*raw = G_y raw G_x^T. The rectangle sums of raw and
+of G*raw therefore come from one product L^T raw R, where the window
+matrices L and R hold the indicator windows and their filtered versions
+G^T w. Each window column is nonzero only near its own unit, so the product
+is taken block by block over the rows each block of columns touches. The
+windows depend only on (grid, config) and are cached, so the m frames of a
+run build them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter1d
 
 from .forward_model import GridSpec, IntensityImage
+
+# scipy's default Gaussian reach, in standard deviations
+_TRUNCATE = 4.0
+# window columns per block of the banded product (six per unit)
+_BLOCK_COLUMNS = 24
 
 
 @dataclass(frozen=True)
 class DetectConfig:
     highpass_sigma: float = 8.0          # pixels; pixels_per_unit / 4 is a good default
-    edge_threshold_frac: float = 0.2
     band_halfwidth: int = 2              # pixels on each side of the boundary line
     # band mean must fall below alpha * flank mean; 0.7 separates the
     # shallowest quantized fringe (band ratio ~0.6 when flank interiors are
@@ -34,8 +49,6 @@ class DetectConfig:
     def __post_init__(self):
         if self.highpass_sigma <= 0:
             raise ValueError("highpass_sigma must be positive")
-        if not 0 < self.edge_threshold_frac < 1:
-            raise ValueError("edge_threshold_frac must be in (0, 1)")
         if self.band_halfwidth < 1:
             raise ValueError("band_halfwidth must be a positive integer")
         if not 0 < self.fringe_ratio_alpha < 1:
@@ -44,16 +57,6 @@ class DetectConfig:
 
 def default_detect_config(pixels_per_unit: int) -> DetectConfig:
     return DetectConfig(highpass_sigma=max(1.0, pixels_per_unit / 4))
-
-
-@dataclass
-class PreprocessStages:
-    """Intermediate images of the preprocessing chain, for diagnostics."""
-
-    inverted: np.ndarray
-    highpass: np.ndarray
-    gradient: np.ndarray
-    edge_mask: np.ndarray
 
 
 @dataclass
@@ -90,28 +93,6 @@ class FringeMaps:
         return self.col_map.shape[1]
 
 
-def preprocess_stages(img: IntensityImage, cfg: DetectConfig) -> PreprocessStages:
-    """Run the inversion / high-pass / edge-detection chain and keep every stage."""
-    vals = img.values
-    inverted = vals.max() - vals
-    highpass = inverted - gaussian_filter(inverted, cfg.highpass_sigma, mode="nearest")
-    gy, gx = np.gradient(highpass)
-    gradient = np.hypot(gx, gy)
-    gmax = gradient.max()
-    if gmax > 0:
-        edge_mask = gradient >= cfg.edge_threshold_frac * gmax
-    else:
-        edge_mask = np.zeros_like(gradient, dtype=bool)
-    return PreprocessStages(inverted=inverted, highpass=highpass,
-                            gradient=gradient, edge_mask=edge_mask)
-
-
-def preprocess(img: IntensityImage, cfg: DetectConfig) -> IntensityImage:
-    """Thresholded edge map of the image (final preprocessing stage)."""
-    stages = preprocess_stages(img, cfg)
-    return IntensityImage(stages.edge_mask.astype(float), img.pixels_per_unit)
-
-
 def _along_span(unit_index: int, ppu: int, margin: int, lo: int, hi: int) -> slice:
     """Index span along the boundary line inside unit `unit_index`.
 
@@ -135,23 +116,92 @@ def _flank_band(unit_index: int, ppu: int, lo: int, hi: int) -> slice:
     return _across_band(center, halfwidth, lo, hi)
 
 
-def _band_test(raw: np.ndarray, hp: np.ndarray, band_rc, flank_a, flank_b,
-               alpha: float) -> tuple[bool, bool]:
-    """(present, zero_flank) decision for one boundary.
+def _gaussian_transpose(windows: np.ndarray, sigma: float) -> np.ndarray:
+    """G^T @ windows for the nearest-mode Gaussian G along axis 0.
 
-    band_rc / flank_* are (row_slice, col_slice) pairs on the cropped image.
+    Filtering the zero-padded windows spreads each column past both ends;
+    nearest-mode extension reads every pixel beyond an end from the end
+    pixel, so the transpose folds that overhang back onto the end rows.
     """
-    band_vals = raw[band_rc]
-    flank_vals = np.concatenate([raw[flank_a].ravel(), raw[flank_b].ravel()])
-    if band_vals.size == 0 or flank_vals.size == 0:
-        return True, True
-    flank_mean = flank_vals.mean()
-    if flank_mean <= 0:
-        return True, True
-    dark = band_vals.mean() < alpha * flank_mean
-    hp_band = hp[band_rc].mean()
-    hp_flank = np.concatenate([hp[flank_a].ravel(), hp[flank_b].ravel()]).mean()
-    return bool(dark and hp_band > hp_flank), False
+    n = windows.shape[0]
+    pad = int(_TRUNCATE * sigma + 0.5)
+    spread = gaussian_filter1d(np.pad(windows, ((pad, pad), (0, 0))), sigma,
+                               axis=0, mode="constant", truncate=_TRUNCATE)
+    out = spread[pad:pad + n].copy()
+    out[0] += spread[:pad].sum(axis=0)
+    out[-1] += spread[pad + n:].sum(axis=0)
+    return out
+
+
+def _banded(windows: np.ndarray) -> tuple:
+    """Split a window matrix into (columns, lo, hi, block) pieces, where
+    block = windows[lo:hi, columns] holds every nonzero of those columns."""
+    nonzero = windows != 0
+    lo = np.argmax(nonzero, axis=0)
+    hi = windows.shape[0] - np.argmax(nonzero[::-1], axis=0)
+    used = nonzero.any(axis=0)
+    order = [c for c in np.argsort(lo, kind="stable") if used[c]]
+    pieces = []
+    for start in range(0, len(order), _BLOCK_COLUMNS):
+        cols = np.array(order[start:start + _BLOCK_COLUMNS])
+        a, b = int(lo[cols].min()), int(hi[cols].max())
+        block = np.ascontiguousarray(windows[a:b, cols])
+        block.flags.writeable = False
+        pieces.append((cols, a, b, block))
+    return windows.shape[1], tuple(pieces)
+
+
+def _times(a: np.ndarray, banded: tuple) -> np.ndarray:
+    """a @ windows, for windows split by :func:`_banded`."""
+    k, pieces = banded
+    out = np.zeros((a.shape[0], k))
+    for cols, lo, hi, block in pieces:
+        out[:, cols] = a[:, lo:hi] @ block
+    return out
+
+
+def _axis_windows(n_units: int, ppu: int, lo: int, hi: int,
+                  cfg: DetectConfig) -> tuple:
+    """(pixel counts, windows) for one image axis covering pixels [lo, hi).
+
+    The k = 3 n_units - 2 indicator columns are, in order: the eroded span
+    along each unit (n_units), the band on each boundary line (n_units - 1)
+    and the two flank interiors of each boundary (n_units - 1). The windows
+    are those k columns followed by their k filtered versions, split by
+    :func:`_banded`; the counts are the k indicator column sums.
+    """
+    margin = min(cfg.band_halfwidth + 1, (ppu - 1) // 2)
+    ind = np.zeros((hi - lo, 3 * n_units - 2))
+    for u in range(n_units):
+        ind[_along_span(u, ppu, margin, lo, hi), u] = 1.0
+    for b in range(n_units - 1):
+        ind[_across_band((b + 1) * ppu, cfg.band_halfwidth, lo, hi), n_units + b] = 1.0
+        flank = 2 * n_units - 1 + b
+        ind[_flank_band(b, ppu, lo, hi), flank] += 1.0
+        ind[_flank_band(b + 1, ppu, lo, hi), flank] += 1.0
+    filtered = _gaussian_transpose(ind, cfg.highpass_sigma)
+    return ind.sum(axis=0), _banded(np.hstack([ind, filtered]))
+
+
+@lru_cache(maxsize=4)
+def _grid_windows(grid: GridSpec, cfg: DetectConfig) -> tuple:
+    """Row-axis (L) and column-axis (R) windows of the cropped frame."""
+    ppu = grid.pixels_per_unit
+    rows = _axis_windows(grid.s1, ppu, grid.crop_rows, grid.crop_rows + grid.height, cfg)
+    cols = _axis_windows(grid.s2, ppu, 0, grid.width, cfg)
+    return rows, cols
+
+
+def _band_decisions(raw, hp, count, band, flank, alpha: float):
+    """(present, zero_flank) maps for boundaries whose band and flank
+    rectangles are `band` and `flank` index pairs into the sum matrices."""
+    nb, nf = count[band], count[flank]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flank_mean = raw[flank] / nf
+        dark = raw[band] / nb < alpha * flank_mean
+        ridge = hp[band] / nb > hp[flank] / nf
+    zero_flank = (nb == 0) | (nf == 0) | ~(flank_mean > 0)
+    return zero_flank | (dark & ridge), zero_flank
 
 
 def recognize_fringes(img: IntensityImage, grid: GridSpec,
@@ -160,48 +210,33 @@ def recognize_fringes(img: IntensityImage, grid: GridSpec,
     """Decide fringe presence for every adjacent-unit boundary of one image.
 
     Boundaries whose bands fall inside cropped rows are evaluated on the
-    surviving pixels. A flank that averages to zero cannot be trusted, so the
-    boundary is conservatively marked present and flagged in diagnostics.
+    surviving pixels. A band or flank left empty by cropping, or a flank that
+    averages to zero, cannot be trusted, so the boundary is conservatively
+    marked present and flagged in diagnostics.
     """
     if cfg is None:
         cfg = default_detect_config(grid.pixels_per_unit)
-    ppu = grid.pixels_per_unit
     if img.values.shape != (grid.height, grid.width):
         raise ValueError(
             f"image shape {img.values.shape} does not match grid "
             f"{(grid.height, grid.width)}")
-    if 2 * cfg.band_halfwidth >= ppu:
+    if 2 * cfg.band_halfwidth >= grid.pixels_per_unit:
         raise ValueError("band_halfwidth must be below pixels_per_unit / 2")
-    stages = preprocess_stages(img, cfg)
-    raw, hp = img.values, stages.highpass
-    crop = grid.crop_rows
-    row_lo, row_hi = crop, crop + grid.height   # surviving rows, original coords
-    margin = min(cfg.band_halfwidth + 1, (ppu - 1) // 2)
+    (count1, left), (count2, right) = _grid_windows(grid, cfg)
+    k1, k2 = count1.size, count2.size
+    sums = _times(_times(img.values, right).T, left).T     # L^T raw R
+    raw = sums[:k1, :k2]                    # rectangle sums of raw
+    hp = sums[k1:, k2:] - raw               # ... and of G*raw - raw
+    count = np.outer(count1, count2)
+
+    s1, s2 = grid.s1, grid.s2
+    along1, band1, flank1 = slice(0, s1), slice(s1, 2 * s1 - 1), slice(2 * s1 - 1, None)
+    along2, band2, flank2 = slice(0, s2), slice(s2, 2 * s2 - 1), slice(2 * s2 - 1, None)
     alpha = cfg.fringe_ratio_alpha
-
-    row_map = np.zeros((grid.s1, grid.s2 - 1), dtype=bool)
-    zf_row = np.zeros_like(row_map)
-    for i in range(grid.s1):
-        rows = _along_span(i, ppu, margin, row_lo, row_hi)
-        for jb in range(grid.s2 - 1):
-            x = (jb + 1) * ppu
-            band = (rows, _across_band(x, cfg.band_halfwidth, 0, grid.width))
-            fla = (rows, _flank_band(jb, ppu, 0, grid.width))
-            flb = (rows, _flank_band(jb + 1, ppu, 0, grid.width))
-            row_map[i, jb], zf_row[i, jb] = _band_test(raw, hp, band, fla, flb, alpha)
-
-    col_map = np.zeros((grid.s1 - 1, grid.s2), dtype=bool)
-    zf_col = np.zeros_like(col_map)
-    for ib in range(grid.s1 - 1):
-        y = (ib + 1) * ppu
-        band_rows = _across_band(y, cfg.band_halfwidth, row_lo, row_hi)
-        fla_rows = _flank_band(ib, ppu, row_lo, row_hi)
-        flb_rows = _flank_band(ib + 1, ppu, row_lo, row_hi)
-        for j in range(grid.s2):
-            cols = _along_span(j, ppu, margin, 0, grid.width)
-            band = (band_rows, cols)
-            col_map[ib, j], zf_col[ib, j] = _band_test(
-                raw, hp, band, (fla_rows, cols), (flb_rows, cols), alpha)
+    row_map, zf_row = _band_decisions(raw, hp, count, (along1, band2),
+                                      (along1, flank2), alpha)
+    col_map, zf_col = _band_decisions(raw, hp, count, (band1, along2),
+                                      (flank1, along2), alpha)
 
     diagnostics = {}
     if zf_row.any() or zf_col.any():

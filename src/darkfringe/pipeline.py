@@ -47,7 +47,6 @@ class RunConfig:
     crop_rows: int | None = None
     quadrature_step: float = 0.05
     highpass_sigma: float | None = None     # None: pixels_per_unit / 4
-    edge_threshold_frac: float = 0.2
     band_halfwidth: int = 2
     fringe_ratio_alpha: float = 0.7
     origins: tuple[tuple[int, int], ...] = ((0, 0),)
@@ -58,15 +57,13 @@ class RunConfig:
     def sim_config(self) -> SimConfig:
         return SimConfig(pixels_per_unit=self.pixels_per_unit,
                          noise_sigma=self.noise_sigma,
-                         crop_rows=self.crop_rows,
-                         quadrature_step=self.quadrature_step)
+                         crop_rows=self.crop_rows)
 
     def detect_config(self) -> DetectConfig:
         sigma = self.highpass_sigma
         if sigma is None:
             sigma = max(1.0, self.pixels_per_unit / 4)
         return DetectConfig(highpass_sigma=sigma,
-                            edge_threshold_frac=self.edge_threshold_frac,
                             band_halfwidth=self.band_halfwidth,
                             fringe_ratio_alpha=self.fringe_ratio_alpha)
 
@@ -85,7 +82,6 @@ class RunConfig:
             "noise_sigma": self.noise_sigma, "crop_rows": self.grid().crop_rows,
             "quadrature_step": self.quadrature_step,
             "highpass_sigma": self.detect_config().highpass_sigma,
-            "edge_threshold_frac": self.edge_threshold_frac,
             "band_halfwidth": self.band_halfwidth,
             "fringe_ratio_alpha": self.fringe_ratio_alpha,
             "origins": [list(o) for o in self.origins],
@@ -155,6 +151,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         return wrap
 
     grid = cfg.grid()
+    model = stage("simulate")(cfg.psf)      # rejects a bad step before any write
     pattern_set = stage("patterns")(make_patterns, cfg.m, cfg.s1, cfg.s2)
     lib = reference_library(pattern_set)
     for j, pattern in enumerate(pattern_set.patterns, start=1):
@@ -171,7 +168,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
         obj = random_quantized_object(cfg.s1, cfg.s2, cfg.m, cfg.seed)
     save("object.cf32", fileio.write_complex_field, obj)
 
-    model = stage("simulate")(cfg.psf)
     images = stage("simulate")(simulate_measurements, obj, pattern_set, model,
                                cfg.sim_config(), cfg.seed)
     for j, img in enumerate(images, start=1):

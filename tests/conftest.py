@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 import darkfringe as df
-from darkfringe.fringe_detect import FringeMaps
+from darkfringe.fringe_detect import FringeMaps, default_detect_config
 from darkfringe.pipeline import random_quantized_object, simulate_measurements
 
 
@@ -70,6 +71,79 @@ def truth_edge_ratios(obj: df.ComplexField) -> df.EdgeRatios:
     vals = obj.values / np.abs(obj.values)
     return df.EdgeRatios(horizontal=vals[:, 1:] / vals[:, :-1],
                          vertical=vals[1:, :] / vals[:-1, :])
+
+
+def _clip_span(a: int, b: int, lo: int, hi: int) -> slice:
+    a, b = max(a, lo), min(b, hi)
+    return slice(a - lo, max(b - lo, a - lo))
+
+
+def _reference_band_test(raw, hp, band_rc, flank_a, flank_b, alpha):
+    band_vals = raw[band_rc]
+    flank_vals = np.concatenate([raw[flank_a].ravel(), raw[flank_b].ravel()])
+    if band_vals.size == 0 or flank_vals.size == 0:
+        return True, True
+    flank_mean = flank_vals.mean()
+    if flank_mean <= 0:
+        return True, True
+    dark = band_vals.mean() < alpha * flank_mean
+    hp_band = hp[band_rc].mean()
+    hp_flank = np.concatenate([hp[flank_a].ravel(), hp[flank_b].ravel()]).mean()
+    return bool(dark and hp_band > hp_flank), False
+
+
+def reference_recognize_fringes(img, grid, cfg=None, measurement_index=0) -> FringeMaps:
+    """Boundary-by-boundary band-contrast test on the explicit high-pass image.
+
+    The direct form of ``recognize_fringes``: invert, subtract the
+    nearest-mode Gaussian background, then slice every band and flank
+    rectangle and compare their means one boundary at a time.
+    """
+    if cfg is None:
+        cfg = default_detect_config(grid.pixels_per_unit)
+    ppu, hw, alpha = grid.pixels_per_unit, cfg.band_halfwidth, cfg.fringe_ratio_alpha
+    raw = img.values
+    inverted = raw.max() - raw
+    hp = inverted - gaussian_filter(inverted, cfg.highpass_sigma, mode="nearest")
+    row_lo, row_hi = grid.crop_rows, grid.crop_rows + grid.height
+    width = grid.width
+    margin = min(hw + 1, (ppu - 1) // 2)
+
+    def along(u, lo, hi):
+        return _clip_span(u * ppu + margin, (u + 1) * ppu - margin, lo, hi)
+
+    def across(line, lo, hi):
+        return _clip_span(line - hw, line + hw, lo, hi)
+
+    def flank(u, lo, hi):
+        center, half = u * ppu + ppu // 2, max(1, ppu // 8)
+        return _clip_span(center - half, center + half, lo, hi)
+
+    row_map = np.zeros((grid.s1, grid.s2 - 1), dtype=bool)
+    zf_row = np.zeros_like(row_map)
+    for i in range(grid.s1):
+        rows = along(i, row_lo, row_hi)
+        for jb in range(grid.s2 - 1):
+            row_map[i, jb], zf_row[i, jb] = _reference_band_test(
+                raw, hp, (rows, across((jb + 1) * ppu, 0, width)),
+                (rows, flank(jb, 0, width)), (rows, flank(jb + 1, 0, width)), alpha)
+
+    col_map = np.zeros((grid.s1 - 1, grid.s2), dtype=bool)
+    zf_col = np.zeros_like(col_map)
+    for ib in range(grid.s1 - 1):
+        band_rows = across((ib + 1) * ppu, row_lo, row_hi)
+        fla_rows, flb_rows = flank(ib, row_lo, row_hi), flank(ib + 1, row_lo, row_hi)
+        for j in range(grid.s2):
+            cols = along(j, 0, width)
+            col_map[ib, j], zf_col[ib, j] = _reference_band_test(
+                raw, hp, (band_rows, cols), (fla_rows, cols), (flb_rows, cols), alpha)
+
+    diagnostics = {}
+    if zf_row.any() or zf_col.any():
+        diagnostics["zero_flank_row"] = zf_row
+        diagnostics["zero_flank_col"] = zf_col
+    return FringeMaps(row_map=row_map, col_map=col_map,
+                      measurement_index=measurement_index, diagnostics=diagnostics)
 
 
 class SimSetup:

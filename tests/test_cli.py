@@ -59,6 +59,14 @@ def test_pipeline_object_shape_mismatch(tmp_path):
         run_pipeline(cfg)
 
 
+def test_pipeline_bad_quadrature_step_writes_nothing(tmp_path):
+    outdir = tmp_path / "run"
+    with pytest.raises(StageError) as info:
+        run_pipeline(RunConfig(s1=2, s2=2, quadrature_step=0.3, outdir=str(outdir)))
+    assert info.value.stage == "simulate"
+    assert not any(outdir.iterdir())
+
+
 def test_cli_usage_error_exit_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["metrics"]) == 1          # missing required flags
@@ -95,6 +103,23 @@ def test_cli_config_rejects_unknown_key(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("does_not_exist=1\n")
     assert main(["pipeline", "--config", str(config)]) == 1
+
+
+def test_cli_config_bad_value_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text("s1=abc\n")
+    assert main(["pipeline", "--config", str(config),
+                 "--outdir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "'s1'" in err and "'abc'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_config_removed_edge_threshold_key(tmp_path):
+    config = tmp_path / "old.cfg"
+    config.write_text("edge_threshold_frac=0.2\n")
+    assert main(["pipeline", "--config", str(config)]) == 1
+    assert main(["pipeline", "--edge-threshold-frac", "0.2"]) == 1
 
 
 def test_cli_psf_sweep(tmp_path):

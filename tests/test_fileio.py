@@ -145,3 +145,32 @@ def test_pgm_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"P2\n1 1\n255\n0")
     with pytest.raises(ValueError):
         fio.read_pgm8(path)
+
+
+def _truncate(path, nbytes):
+    data = path.read_bytes()
+    path.write_bytes(data[:-nbytes])
+
+
+def test_pgm16_truncated_names_file(tmp_path):
+    path = tmp_path / "frame.pgm"
+    fio.write_pgm16(path, IntensityImage(np.ones((8, 8)), pixels_per_unit=4))
+    _truncate(path, 69)
+    with pytest.raises(ValueError, match=r"frame\.pgm.*expected 128 data bytes, found 59"):
+        fio.read_pgm16(path)
+
+
+def test_pgm8_truncated_names_file(tmp_path):
+    path = tmp_path / "pattern.pgm"
+    fio.write_pgm8(path, np.zeros((8, 8), dtype=int))
+    _truncate(path, 5)
+    with pytest.raises(ValueError, match=r"pattern\.pgm.*expected 64 data bytes, found 59"):
+        fio.read_pgm8(path)
+
+
+def test_complex_field_truncated_names_file(tmp_path):
+    path = tmp_path / "object.cf32"
+    fio.write_complex_field(path, ComplexField(np.ones((3, 4), complex)))
+    _truncate(path, 10)
+    with pytest.raises(ValueError, match=r"object\.cf32.*expected 96 data bytes, found 86"):
+        fio.read_complex_field(path)

@@ -358,7 +358,7 @@ def test_type_validation():
     with pytest.raises(ValueError):
         SimConfig(pixels_per_unit=2)
     with pytest.raises(ValueError):
-        SimConfig(quadrature_step=0.3)
+        PsfModel("gaussian", 8.0, step=0.3)
     with pytest.raises(ValueError):
         GridSpec(0, 4, 32)
     g = GridSpec(4, 5, 32, crop_rows=2)

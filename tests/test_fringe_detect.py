@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darkfringe.forward_model import (ComplexField, GridSpec, IntensityImage,
-                                      PsfModel, SimConfig, simulate_measurement_2d)
-from darkfringe.fringe_detect import (DetectConfig, FringeMaps, preprocess,
-                                      preprocess_stages, recognize_fringes)
+from darkfringe.forward_model import (GridSpec, IntensityImage, PsfModel,
+                                      SimConfig, simulate_measurement_2d)
+from darkfringe.fringe_detect import DetectConfig, FringeMaps, recognize_fringes
+from darkfringe.patterns import make_patterns
+from darkfringe.pipeline import random_quantized_object
 
-from conftest import truth_presence_maps
+from conftest import reference_recognize_fringes, truth_presence_maps
 
 
 def test_detect_config_validation():
     with pytest.raises(ValueError):
         DetectConfig(highpass_sigma=0.0)
-    with pytest.raises(ValueError):
-        DetectConfig(edge_threshold_frac=1.5)
     with pytest.raises(ValueError):
         DetectConfig(band_halfwidth=0)
     with pytest.raises(ValueError):
@@ -29,36 +30,9 @@ def test_fringe_maps_shape_consistency():
 def test_constant_image_gives_zero_edges_and_no_fringes():
     grid = GridSpec(4, 4, 32, crop_rows=0)
     img = IntensityImage(np.full((grid.height, grid.width), 7.0), 32)
-    cfg = DetectConfig(highpass_sigma=8.0)
-    edges = preprocess(img, cfg)
-    assert edges.values.max() == 0.0
-    maps = recognize_fringes(img, grid, cfg)
+    maps = recognize_fringes(img, grid, DetectConfig(highpass_sigma=8.0))
     assert not maps.row_map.any()
     assert not maps.col_map.any()
-
-
-def test_single_pi_step_edge_support_localized():
-    # one vertical boundary with a half-turn step; away from the image frame
-    # (whose own roll-off is a step to darkness) the edge map must
-    # concentrate in the boundary band
-    obj = ComplexField(np.array([[1.0 + 0j, -1.0 + 0j]]))
-    pattern = ComplexField(np.ones((1, 2), dtype=complex))
-    cfg = SimConfig(pixels_per_unit=64, crop_rows=0)
-    img = simulate_measurement_2d(obj, pattern, PsfModel("gaussian", 8.0), cfg, seed=0)
-    stages = preprocess_stages(img, DetectConfig(highpass_sigma=16.0))
-    interior = stages.edge_mask[16:-16, 24:-24]
-    cols = 24 + np.nonzero(interior.any(axis=0))[0]
-    assert cols.size > 0
-    assert cols.min() >= 64 - 24 and cols.max() <= 64 + 24
-
-
-def test_stages_are_retrievable():
-    grid = GridSpec(2, 2, 32, crop_rows=0)
-    rng = np.random.default_rng(0)
-    img = IntensityImage(rng.random((grid.height, grid.width)), 32)
-    stages = preprocess_stages(img, DetectConfig(highpass_sigma=8.0))
-    for arr in (stages.inverted, stages.highpass, stages.gradient, stages.edge_mask):
-        assert arr.shape == img.values.shape
 
 
 def test_grid_mismatch_rejected(sim16):
@@ -121,3 +95,43 @@ def test_detection_survives_crop(sim16):
     want = truth_presence_maps(obj, sim16.patterns)
     assert np.array_equal(maps[0].row_map[0], want[0].row_map[0])
     assert np.array_equal(maps[0].row_map[-1], want[0].row_map[-1])
+
+
+@st.composite
+def detection_cases(draw):
+    """A simulated frame with its grid and a detection config, all drawn
+    within their valid ranges; some frames get an all-zero rectangle."""
+    s1, s2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ppu = draw(st.sampled_from([8, 16, 32]))
+    crop = draw(st.integers(0, (s1 * ppu - 1) // 2))
+    cfg = DetectConfig(highpass_sigma=draw(st.floats(0.5, 2.0 * ppu)),
+                       band_halfwidth=draw(st.integers(1, (ppu - 1) // 2)),
+                       fringe_ratio_alpha=draw(st.floats(0.3, 0.95)))
+    kind = draw(st.sampled_from(["box", "exponential", "gaussian"]))
+    model = PsfModel(kind, draw(st.floats(1.0, ppu / 2)))
+    sim = SimConfig(pixels_per_unit=ppu, crop_rows=crop,
+                    noise_sigma=draw(st.sampled_from([0.0, 0.01, 0.03])))
+    seed = draw(st.integers(0, 2**16))
+    obj = random_quantized_object(s1, s2, 4, seed)
+    pattern = make_patterns(4, s1, s2).patterns[draw(st.integers(0, 3))]
+    values = simulate_measurement_2d(obj, pattern, model, sim, seed).values
+    if draw(st.booleans()):
+        h, w = values.shape
+        r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        values[r0:r0 + draw(st.integers(1, 3 * ppu)),
+               c0:c0 + draw(st.integers(1, 3 * ppu))] = 0.0
+    return IntensityImage(values, ppu), GridSpec(s1, s2, ppu, crop), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(detection_cases())
+def test_matches_per_boundary_reference(case):
+    img, grid, cfg = case
+    got = recognize_fringes(img, grid, cfg, measurement_index=3)
+    want = reference_recognize_fringes(img, grid, cfg, measurement_index=3)
+    assert np.array_equal(got.row_map, want.row_map)
+    assert np.array_equal(got.col_map, want.col_map)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key in want.diagnostics:
+        assert np.array_equal(got.diagnostics[key], want.diagnostics[key])
+
