@@ -79,7 +79,25 @@ def _run_config(args) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    try:
+        _check_run_config(cfg)
+    except ValueError as exc:
+        raise _UsageError(f"bad run configuration: {exc}") from exc
+    return cfg
+
+
+def _check_run_config(cfg: RunConfig) -> None:
+    """Build every configuration object the stages build, so that a bad value
+    is a usage error before anything runs, not a stage failure."""
+    cfg.psf()
+    cfg.grid()            # builds sim_config() too
+    cfg.detect_config()
+    if cfg.m < 2:
+        raise ValueError(f"m must be at least 2, got {cfg.m}")
+    for r, c in cfg.origins:
+        if not (0 <= r < cfg.s1 and 0 <= c < cfg.s2):
+            raise ValueError(f"origin {(r, c)} outside the {cfg.s1} x {cfg.s2} grid")
 
 
 def _add_run_options(sub):

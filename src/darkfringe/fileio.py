@@ -16,7 +16,7 @@ import numpy as np
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
 from .forward_model import ComplexField, IntensityImage
 from .fringe_detect import FringeMaps
-from .path_search import BlockingStats, PathPlan
+from .path_search import MOVES, BlockingStats, PathPlan
 from .patterns import ReferenceLibrary
 
 
@@ -131,12 +131,32 @@ def write_fringe_maps_csv(path, maps: FringeMaps, kind: str) -> None:
         writer.writerows(grid.astype(int).tolist())
 
 
+def _read_bool_rows(fh, path) -> np.ndarray:
+    """A CSV grid of 0/1 rows of one length, or a format error naming the file."""
+    rows = list(csv.reader(fh))
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"ragged grid in {str(path)!r}: row {i} has "
+                             f"{len(row)} fields, row 1 has {len(rows[0])}")
+    try:
+        return np.array([[int(v) for v in row] for row in rows], dtype=bool)
+    except ValueError as exc:
+        raise ValueError(f"bad grid value in {str(path)!r}: {exc}") from exc
+
+
 def read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:
     with open(path, newline="") as fh:
         header = fh.readline().strip()
-        parts = dict(item.split("=") for item in header.split(","))
-        grid = np.array([[int(v) for v in row] for row in csv.reader(fh)], dtype=bool)
-    return parts["kind"], int(parts["j"]), grid
+        try:
+            parts = dict(item.split("=") for item in header.split(","))
+            kind, j = parts["kind"], int(parts["j"])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"bad fringe map header in {str(path)!r}: "
+                             f"{header!r} (expected kind=row|col,j=<index>)") from exc
+        if kind not in ("row", "col"):
+            raise ValueError(f"bad fringe map kind {kind!r} in {str(path)!r}")
+        grid = _read_bool_rows(fh, path)
+    return kind, j, grid
 
 
 def write_bool_grid_csv(path, grid: np.ndarray) -> None:
@@ -146,7 +166,7 @@ def write_bool_grid_csv(path, grid: np.ndarray) -> None:
 
 def read_bool_grid_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
-        return np.array([[int(v) for v in row] for row in csv.reader(fh)], dtype=bool)
+        return _read_bool_rows(fh, path)
 
 
 def write_invalid_maps(path_a, path_b, invalid: InvalidBoundaryMaps) -> None:
@@ -185,25 +205,69 @@ def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
 
 
 def write_path_plan_csv(path, plan: PathPlan) -> None:
-    s1, s2 = plan.shape
-    rows = [(r, c, plan.paths[r][c] if plan.paths[r][c] is not None else "X")
-            for r in range(s1) for c in range(s2)]
+    """One `row,col,moves` line per unit: the move string from the plan
+    origin, derived from the plan tree, or `X` when unreachable."""
+    rows = [(r, c, "X" if moves is None else moves)
+            for r, row in enumerate(plan.paths) for c, moves in enumerate(row)]
     _write_rows(path, ["row", "col", "moves"], rows)
 
 
 def read_path_plan_csv(path, origin: tuple[int, int]) -> PathPlan:
-    entries = {}
+    """Plan tree from a `row,col,moves` CSV.
+
+    The origin's moves must be empty. Every other path must walk from the
+    origin over UDLR moves inside the grid, end on its own unit, and without
+    its last move be the stored path of the unit it passes through there,
+    which becomes the unit's parent. Anything else is a format error naming
+    the file and line.
+    """
+    def bad(line: int, why: str) -> ValueError:
+        return ValueError(f"bad path plan {str(path)!r} line {line}: {why}")
+
+    entries: dict[tuple[int, int], tuple[int, str]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            entries[(int(row["row"]), int(row["col"]))] = row["moves"]
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                r, c, moves = int(row["row"]), int(row["col"]), row["moves"]
+            except (KeyError, TypeError, ValueError):
+                raise bad(reader.line_num, "expected integer row, col and moves") from None
+            if r < 0 or c < 0 or moves is None:
+                raise bad(reader.line_num, "expected integer row, col and moves")
+            entries[(r, c)] = (reader.line_num, moves)
+    if not entries:
+        raise bad(1, "no units")
+    origin = tuple(origin)
+    line, moves = entries.get(origin, (1, None))
+    if moves != "":
+        raise bad(line, f"the origin {origin} needs the empty path, not {moves!r}")
     s1 = 1 + max(r for r, _ in entries)
     s2 = 1 + max(c for _, c in entries)
-    paths: list[list[str | None]] = [[None] * s2 for _ in range(s1)]
-    for (r, c), moves in entries.items():
-        paths[r][c] = None if moves == "X" else ("" if moves == "" else moves)
-    prov = [[None if paths[r][c] is None else "file" for c in range(s2)]
-            for r in range(s1)]
-    return PathPlan(origin=origin, paths=paths, provenance=prov)
+    parent = np.full((s1, s2), -1, dtype=np.intp)
+    move: list[list[str | None]] = [[None] * s2 for _ in range(s1)]
+    move[origin[0]][origin[1]] = ""
+    for (r, c), (line, moves) in entries.items():
+        if moves == "X" or (r, c) == origin:
+            continue
+        if moves == "":
+            raise bad(line, f"unit {(r, c)} has the empty path, which only "
+                            f"the origin {origin} may have")
+        rr, cc = origin
+        for mv in moves:
+            if mv not in MOVES:
+                raise bad(line, f"move {mv!r} is not one of UDLR")
+            pr, pc = rr, cc
+            rr, cc = rr + MOVES[mv][0], cc + MOVES[mv][1]
+            if not (0 <= rr < s1 and 0 <= cc < s2):
+                raise bad(line, f"path for {(r, c)} leaves the grid at {(rr, cc)}")
+        if (rr, cc) != (r, c):
+            raise bad(line, f"path for {(r, c)} ends at {(rr, cc)}")
+        if entries.get((pr, pc), (0, None))[1] != moves[:-1]:
+            raise bad(line, f"path for {(r, c)} passes {(pr, pc)} by "
+                            f"{moves[:-1]!r}, not by that unit's stored path")
+        parent[r, c], move[r][c] = pr * s2 + pc, moves[-1]
+    prov = [[None if mv is None else "file" for mv in row] for row in move]
+    return PathPlan(origin=origin, parent=parent, move=move, provenance=prov)
 
 
 def write_blocking_stats_csv(path, stats: list[BlockingStats]) -> None:

@@ -199,7 +199,10 @@ def _band_decisions(raw, hp, count, band, flank, alpha: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         flank_mean = raw[flank] / nf
         dark = raw[band] / nb < alpha * flank_mean
-        ridge = hp[band] / nb > hp[flank] / nf
+        # a ridge must clear the flanks by more than rounding: where both
+        # high-pass means are 0 in exact arithmetic, their computed signs are
+        # noise and must not decide
+        ridge = hp[band] / nb > hp[flank] / nf + 1e-9 * flank_mean
     zero_flank = (nb == 0) | (nf == 0) | ~(flank_mean > 0)
     return zero_flank | (dark & ridge), zero_flank
 

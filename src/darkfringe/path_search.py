@@ -1,5 +1,11 @@
 """Plan paths over the unit grid that avoid invalid boundaries.
 
+A plan is a spanning tree rooted at one origin: every reached unit stores its
+parent unit and the one move (U, D, L or R) that enters it from there, so a
+unit's path is the chain of moves from the origin down to it and a plan takes
+O(s1*s2) memory. The per-unit move strings of the `row,col,moves` CSV, of
+`replay` and of the tests are derived from the tree, once, on demand.
+
 The product strategy is a column relay: first vertical runs inside the origin
 column, then a sweep outward column by column where each new column is entered
 through valid horizontal edges from units already reached and filled in by
@@ -8,7 +14,9 @@ returns to an earlier column, so a pocket whose only opening points away from
 the origin along the sweep axis defeats it; rerunning on the transposed grid
 (matrix_a and matrix_b swapped and transposed, coordinates flipped) turns that
 opening sideways and recovers almost all such units, and any leftovers can be
-retried from additional origins whose own paths are already known.
+retried from additional origins the plan already reaches. A retry grafts each
+unit it adds under that unit's parent in the retry pass, which the plan
+already holds or which the same pass grafts too.
 
 A plain breadth-first search over valid edges lives alongside as a correctness
 oracle only; it is not the planner.
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,24 +36,67 @@ MOVES = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1)}
 _TRANSPOSE_MOVE = str.maketrans("UDLR", "LRUD")
 
 
-@dataclass
+@dataclass(eq=False)
 class PathPlan:
-    """Per-unit move sequences from a single origin.
+    """Spanning tree of paths from a single origin.
 
-    paths[r][c] is a string over UDLR, or None for UNREACHABLE. provenance
-    names the pass that found each unit's path.
+    parent[r, c] is the flat index (row * s2 + col) of the unit that a path to
+    (r, c) arrives from, -1 at the origin and at UNREACHABLE units. move[r][c]
+    is the move that enters (r, c) from its parent: "" at the origin, None
+    for UNREACHABLE. provenance names the pass that reached each unit.
     """
 
     origin: tuple[int, int]
-    paths: list[list[str | None]]
+    parent: np.ndarray
+    move: list[list[str | None]]
     provenance: list[list[str | None]]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.paths), len(self.paths[0])
+        return self.parent.shape
 
     def reachable_mask(self) -> np.ndarray:
-        return np.array([[p is not None for p in row] for row in self.paths])
+        mask = self.parent >= 0
+        mask[self.origin] = True
+        return mask
+
+    def order(self) -> np.ndarray:
+        """Flat indices of the reachable units, every parent before its children."""
+        parent = self.parent.ravel()
+        root = parent < 0
+        anc = np.where(root, np.arange(parent.size), parent)
+        depth = (~root).astype(np.intp)
+        # pointer jumping: depth[u] counts the moves from anc[u] down to u
+        while not np.array_equal(anc, anc[anc]):
+            depth += depth[anc]
+            anc = anc[anc]
+        reach = np.flatnonzero(self.reachable_mask())
+        return reach[np.argsort(depth[reach], kind="stable")]
+
+    @cached_property
+    def paths(self) -> list[list[str | None]]:
+        """Move string from the origin per unit, None for UNREACHABLE.
+
+        Derived from the tree on first access and kept, so the plan must not
+        change afterwards.
+        """
+        s1, s2 = self.shape
+        parent = self.parent.ravel().tolist()
+        move = [mv for row in self.move for mv in row]
+        flat: list[str | None] = [None] * (s1 * s2)
+        for u in self.order().tolist():
+            flat[u] = "" if parent[u] < 0 else flat[parent[u]] + move[u]
+        return [flat[r * s2:(r + 1) * s2] for r in range(s1)]
+
+
+def _plan(origin, parent: list[int], move: list[str | None],
+          prov: list[str | None], s2: int) -> PathPlan:
+    """PathPlan from flat row-major per-unit lists."""
+    rows = range(0, len(move), s2)
+    return PathPlan(origin=(int(origin[0]), int(origin[1])),
+                    parent=np.array(parent, dtype=np.intp).reshape(-1, s2),
+                    move=[move[i:i + s2] for i in rows],
+                    provenance=[prov[i:i + s2] for i in rows])
 
 
 @dataclass(frozen=True)
@@ -61,22 +113,6 @@ def horizontal_edge_valid(invalid: InvalidBoundaryMaps, r: int, c_left: int) -> 
 
 def vertical_edge_valid(invalid: InvalidBoundaryMaps, r_upper: int, c: int) -> bool:
     return not invalid.matrix_b[r_upper, c]
-
-
-def _column_segments(invalid: InvalidBoundaryMaps, c: int) -> np.ndarray:
-    """Segment id per row of column c; rows in one segment are mutually
-    reachable by vertical moves."""
-    s1 = invalid.s1
-    seg = np.zeros(s1, dtype=int)
-    for r in range(1, s1):
-        seg[r] = seg[r - 1] + (0 if vertical_edge_valid(invalid, r - 1, c) else 1)
-    return seg
-
-
-def _vertical_path(r_from: int, r_to: int) -> str:
-    if r_to >= r_from:
-        return "D" * (r_to - r_from)
-    return "U" * (r_from - r_to)
 
 
 def plan_paths(invalid: InvalidBoundaryMaps, origin: tuple[int, int]) -> PathPlan:
@@ -97,50 +133,75 @@ def plan_paths(invalid: InvalidBoundaryMaps, origin: tuple[int, int]) -> PathPla
     r0, c0 = origin
     if not (0 <= r0 < s1 and 0 <= c0 < s2):
         raise ValueError(f"origin {origin} outside {s1} x {s2} grid")
-    paths: list[list[str | None]] = [[None] * s2 for _ in range(s1)]
-    prov: list[list[str | None]] = [[None] * s2 for _ in range(s1)]
-    segments = [_column_segments(invalid, c) for c in range(s2)]
+    parent = [-1] * (s1 * s2)
+    move: list[str | None] = [None] * (s1 * s2)
+    # segment id per row of each column: rows of one segment are mutually
+    # reachable by vertical moves
+    segments = np.vstack([np.zeros((1, s2), dtype=int),
+                          np.cumsum(invalid.matrix_b, axis=0)]).T.tolist()
+    h_valid = (~invalid.matrix_a).tolist()
 
-    def fill_column(c: int, entries: list[tuple[int, str]]) -> bool:
-        """Assign paths to unreached rows of column c from candidate entries.
+    def fill_column(c: int, entries: list[tuple[int, int, str]]) -> bool:
+        """Reach the unreached rows of column c from candidate entries.
 
-        Each entry is (row, path-to-that-row-in-column-c). Targets take the
-        nearest entry within their vertical segment; ties go to the smaller
-        row, then to the earlier entry in the list.
+        Each entry (row, parent, move) enters column c at `row` by `move` from
+        flat unit `parent`. A target takes the nearest entry within its
+        vertical segment (ties go to the smaller row, then to the earlier
+        entry in the list) and hangs under its neighbor toward that entry.
+        Two sweeps find the nearest entry above and below every row.
         """
+        if not entries:
+            return False
         seg = segments[c]
-        by_segment: dict[int, list[tuple[int, str]]] = {}
-        for row, path in entries:
-            by_segment.setdefault(seg[row], []).append((row, path))
-        changed = False
+        first: dict[int, tuple[int, int, str]] = {}
+        for entry in entries:
+            first.setdefault(entry[0], entry)
+        above: list[int | None] = [None] * s1
+        nearest = None
         for r in range(s1):
-            if paths[r][c] is not None:
+            if r and seg[r] != seg[r - 1]:
+                nearest = None
+            if r in first:
+                nearest = r
+            above[r] = nearest
+        changed = False
+        below = None
+        for r in range(s1 - 1, -1, -1):
+            if r + 1 < s1 and seg[r] != seg[r + 1]:
+                below = None
+            if r in first:
+                below = r
+            u = r * s2 + c
+            if move[u] is not None:
                 continue
-            candidates = by_segment.get(seg[r])
-            if not candidates:
+            a = above[r]
+            if a is None and below is None:
                 continue
-            e_row, e_path = min(candidates, key=lambda rp: (abs(rp[0] - r), rp[0]))
-            paths[r][c] = e_path + _vertical_path(e_row, r)
-            prov[r][c] = "primary"
+            if below is None or (a is not None and r - a <= below - r):
+                e = a
+            else:
+                e = below
+            if e == r:
+                _, parent[u], move[u] = first[r]
+            elif e < r:
+                parent[u], move[u] = u - s2, "D"
+            else:
+                parent[u], move[u] = u + s2, "U"
             changed = True
         return changed
 
-    def crossings(c_from: int, c_to: int, move: str) -> list[tuple[int, str]]:
-        entries = []
-        for r in range(s1):
-            if paths[r][c_from] is None:
-                continue
-            if horizontal_edge_valid(invalid, r, min(c_from, c_to)):
-                entries.append((r, paths[r][c_from] + move))
-        return entries
+    def crossings(c_from: int, c_to: int, mv: str) -> list[tuple[int, int, str]]:
+        c_left = min(c_from, c_to)
+        return [(r, r * s2 + c_from, mv) for r in range(s1)
+                if move[r * s2 + c_from] is not None and h_valid[r][c_left]]
 
-    fill_column(c0, [(r0, "")])
+    fill_column(c0, [(r0, -1, "")])
     while True:
         changed = False
-        for direction, move in ((1, "R"), (-1, "L")):
+        for direction, mv in ((1, "R"), (-1, "L")):
             c = c0 + direction
             while 0 <= c < s2:
-                changed |= fill_column(c, crossings(c - direction, c, move))
+                changed |= fill_column(c, crossings(c - direction, c, mv))
                 c += direction
         reentry = []
         if c0 + 1 < s2:
@@ -150,7 +211,8 @@ def plan_paths(invalid: InvalidBoundaryMaps, origin: tuple[int, int]) -> PathPla
         changed |= fill_column(c0, reentry)
         if not changed:
             break
-    return PathPlan(origin=origin, paths=paths, provenance=prov)
+    prov = [None if mv is None else "primary" for mv in move]
+    return _plan(origin, parent, move, prov, s2)
 
 
 def transpose_invalid(invalid: InvalidBoundaryMaps) -> InvalidBoundaryMaps:
@@ -159,57 +221,59 @@ def transpose_invalid(invalid: InvalidBoundaryMaps) -> InvalidBoundaryMaps:
                                matrix_b=invalid.matrix_a.T.copy())
 
 
-def _transpose_path(path: str) -> str:
-    return path.translate(_TRANSPOSE_MOVE)
-
-
 def plan_with_retry(invalid: InvalidBoundaryMaps,
                     origins: list[tuple[int, int]]) -> PathPlan:
     """Column-relay plan with the transpose-exchange retry and extra origins.
 
     Runs :func:`plan_paths` from the first origin, replans the leftovers on
     the transposed grid, and finally retries remaining gaps from the other
-    origins, rebasing their paths through the first origin so every emitted
-    path starts there. Units no pass can reach stay UNREACHABLE.
+    origins that the plan already reaches, so every path still starts at the
+    first origin. Each unit a retry adds keeps its parent and move from the
+    retry pass (transposed back). Units no pass can reach stay UNREACHABLE.
     """
     if not origins:
         raise ValueError("need at least one origin")
     s1, s2 = invalid.s1, invalid.s2
-    plan = plan_paths(invalid, origins[0])
+    primary = plan_paths(invalid, origins[0])
+    parent = primary.parent.ravel().tolist()
+    move = [mv for row in primary.move for mv in row]
+    prov = [label for row in primary.provenance for label in row]
     transposed = None
 
-    def fill_from(sub: PathPlan, prefix: str, label: str, transpose: bool):
-        for r in range(s1):
-            for c in range(s2):
-                if plan.paths[r][c] is not None:
+    def graft(sub: PathPlan, label: str, transpose: bool) -> None:
+        for u in range(s1 * s2):
+            if move[u] is not None:
+                continue
+            r, c = divmod(u, s2)
+            if transpose:
+                mv = sub.move[c][r]
+                if mv is None:
                     continue
-                sub_path = sub.paths[c][r] if transpose else sub.paths[r][c]
-                if sub_path is None:
+                pc, pr = divmod(int(sub.parent[c, r]), s1)
+                parent[u], move[u] = pr * s2 + pc, mv.translate(_TRANSPOSE_MOVE)
+            else:
+                mv = sub.move[r][c]
+                if mv is None:
                     continue
-                if transpose:
-                    sub_path = _transpose_path(sub_path)
-                plan.paths[r][c] = prefix + sub_path
-                plan.provenance[r][c] = label
+                parent[u], move[u] = int(sub.parent[r, c]), mv
+            prov[u] = label
 
-    if any(p is None for row in plan.paths for p in row):
+    if None in move:
         transposed = transpose_invalid(invalid)
         r0, c0 = origins[0]
-        sub = plan_paths(transposed, (c0, r0))
-        fill_from(sub, "", "transpose", transpose=True)
+        graft(plan_paths(transposed, (c0, r0)), "transpose", transpose=True)
 
     for k, (rk, ck) in enumerate(origins[1:], start=2):
-        if not any(p is None for row in plan.paths for p in row):
+        if None not in move:
             break
-        prefix = plan.paths[rk][ck]
-        if prefix is None:
-            continue   # this origin is itself unreached; cannot rebase through it
-        sub = plan_paths(invalid, (rk, ck))
-        fill_from(sub, prefix, f"origin{k}", transpose=False)
+        if move[rk * s2 + ck] is None:
+            continue   # this origin is itself unreached; cannot graft through it
+        graft(plan_paths(invalid, (rk, ck)), f"origin{k}", transpose=False)
         if transposed is None:
             transposed = transpose_invalid(invalid)
-        sub_t = plan_paths(transposed, (ck, rk))
-        fill_from(sub_t, prefix, f"origin{k}+transpose", transpose=True)
-    return plan
+        graft(plan_paths(transposed, (ck, rk)), f"origin{k}+transpose",
+              transpose=True)
+    return _plan(origins[0], parent, move, prov, s2)
 
 
 def replay(plan: PathPlan, r: int, c: int,
@@ -224,8 +288,7 @@ def replay(plan: PathPlan, r: int, c: int,
     if path is None:
         raise ValueError(f"unit {(r, c)} is unreachable")
     rr, cc = plan.origin
-    s1 = len(plan.paths)
-    s2 = len(plan.paths[0])
+    s1, s2 = plan.shape
     for mv in path:
         dr, dc = MOVES[mv]
         nr, nc = rr + dr, cc + dc

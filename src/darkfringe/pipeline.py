@@ -186,11 +186,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
     save("edge_ratios.csv", fileio.write_edge_ratios_csv, ratios)
 
     origins = list(cfg.origins)
+    plans = []
     for k, origin in enumerate(origins, start=1):
-        plan = stage("paths")(plan_with_retry, invalid, [origin])
-        save(f"path_plan_origin{k}.csv", fileio.write_path_plan_csv, plan)
+        plans.append(stage("paths")(plan_with_retry, invalid, [origin]))
+        save(f"path_plan_origin{k}.csv", fileio.write_path_plan_csv, plans[-1])
 
-    phase, provenance = stage("reconstruct")(retrieve_phase, invalid, ratios, origins)
+    phase, provenance = stage("reconstruct")(retrieve_phase, invalid, ratios,
+                                             origins, plans)
     amplitude = stage("reconstruct")(estimate_amplitude, images, grid,
                                      cfg.band_halfwidth + 1)
     rec = compose(phase, amplitude, provenance)

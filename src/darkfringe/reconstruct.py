@@ -2,11 +2,16 @@
 
 A unit's phase is the origin phase plus the argument of the product of edge
 ratios along its path (conjugated when an edge is traversed against its
-stored orientation). Accumulating the product instead of summing arguments
-keeps quantized ratios exact: products of {1, i, -1, -i} never leave that set.
-Amplitudes come from a median over eroded unit interiors pooled across all
-measurements, and scoring removes the global phase offset that intensity
-measurements can never determine.
+stored orientation). Plans are trees, so the products come from one pass over
+the units, parents first: a unit's product is its parent's times the ratio of
+the edge between them, the same multiplications in the same order as a walk
+of the unit's whole path. Accumulating the product instead of summing
+arguments keeps quantized ratios exact: products of {1, i, -1, -i} never
+leave that set. Several origins are fused per unit by a circular mean
+anchored at the first origin that reaches it. Amplitudes come from a median
+over eroded unit interiors pooled across all measurements, and scoring
+removes the global phase offset that intensity measurements can never
+determine.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
 from .forward_model import ComplexField, GridSpec, IntensityImage
-from .path_search import MOVES, PathPlan, plan_with_retry
+from .path_search import PathPlan, plan_with_retry
 
 
 @dataclass
@@ -43,6 +48,23 @@ def _wrap(angles: np.ndarray) -> np.ndarray:
     return a - 2.0 * np.pi * np.round(a / (2.0 * np.pi))
 
 
+def _entering_ratios(plan: PathPlan, ratios: EdgeRatios) -> np.ndarray:
+    """Per unit, the ratio of the edge its move crosses from the parent,
+    conjugated against the stored orientation; NaN where no move enters."""
+    move = np.array(plan.move, dtype=object)
+    h, v = ratios.horizontal, ratios.vertical
+    rho = np.full(plan.shape, complex(np.nan, np.nan))
+    right = move[:, 1:] == "R"
+    rho[:, 1:][right] = h[right]
+    left = move[:, :-1] == "L"
+    rho[:, :-1][left] = np.conj(h[left])
+    down = move[1:, :] == "D"
+    rho[1:, :][down] = v[down]
+    up = move[:-1, :] == "U"
+    rho[:-1, :][up] = np.conj(v[up])
+    return rho
+
+
 def accumulate_phase(plan: PathPlan, ratios: EdgeRatios, origin_phase: float = 0.0) -> np.ndarray:
     """Phase grid from multiplicative ratio accumulation along planned paths.
 
@@ -52,43 +74,34 @@ def accumulate_phase(plan: PathPlan, ratios: EdgeRatios, origin_phase: float = 0
     Unreachable units get NaN. Results are reduced mod 2*pi into [0, 2*pi).
     """
     s1, s2 = plan.shape
-    phase = np.full((s1, s2), np.nan)
-    for r in range(s1):
-        for c in range(s2):
-            path = plan.paths[r][c]
-            if path is None:
-                continue
-            rr, cc = plan.origin
-            product = 1 + 0j
-            for mv in path:
-                if mv == "R":
-                    rho = ratios.horizontal[rr, cc]
-                elif mv == "L":
-                    rho = np.conj(ratios.horizontal[rr, cc - 1])
-                elif mv == "D":
-                    rho = ratios.vertical[rr, cc]
-                else:
-                    rho = np.conj(ratios.vertical[rr - 1, cc])
-                if np.isnan(rho):
-                    raise ValueError(
-                        f"path for unit {(r, c)} crosses an edge with unknown ratio "
-                        f"at {(rr, cc)} move {mv}")
-                product *= rho
-                dr, dc = MOVES[mv]
-                rr, cc = rr + dr, cc + dc
-            phase[r, c] = np.mod(origin_phase + np.angle(product), 2.0 * np.pi)
-    return phase
+    rho = _entering_ratios(plan, ratios).ravel()
+    order = plan.order()
+    unknown = np.isnan(rho[order[1:]])
+    if unknown.any():
+        u = int(order[1:][unknown][0])
+        r, c = divmod(u, s2)
+        pr, pc = divmod(int(plan.parent[r, c]), s2)
+        raise ValueError(
+            f"path for unit {(r, c)} crosses an edge with unknown ratio "
+            f"at {(pr, pc)} move {plan.move[r][c]}")
+    parent = plan.parent.ravel().tolist()
+    rho_u = list(rho)
+    product: list = [None] * (s1 * s2)
+    product[order[0]] = 1 + 0j
+    for u in order[1:].tolist():
+        product[u] = product[parent[u]] * rho_u[u]
+    phase = np.full(s1 * s2, np.nan)
+    phase[order] = np.mod(origin_phase + np.angle([product[u] for u in order.tolist()]),
+                          2.0 * np.pi)
+    return phase.reshape(s1, s2)
 
 
-def _interior_block(grid: GridSpec, i: int, j: int, erode: int):
-    """Pixel block of unit (i, j) eroded on each side, in cropped-image coords."""
+def _interior_rows(grid: GridSpec, i: int, erode: int) -> slice:
+    """Pixel rows of unit row i eroded on each side, in cropped-image coords."""
     ppu = grid.pixels_per_unit
     top = max(i * ppu + erode, grid.crop_rows)
     bottom = min((i + 1) * ppu - erode, grid.crop_rows + grid.height)
-    left = j * ppu + erode
-    right = (j + 1) * ppu - erode
-    return (slice(top - grid.crop_rows, bottom - grid.crop_rows),
-            slice(left, right))
+    return slice(top - grid.crop_rows, bottom - grid.crop_rows)
 
 
 def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
@@ -99,6 +112,8 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
     the fringe bands out), pixel values are pooled over all measurements
     (patterns are unit-modulus, so every frame sees the same amplitudes), and
     the square root of the pooled median is normalized to a maximum of 1.
+    One row of units at a time is stacked over the measurements, so no array
+    holds all frames.
     """
     if not images:
         raise ValueError("need at least one image")
@@ -107,14 +122,18 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
             raise ValueError(
                 f"image shape {img.values.shape} does not match grid "
                 f"{(grid.height, grid.width)}")
-    amp = np.zeros((grid.s1, grid.s2))
+    ppu, s2 = grid.pixels_per_unit, grid.s2
+    inner = slice(erode, ppu - erode)
+    amp = np.zeros((grid.s1, s2))
     for i in range(grid.s1):
-        for j in range(grid.s2):
-            block = _interior_block(grid, i, j, erode)
-            pool = np.concatenate([img.values[block].ravel() for img in images])
-            if pool.size == 0:
-                raise ValueError(f"unit {(i, j)} has no surviving interior pixels")
-            amp[i, j] = np.sqrt(np.median(pool))
+        rows = _interior_rows(grid, i, erode)
+        # (s2, m, rows, cols): one pooled row of pixels per unit, copied once
+        # and then partitioned in place by the median
+        pool = np.stack([img.values[rows].reshape(-1, s2, ppu)[:, :, inner]
+                         .transpose(1, 0, 2) for img in images], axis=1)
+        if pool.size == 0:
+            raise ValueError(f"unit {(i, 0)} has no surviving interior pixels")
+        amp[i] = np.sqrt(np.median(pool.reshape(s2, -1), axis=1, overwrite_input=True))
     peak = amp.max()
     if peak > 0:
         amp /= peak
@@ -122,23 +141,29 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
 
 
 def retrieve_phase(invalid: InvalidBoundaryMaps, ratios: EdgeRatios,
-                   origins: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+                   origins: list[tuple[int, int]],
+                   plans: list[PathPlan] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Multi-origin phase recovery with per-unit circular-mean fusion.
 
-    Each origin gets its own plan (with transpose retry) and phase grid; the
-    grids are aligned to the first origin's at a shared reference unit (or by
-    the circular mean of their differences when the reference is not common)
-    and fused per unit by the circular mean. Returns (phase, provenance) where
-    provenance holds the index of the first origin that reached each unit.
+    Each origin has its own plan (with transpose retry; built here unless
+    `plans` gives one per origin) and phase grid; the grids are aligned to
+    the first origin's at a shared reference unit (or by the circular mean of
+    their differences when the reference is not common) and fused per unit by
+    the circular mean anchored at the first contributor: exact when all
+    contributors agree mod 2*pi, the plain circular mean otherwise. Returns
+    (phase, provenance) where provenance holds the index of the first origin
+    that reached each unit.
     """
     if not origins:
         raise ValueError("need at least one origin")
-    s1, s2 = invalid.s1, invalid.s2
+    if plans is None:
+        plans = [plan_with_retry(invalid, [origin]) for origin in origins]
+    elif [tuple(p.origin) for p in plans] != [tuple(o) for o in origins]:
+        raise ValueError("plans must be given one per origin, in origin order")
     aligned = []
     contributors = []
     base = None
-    for k, origin in enumerate(origins):
-        plan = plan_with_retry(invalid, [origin])
+    for k, (origin, plan) in enumerate(zip(origins, plans)):
         ph = accumulate_phase(plan, ratios, origin_phase=0.0)
         known = ~np.isnan(ph)
         if k == 0:
@@ -154,20 +179,15 @@ def retrieve_phase(invalid: InvalidBoundaryMaps, ratios: EdgeRatios,
         aligned.append(np.where(known, ph + offset, np.nan))
         contributors.append(k)
     stack = np.stack(aligned)
-    provenance = np.full((s1, s2), -1, dtype=int)
-    phase = np.full((s1, s2), np.nan)
-    for r in range(s1):
-        for c in range(s2):
-            vals = stack[:, r, c]
-            known_k = np.nonzero(~np.isnan(vals))[0]
-            if known_k.size == 0:
-                continue
-            provenance[r, c] = contributors[known_k[0]]
-            # circular mean anchored at the first contributor: exact when all
-            # contributors agree mod 2*pi, the plain circular mean otherwise
-            anchor = vals[known_k[0]]
-            mean = anchor + np.mean(_wrap(vals[known_k] - anchor))
-            phase[r, c] = np.mod(mean, 2.0 * np.pi)
+    known = ~np.isnan(stack)
+    reached = known.any(axis=0)
+    first = np.argmax(known, axis=0)
+    anchor = np.take_along_axis(stack, first[None], axis=0)[0]
+    with np.errstate(invalid="ignore"):
+        spread = np.where(known, _wrap(stack - anchor), 0.0)
+        mean = anchor + spread.sum(axis=0) / known.sum(axis=0)
+    phase = np.where(reached, np.mod(mean, 2.0 * np.pi), np.nan)
+    provenance = np.where(reached, np.asarray(contributors)[first], -1)
     return phase, provenance
 
 

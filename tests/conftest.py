@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 import darkfringe as df
+from darkfringe.path_search import MOVES, random_invalid_maps, transpose_invalid
 from darkfringe.fringe_detect import FringeMaps, default_detect_config
 from darkfringe.pipeline import random_quantized_object, simulate_measurements
 
@@ -89,7 +91,7 @@ def _reference_band_test(raw, hp, band_rc, flank_a, flank_b, alpha):
     dark = band_vals.mean() < alpha * flank_mean
     hp_band = hp[band_rc].mean()
     hp_flank = np.concatenate([hp[flank_a].ravel(), hp[flank_b].ravel()]).mean()
-    return bool(dark and hp_band > hp_flank), False
+    return bool(dark and hp_band > hp_flank + 1e-9 * flank_mean), False
 
 
 def reference_recognize_fringes(img, grid, cfg=None, measurement_index=0) -> FringeMaps:
@@ -144,6 +146,187 @@ def reference_recognize_fringes(img, grid, cfg=None, measurement_index=0) -> Fri
         diagnostics["zero_flank_col"] = zf_col
     return FringeMaps(row_map=row_map, col_map=col_map,
                       measurement_index=measurement_index, diagnostics=diagnostics)
+
+
+# -- string planner and path walker: the planner and phase accumulation as
+# they were before plans became trees, kept as oracles
+
+
+class ReferencePlan:
+    """A move string per unit (None for UNREACHABLE) plus provenance labels."""
+
+    def __init__(self, origin, paths, provenance):
+        self.origin, self.paths, self.provenance = origin, paths, provenance
+
+    def reachable_mask(self) -> np.ndarray:
+        return np.array([[p is not None for p in row] for row in self.paths])
+
+
+def reference_plan_paths(invalid, origin) -> ReferencePlan:
+    """Column relay storing whole move strings; targets take the nearest
+    entry of their segment by an explicit min over candidates."""
+    s1, s2 = invalid.s1, invalid.s2
+    r0, c0 = origin
+    paths = [[None] * s2 for _ in range(s1)]
+    prov = [[None] * s2 for _ in range(s1)]
+    segments = []
+    for c in range(s2):
+        seg = [0] * s1
+        for r in range(1, s1):
+            seg[r] = seg[r - 1] + int(invalid.matrix_b[r - 1, c])
+        segments.append(seg)
+
+    def fill_column(c, entries):
+        by_segment = {}
+        for row, path in entries:
+            by_segment.setdefault(segments[c][row], []).append((row, path))
+        changed = False
+        for r in range(s1):
+            candidates = by_segment.get(segments[c][r])
+            if paths[r][c] is not None or not candidates:
+                continue
+            e_row, e_path = min(candidates, key=lambda rp: (abs(rp[0] - r), rp[0]))
+            paths[r][c] = e_path + ("D" * (r - e_row) if r >= e_row else "U" * (e_row - r))
+            prov[r][c] = "primary"
+            changed = True
+        return changed
+
+    def crossings(c_from, c_to, move):
+        return [(r, paths[r][c_from] + move) for r in range(s1)
+                if paths[r][c_from] is not None
+                and not invalid.matrix_a[r, min(c_from, c_to)]]
+
+    fill_column(c0, [(r0, "")])
+    while True:
+        changed = False
+        for direction, move in ((1, "R"), (-1, "L")):
+            c = c0 + direction
+            while 0 <= c < s2:
+                changed |= fill_column(c, crossings(c - direction, c, move))
+                c += direction
+        reentry = []
+        if c0 + 1 < s2:
+            reentry += crossings(c0 + 1, c0, "L")
+        if c0 - 1 >= 0:
+            reentry += crossings(c0 - 1, c0, "R")
+        changed |= fill_column(c0, reentry)
+        if not changed:
+            return ReferencePlan(origin, paths, prov)
+
+
+def reference_plan_with_retry(invalid, origins) -> ReferencePlan:
+    """Transpose retry and extra origins, each filled path rebased as the
+    extra origin's own path plus the retry pass's whole path."""
+    s1, s2 = invalid.s1, invalid.s2
+    plan = reference_plan_paths(invalid, origins[0])
+    transposed = transpose_invalid(invalid)
+    swap = str.maketrans("UDLR", "LRUD")
+
+    def fill_from(sub, prefix, label, transpose):
+        for r in range(s1):
+            for c in range(s2):
+                sub_path = sub.paths[c][r] if transpose else sub.paths[r][c]
+                if plan.paths[r][c] is None and sub_path is not None:
+                    plan.paths[r][c] = prefix + (sub_path.translate(swap)
+                                                 if transpose else sub_path)
+                    plan.provenance[r][c] = label
+
+    def any_missing():
+        return any(p is None for row in plan.paths for p in row)
+
+    if any_missing():
+        r0, c0 = origins[0]
+        fill_from(reference_plan_paths(transposed, (c0, r0)), "", "transpose", True)
+    for k, (rk, ck) in enumerate(origins[1:], start=2):
+        if not any_missing():
+            break
+        prefix = plan.paths[rk][ck]
+        if prefix is None:
+            continue
+        fill_from(reference_plan_paths(invalid, (rk, ck)), prefix, f"origin{k}", False)
+        fill_from(reference_plan_paths(transposed, (ck, rk)), prefix,
+                  f"origin{k}+transpose", True)
+    return plan
+
+
+def reference_accumulate_phase(plan, ratios, origin_phase=0.0) -> np.ndarray:
+    """Walk every unit's whole move string, multiplying edge ratios."""
+    s1, s2 = len(plan.paths), len(plan.paths[0])
+    phase = np.full((s1, s2), np.nan)
+    for r in range(s1):
+        for c in range(s2):
+            path = plan.paths[r][c]
+            if path is None:
+                continue
+            rr, cc = plan.origin
+            product = 1 + 0j
+            for mv in path:
+                if mv == "R":
+                    rho = ratios.horizontal[rr, cc]
+                elif mv == "L":
+                    rho = np.conj(ratios.horizontal[rr, cc - 1])
+                elif mv == "D":
+                    rho = ratios.vertical[rr, cc]
+                else:
+                    rho = np.conj(ratios.vertical[rr - 1, cc])
+                if np.isnan(rho):
+                    raise ValueError(f"path for unit {(r, c)} crosses an unknown ratio")
+                product *= rho
+                dr, dc = MOVES[mv]
+                rr, cc = rr + dr, cc + dc
+            phase[r, c] = np.mod(origin_phase + np.angle(product), 2.0 * np.pi)
+    return phase
+
+
+def reference_retrieve_phase(invalid, ratios, origins, planner=None):
+    """Per-origin plans (reference plans unless `planner` is given) and walks,
+    aligned as retrieve_phase does, fused unit by unit by the circular mean
+    anchored at the first contributor."""
+    planner = planner or reference_plan_with_retry
+    s1, s2 = invalid.s1, invalid.s2
+    aligned, contributors, base = [], [], None
+    for k, origin in enumerate(origins):
+        ph = reference_accumulate_phase(planner(invalid, [origin]), ratios)
+        known = ~np.isnan(ph)
+        if k == 0:
+            offset, base = 0.0, ph
+        elif known[origins[0]] and not np.isnan(base[origins[0]]):
+            offset = base[origins[0]] - ph[origins[0]]
+        else:
+            overlap = known & ~np.isnan(base)
+            if not overlap.any():
+                continue
+            offset = np.angle(np.sum(np.exp(1j * (base[overlap] - ph[overlap]))))
+        aligned.append(np.where(known, ph + offset, np.nan))
+        contributors.append(k)
+    stack = np.stack(aligned)
+    provenance = np.full((s1, s2), -1, dtype=int)
+    phase = np.full((s1, s2), np.nan)
+    for r in range(s1):
+        for c in range(s2):
+            vals = stack[:, r, c]
+            known_k = np.nonzero(~np.isnan(vals))[0]
+            if known_k.size == 0:
+                continue
+            provenance[r, c] = contributors[known_k[0]]
+            anchor = vals[known_k[0]]
+            wrapped = vals[known_k] - anchor
+            wrapped = wrapped - 2.0 * np.pi * np.round(wrapped / (2.0 * np.pi))
+            phase[r, c] = np.mod(anchor + np.mean(wrapped), 2.0 * np.pi)
+    return phase, provenance
+
+
+@st.composite
+def planner_cases(draw):
+    """Random invalid maps (1-14 units per side, sigma from 0 to 0.5) and 1-3
+    origins on the grid."""
+    s1, s2 = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    invalid = random_invalid_maps(s1, s2, sigma, rng)
+    origins = draw(st.lists(st.tuples(st.integers(0, s1 - 1), st.integers(0, s2 - 1)),
+                            min_size=1, max_size=3))
+    return invalid, origins
 
 
 class SimSetup:

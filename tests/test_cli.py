@@ -67,6 +67,38 @@ def test_pipeline_bad_quadrature_step_writes_nothing(tmp_path):
     assert not any(outdir.iterdir())
 
 
+def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
+    import darkfringe.path_search as path_search
+    import darkfringe.pipeline as pipeline
+    import darkfringe.reconstruct as reconstruct
+    calls = []
+
+    def counted(invalid, origins):
+        calls.append(list(origins))
+        return path_search.plan_with_retry(invalid, origins)
+
+    for module in (pipeline, reconstruct):
+        monkeypatch.setattr(module, "plan_with_retry", counted)
+    origins = ((0, 0), (5, 5), (2, 3))
+    manifest = run_pipeline(RunConfig(s1=6, s2=6, seed=3, origins=origins,
+                                      outdir=str(tmp_path / "run")))
+    assert calls == [[o] for o in origins]
+    assert manifest["metrics"]["phase_rmse"] == 0.0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--quadrature-step", "0.3"],
+    ["--band-halfwidth", "0"],
+    ["--m", "1"],
+    ["--s1", "4", "--s2", "4", "--origins", "9,9"],
+], ids=["quadrature-step", "band-halfwidth", "m", "origins"])
+def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
+    outdir = tmp_path / "run"
+    assert main(["pipeline", "--outdir", str(outdir)] + flags) == 1
+    assert "usage error: bad run configuration" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_cli_usage_error_exit_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["metrics"]) == 1          # missing required flags

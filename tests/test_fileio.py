@@ -95,6 +95,58 @@ def test_path_plan_unreachable_marker(tmp_path):
     assert back.paths[0][1] is None
 
 
+def _plan_csv(tmp_path, **changed):
+    """A 2 x 2 plan CSV from origin (0, 0); `u<r><c>=moves` replaces a cell."""
+    cells = {"u00": "", "u01": "R", "u10": "D", "u11": "RD", **changed}
+    path = tmp_path / "plan.csv"
+    path.write_text("row,col,moves\n" + "".join(
+        f"{key[1]},{key[2]},{moves}\n" for key, moves in cells.items()))
+    return path
+
+
+def test_path_plan_reader_builds_tree(tmp_path):
+    plan = fio.read_path_plan_csv(_plan_csv(tmp_path, u11="DR"), origin=(0, 0))
+    assert plan.parent.tolist() == [[-1, 0], [0, 2]]
+    assert plan.move == [["", "R"], ["D", "R"]]
+    assert plan.paths == [["", "R"], ["D", "DR"]]
+
+
+@pytest.mark.parametrize("changed, match", [
+    (dict(u11="RQ"), r"line 5: move 'Q' is not one of UDLR"),
+    (dict(u01=""), r"line 3: unit \(0, 1\) has the empty path, which only the origin"),
+    (dict(u00="RL"), r"line 2: the origin \(0, 0\) needs the empty path, not 'RL'"),
+    (dict(u11="RDD"), r"line 5: path for \(1, 1\) leaves the grid at \(2, 1\)"),
+    (dict(u11="R"), r"line 5: path for \(1, 1\) ends at \(0, 1\)"),
+    (dict(u11="RLRD"), r"line 5: path for \(1, 1\) passes \(0, 1\) by 'RLR'"),
+    (dict(u00="X"), r"line 2: the origin \(0, 0\) needs the empty path, not 'X'"),
+])
+def test_path_plan_reader_rejects_malformed(tmp_path, changed, match):
+    with pytest.raises(ValueError, match=r"plan\.csv.* " + match):
+        fio.read_path_plan_csv(_plan_csv(tmp_path, **changed), origin=(0, 0))
+
+
+def test_fringe_maps_csv_ragged_names_file(tmp_path):
+    path = tmp_path / "fringes_row_j1.csv"
+    path.write_text("kind=row,j=1\n1,0\n1\n")
+    with pytest.raises(ValueError, match=r"fringes_row_j1\.csv.*row 2 has 1 fields"):
+        fio.read_fringe_maps_csv(path)
+
+
+@pytest.mark.parametrize("header", ["kind=row;j=1", "j=1", "kind=row,j=x", "kind=diag,j=1"])
+def test_fringe_maps_csv_bad_header_names_file(tmp_path, header):
+    path = tmp_path / "fringes_row_j1.csv"
+    path.write_text(header + "\n1,0\n")
+    with pytest.raises(ValueError, match=r"fringe map .*fringes_row_j1\.csv"):
+        fio.read_fringe_maps_csv(path)
+
+
+def test_bool_grid_csv_ragged_names_file(tmp_path):
+    path = tmp_path / "matrix_a.csv"
+    path.write_text("1,0,0\n0,1\n")
+    with pytest.raises(ValueError, match=r"matrix_a\.csv.*row 2 has 2 fields, row 1 has 3"):
+        fio.read_bool_grid_csv(path)
+
+
 def test_blocking_stats_csv(tmp_path):
     stats = [BlockingStats(sigma=0.1, trials=500,
                            single_pass_block_rate=0.01, retry_block_rate=0.001)]

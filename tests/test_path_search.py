@@ -8,6 +8,8 @@ from darkfringe.path_search import (blocking_montecarlo, plan_paths,
                                     plan_with_retry, random_invalid_maps,
                                     reachable_bfs, replay, transpose_invalid)
 
+from conftest import planner_cases, reference_plan_paths, reference_plan_with_retry
+
 
 def empty_invalid(s1, s2):
     return InvalidBoundaryMaps(np.zeros((s1, s2 - 1), bool),
@@ -175,3 +177,38 @@ def test_montecarlo_rates_decay_and_retry_dominates():
 def test_montecarlo_rejects_few_trials():
     with pytest.raises(ValueError):
         blocking_montecarlo((8, 8), [0.1], trials=50, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planner_cases())
+def test_tree_planner_matches_string_reference(case):
+    inv, origins = case
+    for origin in origins:
+        assert plan_paths(inv, origin).paths == reference_plan_paths(inv, origin).paths
+    plan = plan_with_retry(inv, origins)
+    ref = reference_plan_with_retry(inv, origins)
+    mask = plan.reachable_mask()
+    assert np.array_equal(mask, ref.reachable_mask())
+    assert plan.provenance == ref.provenance
+    for r, c in zip(*np.nonzero(mask)):
+        assert replay(plan, r, c, inv) == (r, c)
+        # only a retry grafts a unit under a parent with a different path
+        if plan.provenance[r][c] == "primary":
+            assert plan.paths[r][c] == ref.paths[r][c]
+
+
+def test_plan_tree_order_and_paths():
+    inv = pocket_open_right(6, 6, 2, 2)
+    plan = plan_with_retry(inv, [(0, 0)])
+    order = plan.order().tolist()
+    assert order[0] == 0 and sorted(order) == list(range(36))
+    seen = set()
+    for u in order:
+        r, c = divmod(u, 6)
+        parent = int(plan.parent[r, c])
+        assert (parent == -1) == (u == 0)
+        assert parent == -1 or parent in seen
+        seen.add(u)
+        assert plan.paths[r][c] == ("" if parent == -1 else
+                                    plan.paths[parent // 6][parent % 6] + plan.move[r][c])
+    assert plan.paths is plan.paths   # derived once, then kept

@@ -9,7 +9,12 @@ from darkfringe.reconstruct import (accumulate_phase, compose,
                                     compose_and_score, estimate_amplitude,
                                     retrieve_phase)
 
-from conftest import SimSetup, truth_edge_ratios
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (SimSetup, planner_cases, reference_accumulate_phase,
+                      reference_plan_paths, reference_plan_with_retry,
+                      reference_retrieve_phase, truth_edge_ratios)
 
 
 def empty_invalid(s1, s2):
@@ -29,6 +34,80 @@ def test_accumulate_single_right_step():
     plan = plan_paths(empty_invalid(1, 2), (0, 0))
     phase = accumulate_phase(plan, truth_edge_ratios(obj), origin_phase=0.0)
     assert phase[0, 1] == np.pi / 2
+
+
+def _masked(ratios, inv):
+    """Ratios with NaN on the invalid edges, as fusion leaves them."""
+    nan = complex(np.nan, np.nan)
+    return df.EdgeRatios(horizontal=np.where(inv.matrix_a, nan, ratios.horizontal),
+                         vertical=np.where(inv.matrix_b, nan, ratios.vertical))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(planner_cases(), st.integers(0, 2**32 - 1))
+def test_tree_accumulation_matches_string_reference(case, seed):
+    inv, origins = case
+    s1, s2 = inv.s1, inv.s2
+    rng = np.random.default_rng(seed)
+    quarter = _masked(truth_edge_ratios(ComplexField(
+        np.array([1, 1j, -1, -1j])[rng.integers(0, 4, (s1, s2))])), inv)
+    free = _masked(df.EdgeRatios(
+        horizontal=np.exp(1j * rng.uniform(-np.pi, np.pi, (s1, s2 - 1))),
+        vertical=np.exp(1j * rng.uniform(-np.pi, np.pi, (s1 - 1, s2)))), inv)
+    for origin in origins:
+        plan = plan_with_retry(inv, [origin])
+        ref = reference_plan_with_retry(inv, [origin])
+        assert _same_bits(accumulate_phase(plan, quarter),
+                          reference_accumulate_phase(ref, quarter))
+        # one pass holds the reference's own paths, so any ratios agree bit for bit
+        assert _same_bits(accumulate_phase(plan_paths(inv, origin), free),
+                          reference_accumulate_phase(reference_plan_paths(inv, origin), free))
+    for got, want in zip(retrieve_phase(inv, quarter, origins),
+                         reference_retrieve_phase(inv, quarter, origins)):
+        assert _same_bits(got, want)
+    # origins disagree on free ratios, so the fused means are not multiples of
+    # pi/2; walking the tree plans' own paths isolates the fusion arithmetic
+    for got, want in zip(retrieve_phase(inv, free, origins),
+                         reference_retrieve_phase(inv, free, origins, plan_with_retry)):
+        assert _same_bits(got, want)
+
+
+def test_fusion_averages_only_the_origins_that_reach_a_unit():
+    # the third origin's plan stops at a wall, so columns 3-5 are fused from
+    # two of three origins, which disagree on ratios that are not cycle-consistent
+    rng = np.random.default_rng(6)
+    inv, walled = empty_invalid(6, 6), empty_invalid(6, 6)
+    walled.matrix_a[:, 2] = True
+    free = df.EdgeRatios(horizontal=np.exp(1j * rng.uniform(-np.pi, np.pi, (6, 5))),
+                         vertical=np.exp(1j * rng.uniform(-np.pi, np.pi, (5, 6))))
+    origins = [(0, 0), (5, 5), (0, 1)]
+
+    def planner(invalid, origin):
+        return plan_with_retry(walled if origin == [(0, 1)] else invalid, origin)
+
+    plans = [planner(inv, [o]) for o in origins]
+    assert not plans[2].reachable_mask()[:, 3:].any()
+    for got, want in zip(retrieve_phase(inv, free, origins, plans),
+                         reference_retrieve_phase(inv, free, origins, planner)):
+        assert _same_bits(got, want)
+
+
+def test_retrieve_phase_same_with_given_plans():
+    rng = np.random.default_rng(4)
+    inv = df.path_search.random_invalid_maps(9, 7, 0.2, rng)
+    obj = ComplexField(np.power(1j, rng.integers(0, 4, (9, 7))))
+    ratios = _masked(truth_edge_ratios(obj), inv)
+    origins = [(0, 0), (8, 6), (4, 3)]
+    plans = [plan_with_retry(inv, [o]) for o in origins]
+    for got, want in zip(retrieve_phase(inv, ratios, origins, plans),
+                         retrieve_phase(inv, ratios, origins)):
+        assert _same_bits(got, want)
+    with pytest.raises(ValueError):
+        retrieve_phase(inv, ratios, origins, plans[::-1])
 
 
 def test_accumulate_rejects_unknown_edge():
