@@ -2,7 +2,10 @@
 
 Images travel as binary PGM (P5): 16-bit big-endian for intensity frames,
 with the linear scale recorded in a comment line so values can be restored;
-8-bit for patterns and diagnostic stages. Everything tabular is plain CSV
+8-bit for patterns and diagnostic stages. A 16-bit frame is scaled, rounded
+and converted to big-endian words one row strip at a time through two
+reused buffers, and read back with one conversion to float and an in-place
+division by its scale. Everything tabular is plain CSV
 with a fixed header. Complex fields use a one-line ASCII header followed by
 row-major interleaved (real, imag) little-endian float32.
 """
@@ -14,7 +17,7 @@ import csv
 import numpy as np
 
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from .forward_model import ComplexField, IntensityImage
+from .forward_model import ComplexField, IntensityImage, strip_rows
 from .fringe_detect import FringeMaps
 from .path_search import MOVES, BlockingStats, PathPlan
 from .patterns import ReferenceLibrary
@@ -28,17 +31,27 @@ def write_pgm16(path, img: IntensityImage) -> None:
     """16-bit P5 with values linearly scaled to [0, 65535].
 
     The scale factor (stored / original) goes into a '# scale=<float>'
-    comment, so read_pgm16 can undo it.
+    comment, so read_pgm16 can undo it. Pixels are scaled, rounded and
+    converted one row strip at a time through two reused buffers, and each
+    strip's big-endian words are written straight from its buffer.
     """
     vals = img.values
     peak = float(vals.max())
     scale = 65535.0 / peak if peak > 0 else 1.0
-    data = np.round(vals * scale).astype(">u2")
+    height, width = vals.shape
+    rows = min(strip_rows(width), height)
+    scaled = np.empty((rows, width))
+    stored = np.empty((rows, width), dtype=">u2")
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
         fh.write(f"# scale={scale!r}\n".encode())
-        fh.write(f"{data.shape[1]} {data.shape[0]}\n65535\n".encode())
-        fh.write(data.tobytes())
+        fh.write(f"{width} {height}\n65535\n".encode())
+        for top in range(0, height, rows):
+            n = min(rows, height - top)
+            np.multiply(vals[top:top + n], scale, out=scaled[:n])
+            np.rint(scaled[:n], out=scaled[:n])
+            np.copyto(stored[:n], scaled[:n], casting="unsafe")
+            fh.write(stored[:n])
 
 
 def _read_payload(fh, path, nbytes: int, kind: str) -> bytes:
@@ -78,8 +91,8 @@ def read_pgm16(path, pixels_per_unit: int = 1) -> IntensityImage:
             raise ValueError(f"expected 16-bit PGM, maxval={maxval}")
         raw = np.frombuffer(_read_payload(fh, path, width * height * 2, "PGM"),
                             dtype=">u2")
-    scale = float(meta.get("scale", 1.0))
-    vals = raw.reshape(height, width).astype(float) / scale
+    vals = raw.reshape(height, width).astype(float)
+    vals /= float(meta.get("scale", 1.0))
     return IntensityImage(vals, pixels_per_unit=pixels_per_unit)
 
 
@@ -88,10 +101,10 @@ def write_pgm8(path, values: np.ndarray) -> None:
     data = np.asarray(values)
     if data.min() < 0 or data.max() > 255:
         raise ValueError("8-bit PGM expects values in [0, 255]")
-    data = data.astype(np.uint8)
+    data = np.ascontiguousarray(data, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def read_pgm8(path) -> np.ndarray:

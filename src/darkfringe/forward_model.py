@@ -12,6 +12,12 @@ All rectangle integrals of p are evaluated as differences of the kernel's
 primitive P, which is tabulated once per kernel by cumulative trapezoid so the
 same mechanism serves all kernel families (the Gaussian has no elementary
 primitive).
+
+A simulated frame is |F|^2 plus sigma * max|F|^2 * z, clipped at zero, with
+z standard normal draws from the frame's seed. Past the two matrix products
+that give F, every frame-sized pass (the squared modulus and its max, the
+noise draws, the clip) streams in row strips of about STRIP_PIXELS pixels,
+with no frame-sized temporary; fileio's PGM writer uses the same strips.
 """
 
 from __future__ import annotations
@@ -157,10 +163,11 @@ class IntensityImage:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("IntensityImage requires a 2D array")
-        if np.any(self.values < 0):
-            raise ValueError("intensity values must be nonnegative")
+        if self.values.ndim != 2 or self.values.size < 1:
+            raise ValueError("IntensityImage requires a non-empty 2D array")
+        # one reduction, no boolean frame; NaN fails the comparison too
+        if not self.values.min() >= 0:
+            raise ValueError("intensity values must be nonnegative (and not NaN)")
         if self.pixels_per_unit < 1:
             raise ValueError("pixels_per_unit must be positive")
 
@@ -197,6 +204,16 @@ class GridSpec:
     @property
     def width(self) -> int:
         return self.s2 * self.pixels_per_unit
+
+
+# pixels per row strip of a frame-sized pass: a float64 strip (512 KB) stays
+# in a core's L2 cache and is small next to any frame worth streaming
+STRIP_PIXELS = 1 << 16
+
+
+def strip_rows(width: int) -> int:
+    """Rows per strip of a frame-sized pass over `width`-pixel rows."""
+    return max(1, STRIP_PIXELS // width)
 
 
 def default_crop_rows(pixels_per_unit: int) -> int:
@@ -339,10 +356,17 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
 
     The source field is the per-unit product object * pattern. With the
     separable kernel p(x)p(y), each unit's contribution factorizes into a
-    product of primitive differences along x and y, so the whole frame is a
-    pair of matrix products. Additive Gaussian noise of std
-    noise_sigma * max(intensity) is applied with the given seed and the
-    result is clipped at zero; crop_rows rows are removed top and bottom.
+    product of primitive differences along x and y, so the whole field F is a
+    pair of matrix products. The frame is |F|^2 + noise_sigma * max|F|^2 * z,
+    clipped at zero, with z standard normal draws from the seed's generator
+    taken row-major over the uncropped frame; crop_rows rows are then removed
+    top and bottom (the top rows' draws are consumed and dropped).
+
+    Past the matrix products every pass runs in row strips: |F|^2 and its
+    max straight into the frame (the cropped rows through the frame's first
+    rows), and, once F is released, the noise draws through one strip
+    buffer, scaled and added into the frame, and the clip. A call never
+    holds more than F and the returned frame.
     """
     if obj.shape != pattern.shape:
         raise ValueError(f"object shape {obj.shape} != pattern shape {pattern.shape}")
@@ -357,15 +381,34 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
     xs = np.arange(s2 * ppu) + 0.5
     wy = _unit_window(model, ys, ppu, s1)          # (H, s1)
     wx = _unit_window(model, xs, ppu, s2)          # (W, s2)
-    # in place where possible: a frame is the largest array of a run
-    intensity = np.abs(wy @ source @ wx.T)
-    np.square(intensity, out=intensity)
-    if cfg.noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        intensity += rng.normal(0.0, cfg.noise_sigma * intensity.max(),
-                                size=intensity.shape)
-        np.clip(intensity, 0.0, None, out=intensity)
+    field = wy @ source @ wx.T
+    height, width = field.shape
     crop = cfg.effective_crop_rows
-    if crop > 0:
-        intensity = intensity[crop:intensity.shape[0] - crop]
-    return IntensityImage(intensity, pixels_per_unit=ppu)
+    frame = np.empty((height - 2 * crop, width))
+    rows = min(strip_rows(width), len(frame))
+    peak = 0.0
+    # |F|^2 strip by strip: the cropped rows only count toward the max and
+    # are squared in the frame's first rows, before the frame's own rows are
+    for start, stop in ((0, crop), (height - crop, height), (crop, height - crop)):
+        for top in range(start, stop, rows):
+            bottom = min(top + rows, stop)
+            power = (frame[top - crop:bottom - crop] if start == crop
+                     else frame[:bottom - top])
+            np.abs(field[top:bottom], out=power)
+            np.square(power, out=power)
+            peak = max(peak, float(power.max()))
+    del field
+    if cfg.noise_sigma > 0:
+        scale = cfg.noise_sigma * peak
+        rng = np.random.default_rng(seed)
+        noise = np.empty((rows, width))
+        for top in range(0, crop, rows):
+            rng.standard_normal(out=noise[:min(rows, crop - top)])
+        for top in range(0, len(frame), rows):
+            draws = noise[:min(rows, len(frame) - top)]
+            rng.standard_normal(out=draws)
+            draws *= scale
+            part = frame[top:top + len(draws)]
+            part += draws
+            np.clip(part, 0.0, None, out=part)
+    return IntensityImage(frame, pixels_per_unit=ppu)

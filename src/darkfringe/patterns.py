@@ -74,14 +74,15 @@ def encode_8bit(pattern: ComplexField) -> np.ndarray:
     """Quantize unit-modulus phases to the 8-bit grey levels of a phase panel.
 
     theta in [0, 2*pi) maps to floor(theta / (2*pi) * 255), the truncating
-    variant: pi/2 -> 63, pi -> 127, 3*pi/2 -> 191, 0 -> 0.
+    variant: pi/2 -> 63, pi -> 127, 3*pi/2 -> 191, 0 -> 0. Levels come back
+    as uint8, so a pixel export of them is one byte per pixel.
     """
     mags = np.abs(pattern.values)
     if not np.allclose(mags, 1.0, atol=1e-9):
         raise ValueError("encode_8bit expects unit-modulus values")
     theta = np.mod(np.angle(pattern.values), 2.0 * np.pi)
     levels = np.floor(theta / (2.0 * np.pi) * 255.0).astype(int)
-    return np.mod(levels, 256)
+    return np.mod(levels, 256).astype(np.uint8)
 
 
 def reference_library(pattern_set: PatternSet) -> ReferenceLibrary:
@@ -95,7 +96,11 @@ def reference_library(pattern_set: PatternSet) -> ReferenceLibrary:
 
 
 def expand_to_pixels(values: np.ndarray, pixels_per_unit: int) -> np.ndarray:
-    """Repeat each unit into a pixels_per_unit square block (file export only)."""
+    """Repeat each unit into a pixels_per_unit square block (file export only).
+
+    The blocks keep the dtype of `values`: uint8 levels from
+    :func:`encode_8bit` expand to one byte per pixel.
+    """
     if pixels_per_unit < 1:
         raise ValueError("pixels_per_unit must be positive")
     values = np.asarray(values)

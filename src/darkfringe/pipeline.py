@@ -3,13 +3,15 @@
 Every intermediate artifact is written in its module's file format, and a
 manifest records the configuration echo, the final metrics and a sha256
 checksum of every file written, so identical (config, seed) runs can be
-compared byte for byte.
+compared byte for byte. Files are hashed on one background thread as they
+are written, in fixed-size chunks, while the next stages run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,8 +121,13 @@ def detect_measurements(images: list, grid: GridSpec,
 
 
 def _sha256(path: Path) -> str:
+    """Hex sha256 of a file, read in fixed-size chunks into one buffer."""
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    chunk = bytearray(1 << 18)
+    view = memoryview(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(chunk):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -128,16 +135,26 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """Execute the full chain and write all artifacts plus a manifest.
 
     Returns the manifest dictionary. Any stage failure raises StageError
-    naming the stage.
+    naming the stage. Each file is hashed on one background thread as soon
+    as it is written; that thread runs only file reads and hashlib, and it
+    is joined on every exit, a failed run dropping the hashes still queued.
     """
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    hasher = ThreadPoolExecutor(max_workers=1)
+    try:
+        return _run_stages(cfg, outdir, hasher)
+    finally:
+        hasher.shutdown(cancel_futures=True)
+
+
+def _run_stages(cfg: RunConfig, outdir: Path, hasher: ThreadPoolExecutor) -> dict:
+    digests: dict[Path, Future] = {}
 
     def save(name: str, writer, *args) -> Path:
         path = outdir / name
         writer(path, *args)
-        written.append(path)
+        digests[path] = hasher.submit(_sha256, path)
         return path
 
     def stage(name):
@@ -208,7 +225,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "metrics": {"phase_rmse": metrics.phase_rmse,
                     "complex_l2": metrics.complex_l2,
                     "unknown_frac": metrics.unknown_frac},
-        "files": {p.name: _sha256(p) for p in sorted(written)},
+        "files": {p.name: digests[p].result() for p in sorted(digests)},
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -9,13 +9,18 @@ of the unit's whole path. Accumulating the product instead of summing
 arguments keeps quantized ratios exact: products of {1, i, -1, -i} never
 leave that set. Several origins are fused per unit by a circular mean
 anchored at the first origin that reaches it. Amplitudes come from a median
-over eroded unit interiors pooled across all measurements, and scoring
+over eroded unit interiors pooled across all measurements, one unit row at a
+time into pool buffers the calling thread allocates; the lower half of the
+unit rows is taken on one worker thread that runs only numpy (the median
+partition releases the GIL) and the upper half on the calling thread. Scoring
 removes the global phase offset that intensity measurements can never
 determine.
 """
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +102,32 @@ def accumulate_phase(plan: PathPlan, ratios: EdgeRatios, origin_phase: float = 0
 
 
 def _interior_rows(grid: GridSpec, i: int, erode: int) -> slice:
-    """Pixel rows of unit row i eroded on each side, in cropped-image coords."""
+    """Pixel rows of unit row i eroded on each side, in cropped-image coords;
+    empty when the erosion and the crop leave none of them."""
     ppu = grid.pixels_per_unit
     top = max(i * ppu + erode, grid.crop_rows)
-    bottom = min((i + 1) * ppu - erode, grid.crop_rows + grid.height)
+    bottom = max(min((i + 1) * ppu - erode, grid.crop_rows + grid.height), top)
     return slice(top - grid.crop_rows, bottom - grid.crop_rows)
+
+
+def _pooled_medians(images: list[IntensityImage], grid: GridSpec, inner: slice,
+                    unit_rows: list[tuple[int, slice]], pool_buffer: np.ndarray,
+                    amp: np.ndarray) -> None:
+    """sqrt of the median of each unit's pooled interior pixels, for the
+    given (unit row, pixel rows) pairs, into the matching rows of `amp`.
+
+    Only numpy runs here (it may run on a worker thread): one unit row at a
+    time is copied into `pool_buffer`, as (s2, m, rows, cols), and then
+    partitioned in place by the median.
+    """
+    ppu, s2, m = grid.pixels_per_unit, grid.s2, len(images)
+    for i, rows in unit_rows:
+        blocks = [img.values[rows].reshape(-1, s2, ppu)[:, :, inner].transpose(1, 0, 2)
+                  for img in images]
+        shape = (s2, m, *blocks[0].shape[1:])
+        pool = pool_buffer[:math.prod(shape)].reshape(shape)
+        np.stack(blocks, axis=1, out=pool)
+        amp[i] = np.sqrt(np.median(pool.reshape(s2, -1), axis=1, overwrite_input=True))
 
 
 def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
@@ -112,8 +138,12 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
     the fringe bands out), pixel values are pooled over all measurements
     (patterns are unit-modulus, so every frame sees the same amplitudes), and
     the square root of the pooled median is normalized to a maximum of 1.
-    One row of units at a time is stacked over the measurements, so no array
-    holds all frames.
+    Every unit row is checked for surviving pixels first. The medians of the
+    lower half of the unit rows are then taken on one worker thread and
+    those of the upper half on the calling thread, each pooling one unit row
+    at a time over the measurements into a buffer the calling thread
+    allocates (so no array holds all frames, and the worker allocates
+    nothing large).
     """
     if not images:
         raise ValueError("need at least one image")
@@ -124,16 +154,20 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
                 f"{(grid.height, grid.width)}")
     ppu, s2 = grid.pixels_per_unit, grid.s2
     inner = slice(erode, ppu - erode)
-    amp = np.zeros((grid.s1, s2))
-    for i in range(grid.s1):
-        rows = _interior_rows(grid, i, erode)
-        # (s2, m, rows, cols): one pooled row of pixels per unit, copied once
-        # and then partitioned in place by the median
-        pool = np.stack([img.values[rows].reshape(-1, s2, ppu)[:, :, inner]
-                         .transpose(1, 0, 2) for img in images], axis=1)
-        if pool.size == 0:
+    cols = len(range(ppu)[inner])
+    unit_rows = [(i, _interior_rows(grid, i, erode)) for i in range(grid.s1)]
+    heights = [len(range(grid.height)[rows]) for _, rows in unit_rows]
+    for i, height in enumerate(heights):
+        if height * cols == 0:
             raise ValueError(f"unit {(i, 0)} has no surviving interior pixels")
-        amp[i] = np.sqrt(np.median(pool.reshape(s2, -1), axis=1, overwrite_input=True))
+    pools = np.empty((2, s2 * len(images) * max(heights) * cols))
+    amp = np.zeros((grid.s1, s2))
+    half = grid.s1 // 2
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        lower = worker.submit(_pooled_medians, images, grid, inner,
+                              unit_rows[:half], pools[0], amp)
+        _pooled_medians(images, grid, inner, unit_rows[half:], pools[1], amp)
+        lower.result()
     peak = amp.max()
     if peak > 0:
         amp /= peak

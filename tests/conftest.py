@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 import darkfringe as df
+from darkfringe.fileio import _read_pgm_header
+from darkfringe.forward_model import _unit_window
 from darkfringe.path_search import MOVES, random_invalid_maps, transpose_invalid
 from darkfringe.fringe_detect import FringeMaps, default_detect_config
 from darkfringe.pipeline import random_quantized_object, simulate_measurements
@@ -314,6 +319,106 @@ def reference_retrieve_phase(invalid, ratios, origins, planner=None):
             wrapped = wrapped - 2.0 * np.pi * np.round(wrapped / (2.0 * np.pi))
             phase[r, c] = np.mod(anchor + np.mean(wrapped), 2.0 * np.pi)
     return phase, provenance
+
+
+# -- frame-sized passes as whole-frame expressions: simulation, PGM I/O,
+# pattern export and the amplitude median as they were before they ran in
+# row strips and on two threads, kept as oracles
+
+
+def reference_simulate_measurement_2d(obj, pattern, model, cfg, seed) -> df.IntensityImage:
+    """|F|^2 as one frame, plus one frame of normal(0, sigma * max) noise,
+    clipped, then cropped."""
+    s1, s2 = obj.shape
+    ppu = cfg.pixels_per_unit
+    source = obj.values * pattern.values
+    wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1)
+    wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
+    intensity = np.abs(wy @ source @ wx.T) ** 2
+    if cfg.noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        intensity = intensity + rng.normal(0.0, cfg.noise_sigma * intensity.max(),
+                                           size=intensity.shape)
+        intensity = np.clip(intensity, 0.0, None)
+    crop = cfg.effective_crop_rows
+    return df.IntensityImage(intensity[crop:intensity.shape[0] - crop], ppu)
+
+
+def reference_write_pgm16(path, img) -> None:
+    vals = img.values
+    peak = float(vals.max())
+    scale = 65535.0 / peak if peak > 0 else 1.0
+    data = np.round(vals * scale).astype(">u2")
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n")
+        fh.write(f"# scale={scale!r}\n".encode())
+        fh.write(f"{data.shape[1]} {data.shape[0]}\n65535\n".encode())
+        fh.write(data.tobytes())
+
+
+def reference_read_pgm16(path, pixels_per_unit=1) -> df.IntensityImage:
+    with open(path, "rb") as fh:
+        width, height, maxval, meta = _read_pgm_header(fh)
+        assert maxval == 65535
+        raw = np.frombuffer(fh.read(width * height * 2), dtype=">u2")
+    scale = float(meta.get("scale", 1.0))
+    return df.IntensityImage(raw.reshape(height, width).astype(float) / scale,
+                             pixels_per_unit)
+
+
+def reference_pattern_pgm(path, pattern, pixels_per_unit) -> None:
+    """8-bit pattern file from int64 levels expanded to int64 pixels."""
+    theta = np.mod(np.angle(pattern.values), 2.0 * np.pi)
+    levels = np.mod(np.floor(theta / (2.0 * np.pi) * 255.0).astype(np.int64), 256)
+    grey = np.repeat(np.repeat(levels, pixels_per_unit, axis=0), pixels_per_unit, axis=1)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{grey.shape[1]} {grey.shape[0]}\n255\n".encode())
+        fh.write(grey.astype(np.uint8).tobytes())
+
+
+def reference_estimate_amplitude(images, grid, erode=3) -> np.ndarray:
+    """One thread, one unit row at a time: sqrt of the pooled median of the
+    eroded unit interiors over all frames, normalized to a maximum of 1."""
+    ppu, s2, crop = grid.pixels_per_unit, grid.s2, grid.crop_rows
+    amp = np.zeros((grid.s1, s2))
+    for i in range(grid.s1):
+        top = max(i * ppu + erode, crop) - crop
+        bottom = min((i + 1) * ppu - erode - crop, grid.height)
+        pool = np.stack([img.values[top:max(top, bottom)].reshape(-1, s2, ppu)
+                         [:, :, erode:ppu - erode].transpose(1, 0, 2)
+                         for img in images], axis=1)
+        if pool.size == 0:
+            raise ValueError(f"unit {(i, 0)} has no surviving interior pixels")
+        amp[i] = np.sqrt(np.median(pool.reshape(s2, -1), axis=1))
+    peak = amp.max()
+    return amp / peak if peak > 0 else amp
+
+
+def strip_sizes():
+    """Contexts to run a frame pass in: the package's own row strips, and
+    strips of at most 256 pixels, so small frames cross many strip edges."""
+    return (contextlib.nullcontext(),
+            mock.patch.object(df.forward_model, "STRIP_PIXELS", 256))
+
+
+@st.composite
+def frame_cases(draw):
+    """Object, pattern, PSF and simulation settings: 1-19 units per side,
+    ppu in {4, 5, 8, 13, 16, 32}, three PSF kinds, sigma in {0, .01, .05, .3},
+    default or drawn crop, m in {2, 3, 4, 6}; plus a seed."""
+    s1, s2 = draw(st.integers(1, 19)), draw(st.integers(1, 19))
+    ppu = draw(st.sampled_from([4, 5, 8, 13, 16, 32]))
+    m = draw(st.sampled_from([2, 3, 4, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.uniform(0.2, 1.0, (s1, s2))
+    obj = df.ComplexField(amps * np.exp(2j * np.pi * rng.integers(0, m, (s1, s2)) / m))
+    pattern = df.make_patterns(m, s1, s2).patterns[draw(st.integers(0, m - 1))]
+    model = df.PsfModel(draw(st.sampled_from(df.forward_model.PSF_KINDS)),
+                        draw(st.floats(0.5, ppu - 0.5)))
+    crop = draw(st.one_of(st.none(), st.integers(0, (s1 * ppu - 1) // 2)))
+    cfg = df.SimConfig(pixels_per_unit=ppu, crop_rows=crop,
+                       noise_sigma=draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])))
+    return obj, pattern, model, cfg, draw(st.integers(0, 2**31 - 1))
 
 
 @st.composite

@@ -1,12 +1,21 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import darkfringe.fileio as fio
 from darkfringe.boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from darkfringe.forward_model import ComplexField, IntensityImage
+from darkfringe.forward_model import (STRIP_PIXELS, ComplexField, IntensityImage,
+                                      simulate_measurement_2d)
 from darkfringe.fringe_detect import FringeMaps
 from darkfringe.path_search import BlockingStats, plan_paths
 from darkfringe.patterns import ReferenceLibrary
+
+from conftest import (frame_cases, reference_read_pgm16, reference_write_pgm16,
+                      strip_sizes)
 
 
 def test_pgm16_round_trip(tmp_path):
@@ -20,6 +29,46 @@ def test_pgm16_round_trip(tmp_path):
     assert np.abs(back.values - img.values).max() <= 1234.5 / 65535
     header = path.read_bytes()[:40]
     assert header.startswith(b"P5\n# scale=")
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_cases())
+def test_pgm16_matches_full_frame_reference(case):
+    # strip-wise quantization writes the same bytes, and the in-place
+    # division reads back the same values, as the whole-frame expressions
+    obj, pattern, model, cfg, seed = case
+    img = simulate_measurement_2d(obj, pattern, model, cfg, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.pgm", Path(tmp) / "want.pgm"
+        reference_write_pgm16(want, img)
+        expected = reference_read_pgm16(want, pixels_per_unit=cfg.pixels_per_unit)
+        for strips in strip_sizes():
+            with strips:
+                fio.write_pgm16(got, img)
+            assert got.read_bytes() == want.read_bytes()
+            back = fio.read_pgm16(got, pixels_per_unit=cfg.pixels_per_unit)
+            assert back.values.tobytes() == expected.values.tobytes()
+
+
+def test_pgm16_zero_frame_matches_reference(tmp_path):
+    img = IntensityImage(np.zeros((300, 7)), pixels_per_unit=4)
+    fio.write_pgm16(tmp_path / "got.pgm", img)
+    reference_write_pgm16(tmp_path / "want.pgm", img)
+    assert (tmp_path / "got.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+    assert np.array_equal(fio.read_pgm16(tmp_path / "got.pgm").values, img.values)
+
+
+def test_write_pgm16_streams_in_strips(tmp_path):
+    # a 1024 x 1024 frame is 16 strips; writing it allocates at most two
+    # float64 strips' worth, never a scaled, rounded or converted frame
+    img = IntensityImage(np.random.default_rng(0).random((1024, 1024)), 64)
+    tracemalloc.start()
+    try:
+        fio.write_pgm16(tmp_path / "img.pgm", img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * STRIP_PIXELS
 
 
 def test_pgm8_round_trip(tmp_path):

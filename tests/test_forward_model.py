@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from darkfringe.forward_model import (ComplexField, GridSpec, IntensityImage,
                                       intensity_profile_1d, psf_eval,
                                       simulate_measurement_2d)
 
-from conftest import gamma2_centered_fd, gamma2_fd_richardson, gamma_quadrature
+from conftest import (frame_cases, gamma2_centered_fd, gamma2_fd_richardson,
+                      gamma_quadrature, reference_simulate_measurement_2d,
+                      strip_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +350,39 @@ def test_noise_clipped_nonnegative():
     assert img.values.min() >= 0.0
 
 
+@settings(max_examples=80, deadline=None)
+@given(frame_cases())
+def test_simulate_matches_full_frame_reference(case):
+    # the strip passes give the whole-frame expressions' frame bit for bit,
+    # including the noise stream across cropped rows and strip edges
+    obj, pattern, model, cfg, seed = case
+    want = reference_simulate_measurement_2d(obj, pattern, model, cfg, seed)
+    for strips in strip_sizes():
+        with strips:
+            got = simulate_measurement_2d(obj, pattern, model, cfg, seed)
+        assert got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_simulate_holds_only_the_field_and_the_frame():
+    # 16 x 16 units at 64 px: the complex field (16 B/px) and the frame
+    # (8 B/px) are the only frame-sized arrays of a call
+    rng = np.random.default_rng(0)
+    obj = ComplexField(np.exp(2j * np.pi * rng.integers(0, 4, (16, 16)) / 4))
+    pattern = ComplexField(np.ones((16, 16), dtype=complex))
+    cfg = SimConfig(pixels_per_unit=64, noise_sigma=0.05)
+    model = PsfModel("gaussian", 16.0)
+    tracemalloc.start()
+    try:
+        img = simulate_measurement_2d(obj, pattern, model, cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pixels = (16 * 64) ** 2
+    assert img.values.shape[1] == 16 * 64
+    assert peak <= 1.1 * (16 + 8) * pixels
+
+
 # ---------------------------------------------------------------------------
 # type validation
 
@@ -363,3 +400,13 @@ def test_type_validation():
         GridSpec(0, 4, 32)
     g = GridSpec(4, 5, 32, crop_rows=2)
     assert (g.height, g.width) == (124, 160)
+
+
+def test_intensity_image_rejects_nan_and_empty():
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntensityImage(np.array([[1.0, np.nan], [0.0, 2.0]]), 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntensityImage(np.array([[np.nan]]), 4)
+    with pytest.raises(ValueError, match="non-empty 2D"):
+        IntensityImage(np.zeros((0, 3)), 4)
+    assert IntensityImage(np.array([[0.0, -0.0]]), 4).values.shape == (1, 2)

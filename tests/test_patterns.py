@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,11 @@ from hypothesis import strategies as st
 
 import darkfringe as df
 from darkfringe.forward_model import PsfModel, intensity_profile_1d
+from darkfringe.fileio import write_pgm8
 from darkfringe.patterns import (encode_8bit, expand_to_pixels, make_patterns,
                                  reference_library)
+
+from conftest import reference_pattern_pgm
 
 
 def test_canonical_m4_ratios():
@@ -124,3 +130,23 @@ def test_expand_to_pixels():
     big = expand_to_pixels(grid, 3)
     assert big.shape == (6, 6)
     assert np.all(big[0:3, 0:3] == 1) and np.all(big[3:6, 3:6] == 4)
+
+
+def test_pattern_levels_are_bytes():
+    for p in make_patterns(6, 3, 5).patterns:
+        levels = encode_8bit(p)
+        assert levels.dtype == np.uint8
+        assert expand_to_pixels(levels, 4).dtype == np.uint8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 19), st.integers(1, 19),
+       st.sampled_from([4, 5, 8, 13, 16, 32]))
+def test_pattern_files_match_int64_reference(m, s1, s2, ppu):
+    # uint8 levels expanded byte by byte write the same file as int64 ones
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.pgm", Path(tmp) / "want.pgm"
+        for pattern in make_patterns(m, s1, s2).patterns:
+            write_pgm8(got, expand_to_pixels(encode_8bit(pattern), ppu))
+            reference_pattern_pgm(want, pattern, ppu)
+            assert got.read_bytes() == want.read_bytes()

@@ -1,18 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 import darkfringe as df
 from darkfringe.boundary_logic import InvalidBoundaryMaps
-from darkfringe.forward_model import ComplexField, GridSpec
+from darkfringe.forward_model import ComplexField, GridSpec, simulate_measurement_2d
 from darkfringe.path_search import plan_paths, plan_with_retry
-from darkfringe.reconstruct import (accumulate_phase, compose,
+from darkfringe.reconstruct import (_interior_rows, accumulate_phase, compose,
                                     compose_and_score, estimate_amplitude,
                                     retrieve_phase)
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (SimSetup, planner_cases, reference_accumulate_phase,
+from conftest import (SimSetup, frame_cases, planner_cases,
+                      reference_accumulate_phase, reference_estimate_amplitude,
                       reference_plan_paths, reference_plan_with_retry,
                       reference_retrieve_phase, truth_edge_ratios)
 
@@ -198,6 +201,45 @@ def test_amplitude_requires_consistent_shapes():
     setup, images = _amplitude_setup(np.ones((4, 4), complex))
     with pytest.raises(ValueError):
         estimate_amplitude(images, GridSpec(5, 4, 32, setup.grid.crop_rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_cases(), st.integers(1, 3), st.integers(0, 4))
+def test_amplitude_matches_single_thread_reference(case, frames, erode):
+    # two threads and caller-owned pool buffers give the one-thread medians
+    # bit for bit, or the same error when a unit row has no interior left
+    obj, pattern, model, cfg, seed = case
+    s1, s2 = obj.shape
+    grid = GridSpec(s1, s2, cfg.pixels_per_unit, cfg.effective_crop_rows)
+    images = [simulate_measurement_2d(obj, pattern, model, cfg, seed + k)
+              for k in range(frames)]
+    try:
+        want = reference_estimate_amplitude(images, grid, erode)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            estimate_amplitude(images, grid, erode)
+        return
+    got = estimate_amplitude(images, grid, erode)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_interior_rows_stay_inside_the_cropped_frame():
+    # crop 6 > ppu - erode = 5: unit row 0 has no interior rows left, and no
+    # stop index goes negative (which would read rows from the frame's end)
+    grid = GridSpec(4, 4, 8, crop_rows=6)
+    assert _interior_rows(grid, 0, 3) == slice(0, 0)
+    for i in range(grid.s1):
+        rows = _interior_rows(grid, i, 3)
+        assert 0 <= rows.start <= rows.stop
+    assert [len(range(grid.height)[_interior_rows(grid, i, 3)])
+            for i in range(grid.s1)] == [0, 2, 2, 0]
+
+
+def test_amplitude_names_the_first_empty_unit_row():
+    grid = GridSpec(4, 4, 8, crop_rows=6)
+    images = [df.IntensityImage(np.ones((grid.height, grid.width)), 8)]
+    with pytest.raises(ValueError, match=re.escape("unit (0, 0) has no surviving")):
+        estimate_amplitude(images, grid, erode=3)
 
 
 def test_score_exact_match_is_zero():
