@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the pipeline stages plus the two study tools
-(psf-sweep, montecarlo-blocking). A --config file of key=value lines seeds the
+(psf-sweep, montecarlo-blocking). Each stage subcommand reads its inputs back
+from --outdir and runs the same stage function as `pipeline`, so both write
+the same artifacts the same way; `simulate` writes object.cf32 too, which
+`metrics --truth` reads. A --config file of key=value lines seeds the
 options; explicit flags override it. Exit status: 0 on success, 1 on usage
-errors, 2 when a stage fails.
+errors, 2 when a stage fails, with the stage named on stderr.
 """
 
 from __future__ import annotations
@@ -14,14 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio
-from .boundary_logic import mark_invalid_and_ratios
-from .forward_model import fringe_radius_sweep
-from .fringe_detect import FringeMaps, recognize_fringes
-from .patterns import encode_8bit, expand_to_pixels, make_patterns, reference_library
-from .path_search import blocking_montecarlo, plan_with_retry
-from .pipeline import RunConfig, StageError, run_pipeline
-from .reconstruct import compose_and_score
+from . import fileio, pipeline
+from .forward_model import PSF_KINDS, fringe_radius_sweep
+from .fringe_detect import FringeMaps
+from .path_search import blocking_montecarlo
+from .pipeline import RunConfig, run_pipeline, stage
 
 
 class _UsageError(Exception):
@@ -54,13 +54,18 @@ def _parse_origins(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(origins)
 
 
+# config key -> cast; each key is also the run flag --key-with-dashes
 _CONFIG_CASTS = {
-    "s1": int, "s2": int, "pixels_per_unit": int, "m": int, "seed": int,
-    "band_halfwidth": int, "crop_rows": int,
-    "psf_radius": float, "noise_sigma": float, "quadrature_step": float,
-    "highpass_sigma": float, "fringe_ratio_alpha": float,
-    "psf_kind": str, "outdir": str, "object_file": str,
-    "origins": _parse_origins,
+    "s1": int, "s2": int, "pixels_per_unit": int, "psf_kind": str,
+    "psf_radius": float, "m": int, "noise_sigma": float, "crop_rows": int,
+    "quadrature_step": float, "highpass_sigma": float, "band_halfwidth": int,
+    "fringe_ratio_alpha": float, "origins": _parse_origins, "seed": int,
+    "outdir": str, "object_file": str,
+}
+
+_FLAG_EXTRAS = {
+    "psf_kind": {"choices": PSF_KINDS},
+    "origins": {"help": "semicolon-separated row,col pairs, e.g. '0,0;15,15'"},
 }
 
 
@@ -102,23 +107,9 @@ def _check_run_config(cfg: RunConfig) -> None:
 
 def _add_run_options(sub):
     sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--s1", type=int)
-    sub.add_argument("--s2", type=int)
-    sub.add_argument("--pixels-per-unit", dest="pixels_per_unit", type=int)
-    sub.add_argument("--psf-kind", dest="psf_kind", choices=("box", "exponential", "gaussian"))
-    sub.add_argument("--psf-radius", dest="psf_radius", type=float)
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    sub.add_argument("--crop-rows", dest="crop_rows", type=int)
-    sub.add_argument("--quadrature-step", dest="quadrature_step", type=float)
-    sub.add_argument("--highpass-sigma", dest="highpass_sigma", type=float)
-    sub.add_argument("--band-halfwidth", dest="band_halfwidth", type=int)
-    sub.add_argument("--fringe-ratio-alpha", dest="fringe_ratio_alpha", type=float)
-    sub.add_argument("--origins", type=_parse_origins,
-                     help="semicolon-separated row,col pairs, e.g. '0,0;15,15'")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--outdir")
-    sub.add_argument("--object-file", dest="object_file")
+    for key, cast in _CONFIG_CASTS.items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+                         **_FLAG_EXTRAS.get(key, {}))
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -141,8 +132,7 @@ def build_parser() -> _Parser:
             sub.add_argument("--truth", required=True)
 
     sweep = subs.add_parser("psf-sweep")
-    sweep.add_argument("--kind", default="gaussian",
-                       choices=("box", "exponential", "gaussian"))
+    sweep.add_argument("--kind", default="gaussian", choices=PSF_KINDS)
     sweep.add_argument("--radii", type=_csv_floats, default=[2.0, 18.0, 34.0])
     sweep.add_argument("--delta-phis", dest="delta_phis", type=_csv_floats,
                        default=[round(0.1 * k, 1) for k in range(1, 10)],
@@ -160,106 +150,65 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_patterns(cfg: RunConfig) -> None:
+def _run_stage(args, cfg: RunConfig) -> str:
+    """Run one stage subcommand on the artifacts in --outdir through the
+    pipeline's own stage function; returns the line to print."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    pattern_set = make_patterns(cfg.m, cfg.s1, cfg.s2)
-    for j, pattern in enumerate(pattern_set.patterns, start=1):
-        grey = expand_to_pixels(encode_8bit(pattern), cfg.pixels_per_unit)
-        fileio.write_pgm8(outdir / f"pattern_j{j}.pgm", grey)
-    fileio.write_reference_library_csv(outdir / "reference_library.csv",
-                                       reference_library(pattern_set))
-    print(f"wrote {cfg.m} patterns and reference library to {outdir}")
+    indices = range(1, cfg.m + 1)
 
+    def save(name: str, writer, *data) -> None:
+        writer(outdir / name, *data)
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    from .pipeline import random_quantized_object, simulate_measurements
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.object_file:
-        obj = fileio.read_complex_field(cfg.object_file)
-    else:
-        obj = random_quantized_object(cfg.s1, cfg.s2, cfg.m, cfg.seed)
-        fileio.write_complex_field(outdir / "object.cf32", obj)
-    pattern_set = make_patterns(cfg.m, cfg.s1, cfg.s2)
-    images = simulate_measurements(obj, pattern_set, cfg.psf(),
-                                   cfg.sim_config(), cfg.seed)
-    for j, img in enumerate(images, start=1):
-        fileio.write_pgm16(outdir / f"measurement_j{j}.pgm", img)
-    print(f"wrote {len(images)} measurements to {outdir}")
+    def frame(path):
+        return fileio.read_pgm16(path, pixels_per_unit=cfg.pixels_per_unit)
 
-
-def _cmd_detect(cfg: RunConfig, image: str | None, j: int) -> None:
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    grid = cfg.grid()
-    if image is None:
-        image = str(outdir / f"measurement_j{j}.pgm")
-    img = fileio.read_pgm16(image, pixels_per_unit=cfg.pixels_per_unit)
-    maps = recognize_fringes(img, grid, cfg.detect_config(), measurement_index=j)
-    fileio.write_fringe_maps_csv(outdir / f"fringes_row_j{j}.csv", maps, "row")
-    fileio.write_fringe_maps_csv(outdir / f"fringes_col_j{j}.csv", maps, "col")
-    print(f"wrote fringe maps for measurement {j} to {outdir}")
-
-
-def _load_maps(outdir: Path, m: int) -> list[FringeMaps]:
-    maps = []
-    for j in range(1, m + 1):
+    def fringe_maps(j: int) -> FringeMaps:
         _, _, rows = fileio.read_fringe_maps_csv(outdir / f"fringes_row_j{j}.csv")
         _, _, cols = fileio.read_fringe_maps_csv(outdir / f"fringes_col_j{j}.csv")
-        maps.append(FringeMaps(row_map=rows, col_map=cols, measurement_index=j))
-    return maps
+        return FringeMaps(row_map=rows, col_map=cols, measurement_index=j)
 
+    def invalid_maps():
+        return fileio.read_invalid_maps(outdir / "matrix_a.csv", outdir / "matrix_b.csv")
 
-def _cmd_mark_invalid(cfg: RunConfig) -> None:
-    outdir = Path(cfg.outdir)
-    lib = fileio.read_reference_library_csv(outdir / "reference_library.csv")
-    maps = _load_maps(outdir, cfg.m)
-    invalid, ratios = mark_invalid_and_ratios(maps, lib)
-    fileio.write_bool_grid_csv(outdir / "matrix_a.csv", invalid.matrix_a)
-    fileio.write_bool_grid_csv(outdir / "matrix_b.csv", invalid.matrix_b)
-    fileio.write_edge_ratios_csv(outdir / "edge_ratios.csv", ratios)
-    print(f"{int(invalid.matrix_a.sum() + invalid.matrix_b.sum())} invalid boundaries")
+    command = args.command
+    if command == "patterns":
+        stage("patterns", pipeline.write_patterns, cfg, save)
+        return f"wrote {cfg.m} patterns and reference library to {outdir}"
+    if command == "simulate":
+        obj = stage("object", pipeline.load_object, cfg, save)
+        images = stage("simulate", pipeline.simulate, cfg, obj, save)
+        return f"wrote {len(images)} measurements to {outdir}"
+    if command == "detect":
+        image = args.image or outdir / f"measurement_j{args.j}.pgm"
+        stage("detect", lambda: pipeline.detect(cfg, frame(image), args.j, save))
+        return f"wrote fringe maps for measurement {args.j} to {outdir}"
+    if command == "mark-invalid":
+        invalid, _ = stage("mark-invalid", lambda: pipeline.mark_invalid(
+            cfg, [fringe_maps(j) for j in indices],
+            fileio.read_reference_library_csv(outdir / "reference_library.csv"), save))
+        return f"{int(invalid.matrix_a.sum() + invalid.matrix_b.sum())} invalid boundaries"
+    if command == "paths":
+        plans = stage("paths", lambda: pipeline.plan(cfg, invalid_maps(), save))
+        return "\n".join(f"origin {origin}: {int((~p.reachable_mask()).sum())} "
+                         "unreachable units" for origin, p in zip(cfg.origins, plans))
+    if command == "reconstruct":
+        phase, _ = stage("reconstruct", lambda: pipeline.reconstruct(
+            cfg, invalid_maps(),
+            fileio.read_edge_ratios_csv(outdir / "edge_ratios.csv", cfg.s1, cfg.s2),
+            None, [frame(outdir / f"measurement_j{j}.pgm") for j in indices], save))
+        return f"wrote reconstruction.cf32 ({int(np.isnan(phase).sum())} unknown units)"
 
+    def read_and_score():
+        rec = fileio.read_complex_field(args.reconstruction).values
+        amplitude = np.abs(rec)
+        phase = np.where(amplitude > 0, np.mod(np.angle(rec), 2 * np.pi), np.nan)
+        return pipeline.score(cfg, phase, amplitude,
+                              fileio.read_complex_field(args.truth), save)
 
-def _cmd_paths(cfg: RunConfig) -> None:
-    outdir = Path(cfg.outdir)
-    invalid = fileio.read_invalid_maps(outdir / "matrix_a.csv", outdir / "matrix_b.csv")
-    for k, origin in enumerate(cfg.origins, start=1):
-        plan = plan_with_retry(invalid, [origin])
-        fileio.write_path_plan_csv(outdir / f"path_plan_origin{k}.csv", plan)
-        unreachable = int((~plan.reachable_mask()).sum())
-        print(f"origin {origin}: {unreachable} unreachable units")
-
-
-def _cmd_reconstruct(cfg: RunConfig) -> None:
-    from .reconstruct import compose, estimate_amplitude, retrieve_phase
-    outdir = Path(cfg.outdir)
-    grid = cfg.grid()
-    invalid = fileio.read_invalid_maps(outdir / "matrix_a.csv", outdir / "matrix_b.csv")
-    ratios = fileio.read_edge_ratios_csv(outdir / "edge_ratios.csv", cfg.s1, cfg.s2)
-    images = [fileio.read_pgm16(outdir / f"measurement_j{j}.pgm",
-                                pixels_per_unit=cfg.pixels_per_unit)
-              for j in range(1, cfg.m + 1)]
-    phase, provenance = retrieve_phase(invalid, ratios, list(cfg.origins))
-    amplitude = estimate_amplitude(images, grid, cfg.band_halfwidth + 1)
-    rec = compose(phase, amplitude, provenance)
-    fileio.write_complex_field(outdir / "reconstruction.cf32", rec.complex_image)
-    print(f"wrote reconstruction.cf32 ({int(np.isnan(phase).sum())} unknown units)")
-
-
-def _cmd_metrics(cfg: RunConfig, reconstruction: str, truth: str) -> None:
-    rec = fileio.read_complex_field(reconstruction)
-    tru = fileio.read_complex_field(truth)
-    amp = np.abs(rec.values)
-    phase = np.where(amp > 0, np.mod(np.angle(rec.values), 2 * np.pi), np.nan)
-    metrics = compose_and_score(phase, amp, tru)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    fileio.write_metrics_csv(outdir / "metrics.csv", metrics.phase_rmse,
-                             metrics.complex_l2, metrics.unknown_frac)
-    print(f"phase_rmse={metrics.phase_rmse!r} complex_l2={metrics.complex_l2!r} "
-          f"unknown_frac={metrics.unknown_frac!r}")
+    metrics = stage("metrics", read_and_score)
+    return (f"phase_rmse={metrics.phase_rmse!r} complex_l2={metrics.complex_l2!r} "
+            f"unknown_frac={metrics.unknown_frac!r}")
 
 
 def main(argv=None) -> int:
@@ -288,31 +237,15 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             manifest = run_pipeline(cfg)
             print(f"pipeline done: metrics={manifest['metrics']}")
-        elif args.command == "patterns":
-            _cmd_patterns(cfg)
-        elif args.command == "simulate":
-            _cmd_simulate(cfg)
-        elif args.command == "detect":
-            _cmd_detect(cfg, args.image, args.j)
-        elif args.command == "mark-invalid":
-            _cmd_mark_invalid(cfg)
-        elif args.command == "paths":
-            _cmd_paths(cfg)
-        elif args.command == "reconstruct":
-            _cmd_reconstruct(cfg)
-        elif args.command == "metrics":
-            _cmd_metrics(cfg, args.reconstruction, args.truth)
+        else:
+            print(_run_stage(args, cfg))
         return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

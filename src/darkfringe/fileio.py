@@ -63,16 +63,18 @@ def _read_payload(fh, path, nbytes: int, kind: str) -> bytes:
     return data
 
 
-def _read_pgm_header(fh) -> tuple[int, int, int, dict]:
+def _read_pgm_header(fh, path, maxval: int) -> tuple[int, int, dict]:
+    """Width, height and '# key=value' comments of a P5 header whose maxval
+    must be `maxval`; anything else is a format error naming the file."""
     magic = fh.readline().strip()
     if magic != b"P5":
-        raise ValueError(f"not a binary PGM file (magic {magic!r})")
+        raise ValueError(f"not a binary PGM file {str(path)!r} (magic {magic!r})")
     meta = {}
     fields = []
     while len(fields) < 3:
         line = fh.readline()
         if not line:
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"truncated PGM header in {str(path)!r}")
         if line.startswith(b"#"):
             text = line[1:].strip().decode()
             if "=" in text:
@@ -80,15 +82,18 @@ def _read_pgm_header(fh) -> tuple[int, int, int, dict]:
                 meta[key.strip()] = value.strip()
             continue
         fields.extend(line.split())
-    width, height, maxval = (int(v) for v in fields[:3])
-    return width, height, maxval, meta
+    try:
+        width, height, found = (int(v) for v in fields[:3])
+    except ValueError:
+        raise ValueError(f"bad PGM header in {str(path)!r}: {fields[:3]!r}") from None
+    if found != maxval:
+        raise ValueError(f"expected maxval {maxval} in PGM {str(path)!r}, found {found}")
+    return width, height, meta
 
 
 def read_pgm16(path, pixels_per_unit: int = 1) -> IntensityImage:
     with open(path, "rb") as fh:
-        width, height, maxval, meta = _read_pgm_header(fh)
-        if maxval != 65535:
-            raise ValueError(f"expected 16-bit PGM, maxval={maxval}")
+        width, height, meta = _read_pgm_header(fh, path, 65535)
         raw = np.frombuffer(_read_payload(fh, path, width * height * 2, "PGM"),
                             dtype=">u2")
     vals = raw.reshape(height, width).astype(float)
@@ -109,9 +114,7 @@ def write_pgm8(path, values: np.ndarray) -> None:
 
 def read_pgm8(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        width, height, maxval, _ = _read_pgm_header(fh)
-        if maxval != 255:
-            raise ValueError(f"expected 8-bit PGM, maxval={maxval}")
+        width, height, _ = _read_pgm_header(fh, path, 255)
         raw = np.frombuffer(_read_payload(fh, path, width * height, "PGM"),
                             dtype=np.uint8)
     return raw.reshape(height, width).copy()
@@ -205,16 +208,27 @@ def write_edge_ratios_csv(path, ratios: EdgeRatios) -> None:
 
 
 def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
-    horizontal = np.full((s1, s2 - 1), complex(np.nan, np.nan))
-    vertical = np.full((s1 - 1, s2), complex(np.nan, np.nan))
+    """Edge ratios of an s1 x s2 grid. A row that does not parse, whose kind
+    is not h or v, whose edge is off the grid or whose valid flag is not 0 or
+    1 is a format error naming the file and line."""
+    grids = {"h": np.full((s1, s2 - 1), complex(np.nan, np.nan)),
+             "v": np.full((s1 - 1, s2), complex(np.nan, np.nan))}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            target = horizontal if row["kind"] == "h" else vertical
-            if int(row["valid"]):
-                target[int(row["row"]), int(row["col"])] = complex(
-                    float(row["ratio_real"]), float(row["ratio_imag"]))
-    return EdgeRatios(horizontal=horizontal, vertical=vertical)
+            try:
+                grid = grids[row["kind"]]
+                r, c, valid = int(row["row"]), int(row["col"]), int(row["valid"])
+                value = complex(float(row["ratio_real"]), float(row["ratio_imag"]))
+                ok = valid in (0, 1) and 0 <= r < grid.shape[0] and 0 <= c < grid.shape[1]
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"bad edge ratio row in {str(path)!r} line "
+                                 f"{reader.line_num}: {list(row.values())!r}")
+            if valid:
+                grid[r, c] = value
+    return EdgeRatios(horizontal=grids["h"], vertical=grids["v"])
 
 
 def write_path_plan_csv(path, plan: PathPlan) -> None:
@@ -296,11 +310,21 @@ def write_reference_library_csv(path, lib: ReferenceLibrary) -> None:
 
 
 def read_reference_library_csv(path) -> ReferenceLibrary:
+    """One ratio per measurement index j; a row that does not parse or
+    repeats a j is a format error naming the file and line."""
     ratios = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ratios[int(row["j"])] = complex(float(row["ratio_real"]),
-                                            float(row["ratio_imag"]))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                j = int(row["j"])
+                value = complex(float(row["ratio_real"]), float(row["ratio_imag"]))
+            except (KeyError, TypeError, ValueError):
+                j = None
+            if j is None or j in ratios:
+                raise ValueError(f"bad reference library row in {str(path)!r} line "
+                                 f"{reader.line_num}: {list(row.values())!r}")
+            ratios[j] = value
     return ReferenceLibrary(ratios)
 
 
@@ -328,8 +352,10 @@ def write_complex_field(path, field: ComplexField) -> None:
 def read_complex_field(path) -> ComplexField:
     with open(path, "rb") as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != b"CF32":
-            raise ValueError("not a CF32 complex field file")
+        if (len(header) != 3 or header[0] != b"CF32"
+                or not (header[1].isdigit() and header[2].isdigit())):
+            raise ValueError(f"not a CF32 complex field file {str(path)!r} "
+                             f"(header {b' '.join(header)!r})")
         rows, cols = int(header[1]), int(header[2])
         raw = np.frombuffer(_read_payload(fh, path, rows * cols * 8, "CF32"),
                             dtype="<f4")

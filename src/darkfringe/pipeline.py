@@ -1,10 +1,16 @@
 """End-to-end runs: simulate m frames, detect, fuse, plan, reconstruct, score.
 
-Every intermediate artifact is written in its module's file format, and a
-manifest records the configuration echo, the final metrics and a sha256
-checksum of every file written, so identical (config, seed) runs can be
-compared byte for byte. Files are hashed on one background thread as they
-are written, in fixed-size chunks, while the next stages run.
+Each stage is one function here (write_patterns, load_object, simulate,
+detect, mark_invalid, plan, reconstruct, score). It takes the run config, its
+inputs in memory and a callback save(name, writer, *args) that writes one
+artifact into the output directory, and returns its outputs; stage() runs it
+and names the stage in any failure. run_pipeline chains them in memory; the
+CLI stage subcommands read their inputs back from the output directory and
+call the same functions. Every artifact is written in its module's file
+format, and run_pipeline's manifest records the configuration echo, the final
+metrics and a sha256 checksum of every file written, so identical (config,
+seed) runs can be compared byte for byte. Files are hashed on one background
+thread as they are written, in fixed-size chunks, while the next stages run.
 """
 
 from __future__ import annotations
@@ -18,14 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .boundary_logic import mark_invalid_and_ratios
-from .forward_model import (ComplexField, GridSpec, PsfModel, SimConfig,
-                            simulate_measurement_2d)
+from .boundary_logic import EdgeRatios, InvalidBoundaryMaps, mark_invalid_and_ratios
+from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
+                            SimConfig, simulate_measurement_2d)
 from .fringe_detect import DetectConfig, FringeMaps, recognize_fringes
-from .patterns import encode_8bit, expand_to_pixels, make_patterns, reference_library
-from .path_search import plan_with_retry
-from .reconstruct import (compose, compose_and_score, estimate_amplitude,
-                          retrieve_phase)
+from .patterns import (ReferenceLibrary, encode_8bit, expand_to_pixels,
+                       make_patterns, reference_library)
+from .path_search import PathPlan, plan_with_retry
+from .reconstruct import (ScoreMetrics, compose, compose_and_score,
+                          estimate_amplitude, retrieve_phase)
 
 
 class StageError(RuntimeError):
@@ -114,12 +121,6 @@ def simulate_measurements(obj: ComplexField, pattern_set, model: PsfModel,
             for j, pattern in enumerate(pattern_set.patterns, start=1)]
 
 
-def detect_measurements(images: list, grid: GridSpec,
-                        detect_cfg: DetectConfig) -> list[FringeMaps]:
-    return [recognize_fringes(img, grid, detect_cfg, measurement_index=j)
-            for j, img in enumerate(images, start=1)]
-
-
 def _sha256(path: Path) -> str:
     """Hex sha256 of a file, read in fixed-size chunks into one buffer."""
     h = hashlib.sha256()
@@ -129,6 +130,98 @@ def _sha256(path: Path) -> str:
         while n := fh.readinto(chunk):
             h.update(view[:n])
     return h.hexdigest()
+
+
+def stage(name: str, body, *args):
+    """Run one stage body; any failure is a StageError naming the stage."""
+    try:
+        return body(*args)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def write_patterns(cfg: RunConfig, save) -> ReferenceLibrary:
+    """The m pattern PGMs and the reference library of their ratios."""
+    pattern_set = make_patterns(cfg.m, cfg.s1, cfg.s2)
+    for j, pattern in enumerate(pattern_set.patterns, start=1):
+        grey = expand_to_pixels(encode_8bit(pattern), cfg.pixels_per_unit)
+        save(f"pattern_j{j}.pgm", fileio.write_pgm8, grey)
+    lib = reference_library(pattern_set)
+    save("reference_library.csv", fileio.write_reference_library_csv, lib)
+    return lib
+
+
+def load_object(cfg: RunConfig, save) -> ComplexField:
+    """The object from cfg.object_file, which must match the grid, or a
+    random quantized one from the seed; written as object.cf32."""
+    if cfg.object_file is None:
+        obj = random_quantized_object(cfg.s1, cfg.s2, cfg.m, cfg.seed)
+    else:
+        obj = fileio.read_complex_field(cfg.object_file)
+        if obj.shape != (cfg.s1, cfg.s2):
+            raise ValueError(f"object shape {obj.shape} does not match grid "
+                             f"({cfg.s1}, {cfg.s2})")
+    save("object.cf32", fileio.write_complex_field, obj)
+    return obj
+
+
+def simulate(cfg: RunConfig, obj: ComplexField, save) -> list[IntensityImage]:
+    """One 16-bit measurement frame per pattern."""
+    images = simulate_measurements(obj, make_patterns(cfg.m, cfg.s1, cfg.s2),
+                                   cfg.psf(), cfg.sim_config(), cfg.seed)
+    for j, img in enumerate(images, start=1):
+        save(f"measurement_j{j}.pgm", fileio.write_pgm16, img)
+    return images
+
+
+def detect(cfg: RunConfig, image: IntensityImage, j: int, save) -> FringeMaps:
+    """Fringe maps of measurement j, written as its row and col CSVs."""
+    maps = recognize_fringes(image, cfg.grid(), cfg.detect_config(), measurement_index=j)
+    save(f"fringes_row_j{j}.csv", fileio.write_fringe_maps_csv, maps, "row")
+    save(f"fringes_col_j{j}.csv", fileio.write_fringe_maps_csv, maps, "col")
+    return maps
+
+
+def mark_invalid(cfg: RunConfig, maps: list[FringeMaps], lib: ReferenceLibrary,
+                 save) -> tuple[InvalidBoundaryMaps, EdgeRatios]:
+    """Invalid-boundary matrices and edge ratios from the m fringe maps."""
+    invalid, ratios = mark_invalid_and_ratios(maps, lib)
+    save("matrix_a.csv", fileio.write_bool_grid_csv, invalid.matrix_a)
+    save("matrix_b.csv", fileio.write_bool_grid_csv, invalid.matrix_b)
+    save("edge_ratios.csv", fileio.write_edge_ratios_csv, ratios)
+    return invalid, ratios
+
+
+def plan(cfg: RunConfig, invalid: InvalidBoundaryMaps, save) -> list[PathPlan]:
+    """One plan per origin, each written as path_plan_origin<k>.csv."""
+    plans = []
+    for k, origin in enumerate(cfg.origins, start=1):
+        plans.append(plan_with_retry(invalid, [origin]))
+        save(f"path_plan_origin{k}.csv", fileio.write_path_plan_csv, plans[-1])
+    return plans
+
+
+def reconstruct(cfg: RunConfig, invalid: InvalidBoundaryMaps, ratios: EdgeRatios,
+                plans: list[PathPlan] | None, images: list[IntensityImage],
+                save) -> tuple[np.ndarray, np.ndarray]:
+    """Phase and amplitude grids, written as reconstruction.cf32. With
+    plans None, retrieve_phase plans each origin itself."""
+    phase, provenance = retrieve_phase(invalid, ratios, list(cfg.origins), plans)
+    amplitude = estimate_amplitude(images, cfg.grid(), cfg.band_halfwidth + 1)
+    rec = compose(phase, amplitude, provenance)
+    save("reconstruction.cf32", fileio.write_complex_field, rec.complex_image)
+    return phase, amplitude
+
+
+def score(cfg: RunConfig, phase: np.ndarray, amplitude: np.ndarray,
+          obj: ComplexField, save) -> ScoreMetrics:
+    """Metrics against the object divided by its peak amplitude, written as
+    metrics.csv."""
+    truth = ComplexField(obj.values / np.abs(obj.values).max())
+    metrics = compose_and_score(phase, amplitude, truth)
+    save("metrics.csv", fileio.write_metrics_csv,
+         metrics.phase_rmse, metrics.complex_l2, metrics.unknown_frac)
+    return metrics
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -142,90 +235,35 @@ def run_pipeline(cfg: RunConfig) -> dict:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     hasher = ThreadPoolExecutor(max_workers=1)
-    try:
-        return _run_stages(cfg, outdir, hasher)
-    finally:
-        hasher.shutdown(cancel_futures=True)
-
-
-def _run_stages(cfg: RunConfig, outdir: Path, hasher: ThreadPoolExecutor) -> dict:
     digests: dict[Path, Future] = {}
 
-    def save(name: str, writer, *args) -> Path:
+    def save(name: str, writer, *args) -> None:
         path = outdir / name
         writer(path, *args)
         digests[path] = hasher.submit(_sha256, path)
-        return path
 
-    def stage(name):
-        def wrap(fn, *args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(name, exc) from exc
-        return wrap
-
-    grid = cfg.grid()
-    model = stage("simulate")(cfg.psf)      # rejects a bad step before any write
-    pattern_set = stage("patterns")(make_patterns, cfg.m, cfg.s1, cfg.s2)
-    lib = reference_library(pattern_set)
-    for j, pattern in enumerate(pattern_set.patterns, start=1):
-        grey = expand_to_pixels(encode_8bit(pattern), cfg.pixels_per_unit)
-        save(f"pattern_j{j}.pgm", fileio.write_pgm8, grey)
-    save("reference_library.csv", fileio.write_reference_library_csv, lib)
-
-    if cfg.object_file is not None:
-        obj = stage("object")(fileio.read_complex_field, cfg.object_file)
-        if obj.shape != (cfg.s1, cfg.s2):
-            raise StageError("object", ValueError(
-                f"object shape {obj.shape} does not match grid ({cfg.s1}, {cfg.s2})"))
-    else:
-        obj = random_quantized_object(cfg.s1, cfg.s2, cfg.m, cfg.seed)
-    save("object.cf32", fileio.write_complex_field, obj)
-
-    images = stage("simulate")(simulate_measurements, obj, pattern_set, model,
-                               cfg.sim_config(), cfg.seed)
-    for j, img in enumerate(images, start=1):
-        save(f"measurement_j{j}.pgm", fileio.write_pgm16, img)
-
-    maps = stage("detect")(detect_measurements, images, grid, cfg.detect_config())
-    for fm in maps:
-        save(f"fringes_row_j{fm.measurement_index}.csv",
-             fileio.write_fringe_maps_csv, fm, "row")
-        save(f"fringes_col_j{fm.measurement_index}.csv",
-             fileio.write_fringe_maps_csv, fm, "col")
-
-    invalid, ratios = stage("mark-invalid")(mark_invalid_and_ratios, maps, lib)
-    save("matrix_a.csv", fileio.write_bool_grid_csv, invalid.matrix_a)
-    save("matrix_b.csv", fileio.write_bool_grid_csv, invalid.matrix_b)
-    save("edge_ratios.csv", fileio.write_edge_ratios_csv, ratios)
-
-    origins = list(cfg.origins)
-    plans = []
-    for k, origin in enumerate(origins, start=1):
-        plans.append(stage("paths")(plan_with_retry, invalid, [origin]))
-        save(f"path_plan_origin{k}.csv", fileio.write_path_plan_csv, plans[-1])
-
-    phase, provenance = stage("reconstruct")(retrieve_phase, invalid, ratios,
-                                             origins, plans)
-    amplitude = stage("reconstruct")(estimate_amplitude, images, grid,
-                                     cfg.band_halfwidth + 1)
-    rec = compose(phase, amplitude, provenance)
-    save("reconstruction.cf32", fileio.write_complex_field, rec.complex_image)
-
-    truth = ComplexField(obj.values / np.abs(obj.values).max())
-    metrics = stage("metrics")(compose_and_score, phase, amplitude, truth)
-    save("metrics.csv", fileio.write_metrics_csv,
-         metrics.phase_rmse, metrics.complex_l2, metrics.unknown_frac)
+    try:
+        stage("simulate", cfg.psf)      # rejects a bad step before any write
+        lib = stage("patterns", write_patterns, cfg, save)
+        obj = stage("object", load_object, cfg, save)
+        images = stage("simulate", simulate, cfg, obj, save)
+        maps = [stage("detect", detect, cfg, img, j, save)
+                for j, img in enumerate(images, start=1)]
+        invalid, ratios = stage("mark-invalid", mark_invalid, cfg, maps, lib, save)
+        plans = stage("paths", plan, cfg, invalid, save)
+        phase, amplitude = stage("reconstruct", reconstruct, cfg, invalid, ratios,
+                                 plans, images, save)
+        metrics = stage("metrics", score, cfg, phase, amplitude, obj, save)
+        files = {p.name: digests[p].result() for p in sorted(digests)}
+    finally:
+        hasher.shutdown(cancel_futures=True)
 
     manifest = {
         "config": cfg.echo(),
         "metrics": {"phase_rmse": metrics.phase_rmse,
                     "complex_l2": metrics.complex_l2,
                     "unknown_frac": metrics.unknown_frac},
-        "files": {p.name: digests[p].result() for p in sorted(digests)},
+        "files": files,
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -358,8 +358,7 @@ def reference_write_pgm16(path, img) -> None:
 
 def reference_read_pgm16(path, pixels_per_unit=1) -> df.IntensityImage:
     with open(path, "rb") as fh:
-        width, height, maxval, meta = _read_pgm_header(fh)
-        assert maxval == 65535
+        width, height, meta = _read_pgm_header(fh, path, 65535)
         raw = np.frombuffer(fh.read(width * height * 2), dtype=">u2")
     scale = float(meta.get("scale", 1.0))
     return df.IntensityImage(raw.reshape(height, width).astype(float) / scale,

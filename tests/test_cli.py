@@ -3,7 +3,9 @@ import pytest
 
 import darkfringe.fileio as fio
 from darkfringe.cli import main
-from darkfringe.pipeline import RunConfig, StageError, run_pipeline
+from darkfringe.forward_model import ComplexField
+from darkfringe.pipeline import (RunConfig, StageError, random_quantized_object,
+                                 run_pipeline)
 
 
 def test_pipeline_default_noiseless(tmp_path):
@@ -187,3 +189,96 @@ def test_cli_staged_workflow(tmp_path):
                     "--reconstruction", f"{out}/reconstruction.cf32",
                     "--truth", f"{out}/object.cf32"])
     assert metrics == 0
+
+
+def _metrics_row(path):
+    header, values = path.read_text().splitlines()
+    return dict(zip(header.split(","), map(float, values.split(","))))
+
+
+def test_cli_metrics_scores_the_pipeline_truth(tmp_path):
+    # both divide the truth by its peak amplitude, so an object of amplitude
+    # 2 scores the same complex_l2 from the pipeline and from `metrics`
+    obj_path = tmp_path / "obj.cf32"
+    fio.write_complex_field(obj_path, ComplexField(
+        2 * random_quantized_object(6, 6, 4, 3).values))
+    run = tmp_path / "run"
+    run_pipeline(RunConfig(s1=6, s2=6, seed=3, outdir=str(run),
+                           object_file=str(obj_path)))
+    assert main(["metrics", "--outdir", str(tmp_path / "cli"),
+                 "--reconstruction", str(run / "reconstruction.cf32"),
+                 "--truth", str(run / "object.cf32")]) == 0
+    pipeline_row = _metrics_row(run / "metrics.csv")
+    cli_row = _metrics_row(tmp_path / "cli" / "metrics.csv")
+    assert pipeline_row["phase_rmse"] == cli_row["phase_rmse"] == 0.0
+    assert cli_row["complex_l2"] == pytest.approx(pipeline_row["complex_l2"], rel=1e-6)
+    assert cli_row["unknown_frac"] == pipeline_row["unknown_frac"]
+
+
+def test_cli_simulate_object_file_writes_object(tmp_path):
+    obj_path = tmp_path / "obj.cf32"
+    fio.write_complex_field(obj_path, ComplexField(np.exp(1j * np.arange(16.0)).reshape(4, 4)))
+    out = tmp_path / "run"
+    assert main(["simulate", "--outdir", str(out), "--s1", "4", "--s2", "4",
+                 "--object-file", str(obj_path)]) == 0
+    assert (out / "object.cf32").read_bytes() == obj_path.read_bytes()
+
+
+def test_cli_simulate_object_file_wrong_shape(tmp_path, capsys):
+    obj_path = tmp_path / "obj.cf32"
+    fio.write_complex_field(obj_path, ComplexField(np.ones((3, 3), complex)))
+    assert main(["simulate", "--outdir", str(tmp_path / "run"), "--s1", "4",
+                 "--s2", "4", "--object-file", str(obj_path)]) == 2
+    assert "stage 'object' failed: object shape (3, 3)" in capsys.readouterr().err
+
+
+def _wrong_shape_metrics(tmp_path):
+    fio.write_complex_field(tmp_path / "rec.cf32", ComplexField(np.ones((4, 4), complex)))
+    fio.write_complex_field(tmp_path / "truth.cf32", ComplexField(np.ones((3, 3), complex)))
+    return ["metrics", "--outdir", str(tmp_path), "--reconstruction",
+            str(tmp_path / "rec.cf32"), "--truth", str(tmp_path / "truth.cf32")]
+
+
+@pytest.mark.parametrize("stage, argv", [
+    ("detect", lambda tmp: ["detect", "--outdir", str(tmp), "--image",
+                            str(tmp / "missing.pgm")]),
+    ("reconstruct", lambda tmp: ["reconstruct", "--outdir", str(tmp)]),
+    ("metrics", _wrong_shape_metrics),
+], ids=["detect-missing-image", "reconstruct-empty-dir", "metrics-wrong-shape"])
+def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv):
+    assert main(argv(tmp_path)) == 2
+    assert f"error: stage '{stage}' failed: " in capsys.readouterr().err
+
+
+def test_cli_run_flags_are_the_config_keys():
+    from dataclasses import fields
+
+    from darkfringe.cli import _CONFIG_CASTS, build_parser
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    for name in ("pipeline", "simulate", "detect", "mark-invalid", "paths",
+                 "reconstruct", "metrics", "patterns"):
+        run_flags = {a.dest: a.option_strings for a in subparsers[name]._actions
+                     if a.dest not in ("help", "config", "image", "j",
+                                       "reconstruction", "truth")}
+        assert set(run_flags) == set(_CONFIG_CASTS) == {f.name for f in fields(RunConfig)}
+        assert all(flags == ["--" + key.replace("_", "-")]
+                   for key, flags in run_flags.items())
+
+
+def test_cli_stage_sequence_writes_the_pipeline_files(tmp_path):
+    # every artifact except the two the CLI derives from 16-bit frames (its
+    # amplitudes) and the pipeline-only manifest is byte-identical
+    run = ["--s1", "6", "--s2", "7", "--pixels-per-unit", "8", "--psf-radius", "2",
+           "--noise-sigma", "0.02", "--seed", "4", "--origins", "0,0;5,6"]
+    stages = tmp_path / "stages"
+    for argv in (["patterns"], ["simulate"], *(["detect", "--j", j] for j in "1234"),
+                 ["mark-invalid"], ["paths"], ["reconstruct"]):
+        assert main([*argv, "--outdir", str(stages), *run]) == 0
+    assert main(["metrics", "--outdir", str(stages), *run,
+                 "--reconstruction", str(stages / "reconstruction.cf32"),
+                 "--truth", str(stages / "object.cf32")]) == 0
+    assert main(["pipeline", "--outdir", str(tmp_path / "pipeline"), *run]) == 0
+    names = {p.name for p in stages.iterdir()}
+    assert names == {p.name for p in (tmp_path / "pipeline").iterdir()} - {"manifest.json"}
+    for name in sorted(names - {"reconstruction.cf32", "metrics.csv"}):
+        assert (stages / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name

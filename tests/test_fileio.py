@@ -275,3 +275,49 @@ def test_complex_field_truncated_names_file(tmp_path):
     _truncate(path, 10)
     with pytest.raises(ValueError, match=r"object\.cf32.*expected 96 data bytes, found 86"):
         fio.read_complex_field(path)
+
+
+EDGE_RATIOS_HEADER = "kind,row,col,ratio_real,ratio_imag,valid\n"
+
+
+@pytest.mark.parametrize("row", [
+    "h,-1,0,1.0,0.0,1",          # a negative row would index from the end
+    "h,0,2,1.0,0.0,1",           # horizontal grid of a 2 x 3 grid is 2 x 2
+    "v,1,0,1.0,0.0,1",           # vertical grid is 1 x 3
+    "x,0,0,1.0,0.0,1",           # neither h nor v
+    "h,0,0,1.0",                 # short row
+    "h,zero,0,1.0,0.0,1",
+    "h,0,0,one,0.0,1",
+    "h,0,0,1.0,0.0,2",
+], ids=["negative-row", "col-off-grid", "row-off-grid", "kind", "short",
+        "row-not-int", "ratio-not-float", "valid-not-0-1"])
+def test_edge_ratios_reader_rejects_malformed(tmp_path, row):
+    path = tmp_path / "ratios.csv"
+    path.write_text(EDGE_RATIOS_HEADER + "h,0,0,1.0,0.0,1\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"ratios\.csv' line 3"):
+        fio.read_edge_ratios_csv(path, 2, 3)
+
+
+@pytest.mark.parametrize("row", ["2,1.0", "two,1.0,0.0", "1,-1.0,0.0"],
+                         ids=["short", "j-not-int", "repeated-j"])
+def test_reference_library_reader_rejects_malformed(tmp_path, row):
+    path = tmp_path / "lib.csv"
+    path.write_text("j,ratio_real,ratio_imag\n1,0.0,1.0\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"lib\.csv' line 3"):
+        fio.read_reference_library_csv(path)
+
+
+@pytest.mark.parametrize("reader, data", [
+    (fio.read_pgm8, b"P2\n1 1\n255\n\x00"),
+    (fio.read_pgm8, b"P5\n1 1\n"),
+    (fio.read_pgm8, b"P5\nx 1\n255\n\x00"),
+    (fio.read_pgm16, b"P5\n1 1\n255\n\x00"),
+    (fio.read_complex_field, b"NOPE 1 1\n" + bytes(8)),
+    (fio.read_complex_field, b"CF32 a 1\n" + bytes(8)),
+], ids=["pgm-magic", "pgm-truncated-header", "pgm-bad-size", "pgm16-maxval",
+        "cf32-magic", "cf32-bad-size"])
+def test_header_errors_name_the_file(tmp_path, reader, data):
+    path = tmp_path / "broken.bin"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=r"broken\.bin"):
+        reader(path)
