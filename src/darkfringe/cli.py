@@ -2,9 +2,11 @@
 
 Subcommands map one-to-one onto the pipeline stages plus the two study tools
 (psf-sweep, montecarlo-blocking). Each stage subcommand reads its inputs back
-from --outdir and runs the same stage function as `pipeline`, so both write
-the same artifacts the same way; `simulate` writes object.cf32 too, which
-`metrics --truth` reads. A --config file of key=value lines seeds the
+from --outdir and runs the same stage function as `pipeline` on the same
+data (the 16-bit measurement frames, the path plans `paths` wrote), so both
+write the same files; `simulate` writes object.cf32 too, which `metrics
+--truth` reads, and `mark-invalid` refuses a fringe map whose kind=/j= header
+is not the one its file name says. A --config file of key=value lines seeds the
 options; explicit flags override it. Exit status: 0 on success, 1 on usage
 errors, 2 when a stage fails, with the stage named on stderr.
 """
@@ -163,10 +165,17 @@ def _run_stage(args, cfg: RunConfig) -> str:
     def frame(path):
         return fileio.read_pgm16(path, pixels_per_unit=cfg.pixels_per_unit)
 
+    def fringe_map(j: int, kind: str) -> np.ndarray:
+        path = outdir / f"fringes_{kind}_j{j}.csv"
+        found_kind, found_j, grid = fileio.read_fringe_maps_csv(path)
+        if (found_kind, found_j) != (kind, j):
+            raise ValueError(f"fringe map {str(path)!r} holds kind={found_kind},"
+                             f"j={found_j}, expected kind={kind},j={j}")
+        return grid
+
     def fringe_maps(j: int) -> FringeMaps:
-        _, _, rows = fileio.read_fringe_maps_csv(outdir / f"fringes_row_j{j}.csv")
-        _, _, cols = fileio.read_fringe_maps_csv(outdir / f"fringes_col_j{j}.csv")
-        return FringeMaps(row_map=rows, col_map=cols, measurement_index=j)
+        return FringeMaps(row_map=fringe_map(j, "row"), col_map=fringe_map(j, "col"),
+                          measurement_index=j)
 
     def invalid_maps():
         return fileio.read_invalid_maps(outdir / "matrix_a.csv", outdir / "matrix_b.csv")
@@ -193,20 +202,18 @@ def _run_stage(args, cfg: RunConfig) -> str:
         return "\n".join(f"origin {origin}: {int((~p.reachable_mask()).sum())} "
                          "unreachable units" for origin, p in zip(cfg.origins, plans))
     if command == "reconstruct":
-        phase, _ = stage("reconstruct", lambda: pipeline.reconstruct(
+        rec = stage("reconstruct", lambda: pipeline.reconstruct(
             cfg, invalid_maps(),
             fileio.read_edge_ratios_csv(outdir / "edge_ratios.csv", cfg.s1, cfg.s2),
-            None, [frame(outdir / f"measurement_j{j}.pgm") for j in indices], save))
-        return f"wrote reconstruction.cf32 ({int(np.isnan(phase).sum())} unknown units)"
+            [fileio.read_path_plan_csv(outdir / f"path_plan_origin{k}.csv", origin)
+             for k, origin in enumerate(cfg.origins, start=1)],
+            [frame(outdir / f"measurement_j{j}.pgm") for j in indices], save))
+        unknown = int(np.count_nonzero(rec.values == 0))
+        return f"wrote reconstruction.cf32 ({unknown} unknown units)"
 
-    def read_and_score():
-        rec = fileio.read_complex_field(args.reconstruction).values
-        amplitude = np.abs(rec)
-        phase = np.where(amplitude > 0, np.mod(np.angle(rec), 2 * np.pi), np.nan)
-        return pipeline.score(cfg, phase, amplitude,
-                              fileio.read_complex_field(args.truth), save)
-
-    metrics = stage("metrics", read_and_score)
+    metrics = stage("metrics", lambda: pipeline.score(
+        cfg, fileio.read_complex_field(args.reconstruction),
+        fileio.read_complex_field(args.truth), save))
     return (f"phase_rmse={metrics.phase_rmse!r} complex_l2={metrics.complex_l2!r} "
             f"unknown_frac={metrics.unknown_frac!r}")
 

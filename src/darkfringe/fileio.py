@@ -1,11 +1,11 @@
 """On-disk formats for every artifact the pipeline produces.
 
-Images travel as binary PGM (P5): 16-bit big-endian for intensity frames,
-with the linear scale recorded in a comment line so values can be restored;
-8-bit for patterns and diagnostic stages. A 16-bit frame is scaled, rounded
-and converted to big-endian words one row strip at a time through two
-reused buffers, and read back with one conversion to float and an in-place
-division by its scale. Everything tabular is plain CSV
+Images travel as binary PGM (P5): 16-bit big-endian for measurement frames,
+8-bit for patterns and diagnostic stages. A measurement already is the
+camera's 16-bit levels plus their scale (forward_model.quantize_16bit), so
+the 16-bit writer writes the header, the scale in a '# scale=<float>'
+comment and the level buffer as it is, and the reader returns the file's
+levels and scale without converting them. Everything tabular is plain CSV
 with a fixed header. Complex fields use a one-line ASCII header followed by
 row-major interleaved (real, imag) little-endian float32.
 """
@@ -17,7 +17,7 @@ import csv
 import numpy as np
 
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from .forward_model import ComplexField, IntensityImage, strip_rows
+from .forward_model import LEVELS, ComplexField, IntensityImage, is_levels
 from .fringe_detect import FringeMaps
 from .path_search import MOVES, BlockingStats, PathPlan
 from .patterns import ReferenceLibrary
@@ -28,30 +28,18 @@ from .patterns import ReferenceLibrary
 
 
 def write_pgm16(path, img: IntensityImage) -> None:
-    """16-bit P5 with values linearly scaled to [0, 65535].
-
-    The scale factor (stored / original) goes into a '# scale=<float>'
-    comment, so read_pgm16 can undo it. Pixels are scaled, rounded and
-    converted one row strip at a time through two reused buffers, and each
-    strip's big-endian words are written straight from its buffer.
-    """
-    vals = img.values
-    peak = float(vals.max())
-    scale = 65535.0 / peak if peak > 0 else 1.0
-    height, width = vals.shape
-    rows = min(strip_rows(width), height)
-    scaled = np.empty((rows, width))
-    stored = np.empty((rows, width), dtype=">u2")
+    """16-bit P5 of a frame's levels, with its scale (level / intensity) in a
+    '# scale=<float>' comment. A frame that is not 16-bit levels is refused:
+    quantize it first."""
+    if not is_levels(img.values):
+        raise ValueError(f"16-bit PGM {str(path)!r} needs 16-bit levels, not a "
+                         f"{img.values.dtype} frame")
+    height, width = img.values.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
-        fh.write(f"# scale={scale!r}\n".encode())
+        fh.write(f"# scale={img.scale!r}\n".encode())
         fh.write(f"{width} {height}\n65535\n".encode())
-        for top in range(0, height, rows):
-            n = min(rows, height - top)
-            np.multiply(vals[top:top + n], scale, out=scaled[:n])
-            np.rint(scaled[:n], out=scaled[:n])
-            np.copyto(stored[:n], scaled[:n], casting="unsafe")
-            fh.write(stored[:n])
+        fh.write(np.ascontiguousarray(img.values, dtype=LEVELS))
 
 
 def _read_payload(fh, path, nbytes: int, kind: str) -> bytes:
@@ -91,14 +79,30 @@ def _read_pgm_header(fh, path, maxval: int) -> tuple[int, int, dict]:
     return width, height, meta
 
 
+def _pgm_scale(meta: dict, path) -> float:
+    """The '# scale=' value of a 16-bit PGM header, 1.0 when absent; a value
+    that is not a positive finite number is a format error naming the file."""
+    text = meta.get("scale")
+    if text is None:
+        return 1.0
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = np.nan
+    if not 0 < scale < np.inf:
+        raise ValueError(f"bad scale {text!r} in PGM {str(path)!r} "
+                         "(expected a positive finite number)")
+    return scale
+
+
 def read_pgm16(path, pixels_per_unit: int = 1) -> IntensityImage:
+    """The frame's 16-bit levels, as stored, and its scale."""
     with open(path, "rb") as fh:
         width, height, meta = _read_pgm_header(fh, path, 65535)
+        scale = _pgm_scale(meta, path)
         raw = np.frombuffer(_read_payload(fh, path, width * height * 2, "PGM"),
-                            dtype=">u2")
-    vals = raw.reshape(height, width).astype(float)
-    vals /= float(meta.get("scale", 1.0))
-    return IntensityImage(vals, pixels_per_unit=pixels_per_unit)
+                            dtype=LEVELS)
+    return IntensityImage(raw.reshape(height, width), pixels_per_unit, scale)
 
 
 def write_pgm8(path, values: np.ndarray) -> None:

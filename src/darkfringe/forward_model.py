@@ -14,10 +14,13 @@ same mechanism serves all kernel families (the Gaussian has no elementary
 primitive).
 
 A simulated frame is |F|^2 plus sigma * max|F|^2 * z, clipped at zero, with
-z standard normal draws from the frame's seed. Past the two matrix products
-that give F, every frame-sized pass (the squared modulus and its max, the
-noise draws, the clip) streams in row strips of about STRIP_PIXELS pixels,
-with no frame-sized temporary; fileio's PGM writer uses the same strips.
+z standard normal draws from the frame's seed. The camera reads it out once,
+as 16-bit levels rint(value * scale) with scale = 65535 / peak
+(:func:`quantize_16bit`); the levels and their scale are the measurement
+every later stage computes from and the PGM file stores. Past the two matrix
+products that give F, every frame-sized pass (the squared modulus and its
+max, the noise draws, the clip, the readout) streams in row strips of about
+STRIP_PIXELS pixels, with no frame-sized temporary.
 """
 
 from __future__ import annotations
@@ -113,11 +116,6 @@ class PsfModel:
         return (self.primitive(x) - 2.0 * self.primitive(x - h)
                 + self.primitive(x - 2.0 * h)) / h**2
 
-    @property
-    def total_mass(self) -> float:
-        """Integral of p over its full (tabulated) support."""
-        return float(2.0 * self._table[-1])
-
     def __repr__(self):
         return f"PsfModel(kind={self.kind!r}, radius={self.radius}, step={self.step})"
 
@@ -154,22 +152,42 @@ class ComplexField:
         return self.values.shape
 
 
+# the camera's 16-bit levels, big-endian as the PGM file stores them
+LEVELS = np.dtype(">u2")
+
+
+def is_levels(values: np.ndarray) -> bool:
+    """Whether `values` are 16-bit camera levels rather than intensities."""
+    return values.dtype.kind == "u" and values.dtype.itemsize == 2
+
+
 @dataclass
 class IntensityImage:
-    """Nonnegative real image sampled at pixel centers."""
+    """One camera frame sampled at pixel centers.
+
+    A measurement holds the camera's 16-bit levels, with intensity = level /
+    scale. The forward model's output before readout holds nonnegative float
+    intensities, with scale 1.
+    """
 
     values: np.ndarray
     pixels_per_unit: int
+    scale: float = 1.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values)
+        self.values = values if is_levels(values) else np.asarray(values, dtype=float)
         if self.values.ndim != 2 or self.values.size < 1:
             raise ValueError("IntensityImage requires a non-empty 2D array")
-        # one reduction, no boolean frame; NaN fails the comparison too
-        if not self.values.min() >= 0:
+        # levels are nonnegative by type; for floats one reduction, no
+        # boolean frame, and NaN fails the comparison too
+        if not (is_levels(self.values) or self.values.min() >= 0):
             raise ValueError("intensity values must be nonnegative (and not NaN)")
         if self.pixels_per_unit < 1:
             raise ValueError("pixels_per_unit must be positive")
+        self.scale = float(self.scale)
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
     @property
     def height(self) -> int:
@@ -412,3 +430,28 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
             part += draws
             np.clip(part, 0.0, None, out=part)
     return IntensityImage(frame, pixels_per_unit=ppu)
+
+
+def quantize_16bit(img: IntensityImage) -> IntensityImage:
+    """The camera's 16-bit readout of a float frame.
+
+    Levels are rint(value * scale), with scale = 65535 / peak (1 for an
+    all-zero frame), cast to big-endian 16-bit words. The frame is scaled,
+    rounded and cast one row strip at a time through one reused float strip,
+    so the readout holds the levels and nothing else frame-sized.
+    """
+    vals = img.values
+    if is_levels(vals):
+        raise ValueError("frame is already 16-bit levels")
+    peak = float(vals.max())
+    scale = 65535.0 / peak if peak > 0 else 1.0
+    height, width = vals.shape
+    rows = min(strip_rows(width), height)
+    scaled = np.empty((rows, width))
+    levels = np.empty((height, width), dtype=LEVELS)
+    for top in range(0, height, rows):
+        n = min(rows, height - top)
+        np.multiply(vals[top:top + n], scale, out=scaled[:n])
+        np.rint(scaled[:n], out=scaled[:n])
+        np.copyto(levels[top:top + n], scaled[:n], casting="unsafe")
+    return IntensityImage(levels, img.pixels_per_unit, scale)

@@ -17,7 +17,9 @@ matrices L and R hold the indicator windows and their filtered versions
 G^T w. Each window column is nonzero only near its own unit, so the product
 is taken block by block over the rows each block of columns touches. The
 windows depend only on (grid, config) and are cached, so the m frames of a
-run build them once.
+run build them once. A measurement's 16-bit levels enter the product as
+floats, one strip of rows at a time; every decision compares two means of
+the same frame, so the frame's scale never enters.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .forward_model import GridSpec, IntensityImage
 _TRUNCATE = 4.0
 # window columns per block of the banded product (six per unit)
 _BLOCK_COLUMNS = 24
+# frame rows converted to float per step of the banded product
+_STRIP_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,17 @@ def _banded(windows: np.ndarray) -> tuple:
 
 
 def _times(a: np.ndarray, banded: tuple) -> np.ndarray:
-    """a @ windows, for windows split by :func:`_banded`."""
+    """a @ windows, for windows split by :func:`_banded`, with `a` of any
+    real dtype converted to float one strip of _STRIP_ROWS rows at a time."""
     k, pieces = banded
     out = np.zeros((a.shape[0], k))
-    for cols, lo, hi, block in pieces:
-        out[:, cols] = a[:, lo:hi] @ block
+    strip = np.empty((min(_STRIP_ROWS, a.shape[0]), a.shape[1]))
+    for top in range(0, a.shape[0], _STRIP_ROWS):
+        part = strip[:min(_STRIP_ROWS, a.shape[0] - top)]
+        np.copyto(part, a[top:top + len(part)])
+        rows = out[top:top + len(part)]
+        for cols, lo, hi, block in pieces:
+            rows[:, cols] = part[:, lo:hi] @ block
     return out
 
 

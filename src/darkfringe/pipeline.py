@@ -6,7 +6,10 @@ inputs in memory and a callback save(name, writer, *args) that writes one
 artifact into the output directory, and returns its outputs; stage() runs it
 and names the stage in any failure. run_pipeline chains them in memory; the
 CLI stage subcommands read their inputs back from the output directory and
-call the same functions. Every artifact is written in its module's file
+call the same functions. The data are the same either way: a measurement is
+its 16-bit levels and scale, in memory as in its PGM file, and the plans the
+reconstruction follows are the ones the plan stage wrote, so both callers
+write the same files. Every artifact is written in its module's file
 format, and run_pipeline's manifest records the configuration echo, the final
 metrics and a sha256 checksum of every file written, so identical (config,
 seed) runs can be compared byte for byte. Files are hashed on one background
@@ -26,8 +29,9 @@ import numpy as np
 from . import fileio
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps, mark_invalid_and_ratios
 from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
-                            SimConfig, simulate_measurement_2d)
-from .fringe_detect import DetectConfig, FringeMaps, recognize_fringes
+                            SimConfig, quantize_16bit, simulate_measurement_2d)
+from .fringe_detect import (DetectConfig, FringeMaps, default_detect_config,
+                            recognize_fringes)
 from .patterns import (ReferenceLibrary, encode_8bit, expand_to_pixels,
                        make_patterns, reference_library)
 from .path_search import PathPlan, plan_with_retry
@@ -71,7 +75,7 @@ class RunConfig:
     def detect_config(self) -> DetectConfig:
         sigma = self.highpass_sigma
         if sigma is None:
-            sigma = max(1.0, self.pixels_per_unit / 4)
+            sigma = default_detect_config(self.pixels_per_unit).highpass_sigma
         return DetectConfig(highpass_sigma=sigma,
                             band_halfwidth=self.band_halfwidth,
                             fringe_ratio_alpha=self.fringe_ratio_alpha)
@@ -115,9 +119,12 @@ def random_quantized_object(s1: int, s2: int, m: int, seed: int) -> ComplexField
 
 
 def simulate_measurements(obj: ComplexField, pattern_set, model: PsfModel,
-                          sim_cfg: SimConfig, seed: int) -> list:
-    """One frame per pattern; per-frame seeds derive from the run seed."""
-    return [simulate_measurement_2d(obj, pattern, model, sim_cfg, seed=seed + j)
+                          sim_cfg: SimConfig, seed: int) -> list[IntensityImage]:
+    """One 16-bit frame per pattern, each read out as soon as it is
+    simulated, so no float frame outlives its readout; per-frame seeds
+    derive from the run seed."""
+    return [quantize_16bit(simulate_measurement_2d(obj, pattern, model, sim_cfg,
+                                                   seed=seed + j))
             for j, pattern in enumerate(pattern_set.patterns, start=1)]
 
 
@@ -152,8 +159,9 @@ def write_patterns(cfg: RunConfig, save) -> ReferenceLibrary:
 
 
 def load_object(cfg: RunConfig, save) -> ComplexField:
-    """The object from cfg.object_file, which must match the grid, or a
-    random quantized one from the seed; written as object.cf32."""
+    """The object from cfg.object_file, which must match the grid and be
+    nonzero somewhere, or a random quantized one from the seed; written as
+    object.cf32."""
     if cfg.object_file is None:
         obj = random_quantized_object(cfg.s1, cfg.s2, cfg.m, cfg.seed)
     else:
@@ -161,12 +169,15 @@ def load_object(cfg: RunConfig, save) -> ComplexField:
         if obj.shape != (cfg.s1, cfg.s2):
             raise ValueError(f"object shape {obj.shape} does not match grid "
                              f"({cfg.s1}, {cfg.s2})")
+        if not np.any(obj.values):
+            raise ValueError(f"object {cfg.object_file!r} is zero everywhere")
     save("object.cf32", fileio.write_complex_field, obj)
     return obj
 
 
 def simulate(cfg: RunConfig, obj: ComplexField, save) -> list[IntensityImage]:
-    """One 16-bit measurement frame per pattern."""
+    """One 16-bit measurement frame per pattern: its levels and scale are
+    what the later stages compute from and what the PGM file holds."""
     images = simulate_measurements(obj, make_patterns(cfg.m, cfg.s1, cfg.s2),
                                    cfg.psf(), cfg.sim_config(), cfg.seed)
     for j, img in enumerate(images, start=1):
@@ -202,21 +213,25 @@ def plan(cfg: RunConfig, invalid: InvalidBoundaryMaps, save) -> list[PathPlan]:
 
 
 def reconstruct(cfg: RunConfig, invalid: InvalidBoundaryMaps, ratios: EdgeRatios,
-                plans: list[PathPlan] | None, images: list[IntensityImage],
-                save) -> tuple[np.ndarray, np.ndarray]:
-    """Phase and amplitude grids, written as reconstruction.cf32. With
-    plans None, retrieve_phase plans each origin itself."""
+                plans: list[PathPlan], images: list[IntensityImage],
+                save) -> ComplexField:
+    """The complex image from the phase along the given plans (one per
+    origin) and the amplitude from the measurement frames, UNKNOWN units 0,
+    rounded to the float32 of reconstruction.cf32, which it is written as."""
     phase, provenance = retrieve_phase(invalid, ratios, list(cfg.origins), plans)
     amplitude = estimate_amplitude(images, cfg.grid(), cfg.band_halfwidth + 1)
-    rec = compose(phase, amplitude, provenance)
-    save("reconstruction.cf32", fileio.write_complex_field, rec.complex_image)
-    return phase, amplitude
+    values = compose(phase, amplitude, provenance).complex_image.values
+    rec = ComplexField(values.astype(np.complex64))
+    save("reconstruction.cf32", fileio.write_complex_field, rec)
+    return rec
 
 
-def score(cfg: RunConfig, phase: np.ndarray, amplitude: np.ndarray,
-          obj: ComplexField, save) -> ScoreMetrics:
-    """Metrics against the object divided by its peak amplitude, written as
+def score(cfg: RunConfig, rec: ComplexField, obj: ComplexField, save) -> ScoreMetrics:
+    """Metrics of the reconstruction, whose units of amplitude 0 are UNKNOWN,
+    against the object divided by its peak amplitude, written as
     metrics.csv."""
+    amplitude = np.abs(rec.values)
+    phase = np.where(amplitude > 0, np.mod(np.angle(rec.values), 2 * np.pi), np.nan)
     truth = ComplexField(obj.values / np.abs(obj.values).max())
     metrics = compose_and_score(phase, amplitude, truth)
     save("metrics.csv", fileio.write_metrics_csv,
@@ -251,9 +266,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 for j, img in enumerate(images, start=1)]
         invalid, ratios = stage("mark-invalid", mark_invalid, cfg, maps, lib, save)
         plans = stage("paths", plan, cfg, invalid, save)
-        phase, amplitude = stage("reconstruct", reconstruct, cfg, invalid, ratios,
-                                 plans, images, save)
-        metrics = stage("metrics", score, cfg, phase, amplitude, obj, save)
+        rec = stage("reconstruct", reconstruct, cfg, invalid, ratios, plans, images, save)
+        metrics = stage("metrics", score, cfg, rec, obj, save)
         files = {p.name: digests[p].result() for p in sorted(digests)}
     finally:
         hasher.shutdown(cancel_futures=True)

@@ -12,7 +12,9 @@ anchored at the first origin that reaches it. Amplitudes come from a median
 over eroded unit interiors pooled across all measurements, one unit row at a
 time into pool buffers the calling thread allocates; the lower half of the
 unit rows is taken on one worker thread that runs only numpy (the median
-partition releases the GIL) and the upper half on the calling thread. Scoring
+partition releases the GIL) and the upper half on the calling thread. A
+measurement's 16-bit levels enter the pool divided by their frame's scale,
+since each frame has its own. Scoring
 removes the global phase offset that intensity measurements can never
 determine.
 """
@@ -113,12 +115,12 @@ def _interior_rows(grid: GridSpec, i: int, erode: int) -> slice:
 def _pooled_medians(images: list[IntensityImage], grid: GridSpec, inner: slice,
                     unit_rows: list[tuple[int, slice]], pool_buffer: np.ndarray,
                     amp: np.ndarray) -> None:
-    """sqrt of the median of each unit's pooled interior pixels, for the
-    given (unit row, pixel rows) pairs, into the matching rows of `amp`.
+    """sqrt of the median of each unit's pooled interior intensities, for
+    the given (unit row, pixel rows) pairs, into the matching rows of `amp`.
 
     Only numpy runs here (it may run on a worker thread): one unit row at a
-    time is copied into `pool_buffer`, as (s2, m, rows, cols), and then
-    partitioned in place by the median.
+    time is divided by each frame's own scale into `pool_buffer`, as
+    (s2, m, rows, cols), and then partitioned in place by the median.
     """
     ppu, s2, m = grid.pixels_per_unit, grid.s2, len(images)
     for i, rows in unit_rows:
@@ -126,7 +128,8 @@ def _pooled_medians(images: list[IntensityImage], grid: GridSpec, inner: slice,
                   for img in images]
         shape = (s2, m, *blocks[0].shape[1:])
         pool = pool_buffer[:math.prod(shape)].reshape(shape)
-        np.stack(blocks, axis=1, out=pool)
+        for k, (img, block) in enumerate(zip(images, blocks)):
+            np.divide(block, img.scale, out=pool[:, k])
         amp[i] = np.sqrt(np.median(pool.reshape(s2, -1), axis=1, overwrite_input=True))
 
 
@@ -135,9 +138,10 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
     """Per-unit amplitude from the median interior intensity.
 
     Interiors are eroded by `erode` pixels per side (band halfwidth + 1 keeps
-    the fringe bands out), pixel values are pooled over all measurements
-    (patterns are unit-modulus, so every frame sees the same amplitudes), and
-    the square root of the pooled median is normalized to a maximum of 1.
+    the fringe bands out), pixel intensities (each frame's values divided by
+    its own scale) are pooled over all measurements (patterns are
+    unit-modulus, so every frame sees the same amplitudes), and the square
+    root of the pooled median is normalized to a maximum of 1.
     Every unit row is checked for surviving pixels first. The medians of the
     lower half of the unit rows are then taken on one worker thread and
     those of the upper half on the calling thread, each pooling one unit row

@@ -1,9 +1,14 @@
+import re
+import shutil
+import weakref
+
 import numpy as np
 import pytest
 
 import darkfringe.fileio as fio
+import darkfringe.pipeline as pipeline
 from darkfringe.cli import main
-from darkfringe.forward_model import ComplexField
+from darkfringe.forward_model import ComplexField, simulate_measurement_2d
 from darkfringe.pipeline import (RunConfig, StageError, random_quantized_object,
                                  run_pipeline)
 
@@ -59,6 +64,46 @@ def test_pipeline_object_shape_mismatch(tmp_path):
                     object_file=str(obj_path))
     with pytest.raises(StageError):
         run_pipeline(cfg)
+
+
+def test_pipeline_rejects_an_all_zero_object(tmp_path):
+    obj_path = tmp_path / "zero.cf32"
+    fio.write_complex_field(obj_path, ComplexField(np.zeros((4, 4), complex)))
+    outdir = tmp_path / "run"
+    with pytest.raises(StageError, match="zero everywhere") as info:
+        run_pipeline(RunConfig(s1=4, s2=4, pixels_per_unit=8, psf_radius=2.0,
+                               outdir=str(outdir), object_file=str(obj_path)))
+    assert info.value.stage == "object"
+    assert not list(outdir.glob("measurement_*"))
+
+
+def test_pipeline_frames_are_16_bit_levels(tmp_path, monkeypatch):
+    # each frame is read out before the next is simulated, so no float frame
+    # outlives its readout; what the later stages get is the 2 B/px levels
+    # and the scale the PGM file holds
+    floats = []
+
+    def simulate_one(*args, **kwargs):
+        assert all(ref() is None for ref in floats), "a float frame outlived its readout"
+        img = simulate_measurement_2d(*args, **kwargs)
+        floats.append(weakref.ref(img.values))
+        return img
+
+    monkeypatch.setattr(pipeline, "simulate_measurement_2d", simulate_one)
+    cfg = RunConfig(s1=4, s2=5, pixels_per_unit=8, psf_radius=2.0, noise_sigma=0.02,
+                    seed=3, outdir=str(tmp_path))
+    saved = {}
+    frames = pipeline.simulate(cfg, random_quantized_object(4, 5, 4, 3),
+                               lambda name, writer, *args: saved.setdefault(name, args))
+    assert len(floats) == len(frames) == 4
+    assert all(ref() is None for ref in floats)
+    for j, frame in enumerate(frames, start=1):
+        assert frame.values.dtype.itemsize == 2 and frame.values.dtype.kind == "u"
+        assert saved[f"measurement_j{j}.pgm"] == (frame,)
+        fio.write_pgm16(tmp_path / "frame.pgm", frame)
+        back = fio.read_pgm16(tmp_path / "frame.pgm")
+        assert back.scale == frame.scale != 1.0
+        assert back.values.tobytes() == frame.values.tobytes()
 
 
 def test_pipeline_bad_quadrature_step_writes_nothing(tmp_path):
@@ -239,15 +284,58 @@ def _wrong_shape_metrics(tmp_path):
             str(tmp_path / "rec.cf32"), "--truth", str(tmp_path / "truth.cf32")]
 
 
-@pytest.mark.parametrize("stage, argv", [
+def _bad_scale_frame(tmp_path):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(b"P5\n# scale=0\n2 1\n65535\n" + bytes(4))
+    return ["detect", "--outdir", str(tmp_path), "--image", str(path)]
+
+
+SMALL_RUN = ["--s1", "4", "--s2", "4", "--pixels-per-unit", "8", "--psf-radius", "2"]
+
+
+def _run_stages(outdir, *commands):
+    for argv in commands:
+        assert main([*argv, "--outdir", str(outdir), *SMALL_RUN]) == 0, argv
+
+
+def _missing_plan(tmp_path):
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"), ["mark-invalid"])
+    return ["reconstruct", "--outdir", str(tmp_path), *SMALL_RUN]
+
+
+def _misfiled_fringe_map(tmp_path):
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"))
+    for kind in ("row", "col"):
+        shutil.copy(tmp_path / f"fringes_{kind}_j3.csv", tmp_path / f"fringes_{kind}_j1.csv")
+    return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
+
+
+def _zero_object(tmp_path):
+    fio.write_complex_field(tmp_path / "zero.cf32", ComplexField(np.zeros((4, 4), complex)))
+    return ["simulate", "--outdir", str(tmp_path), *SMALL_RUN,
+            "--object-file", str(tmp_path / "zero.cf32")]
+
+
+@pytest.mark.parametrize("stage, argv, why", [
     ("detect", lambda tmp: ["detect", "--outdir", str(tmp), "--image",
-                            str(tmp / "missing.pgm")]),
-    ("reconstruct", lambda tmp: ["reconstruct", "--outdir", str(tmp)]),
-    ("metrics", _wrong_shape_metrics),
-], ids=["detect-missing-image", "reconstruct-empty-dir", "metrics-wrong-shape"])
-def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv):
-    assert main(argv(tmp_path)) == 2
-    assert f"error: stage '{stage}' failed: " in capsys.readouterr().err
+                            str(tmp / "missing.pgm")], "missing.pgm"),
+    ("detect", _bad_scale_frame, "bad scale '0' in PGM '.*frame.pgm'"),
+    ("reconstruct", lambda tmp: ["reconstruct", "--outdir", str(tmp)], ""),
+    ("reconstruct", _missing_plan, "path_plan_origin1.csv"),
+    ("mark-invalid", _misfiled_fringe_map,
+     "fringes_row_j1.csv' holds kind=row,j=3, expected kind=row,j=1"),
+    ("object", _zero_object, "zero.cf32' is zero everywhere"),
+    ("metrics", _wrong_shape_metrics, ""),
+], ids=["detect-missing-image", "detect-bad-scale", "reconstruct-empty-dir",
+        "reconstruct-missing-plan", "mark-invalid-misfiled-map", "simulate-zero-object",
+        "metrics-wrong-shape"])
+def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv, why):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert re.search(f"error: stage '{stage}' failed: .*{why}", capsys.readouterr().err)
 
 
 def test_cli_run_flags_are_the_config_keys():
@@ -266,8 +354,8 @@ def test_cli_run_flags_are_the_config_keys():
 
 
 def test_cli_stage_sequence_writes_the_pipeline_files(tmp_path):
-    # every artifact except the two the CLI derives from 16-bit frames (its
-    # amplitudes) and the pipeline-only manifest is byte-identical
+    # every artifact but the pipeline-only manifest is byte-identical: both
+    # compute from the same 16-bit frames and the same plans
     run = ["--s1", "6", "--s2", "7", "--pixels-per-unit", "8", "--psf-radius", "2",
            "--noise-sigma", "0.02", "--seed", "4", "--origins", "0,0;5,6"]
     stages = tmp_path / "stages"
@@ -280,5 +368,5 @@ def test_cli_stage_sequence_writes_the_pipeline_files(tmp_path):
     assert main(["pipeline", "--outdir", str(tmp_path / "pipeline"), *run]) == 0
     names = {p.name for p in stages.iterdir()}
     assert names == {p.name for p in (tmp_path / "pipeline").iterdir()} - {"manifest.json"}
-    for name in sorted(names - {"reconstruction.cf32", "metrics.csv"}):
+    for name in sorted(names):
         assert (stages / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import darkfringe.fileio as fio
 from darkfringe.boundary_logic import EdgeRatios, InvalidBoundaryMaps
 from darkfringe.forward_model import (STRIP_PIXELS, ComplexField, IntensityImage,
-                                      simulate_measurement_2d)
+                                      quantize_16bit, simulate_measurement_2d)
 from darkfringe.fringe_detect import FringeMaps
 from darkfringe.path_search import BlockingStats, plan_paths
 from darkfringe.patterns import ReferenceLibrary
@@ -21,12 +21,15 @@ from conftest import (frame_cases, reference_read_pgm16, reference_write_pgm16,
 def test_pgm16_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     img = IntensityImage(rng.random((20, 30)) * 1234.5, pixels_per_unit=10)
+    frame = quantize_16bit(img)
     path = tmp_path / "img.pgm"
-    fio.write_pgm16(path, img)
+    fio.write_pgm16(path, frame)
     back = fio.read_pgm16(path, pixels_per_unit=10)
-    assert back.values.shape == (20, 30)
+    # the file holds the levels and the scale as they are
+    assert back.values.tobytes() == frame.values.tobytes()
+    assert back.scale == frame.scale == 65535.0 / img.values.max()
     # 16-bit quantization bounds the round-trip error
-    assert np.abs(back.values - img.values).max() <= 1234.5 / 65535
+    assert np.abs(back.values / back.scale - img.values).max() <= 1234.5 / 65535
     header = path.read_bytes()[:40]
     assert header.startswith(b"P5\n# scale=")
 
@@ -34,8 +37,9 @@ def test_pgm16_round_trip(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(frame_cases())
 def test_pgm16_matches_full_frame_reference(case):
-    # strip-wise quantization writes the same bytes, and the in-place
-    # division reads back the same values, as the whole-frame expressions
+    # strip-wise quantization gives the file bytes of the whole-frame
+    # expressions, and the levels read back divided by their scale are the
+    # whole-frame reader's values
     obj, pattern, model, cfg, seed = case
     img = simulate_measurement_2d(obj, pattern, model, cfg, seed)
     with tempfile.TemporaryDirectory() as tmp:
@@ -44,31 +48,63 @@ def test_pgm16_matches_full_frame_reference(case):
         expected = reference_read_pgm16(want, pixels_per_unit=cfg.pixels_per_unit)
         for strips in strip_sizes():
             with strips:
-                fio.write_pgm16(got, img)
+                fio.write_pgm16(got, quantize_16bit(img))
             assert got.read_bytes() == want.read_bytes()
             back = fio.read_pgm16(got, pixels_per_unit=cfg.pixels_per_unit)
-            assert back.values.tobytes() == expected.values.tobytes()
+            assert (back.values / back.scale).tobytes() == expected.values.tobytes()
 
 
 def test_pgm16_zero_frame_matches_reference(tmp_path):
     img = IntensityImage(np.zeros((300, 7)), pixels_per_unit=4)
-    fio.write_pgm16(tmp_path / "got.pgm", img)
+    fio.write_pgm16(tmp_path / "got.pgm", quantize_16bit(img))
     reference_write_pgm16(tmp_path / "want.pgm", img)
     assert (tmp_path / "got.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
-    assert np.array_equal(fio.read_pgm16(tmp_path / "got.pgm").values, img.values)
+    back = fio.read_pgm16(tmp_path / "got.pgm")
+    assert back.scale == 1.0
+    assert np.array_equal(back.values, img.values)
 
 
 def test_write_pgm16_streams_in_strips(tmp_path):
-    # a 1024 x 1024 frame is 16 strips; writing it allocates at most two
-    # float64 strips' worth, never a scaled, rounded or converted frame
+    # a 1024 x 1024 frame is 16 strips; the readout allocates the 2 B/px
+    # levels and one float64 strip, never a scaled or rounded frame, and the
+    # writer writes the levels without copying them
     img = IntensityImage(np.random.default_rng(0).random((1024, 1024)), 64)
     tracemalloc.start()
     try:
-        fio.write_pgm16(tmp_path / "img.pgm", img)
-        peak = tracemalloc.get_traced_memory()[1]
+        frame = quantize_16bit(img)
+        quantize_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fio.write_pgm16(tmp_path / "img.pgm", frame)
+        write_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * STRIP_PIXELS
+    assert quantize_peak <= 2 * img.values.size + 8 * STRIP_PIXELS + 4096
+    assert write_peak <= 8 * STRIP_PIXELS // 8
+
+
+def test_write_pgm16_rejects_a_float_frame(tmp_path):
+    path = tmp_path / "frame.pgm"
+    with pytest.raises(ValueError, match=r"frame\.pgm.*16-bit levels.*float64"):
+        fio.write_pgm16(path, IntensityImage(np.ones((4, 4)), pixels_per_unit=4))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "inf", "-2", "nan", ""],
+                         ids=["not-a-number", "zero", "inf", "negative", "nan", "empty"])
+def test_pgm16_reader_rejects_a_bad_scale(tmp_path, value):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(f"P5\n# scale={value}\n2 1\n65535\n".encode() + bytes(4))
+    with pytest.raises(ValueError, match=r"bad scale .* in PGM '.*frame\.pgm'"):
+        fio.read_pgm16(path)
+
+
+def test_pgm16_without_scale_reads_scale_one(tmp_path):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(b"P5\n2 1\n65535\n\x00\x01\x01\x00")
+    back = fio.read_pgm16(path)
+    assert back.scale == 1.0
+    assert back.values.tolist() == [[1, 256]]
 
 
 def test_pgm8_round_trip(tmp_path):
@@ -255,7 +291,7 @@ def _truncate(path, nbytes):
 
 def test_pgm16_truncated_names_file(tmp_path):
     path = tmp_path / "frame.pgm"
-    fio.write_pgm16(path, IntensityImage(np.ones((8, 8)), pixels_per_unit=4))
+    fio.write_pgm16(path, quantize_16bit(IntensityImage(np.ones((8, 8)), pixels_per_unit=4)))
     _truncate(path, 69)
     with pytest.raises(ValueError, match=r"frame\.pgm.*expected 128 data bytes, found 59"):
         fio.read_pgm16(path)

@@ -10,7 +10,7 @@ from darkfringe.forward_model import (ComplexField, GridSpec, IntensityImage,
                                       field_profile_1d, fringe_radius_sweep,
                                       gamma_second_derivative,
                                       intensity_profile_1d, psf_eval,
-                                      simulate_measurement_2d)
+                                      quantize_16bit, simulate_measurement_2d)
 
 from conftest import (frame_cases, gamma2_centered_fd, gamma2_fd_richardson,
                       gamma_quadrature, reference_simulate_measurement_2d,
@@ -410,3 +410,15 @@ def test_intensity_image_rejects_nan_and_empty():
     with pytest.raises(ValueError, match="non-empty 2D"):
         IntensityImage(np.zeros((0, 3)), 4)
     assert IntensityImage(np.array([[0.0, -0.0]]), 4).values.shape == (1, 2)
+
+
+def test_intensity_image_keeps_levels_and_checks_scale():
+    levels = np.array([[0, 7], [65535, 1]], dtype=">u2")
+    img = IntensityImage(levels, 4, scale=2.5)
+    assert img.values is levels and img.scale == 2.5
+    assert IntensityImage(np.ones((1, 1)), 4).scale == 1.0
+    for scale in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            IntensityImage(levels, 4, scale=scale)
+    with pytest.raises(ValueError, match="already 16-bit levels"):
+        quantize_16bit(img)

@@ -5,7 +5,8 @@ import pytest
 
 import darkfringe as df
 from darkfringe.boundary_logic import InvalidBoundaryMaps
-from darkfringe.forward_model import ComplexField, GridSpec, simulate_measurement_2d
+from darkfringe.forward_model import (ComplexField, GridSpec, IntensityImage,
+                                      quantize_16bit, simulate_measurement_2d)
 from darkfringe.path_search import plan_paths, plan_with_retry
 from darkfringe.reconstruct import (_interior_rows, accumulate_phase, compose,
                                     compose_and_score, estimate_amplitude,
@@ -221,6 +222,13 @@ def test_amplitude_matches_single_thread_reference(case, frames, erode):
         return
     got = estimate_amplitude(images, grid, erode)
     assert got.tobytes() == want.tobytes()
+    # 16-bit frames: each frame's levels divided by its own scale give the
+    # medians of the frames read back from their PGM files
+    frames = [quantize_16bit(img) for img in images]
+    read_back = [IntensityImage(f.values.astype(float) / f.scale, f.pixels_per_unit)
+                 for f in frames]
+    got = estimate_amplitude(frames, grid, erode)
+    assert got.tobytes() == reference_estimate_amplitude(read_back, grid, erode).tobytes()
 
 
 def test_interior_rows_stay_inside_the_cropped_frame():
