@@ -6,13 +6,17 @@ camera's 16-bit levels plus their scale (forward_model.quantize_16bit), so
 the 16-bit writer writes the header, the scale in a '# scale=<float>'
 comment and the level buffer as it is, and the reader returns the file's
 levels and scale without converting them. Everything tabular is plain CSV
-with a fixed header. Complex fields use a one-line ASCII header followed by
-row-major interleaved (real, imag) little-endian float32.
+with a fixed header; a path plan is one `row,col,move` line per unit. Complex
+fields use a one-line ASCII header followed by row-major interleaved (real,
+imag) little-endian float32. Readers decode text inside `_reading`, so bytes
+that are not UTF-8 are a format error naming the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 
 import numpy as np
 
@@ -21,6 +25,16 @@ from .forward_model import LEVELS, ComplexField, IntensityImage, is_levels
 from .fringe_detect import FringeMaps
 from .path_search import MOVES, BlockingStats, PathPlan
 from .patterns import ReferenceLibrary
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Bytes of `path` that do not decode as UTF-8 (csv text, PGM comments)
+    and lines csv cannot split are format errors naming the file."""
+    try:
+        yield
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"unreadable text in {str(path)!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -43,12 +57,13 @@ def write_pgm16(path, img: IntensityImage) -> None:
 
 
 def _read_payload(fh, path, nbytes: int, kind: str) -> bytes:
-    """Exactly `nbytes` of pixel data, or a format error naming the file."""
-    data = fh.read(nbytes)
-    if len(data) != nbytes:
+    """Exactly `nbytes` of pixel data, or a format error naming the file; a
+    header claiming more than the file holds allocates nothing."""
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found < nbytes:
         raise ValueError(f"truncated {kind} file {str(path)!r}: expected "
-                         f"{nbytes} data bytes, found {len(data)}")
-    return data
+                         f"{nbytes} data bytes, found {found}")
+    return fh.read(nbytes)
 
 
 def _read_pgm_header(fh, path, maxval: int) -> tuple[int, int, dict]:
@@ -73,7 +88,9 @@ def _read_pgm_header(fh, path, maxval: int) -> tuple[int, int, dict]:
     try:
         width, height, found = (int(v) for v in fields[:3])
     except ValueError:
-        raise ValueError(f"bad PGM header in {str(path)!r}: {fields[:3]!r}") from None
+        width = height = 0
+    if width < 1 or height < 1:
+        raise ValueError(f"bad PGM header in {str(path)!r}: {fields[:3]!r}")
     if found != maxval:
         raise ValueError(f"expected maxval {maxval} in PGM {str(path)!r}, found {found}")
     return width, height, meta
@@ -97,7 +114,7 @@ def _pgm_scale(meta: dict, path) -> float:
 
 def read_pgm16(path, pixels_per_unit: int = 1) -> IntensityImage:
     """The frame's 16-bit levels, as stored, and its scale."""
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         width, height, meta = _read_pgm_header(fh, path, 65535)
         scale = _pgm_scale(meta, path)
         raw = np.frombuffer(_read_payload(fh, path, width * height * 2, "PGM"),
@@ -117,7 +134,7 @@ def write_pgm8(path, values: np.ndarray) -> None:
 
 
 def read_pgm8(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         width, height, _ = _read_pgm_header(fh, path, 255)
         raw = np.frombuffer(_read_payload(fh, path, width * height, "PGM"),
                             dtype=np.uint8)
@@ -165,7 +182,7 @@ def _read_bool_rows(fh, path) -> np.ndarray:
 
 
 def read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:
-    with open(path, newline="") as fh:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().strip()
         try:
             parts = dict(item.split("=") for item in header.split(","))
@@ -185,7 +202,7 @@ def write_bool_grid_csv(path, grid: np.ndarray) -> None:
 
 
 def read_bool_grid_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         return _read_bool_rows(fh, path)
 
 
@@ -217,7 +234,7 @@ def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
     1 is a format error naming the file and line."""
     grids = {"h": np.full((s1, s2 - 1), complex(np.nan, np.nan)),
              "v": np.full((s1 - 1, s2), complex(np.nan, np.nan))}
-    with open(path, newline="") as fh:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
@@ -236,69 +253,80 @@ def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
 
 
 def write_path_plan_csv(path, plan: PathPlan) -> None:
-    """One `row,col,moves` line per unit: the move string from the plan
-    origin, derived from the plan tree, or `X` when unreachable."""
-    rows = [(r, c, "X" if moves is None else moves)
-            for r, row in enumerate(plan.paths) for c, moves in enumerate(row)]
-    _write_rows(path, ["row", "col", "moves"], rows)
+    """One `row,col,move` line per unit: the move that enters it from its
+    parent, "" at the origin, X when unreachable."""
+    s2 = plan.shape[1]
+    moves = np.where(plan.reachable_mask(), plan.moves(), "X").ravel().tolist()
+    _write_rows(path, ["row", "col", "move"],
+                [(*divmod(u, s2), mv) for u, mv in enumerate(moves)])
 
 
 def read_path_plan_csv(path, origin: tuple[int, int]) -> PathPlan:
-    """Plan tree from a `row,col,moves` CSV.
+    """Plan tree from a `row,col,move` CSV listing each unit of its grid once.
 
-    The origin's moves must be empty. Every other path must walk from the
-    origin over UDLR moves inside the grid, end on its own unit, and without
-    its last move be the stored path of the unit it passes through there,
-    which becomes the unit's parent. Anything else is a format error naming
-    the file and line.
+    A move (U, D, L or R) enters the unit from its parent, which must lie on
+    the grid; only the origin has the empty move; X marks an UNREACHABLE
+    unit. Every parent chain must reach the origin, not an X unit or a cycle.
+    Anything else is a format error naming the file and line.
     """
     def bad(line: int, why: str) -> ValueError:
         return ValueError(f"bad path plan {str(path)!r} line {line}: {why}")
 
-    entries: dict[tuple[int, int], tuple[int, str]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+    origin = (int(origin[0]), int(origin[1]))
+    units: dict[tuple[int, int], tuple[int, str]] = {}
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != ["row", "col", "move"]:
+            raise bad(1, f"header {','.join(header)!r} is not 'row,col,move'")
+        for fields in reader:
+            line = reader.line_num
             try:
-                r, c, moves = int(row["row"]), int(row["col"]), row["moves"]
-            except (KeyError, TypeError, ValueError):
-                raise bad(reader.line_num, "expected integer row, col and moves") from None
-            if r < 0 or c < 0 or moves is None:
-                raise bad(reader.line_num, "expected integer row, col and moves")
-            entries[(r, c)] = (reader.line_num, moves)
-    if not entries:
-        raise bad(1, "no units")
-    origin = tuple(origin)
-    line, moves = entries.get(origin, (1, None))
-    if moves != "":
-        raise bad(line, f"the origin {origin} needs the empty path, not {moves!r}")
-    s1 = 1 + max(r for r, _ in entries)
-    s2 = 1 + max(c for _, c in entries)
+                r, c, mv = int(fields[0]), int(fields[1]), fields[2]
+                ok = len(fields) == 3 and r >= 0 and c >= 0
+            except (IndexError, ValueError):
+                ok = False
+            if not ok:
+                raise bad(line, "expected a non-negative integer row and col and a move")
+            if mv not in MOVES and mv not in ("", "X"):
+                raise bad(line, f"move {mv!r} is not one of U, D, L, R, X or empty")
+            if (r, c) == origin and mv != "":
+                raise bad(line, f"the origin {origin} needs the empty move, not {mv!r}")
+            if mv == "" and (r, c) != origin:
+                raise bad(line, f"unit {(r, c)} has the empty move, which only "
+                                f"the origin {origin} may have")
+            if (r, c) in units:
+                raise bad(line, f"unit {(r, c)} is listed twice, first on "
+                                f"line {units[(r, c)][0]}")
+            units[(r, c)] = (line, mv)
+    s1, s2 = (1 + max(unit[k] for unit in [origin, *units]) for k in (0, 1))
+    if len(units) != s1 * s2:
+        missing = next((r, c) for r in range(s1) for c in range(s2) if (r, c) not in units)
+        raise bad(reader.line_num, f"unit {missing} of the {s1} x {s2} grid is not listed")
     parent = np.full((s1, s2), -1, dtype=np.intp)
-    move: list[list[str | None]] = [[None] * s2 for _ in range(s1)]
-    move[origin[0]][origin[1]] = ""
-    for (r, c), (line, moves) in entries.items():
-        if moves == "X" or (r, c) == origin:
-            continue
-        if moves == "":
-            raise bad(line, f"unit {(r, c)} has the empty path, which only "
-                            f"the origin {origin} may have")
-        rr, cc = origin
-        for mv in moves:
-            if mv not in MOVES:
-                raise bad(line, f"move {mv!r} is not one of UDLR")
-            pr, pc = rr, cc
-            rr, cc = rr + MOVES[mv][0], cc + MOVES[mv][1]
-            if not (0 <= rr < s1 and 0 <= cc < s2):
-                raise bad(line, f"path for {(r, c)} leaves the grid at {(rr, cc)}")
-        if (rr, cc) != (r, c):
-            raise bad(line, f"path for {(r, c)} ends at {(rr, cc)}")
-        if entries.get((pr, pc), (0, None))[1] != moves[:-1]:
-            raise bad(line, f"path for {(r, c)} passes {(pr, pc)} by "
-                            f"{moves[:-1]!r}, not by that unit's stored path")
-        parent[r, c], move[r][c] = pr * s2 + pc, moves[-1]
-    prov = [[None if mv is None else "file" for mv in row] for row in move]
-    return PathPlan(origin=origin, parent=parent, move=move, provenance=prov)
+    for (r, c), (line, mv) in units.items():
+        if mv in MOVES:
+            pr, pc = r - MOVES[mv][0], c - MOVES[mv][1]
+            if not (0 <= pr < s1 and 0 <= pc < s2):
+                raise bad(line, f"move {mv!r} enters unit {(r, c)} from {(pr, pc)}, "
+                                f"off the {s1} x {s2} grid")
+            parent[r, c] = pr * s2 + pc
+    prov = [[None if units[(r, c)][1] == "X" else "file" for c in range(s2)]
+            for r in range(s1)]
+    plan = PathPlan(origin=origin, parent=parent, provenance=prov)
+    # every chain reaches the origin exactly when each unit follows its parent
+    order = plan.order()
+    rank = np.full(s1 * s2, s1 * s2)
+    rank[order] = np.arange(order.size)
+    late = order[1:][rank[parent.flat[order[1:]]] > rank[order[1:]]]
+    if late.size:
+        line, u = min((units[divmod(u, s2)][0], u) for u in late.tolist())
+        up = int(parent.flat[u])
+        why = (f"hangs under the unreachable unit {divmod(up, s2)}"
+               if rank[up] == s1 * s2 else "runs into a cycle")
+        raise bad(line, f"the parent chain of unit {divmod(u, s2)} {why} "
+                        f"instead of reaching the origin {origin}")
+    return plan
 
 
 def write_blocking_stats_csv(path, stats: list[BlockingStats]) -> None:
@@ -317,7 +345,7 @@ def read_reference_library_csv(path) -> ReferenceLibrary:
     """One ratio per measurement index j; a row that does not parse or
     repeats a j is a format error naming the file and line."""
     ratios = {}
-    with open(path, newline="") as fh:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
@@ -364,4 +392,7 @@ def read_complex_field(path) -> ComplexField:
         raw = np.frombuffer(_read_payload(fh, path, rows * cols * 8, "CF32"),
                             dtype="<f4")
     pairs = raw.reshape(rows, cols, 2)
-    return ComplexField(pairs[..., 0].astype(float) + 1j * pairs[..., 1].astype(float))
+    try:
+        return ComplexField(pairs[..., 0].astype(float) + 1j * pairs[..., 1].astype(float))
+    except ValueError as exc:   # an empty grid or a value that is not finite
+        raise ValueError(f"bad complex field {str(path)!r}: {exc}") from None

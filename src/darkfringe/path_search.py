@@ -1,10 +1,10 @@
 """Plan paths over the unit grid that avoid invalid boundaries.
 
-A plan is a spanning tree rooted at one origin: every reached unit stores its
-parent unit and the one move (U, D, L or R) that enters it from there, so a
-unit's path is the chain of moves from the origin down to it and a plan takes
-O(s1*s2) memory. The per-unit move strings of the `row,col,moves` CSV, of
-`replay` and of the tests are derived from the tree, once, on demand.
+A plan is a spanning tree rooted at one origin, stored as its parent grid
+(O(s1*s2) memory): the move (U, D, L or R) that enters a unit is its offset
+from its parent, and its path is the chain of moves from the origin down to
+it. The move strings of `replay`, the tests and the benchmark's counters are
+derived from the grid once, on demand; the pipeline never builds them.
 
 The product strategy is a column relay: first vertical runs inside the origin
 column, then a sweep outward column by column where each new column is entered
@@ -33,22 +33,20 @@ import numpy as np
 from .boundary_logic import InvalidBoundaryMaps
 
 MOVES = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1)}
-_TRANSPOSE_MOVE = str.maketrans("UDLR", "LRUD")
 
 
 @dataclass(eq=False)
 class PathPlan:
-    """Spanning tree of paths from a single origin.
+    """Spanning tree of paths from a single origin, as its parent grid.
 
     parent[r, c] is the flat index (row * s2 + col) of the unit that a path to
-    (r, c) arrives from, -1 at the origin and at UNREACHABLE units. move[r][c]
-    is the move that enters (r, c) from its parent: "" at the origin, None
-    for UNREACHABLE. provenance names the pass that reached each unit.
+    (r, c) arrives from, one step away; -1 at the origin and at UNREACHABLE
+    units. provenance names the pass that reached each unit (None for
+    UNREACHABLE).
     """
 
     origin: tuple[int, int]
     parent: np.ndarray
-    move: list[list[str | None]]
     provenance: list[list[str | None]]
 
     @property
@@ -60,14 +58,26 @@ class PathPlan:
         mask[self.origin] = True
         return mask
 
+    def moves(self) -> np.ndarray:
+        """Per unit, the move (U, D, L or R) that enters it from its parent:
+        the parent's offset. "" at the origin and at UNREACHABLE units."""
+        s2 = self.shape[1]
+        step = np.arange(self.parent.size).reshape(self.shape) - self.parent
+        step[self.parent < 0] = 0
+        # vertical first: on a one-column grid a step of 1 is a move down
+        return np.select([step == s2, step == -s2, step == 1, step == -1],
+                         ["D", "U", "R", "L"], "")
+
     def order(self) -> np.ndarray:
-        """Flat indices of the reachable units, every parent before its children."""
+        """Flat indices of the reachable units, every parent before its
+        children if every parent chain reaches the origin. Pointer jumping
+        runs enough rounds for a chain through every unit, so a cycle ends it too."""
         parent = self.parent.ravel()
         root = parent < 0
         anc = np.where(root, np.arange(parent.size), parent)
         depth = (~root).astype(np.intp)
-        # pointer jumping: depth[u] counts the moves from anc[u] down to u
-        while not np.array_equal(anc, anc[anc]):
+        # depth[u] counts the moves from anc[u] down to u
+        for _ in range(parent.size.bit_length()):
             depth += depth[anc]
             anc = anc[anc]
         reach = np.flatnonzero(self.reachable_mask())
@@ -82,21 +92,11 @@ class PathPlan:
         """
         s1, s2 = self.shape
         parent = self.parent.ravel().tolist()
-        move = [mv for row in self.move for mv in row]
+        move = self.moves().ravel().tolist()
         flat: list[str | None] = [None] * (s1 * s2)
         for u in self.order().tolist():
             flat[u] = "" if parent[u] < 0 else flat[parent[u]] + move[u]
         return [flat[r * s2:(r + 1) * s2] for r in range(s1)]
-
-
-def _plan(origin, parent: list[int], move: list[str | None],
-          prov: list[str | None], s2: int) -> PathPlan:
-    """PathPlan from flat row-major per-unit lists."""
-    rows = range(0, len(move), s2)
-    return PathPlan(origin=(int(origin[0]), int(origin[1])),
-                    parent=np.array(parent, dtype=np.intp).reshape(-1, s2),
-                    move=[move[i:i + s2] for i in rows],
-                    provenance=[prov[i:i + s2] for i in rows])
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,11 @@ class BlockingStats:
     retry_block_rate: float
 
 
-def horizontal_edge_valid(invalid: InvalidBoundaryMaps, r: int, c_left: int) -> bool:
-    return not invalid.matrix_a[r, c_left]
-
-
-def vertical_edge_valid(invalid: InvalidBoundaryMaps, r_upper: int, c: int) -> bool:
-    return not invalid.matrix_b[r_upper, c]
+def edge_valid(invalid: InvalidBoundaryMaps, r: int, c: int, nr: int, nc: int) -> bool:
+    """Whether the boundary between adjacent units (r, c) and (nr, nc) is valid."""
+    if r == nr:
+        return not invalid.matrix_a[r, min(c, nc)]
+    return not invalid.matrix_b[min(r, nr), c]
 
 
 def plan_paths(invalid: InvalidBoundaryMaps, origin: tuple[int, int]) -> PathPlan:
@@ -134,28 +133,26 @@ def plan_paths(invalid: InvalidBoundaryMaps, origin: tuple[int, int]) -> PathPla
     if not (0 <= r0 < s1 and 0 <= c0 < s2):
         raise ValueError(f"origin {origin} outside {s1} x {s2} grid")
     parent = [-1] * (s1 * s2)
-    move: list[str | None] = [None] * (s1 * s2)
+    reached = [False] * (s1 * s2)
     # segment id per row of each column: rows of one segment are mutually
     # reachable by vertical moves
     segments = np.vstack([np.zeros((1, s2), dtype=int),
                           np.cumsum(invalid.matrix_b, axis=0)]).T.tolist()
     h_valid = (~invalid.matrix_a).tolist()
 
-    def fill_column(c: int, entries: list[tuple[int, int, str]]) -> bool:
+    def fill_column(c: int, entries: list[tuple[int, int]]) -> bool:
         """Reach the unreached rows of column c from candidate entries.
 
-        Each entry (row, parent, move) enters column c at `row` by `move` from
-        flat unit `parent`. A target takes the nearest entry within its
-        vertical segment (ties go to the smaller row, then to the earlier
-        entry in the list) and hangs under its neighbor toward that entry.
-        Two sweeps find the nearest entry above and below every row.
+        Each entry (row, parent) enters column c at `row` from flat unit
+        `parent`. A target takes the nearest entry within its vertical
+        segment (ties go to the smaller row, then to the earlier entry in the
+        list) and hangs under its neighbor toward that entry. Two sweeps find
+        the nearest entry above and below every row.
         """
         if not entries:
             return False
         seg = segments[c]
-        first: dict[int, tuple[int, int, str]] = {}
-        for entry in entries:
-            first.setdefault(entry[0], entry)
+        first = dict(reversed(entries))   # row -> parent of its earliest entry
         above: list[int | None] = [None] * s1
         nearest = None
         for r in range(s1):
@@ -172,47 +169,36 @@ def plan_paths(invalid: InvalidBoundaryMaps, origin: tuple[int, int]) -> PathPla
             if r in first:
                 below = r
             u = r * s2 + c
-            if move[u] is not None:
+            if reached[u]:
                 continue
             a = above[r]
             if a is None and below is None:
                 continue
-            if below is None or (a is not None and r - a <= below - r):
-                e = a
-            else:
-                e = below
-            if e == r:
-                _, parent[u], move[u] = first[r]
-            elif e < r:
-                parent[u], move[u] = u - s2, "D"
-            else:
-                parent[u], move[u] = u + s2, "U"
+            e = a if below is None or (a is not None and r - a <= below - r) else below
+            parent[u] = first[r] if e == r else (u - s2 if e < r else u + s2)
+            reached[u] = True
             changed = True
         return changed
 
-    def crossings(c_from: int, c_to: int, mv: str) -> list[tuple[int, int, str]]:
+    def crossings(c_from: int, c_to: int) -> list[tuple[int, int]]:
         c_left = min(c_from, c_to)
-        return [(r, r * s2 + c_from, mv) for r in range(s1)
-                if move[r * s2 + c_from] is not None and h_valid[r][c_left]]
+        return [(r, r * s2 + c_from) for r in range(s1)
+                if reached[r * s2 + c_from] and h_valid[r][c_left]]
 
-    fill_column(c0, [(r0, -1, "")])
+    fill_column(c0, [(r0, -1)])
     while True:
         changed = False
-        for direction, mv in ((1, "R"), (-1, "L")):
+        for direction in (1, -1):
             c = c0 + direction
             while 0 <= c < s2:
-                changed |= fill_column(c, crossings(c - direction, c, mv))
+                changed |= fill_column(c, crossings(c - direction, c))
                 c += direction
-        reentry = []
-        if c0 + 1 < s2:
-            reentry += crossings(c0 + 1, c0, "L")
-        if c0 - 1 >= 0:
-            reentry += crossings(c0 - 1, c0, "R")
+        reentry = [e for c in (c0 + 1, c0 - 1) if 0 <= c < s2 for e in crossings(c, c0)]
         changed |= fill_column(c0, reentry)
         if not changed:
             break
-    prov = [None if mv is None else "primary" for mv in move]
-    return _plan(origin, parent, move, prov, s2)
+    return PathPlan(origin=(int(r0), int(c0)), parent=np.reshape(parent, (s1, s2)),
+                    provenance=np.where(reached, "primary", None).reshape(s1, s2).tolist())
 
 
 def transpose_invalid(invalid: InvalidBoundaryMaps) -> InvalidBoundaryMaps:
@@ -228,57 +214,50 @@ def plan_with_retry(invalid: InvalidBoundaryMaps,
     Runs :func:`plan_paths` from the first origin, replans the leftovers on
     the transposed grid, and finally retries remaining gaps from the other
     origins that the plan already reaches, so every path still starts at the
-    first origin. Each unit a retry adds keeps its parent and move from the
-    retry pass (transposed back). Units no pass can reach stay UNREACHABLE.
+    first origin. Each unit a retry adds keeps its parent from the retry pass
+    (transposed back). Units no pass can reach stay UNREACHABLE.
     """
     if not origins:
         raise ValueError("need at least one origin")
     s1, s2 = invalid.s1, invalid.s2
     primary = plan_paths(invalid, origins[0])
-    parent = primary.parent.ravel().tolist()
-    move = [mv for row in primary.move for mv in row]
-    prov = [label for row in primary.provenance for label in row]
-    transposed = None
+    parent = primary.parent.ravel()
+    reached = primary.reachable_mask().ravel()
+    prov = np.array(primary.provenance, dtype=object).ravel()
+    transposed = transpose_invalid(invalid)
 
     def graft(sub: PathPlan, label: str, transpose: bool) -> None:
-        for u in range(s1 * s2):
-            if move[u] is not None:
-                continue
-            r, c = divmod(u, s2)
-            if transpose:
-                mv = sub.move[c][r]
-                if mv is None:
-                    continue
-                pc, pr = divmod(int(sub.parent[c, r]), s1)
-                parent[u], move[u] = pr * s2 + pc, mv.translate(_TRANSPOSE_MOVE)
-            else:
-                mv = sub.move[r][c]
-                if mv is None:
-                    continue
-                parent[u], move[u] = int(sub.parent[r, c]), mv
-            prov[u] = label
+        units = np.flatnonzero(sub.reachable_mask())
+        parents = sub.parent.ravel()[units]
+        if transpose:
+            # unit q of the s2 x s1 transposed grid is unit (q % s1, q // s1) here
+            units = (units % s1) * s2 + units // s1
+            parents = (parents % s1) * s2 + parents // s1
+        new = ~reached[units]
+        units = units[new]
+        parent[units] = parents[new]
+        reached[units] = True
+        prov[units] = label
 
-    if None in move:
-        transposed = transpose_invalid(invalid)
+    if not reached.all():
         r0, c0 = origins[0]
         graft(plan_paths(transposed, (c0, r0)), "transpose", transpose=True)
 
     for k, (rk, ck) in enumerate(origins[1:], start=2):
-        if None not in move:
+        if reached.all():
             break
-        if move[rk * s2 + ck] is None:
+        if not reached[rk * s2 + ck]:
             continue   # this origin is itself unreached; cannot graft through it
         graft(plan_paths(invalid, (rk, ck)), f"origin{k}", transpose=False)
-        if transposed is None:
-            transposed = transpose_invalid(invalid)
         graft(plan_paths(transposed, (ck, rk)), f"origin{k}+transpose",
               transpose=True)
-    return _plan(origins[0], parent, move, prov, s2)
+    return PathPlan(origin=primary.origin, parent=parent.reshape(s1, s2),
+                    provenance=prov.reshape(s1, s2).tolist())
 
 
 def replay(plan: PathPlan, r: int, c: int,
            invalid: InvalidBoundaryMaps | None = None) -> tuple[int, int]:
-    """Walk the stored path for unit (r, c) from the plan origin.
+    """Walk the path the plan derives for unit (r, c) from its origin.
 
     Returns the landing unit; raises if the path leaves the grid or, when
     `invalid` is given, crosses a flagged boundary. Used by tests to check
@@ -294,13 +273,8 @@ def replay(plan: PathPlan, r: int, c: int,
         nr, nc = rr + dr, cc + dc
         if not (0 <= nr < s1 and 0 <= nc < s2):
             raise ValueError(f"path for {(r, c)} leaves the grid at {(nr, nc)}")
-        if invalid is not None:
-            if dr == 0:
-                ok = horizontal_edge_valid(invalid, rr, min(cc, nc))
-            else:
-                ok = vertical_edge_valid(invalid, min(rr, nr), cc)
-            if not ok:
-                raise ValueError(f"path for {(r, c)} crosses an invalid boundary")
+        if invalid is not None and not edge_valid(invalid, rr, cc, nr, nc):
+            raise ValueError(f"path for {(r, c)} crosses an invalid boundary")
         rr, cc = nr, nc
     return rr, cc
 
@@ -314,18 +288,12 @@ def reachable_bfs(invalid: InvalidBoundaryMaps, origin: tuple[int, int]) -> np.n
     queue = deque([(r0, c0)])
     while queue:
         r, c = queue.popleft()
-        if r > 0 and not seen[r - 1, c] and vertical_edge_valid(invalid, r - 1, c):
-            seen[r - 1, c] = True
-            queue.append((r - 1, c))
-        if r + 1 < s1 and not seen[r + 1, c] and vertical_edge_valid(invalid, r, c):
-            seen[r + 1, c] = True
-            queue.append((r + 1, c))
-        if c > 0 and not seen[r, c - 1] and horizontal_edge_valid(invalid, r, c - 1):
-            seen[r, c - 1] = True
-            queue.append((r, c - 1))
-        if c + 1 < s2 and not seen[r, c + 1] and horizontal_edge_valid(invalid, r, c):
-            seen[r, c + 1] = True
-            queue.append((r, c + 1))
+        for dr, dc in MOVES.values():
+            nr, nc = r + dr, c + dc
+            if (0 <= nr < s1 and 0 <= nc < s2 and not seen[nr, nc]
+                    and edge_valid(invalid, r, c, nr, nc)):
+                seen[nr, nc] = True
+                queue.append((nr, nc))
     return seen
 
 

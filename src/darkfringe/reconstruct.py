@@ -2,21 +2,20 @@
 
 A unit's phase is the origin phase plus the argument of the product of edge
 ratios along its path (conjugated when an edge is traversed against its
-stored orientation). Plans are trees, so the products come from one pass over
-the units, parents first: a unit's product is its parent's times the ratio of
-the edge between them, the same multiplications in the same order as a walk
-of the unit's whole path. Accumulating the product instead of summing
-arguments keeps quantized ratios exact: products of {1, i, -1, -i} never
-leave that set. Several origins are fused per unit by a circular mean
-anchored at the first origin that reaches it. Amplitudes come from a median
-over eroded unit interiors pooled across all measurements, one unit row at a
-time into pool buffers the calling thread allocates; the lower half of the
-unit rows is taken on one worker thread that runs only numpy (the median
-partition releases the GIL) and the upper half on the calling thread. A
-measurement's 16-bit levels enter the pool divided by their frame's scale,
-since each frame has its own. Scoring
-removes the global phase offset that intensity measurements can never
-determine.
+stored orientation). A plan is its parent grid, so the products come from one
+pass over the units, parents first: a unit's product is its parent's times
+the ratio of the edge its entering move crosses, the same multiplications in
+the same order as a walk of the unit's whole path, which is never built.
+Accumulating the product instead of summing arguments keeps quantized ratios
+exact: products of {1, i, -1, -i} never leave that set. Several origins are
+fused per unit by a circular mean anchored at the first origin that reaches it.
+Amplitudes come from a median over eroded unit interiors pooled across all
+measurements, one unit row at a time into pool buffers the calling thread
+allocates; the lower half of the unit rows is taken on one worker thread that
+runs only numpy (the median partition releases the GIL) and the upper half on
+the calling thread. A measurement's 16-bit levels enter the pool divided by
+their frame's scale, since each frame has its own. Scoring removes the global
+phase offset that intensity measurements can never determine.
 """
 
 from __future__ import annotations
@@ -58,17 +57,13 @@ def _wrap(angles: np.ndarray) -> np.ndarray:
 def _entering_ratios(plan: PathPlan, ratios: EdgeRatios) -> np.ndarray:
     """Per unit, the ratio of the edge its move crosses from the parent,
     conjugated against the stored orientation; NaN where no move enters."""
-    move = np.array(plan.move, dtype=object)
+    move = plan.moves()
     h, v = ratios.horizontal, ratios.vertical
     rho = np.full(plan.shape, complex(np.nan, np.nan))
-    right = move[:, 1:] == "R"
-    rho[:, 1:][right] = h[right]
-    left = move[:, :-1] == "L"
-    rho[:, :-1][left] = np.conj(h[left])
-    down = move[1:, :] == "D"
-    rho[1:, :][down] = v[down]
-    up = move[:-1, :] == "U"
-    rho[:-1, :][up] = np.conj(v[up])
+    for mv, units, ratio in (("R", np.s_[:, 1:], h), ("L", np.s_[:, :-1], np.conj(h)),
+                             ("D", np.s_[1:], v), ("U", np.s_[:-1], np.conj(v))):
+        entered = move[units] == mv
+        rho[units][entered] = ratio[entered]
     return rho
 
 
@@ -90,7 +85,7 @@ def accumulate_phase(plan: PathPlan, ratios: EdgeRatios, origin_phase: float = 0
         pr, pc = divmod(int(plan.parent[r, c]), s2)
         raise ValueError(
             f"path for unit {(r, c)} crosses an edge with unknown ratio "
-            f"at {(pr, pc)} move {plan.move[r][c]}")
+            f"at {(pr, pc)} move {plan.moves()[r, c]}")
     parent = plan.parent.ravel().tolist()
     rho_u = list(rho)
     product: list = [None] * (s1 * s2)

@@ -1,21 +1,24 @@
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darkfringe.fileio as fio
 from darkfringe.boundary_logic import EdgeRatios, InvalidBoundaryMaps
 from darkfringe.forward_model import (STRIP_PIXELS, ComplexField, IntensityImage,
                                       quantize_16bit, simulate_measurement_2d)
 from darkfringe.fringe_detect import FringeMaps
-from darkfringe.path_search import BlockingStats, plan_paths
+from darkfringe.path_search import (BlockingStats, plan_paths, plan_with_retry,
+                                    random_invalid_maps)
 from darkfringe.patterns import ReferenceLibrary
 
-from conftest import (frame_cases, reference_read_pgm16, reference_write_pgm16,
-                      strip_sizes)
+from conftest import (frame_cases, planner_cases, reference_read_pgm16,
+                      reference_write_pgm16, strip_sizes)
 
 
 def test_pgm16_round_trip(tmp_path):
@@ -164,7 +167,7 @@ def test_path_plan_round_trip(tmp_path):
     path = tmp_path / "plan.csv"
     fio.write_path_plan_csv(path, plan)
     lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,moves"
+    assert lines[0] == "row,col,move"
     back = fio.read_path_plan_csv(path, origin=(0, 0))
     assert back.paths == plan.paths
 
@@ -180,34 +183,130 @@ def test_path_plan_unreachable_marker(tmp_path):
     assert back.paths[0][1] is None
 
 
-def _plan_csv(tmp_path, **changed):
-    """A 2 x 2 plan CSV from origin (0, 0); `u<r><c>=moves` replaces a cell."""
-    cells = {"u00": "", "u01": "R", "u10": "D", "u11": "RD", **changed}
+def _assert_plan_round_trip(plan, path):
+    """The file reads back to the same tree, and writing that writes the same bytes."""
+    fio.write_path_plan_csv(path, plan)
+    data = path.read_bytes()
+    back = fio.read_path_plan_csv(path, plan.origin)
+    assert np.array_equal(back.parent, plan.parent)
+    assert np.array_equal(back.reachable_mask(), plan.reachable_mask())
+    assert back.paths == plan.paths
+    fio.write_path_plan_csv(path, back)
+    assert path.read_bytes() == data
+
+
+@settings(max_examples=150, deadline=None)
+@given(planner_cases())
+def test_path_plan_csv_round_trip_property(case):
+    inv, origins = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for plan in [plan_with_retry(inv, origins)] + [plan_paths(inv, o) for o in origins]:
+            _assert_plan_round_trip(plan, Path(tmp) / "plan.csv")
+
+
+def _pocket(s1, s2, r, c):
+    """A grid with three invalid edges around (r, c); only its right edge stays valid."""
+    inv = InvalidBoundaryMaps(np.zeros((s1, s2 - 1), bool), np.zeros((s1 - 1, s2), bool))
+    inv.matrix_a[r, c - 1] = inv.matrix_b[r - 1, c] = inv.matrix_b[r, c] = True
+    return inv
+
+
+@pytest.mark.parametrize("inv, origins, labels", [
+    (_pocket(6, 6, 2, 2), [(0, 0)], {"transpose"}),
+    (random_invalid_maps(1, 12, 0.2, np.random.default_rng(1)), [(0, 5)], set()),
+    (random_invalid_maps(12, 1, 0.2, np.random.default_rng(1)), [(5, 0)], set()),
+    (random_invalid_maps(12, 12, 0.3, np.random.default_rng(3)), [(0, 0), (11, 11)],
+     {"transpose", "origin2", "origin2+transpose"}),
+], ids=["transpose-graft", "one-row", "one-column", "extra-origin-graft"])
+def test_path_plan_round_trip_grafts_and_thin_grids(tmp_path, inv, origins, labels):
+    plan = plan_with_retry(inv, origins)
+    assert labels <= {p for row in plan.provenance for p in row}
+    assert plan.reachable_mask().sum() > 1
+    _assert_plan_round_trip(plan, tmp_path / "plan.csv")
+
+
+PLAN_2X2 = {(0, 0): "", (0, 1): "R", (1, 0): "D", (1, 1): "R"}
+
+
+def _plan_csv(tmp_path, cells=PLAN_2X2, header="row,col,move", extra=""):
+    """A plan CSV of `cells` ({(row, col): move}), then the `extra` lines."""
     path = tmp_path / "plan.csv"
-    path.write_text("row,col,moves\n" + "".join(
-        f"{key[1]},{key[2]},{moves}\n" for key, moves in cells.items()))
+    path.write_text(header + "\n" + "".join(
+        f"{r},{c},{mv}\n" for (r, c), mv in cells.items()) + extra)
     return path
 
 
 def test_path_plan_reader_builds_tree(tmp_path):
-    plan = fio.read_path_plan_csv(_plan_csv(tmp_path, u11="DR"), origin=(0, 0))
+    plan = fio.read_path_plan_csv(_plan_csv(tmp_path), origin=(0, 0))
     assert plan.parent.tolist() == [[-1, 0], [0, 2]]
-    assert plan.move == [["", "R"], ["D", "R"]]
+    assert plan.moves().tolist() == [["", "R"], ["D", "R"]]
     assert plan.paths == [["", "R"], ["D", "DR"]]
 
 
+def _without(cell):
+    return {k: v for k, v in PLAN_2X2.items() if k != cell}
+
+
 @pytest.mark.parametrize("changed, match", [
-    (dict(u11="RQ"), r"line 5: move 'Q' is not one of UDLR"),
-    (dict(u01=""), r"line 3: unit \(0, 1\) has the empty path, which only the origin"),
-    (dict(u00="RL"), r"line 2: the origin \(0, 0\) needs the empty path, not 'RL'"),
-    (dict(u11="RDD"), r"line 5: path for \(1, 1\) leaves the grid at \(2, 1\)"),
-    (dict(u11="R"), r"line 5: path for \(1, 1\) ends at \(0, 1\)"),
-    (dict(u11="RLRD"), r"line 5: path for \(1, 1\) passes \(0, 1\) by 'RLR'"),
-    (dict(u00="X"), r"line 2: the origin \(0, 0\) needs the empty path, not 'X'"),
+    (dict(cells={**PLAN_2X2, (1, 1): "Q"}),
+     r"line 5: move 'Q' is not one of U, D, L, R, X or empty"),
+    (dict(cells={**PLAN_2X2, (0, 1): ""}),
+     r"line 3: unit \(0, 1\) has the empty move, which only the origin"),
+    (dict(cells={**PLAN_2X2, (0, 0): "R"}),
+     r"line 2: the origin \(0, 0\) needs the empty move, not 'R'"),
+    (dict(cells={**PLAN_2X2, (1, 1): "U"}),
+     r"line 5: move 'U' enters unit \(1, 1\) from \(2, 1\), off the 2 x 2 grid"),
+    # a path that ends elsewhere or passes a unit by another path cannot be
+    # written with one move per unit; a chain that misses the origin can
+    (dict(cells={**PLAN_2X2, (0, 1): "U", (1, 1): "D"}),
+     r"line 3: the parent chain of unit \(0, 1\) runs into a cycle instead of reaching "
+     r"the origin"),
+    (dict(cells={**PLAN_2X2, (1, 0): "X"}),
+     r"line 5: the parent chain of unit \(1, 1\) hangs under the unreachable unit "
+     r"\(1, 0\) instead of reaching the origin \(0, 0\)"),
+    (dict(cells={**PLAN_2X2, (0, 0): "X"}),
+     r"line 2: the origin \(0, 0\) needs the empty move, not 'X'"),
+    (dict(cells={**PLAN_2X2, (1, 1): "RD"}),
+     r"line 5: move 'RD' is not one of U, D, L, R, X or empty"),
+    (dict(extra="1,1,D\n"), r"line 6: unit \(1, 1\) is listed twice, first on line 5"),
+    (dict(header="row,col,moves"), r"line 1: header 'row,col,moves' is not 'row,col,move'"),
+    (dict(cells=_without((1, 1))), r"line 4: unit \(1, 1\) of the 2 x 2 grid is not listed"),
+    (dict(cells=_without((0, 0))), r"line 4: unit \(0, 0\) of the 2 x 2 grid is not listed"),
+    (dict(extra="-1,0,X\n"), r"line 6: expected a non-negative integer row and col"),
+    (dict(extra="2,0\n"), r"line 6: expected a non-negative integer row and col"),
 ])
 def test_path_plan_reader_rejects_malformed(tmp_path, changed, match):
     with pytest.raises(ValueError, match=r"plan\.csv.* " + match):
         fio.read_path_plan_csv(_plan_csv(tmp_path, **changed), origin=(0, 0))
+
+
+def _within(seconds, fn, *args):
+    """fn(*args) on a daemon thread: its exception, None if it returned,
+    and a test failure if it has not returned within `seconds`."""
+    outcome = []
+
+    def run():
+        try:
+            fn(*args)
+            outcome.append(None)
+        except Exception as exc:   # handed to the test, which judges it
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{fn.__name__}{args!r} did not return in {seconds} s"
+    return outcome[0]
+
+
+def test_path_plan_reader_rejects_a_six_cycle(tmp_path):
+    # the top 2 x 3 block of a 3 x 3 grid is one cycle under the origin row;
+    # pointer jumping over it never reaches a root
+    cells = {(0, 0): "U", (0, 1): "R", (0, 2): "R", (1, 0): "L", (1, 1): "L",
+             (1, 2): "D", (2, 0): "", (2, 1): "R", (2, 2): "R"}
+    exc = _within(10, fio.read_path_plan_csv, _plan_csv(tmp_path, cells), (2, 0))
+    assert isinstance(exc, ValueError)
+    assert "plan.csv' line 2: the parent chain of unit (0, 0) runs into a cycle" in str(exc)
 
 
 def test_fringe_maps_csv_ragged_names_file(tmp_path):
@@ -348,12 +447,121 @@ def test_reference_library_reader_rejects_malformed(tmp_path, row):
     (fio.read_pgm8, b"P5\n1 1\n"),
     (fio.read_pgm8, b"P5\nx 1\n255\n\x00"),
     (fio.read_pgm16, b"P5\n1 1\n255\n\x00"),
+    (fio.read_pgm16, b"P5\n-1 -2\n65535\n" + bytes(4)),
+    (fio.read_pgm16, b"P5\n0 3\n65535\n"),
+    (fio.read_pgm8, b"P5\n100000 100000\n255\n\x00"),
     (fio.read_complex_field, b"NOPE 1 1\n" + bytes(8)),
     (fio.read_complex_field, b"CF32 a 1\n" + bytes(8)),
+    (fio.read_complex_field, b"CF32 0 1\n"),
+    (fio.read_complex_field, b"CF32 1 1\n" + np.array([np.nan, 0], "<f4").tobytes()),
 ], ids=["pgm-magic", "pgm-truncated-header", "pgm-bad-size", "pgm16-maxval",
-        "cf32-magic", "cf32-bad-size"])
+        "pgm-negative-size", "pgm-zero-size", "pgm-claims-more-than-the-file",
+        "cf32-magic", "cf32-bad-size", "cf32-empty", "cf32-not-finite"])
 def test_header_errors_name_the_file(tmp_path, reader, data):
     path = tmp_path / "broken.bin"
     path.write_bytes(data)
     with pytest.raises(ValueError, match=r"broken\.bin"):
         reader(path)
+
+
+# -- every reader, on undecodable and arbitrary bytes: it parses the file or
+# raises a ValueError that names it
+
+
+def _seed_files() -> dict:
+    """Reader name -> (call on a path, valid file contents to mutate)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def written(writer, *args) -> bytes:
+            path = Path(tmp) / "seed"
+            writer(path, *args)
+            return path.read_bytes()
+
+        maps = FringeMaps(row_map=np.array([[1, 0], [0, 1]], dtype=bool),
+                          col_map=np.array([[0, 1, 1]], dtype=bool), measurement_index=2)
+        ratios = EdgeRatios(horizontal=np.array([[1j, complex(np.nan, np.nan)], [-1, 1]]),
+                            vertical=np.array([[1j, -1j, 1]]))
+        plan = plan_paths(InvalidBoundaryMaps(np.array([[False, True], [False, False]]),
+                                              np.array([[False, True, False]])), (0, 0))
+        frame = quantize_16bit(IntensityImage(np.arange(12.0).reshape(3, 4), 2))
+        plan_text = written(fio.write_path_plan_csv, plan)
+        header = b"row,col,move\r\n"
+        return {
+            "read_pgm16": (fio.read_pgm16, [written(fio.write_pgm16, frame)]),
+            "read_pgm8": (fio.read_pgm8, [written(fio.write_pgm8, np.arange(6).reshape(2, 3))]),
+            "read_fringe_maps_csv": (fio.read_fringe_maps_csv,
+                                     [written(fio.write_fringe_maps_csv, maps, "row")]),
+            "read_bool_grid_csv": (fio.read_bool_grid_csv,
+                                   [written(fio.write_bool_grid_csv, maps.col_map)]),
+            "read_edge_ratios_csv": (lambda path: fio.read_edge_ratios_csv(path, 2, 3),
+                                     [written(fio.write_edge_ratios_csv, ratios)]),
+            "read_path_plan_csv": (lambda path: fio.read_path_plan_csv(path, (0, 0)), [
+                plan_text,
+                # a cycle (0, 1) <-> (1, 1), and a unit under an X unit
+                header + b"0,0,\r\n0,1,U\r\n1,0,D\r\n1,1,D\r\n",
+                header + b"0,0,\r\n0,1,X\r\n1,0,D\r\n1,1,U\r\n",
+                # the top 2 x 3 block one cycle, rooted at (2, 0) but read from (0, 0)
+                header + b"0,0,U\r\n0,1,R\r\n0,2,R\r\n1,0,L\r\n1,1,L\r\n1,2,D\r\n"
+                         b"2,0,\r\n2,1,R\r\n2,2,R\r\n"]),
+            "read_reference_library_csv": (fio.read_reference_library_csv, [
+                written(fio.write_reference_library_csv,
+                        ReferenceLibrary({1: -1j, 2: 1j, 3: -1 + 0j}))]),
+            "read_complex_field": (fio.read_complex_field, [
+                written(fio.write_complex_field, ComplexField(np.ones((2, 3)) * (1 + 2j)))]),
+        }
+
+
+SEED_FILES = _seed_files()
+
+
+@pytest.mark.parametrize("name", sorted(SEED_FILES))
+def test_readers_name_the_file_on_undecodable_bytes(tmp_path, name):
+    read, seeds = SEED_FILES[name]
+    data = seeds[0]
+    if data.startswith(b"P5"):    # a PGM: an undecodable comment line
+        data = b"P5\n# \xff\n" + data[3:]
+    else:                         # a header that is not UTF-8
+        data = data[:1] + b"\xff" + data[1:]
+    path = tmp_path / "undecodable.file"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=r"undecodable\.file"):
+        read(path)
+
+
+def test_pgm_comment_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "frame.pgm"
+    path.write_bytes(b"P5\n# \xff\n1 1\n65535\n\0\0")
+    with pytest.raises(ValueError, match=r"unreadable text in '.*frame\.pgm'"):
+        fio.read_pgm16(path)
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """`data` with 1-4 bytes spans replaced, inserted or deleted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        chunk = draw(st.binary(min_size=1, max_size=4) | st.sampled_from(
+            [b",", b"\r\n", b"-", b"9", b"0", b"\xff", b"X", b"U", b"L", b"#", b" "]))
+        how = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if how == "insert":
+            data[i:i] = chunk
+        elif how == "replace":
+            data[i:i + len(chunk)] = chunk
+        else:
+            del data[i:i + len(chunk)]
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_readers_parse_or_name_the_file(data):
+    name = data.draw(st.sampled_from(sorted(SEED_FILES)), label="reader")
+    read, seeds = SEED_FILES[name]
+    content = data.draw(st.binary(max_size=120) | st.sampled_from(seeds).flatmap(mutated),
+                        label="content")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.file"
+        path.write_bytes(content)
+        exc = _within(10, read, path)
+    if exc is not None:
+        assert type(exc) is ValueError and str(path) in str(exc), repr(exc)

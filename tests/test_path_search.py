@@ -210,5 +210,5 @@ def test_plan_tree_order_and_paths():
         assert parent == -1 or parent in seen
         seen.add(u)
         assert plan.paths[r][c] == ("" if parent == -1 else
-                                    plan.paths[parent // 6][parent % 6] + plan.move[r][c])
+                                    plan.paths[parent // 6][parent % 6] + plan.moves()[r, c])
     assert plan.paths is plan.paths   # derived once, then kept

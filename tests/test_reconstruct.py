@@ -80,6 +80,23 @@ def test_tree_accumulation_matches_string_reference(case, seed):
         assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("shape", [(1, 13), (13, 1)], ids=["one-row", "one-column"])
+@pytest.mark.parametrize("seed", range(4))
+def test_accumulation_on_thin_grids_matches_string_reference(shape, seed):
+    # on a one-column grid a parent offset of 1 is a move down, not right
+    rng = np.random.default_rng(seed)
+    inv = df.path_search.random_invalid_maps(*shape, 0.15, rng)
+    ratios = _masked(df.EdgeRatios(
+        horizontal=np.exp(1j * rng.uniform(-np.pi, np.pi, (shape[0], shape[1] - 1))),
+        vertical=np.exp(1j * rng.uniform(-np.pi, np.pi, (shape[0] - 1, shape[1])))), inv)
+    origin = (shape[0] // 2, shape[1] // 2)
+    plan = plan_with_retry(inv, [origin])
+    assert plan.reachable_mask().sum() > 1
+    assert _same_bits(accumulate_phase(plan, ratios),
+                      reference_accumulate_phase(reference_plan_with_retry(inv, [origin]),
+                                                 ratios))
+
+
 def test_fusion_averages_only_the_origins_that_reach_a_unit():
     # the third origin's plan stops at a wall, so columns 3-5 are fused from
     # two of three origins, which disagree on ratios that are not cycle-consistent
