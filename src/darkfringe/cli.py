@@ -177,9 +177,6 @@ def _run_stage(args, cfg: RunConfig) -> str:
         return FringeMaps(row_map=fringe_map(j, "row"), col_map=fringe_map(j, "col"),
                           measurement_index=j)
 
-    def invalid_maps():
-        return fileio.read_invalid_maps(outdir / "matrix_a.csv", outdir / "matrix_b.csv")
-
     command = args.command
     if command == "patterns":
         stage("patterns", pipeline.write_patterns, cfg, save)
@@ -198,13 +195,13 @@ def _run_stage(args, cfg: RunConfig) -> str:
             fileio.read_reference_library_csv(outdir / "reference_library.csv"), save))
         return f"{int(invalid.matrix_a.sum() + invalid.matrix_b.sum())} invalid boundaries"
     if command == "paths":
-        plans = stage("paths", lambda: pipeline.plan(cfg, invalid_maps(), save))
+        plans = stage("paths", lambda: pipeline.plan(cfg, fileio.read_invalid_maps(
+            outdir / "matrix_a.csv", outdir / "matrix_b.csv"), save))
         return "\n".join(f"origin {origin}: {int((~p.reachable_mask()).sum())} "
                          "unreachable units" for origin, p in zip(cfg.origins, plans))
     if command == "reconstruct":
         rec = stage("reconstruct", lambda: pipeline.reconstruct(
-            cfg, invalid_maps(),
-            fileio.read_edge_ratios_csv(outdir / "edge_ratios.csv", cfg.s1, cfg.s2),
+            cfg, fileio.read_edge_ratios_csv(outdir / "edge_ratios.csv", cfg.s1, cfg.s2),
             [fileio.read_path_plan_csv(outdir / f"path_plan_origin{k}.csv", origin)
              for k, origin in enumerate(cfg.origins, start=1)],
             [frame(outdir / f"measurement_j{j}.pgm") for j in indices], save))

@@ -168,17 +168,25 @@ def write_fringe_maps_csv(path, maps: FringeMaps, kind: str) -> None:
         writer.writerows(grid.astype(int).tolist())
 
 
-def _read_bool_rows(fh, path) -> np.ndarray:
-    """A CSV grid of 0/1 rows of one length, or a format error naming the file."""
-    rows = list(csv.reader(fh))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"ragged grid in {str(path)!r}: row {i} has "
-                             f"{len(row)} fields, row 1 has {len(rows[0])}")
-    try:
-        return np.array([[int(v) for v in row] for row in rows], dtype=bool)
-    except ValueError as exc:
-        raise ValueError(f"bad grid value in {str(path)!r}: {exc}") from exc
+def _read_bool_rows(fh, path, lines_before: int = 0) -> np.ndarray:
+    """A CSV grid of 0/1 rows of one length, or a format error naming the
+    file (and the line of a bad value, `lines_before` header lines counted)."""
+    reader = csv.reader(fh)
+    grid = []
+    for row in reader:
+        if grid and len(row) != len(grid[0]):
+            raise ValueError(f"ragged grid in {str(path)!r}: row {len(grid) + 1} has "
+                             f"{len(row)} fields, row 1 has {len(grid[0])}")
+        line = lines_before + reader.line_num
+        try:
+            flags = [int(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"bad grid value in {str(path)!r} line {line}: {exc}") from exc
+        if not set(flags) <= {0, 1}:
+            raise ValueError(f"bad grid value in {str(path)!r} line {line}: "
+                             f"{row!r} (expected 0 or 1)")
+        grid.append(flags)
+    return np.array(grid, dtype=bool)
 
 
 def read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:
@@ -192,7 +200,7 @@ def read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:
                              f"{header!r} (expected kind=row|col,j=<index>)") from exc
         if kind not in ("row", "col"):
             raise ValueError(f"bad fringe map kind {kind!r} in {str(path)!r}")
-        grid = _read_bool_rows(fh, path)
+        grid = _read_bool_rows(fh, path, lines_before=1)
     return kind, j, grid
 
 
@@ -229,24 +237,29 @@ def write_edge_ratios_csv(path, ratios: EdgeRatios) -> None:
 
 
 def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
-    """Edge ratios of an s1 x s2 grid. A row that does not parse, whose kind
-    is not h or v, whose edge is off the grid or whose valid flag is not 0 or
-    1 is a format error naming the file and line."""
+    """Edge ratios of an s1 x s2 grid. A row that does not parse, has extra
+    fields, whose kind is not h or v, whose edge is off the grid or listed
+    before, or whose valid flag is not 0 or 1 is a format error naming the
+    file and line."""
     grids = {"h": np.full((s1, s2 - 1), complex(np.nan, np.nan)),
              "v": np.full((s1 - 1, s2), complex(np.nan, np.nan))}
+    seen = set()
     with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
-                grid = grids[row["kind"]]
+                kind = row["kind"]
+                grid = grids[kind]
                 r, c, valid = int(row["row"]), int(row["col"]), int(row["valid"])
                 value = complex(float(row["ratio_real"]), float(row["ratio_imag"]))
-                ok = valid in (0, 1) and 0 <= r < grid.shape[0] and 0 <= c < grid.shape[1]
+                ok = (None not in row and valid in (0, 1) and (kind, r, c) not in seen
+                      and 0 <= r < grid.shape[0] and 0 <= c < grid.shape[1])
             except (KeyError, TypeError, ValueError):
                 ok = False
             if not ok:
                 raise ValueError(f"bad edge ratio row in {str(path)!r} line "
                                  f"{reader.line_num}: {list(row.values())!r}")
+            seen.add((kind, r, c))
             if valid:
                 grid[r, c] = value
     return EdgeRatios(horizontal=grids["h"], vertical=grids["v"])

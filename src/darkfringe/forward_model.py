@@ -17,10 +17,10 @@ A simulated frame is |F|^2 plus sigma * max|F|^2 * z, clipped at zero, with
 z standard normal draws from the frame's seed. The camera reads it out once,
 as 16-bit levels rint(value * scale) with scale = 65535 / peak
 (:func:`quantize_16bit`); the levels and their scale are the measurement
-every later stage computes from and the PGM file stores. Past the two matrix
-products that give F, every frame-sized pass (the squared modulus and its
-max, the noise draws, the clip, the readout) streams in row strips of about
-STRIP_PIXELS pixels, with no frame-sized temporary.
+every later stage computes from and the PGM file stores. F itself is built
+one row strip at a time, and every frame-sized pass (the squared modulus and
+its max, the noise draws, the clip, the readout) streams in row strips of
+about STRIP_PIXELS pixels, with no frame-sized temporary.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 PSF_KINDS = ("box", "exponential", "gaussian")
 
@@ -86,7 +85,9 @@ class PsfModel:
         ps = _kernel_profile(kind, self.radius, self._xs)
         # P(0) = 0 by construction; odd extension P(-x) = -P(x) is applied at
         # evaluation time, which keeps the antisymmetry exact in floats.
-        self._table = np.concatenate(([0.0], cumulative_trapezoid(ps, self._xs)))
+        # cumulative trapezoid, in scipy's cumulative_trapezoid's expression
+        steps = np.diff(self._xs) * (ps[1:] + ps[:-1]) / 2.0
+        self._table = np.concatenate(([0.0], np.cumsum(steps)))
 
     def p(self, x) -> np.ndarray:
         """Kernel value p(x); symmetric in x."""
@@ -375,16 +376,22 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
     The source field is the per-unit product object * pattern. With the
     separable kernel p(x)p(y), each unit's contribution factorizes into a
     product of primitive differences along x and y, so the whole field F is a
-    pair of matrix products. The frame is |F|^2 + noise_sigma * max|F|^2 * z,
-    clipped at zero, with z standard normal draws from the seed's generator
-    taken row-major over the uncropped frame; crop_rows rows are then removed
-    top and bottom (the top rows' draws are consumed and dropped).
+    pair of matrix products, F = G Wx^T with G = Wy source (H x s2). The
+    frame is |F|^2 + noise_sigma * max|F|^2 * z, clipped at zero, with z
+    standard normal draws from the seed's generator taken row-major over the
+    uncropped frame; crop_rows rows are then removed top and bottom (the top
+    rows' draws are consumed and dropped).
 
-    Past the matrix products every pass runs in row strips: |F|^2 and its
-    max straight into the frame (the cropped rows through the frame's first
-    rows), and, once F is released, the noise draws through one strip
-    buffer, scaled and added into the frame, and the clip. A call never
-    holds more than F and the returned frame.
+    Every pass runs in row strips: one complex strip of F at a time, as a
+    complex product of G's rows with Wx^T, whose |F|^2 and max go straight
+    into the frame (the cropped rows through the frame's first rows); then
+    the noise draws through one float strip buffer, scaled and added into
+    the frame, and the clip. A call holds the returned frame, one strip and
+    the small G and Wx^T, never a frame-sized complex array. The frame is
+    bit for bit that of the whole-frame product: a strip is never one row,
+    since a one-row product runs as a matrix-vector product, and the complex
+    product is kept because two real products for Re F and Im F can differ
+    from it in the last bit.
     """
     if obj.shape != pattern.shape:
         raise ValueError(f"object shape {obj.shape} != pattern shape {pattern.shape}")
@@ -394,16 +401,15 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
             "PSF radius reaches across a whole pixel-unit; fringes may be "
             "indistinguishable", stacklevel=2)
     s1, s2 = obj.shape
-    source = obj.values * pattern.values
     ys = np.arange(s1 * ppu) + 0.5
     xs = np.arange(s2 * ppu) + 0.5
-    wy = _unit_window(model, ys, ppu, s1)          # (H, s1)
-    wx = _unit_window(model, xs, ppu, s2)          # (W, s2)
-    field = wy @ source @ wx.T
-    height, width = field.shape
+    g = _unit_window(model, ys, ppu, s1) @ (obj.values * pattern.values)
+    wxt = _unit_window(model, xs, ppu, s2).T.astype(complex)
+    height, width = len(ys), len(xs)
     crop = cfg.effective_crop_rows
     frame = np.empty((height - 2 * crop, width))
     rows = min(strip_rows(width), len(frame))
+    field = np.empty((max(rows, 2), width), dtype=complex)
     peak = 0.0
     # |F|^2 strip by strip: the cropped rows only count toward the max and
     # are squared in the frame's first rows, before the frame's own rows are
@@ -412,7 +418,12 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
             bottom = min(top + rows, stop)
             power = (frame[top - crop:bottom - crop] if start == crop
                      else frame[:bottom - top])
-            np.abs(field[top:bottom], out=power)
+            # a one-row product would run as a matrix-vector product, whose
+            # sums may differ in the last bit: take that row from two
+            lo = min(top, height - 2) if bottom - top == 1 else top
+            hi = max(bottom, lo + 2)
+            np.matmul(g[lo:hi], wxt, out=field[:hi - lo])
+            np.abs(field[top - lo:bottom - lo], out=power)
             np.square(power, out=power)
             peak = max(peak, float(power.max()))
     del field

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .forward_model import GridSpec, IntensityImage
 
-# scipy's default Gaussian reach, in standard deviations
+# Gaussian reach in standard deviations, as scipy.ndimage.gaussian_filter1d's
+# default truncate
 _TRUNCATE = 4.0
 # window columns per block of the banded product (six per unit)
 _BLOCK_COLUMNS = 24
@@ -120,6 +120,28 @@ def _flank_band(unit_index: int, ppu: int, lo: int, hi: int) -> slice:
     return _across_band(center, halfwidth, lo, hi)
 
 
+def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
+    """The normalized Gaussian along axis 0 of a 2D array, with zeros
+    beyond both ends.
+
+    Equal bit for bit to scipy.ndimage.gaussian_filter1d(x, sigma, axis=0,
+    mode="constant", truncate=_TRUNCATE): the same kernel, and its summation
+    order for symmetric kernels, out = x w_0 + sum over j = r..1 of
+    (x[i - j] + x[i + j]) w_j.
+    """
+    radius = int(_TRUNCATE * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * offsets ** 2)
+    weights = weights / weights.sum()
+    n = x.shape[0]
+    padded = np.pad(x, ((radius, radius), (0, 0)))
+    out = x * weights[radius]
+    for j in range(radius, 0, -1):
+        out += (padded[radius - j:radius - j + n] + padded[radius + j:radius + j + n]) \
+            * weights[radius + j]
+    return out
+
+
 def _gaussian_transpose(windows: np.ndarray, sigma: float) -> np.ndarray:
     """G^T @ windows for the nearest-mode Gaussian G along axis 0.
 
@@ -129,8 +151,7 @@ def _gaussian_transpose(windows: np.ndarray, sigma: float) -> np.ndarray:
     """
     n = windows.shape[0]
     pad = int(_TRUNCATE * sigma + 0.5)
-    spread = gaussian_filter1d(np.pad(windows, ((pad, pad), (0, 0))), sigma,
-                               axis=0, mode="constant", truncate=_TRUNCATE)
+    spread = _gaussian_filter(np.pad(windows, ((pad, pad), (0, 0))), sigma)
     out = spread[pad:pad + n].copy()
     out[0] += spread[:pad].sum(axis=0)
     out[-1] += spread[pad + n:].sum(axis=0)

@@ -212,13 +212,12 @@ def plan(cfg: RunConfig, invalid: InvalidBoundaryMaps, save) -> list[PathPlan]:
     return plans
 
 
-def reconstruct(cfg: RunConfig, invalid: InvalidBoundaryMaps, ratios: EdgeRatios,
-                plans: list[PathPlan], images: list[IntensityImage],
-                save) -> ComplexField:
+def reconstruct(cfg: RunConfig, ratios: EdgeRatios, plans: list[PathPlan],
+                images: list[IntensityImage], save) -> ComplexField:
     """The complex image from the phase along the given plans (one per
     origin) and the amplitude from the measurement frames, UNKNOWN units 0,
     rounded to the float32 of reconstruction.cf32, which it is written as."""
-    phase, provenance = retrieve_phase(invalid, ratios, list(cfg.origins), plans)
+    phase, provenance = retrieve_phase(None, ratios, list(cfg.origins), plans)
     amplitude = estimate_amplitude(images, cfg.grid(), cfg.band_halfwidth + 1)
     values = compose(phase, amplitude, provenance).complex_image.values
     rec = ComplexField(values.astype(np.complex64))
@@ -266,7 +265,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 for j, img in enumerate(images, start=1)]
         invalid, ratios = stage("mark-invalid", mark_invalid, cfg, maps, lib, save)
         plans = stage("paths", plan, cfg, invalid, save)
-        rec = stage("reconstruct", reconstruct, cfg, invalid, ratios, plans, images, save)
+        rec = stage("reconstruct", reconstruct, cfg, ratios, plans, images, save)
         metrics = stage("metrics", score, cfg, rec, obj, save)
         files = {p.name: digests[p].result() for p in sorted(digests)}
     finally:

@@ -173,19 +173,19 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
     return amp
 
 
-def retrieve_phase(invalid: InvalidBoundaryMaps, ratios: EdgeRatios,
+def retrieve_phase(invalid: InvalidBoundaryMaps | None, ratios: EdgeRatios,
                    origins: list[tuple[int, int]],
                    plans: list[PathPlan] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Multi-origin phase recovery with per-unit circular-mean fusion.
 
-    Each origin has its own plan (with transpose retry; built here unless
-    `plans` gives one per origin) and phase grid; the grids are aligned to
-    the first origin's at a shared reference unit (or by the circular mean of
-    their differences when the reference is not common) and fused per unit by
-    the circular mean anchored at the first contributor: exact when all
-    contributors agree mod 2*pi, the plain circular mean otherwise. Returns
-    (phase, provenance) where provenance holds the index of the first origin
-    that reached each unit.
+    Each origin has its own plan (with transpose retry; built here from
+    `invalid` unless `plans` gives one per origin, when `invalid` is not
+    read) and phase grid; the grids are aligned to the first origin's at a
+    shared reference unit (or by the circular mean of their differences when
+    the reference is not common) and fused per unit by the circular mean
+    anchored at the first contributor: exact when all contributors agree mod
+    2*pi, the plain circular mean otherwise. Returns (phase, provenance) where
+    provenance holds the index of the first origin that reached each unit.
     """
     if not origins:
         raise ValueError("need at least one origin")

@@ -236,6 +236,21 @@ def test_cli_staged_workflow(tmp_path):
     assert metrics == 0
 
 
+def test_cli_reconstruct_reads_no_invalid_maps(tmp_path):
+    # reconstruct takes the plans `paths` wrote; the invalid-boundary
+    # matrices are read only by `paths`
+    run = ["--outdir", str(tmp_path), "--s1", "6", "--s2", "7", "--pixels-per-unit", "8",
+           "--psf-radius", "2", "--seed", "4", "--origins", "0,0;5,6"]
+    for argv in (["patterns"], ["simulate"], *(["detect", "--j", j] for j in "1234"),
+                 ["mark-invalid"], ["paths"], ["reconstruct"]):
+        assert main([*argv, *run]) == 0
+    want = (tmp_path / "reconstruction.cf32").read_bytes()
+    for name in ("matrix_a.csv", "matrix_b.csv", "reconstruction.cf32"):
+        (tmp_path / name).unlink()
+    assert main(["reconstruct", *run]) == 0
+    assert (tmp_path / "reconstruction.cf32").read_bytes() == want
+
+
 def _metrics_row(path):
     header, values = path.read_text().splitlines()
     return dict(zip(header.split(","), map(float, values.split(","))))

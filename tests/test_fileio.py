@@ -331,6 +331,25 @@ def test_bool_grid_csv_ragged_names_file(tmp_path):
         fio.read_bool_grid_csv(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("1,2\n-5,0\n", 1),
+    ("1,0\n0,-1\n", 2),
+    ("0,1\n1,0\n0,7\n", 3),
+], ids=["two", "minus-one", "seven"])
+def test_bool_grid_csv_rejects_values_other_than_0_and_1(tmp_path, text, line):
+    path = tmp_path / "matrix_a.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"matrix_a\.csv' line {line}: .*expected 0 or 1"):
+        fio.read_bool_grid_csv(path)
+
+
+def test_fringe_maps_csv_rejects_values_other_than_0_and_1(tmp_path):
+    path = tmp_path / "fringes_row_j1.csv"
+    path.write_text("kind=row,j=1\n1,0\n0,2\n")
+    with pytest.raises(ValueError, match=r"fringes_row_j1\.csv' line 3: .*expected 0 or 1"):
+        fio.read_fringe_maps_csv(path)
+
+
 def test_blocking_stats_csv(tmp_path):
     stats = [BlockingStats(sigma=0.1, trials=500,
                            single_pass_block_rate=0.01, retry_block_rate=0.001)]
@@ -427,6 +446,18 @@ EDGE_RATIOS_HEADER = "kind,row,col,ratio_real,ratio_imag,valid\n"
 ], ids=["negative-row", "col-off-grid", "row-off-grid", "kind", "short",
         "row-not-int", "ratio-not-float", "valid-not-0-1"])
 def test_edge_ratios_reader_rejects_malformed(tmp_path, row):
+    path = tmp_path / "ratios.csv"
+    path.write_text(EDGE_RATIOS_HEADER + "h,0,0,1.0,0.0,1\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"ratios\.csv' line 3"):
+        fio.read_edge_ratios_csv(path, 2, 3)
+
+
+@pytest.mark.parametrize("row", [
+    "h,0,0,-1.0,0.0,1",          # the first row's edge again
+    "h,0,0,-1.0,0.0,0",          # again, flagged invalid
+    "h,0,1,-1.0,0.0,1,extra",    # one field too many
+], ids=["repeated-edge", "repeated-invalid-edge", "extra-field"])
+def test_edge_ratios_reader_rejects_repeats_and_extra_fields(tmp_path, row):
     path = tmp_path / "ratios.csv"
     path.write_text(EDGE_RATIOS_HEADER + "h,0,0,1.0,0.0,1\n" + row + "\n")
     with pytest.raises(ValueError, match=r"ratios\.csv' line 3"):

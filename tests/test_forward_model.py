@@ -2,15 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy.integrate import cumulative_trapezoid
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darkfringe.forward_model import (ComplexField, GridSpec, IntensityImage,
-                                      PsfModel, SimConfig, alternating_phases,
+from darkfringe.forward_model import (STRIP_PIXELS, ComplexField, GridSpec,
+                                      IntensityImage, PsfModel, SimConfig,
+                                      _kernel_profile, alternating_phases,
                                       field_profile_1d, fringe_radius_sweep,
                                       gamma_second_derivative,
                                       intensity_profile_1d, psf_eval,
                                       quantize_16bit, simulate_measurement_2d)
+from darkfringe.patterns import make_patterns
 
 from conftest import (frame_cases, gamma2_centered_fd, gamma2_fd_richardson,
                       gamma_quadrature, reference_simulate_measurement_2d,
@@ -61,6 +64,16 @@ def test_primitive_matches_analytic_gaussian():
     xs = np.array([1.0, 5.0, 20.0, 100.0])
     expect = 18.0 * np.sqrt(np.pi) / 2.0 * np.array([math.erf(v / 18.0) for v in xs])
     assert np.allclose(model.primitive(xs), expect, rtol=1e-5)
+
+
+@given(st.sampled_from(["box", "exponential", "gaussian"]),
+       st.floats(0.05, 40.0), st.floats(0.001, 0.25))
+@settings(max_examples=60, deadline=None)
+def test_primitive_table_is_cumulative_trapezoid(kind, radius, step):
+    model = PsfModel(kind, radius, step=step)
+    xs = model._xs
+    want = np.concatenate(([0.0], cumulative_trapezoid(_kernel_profile(kind, radius, xs), xs)))
+    assert model._table.tobytes() == want.tobytes()
 
 
 def test_psf_model_validation():
@@ -350,8 +363,20 @@ def test_noise_clipped_nonnegative():
     assert img.values.min() >= 0.0
 
 
+def _dgemm_split_case():
+    # splitting F into real and imaginary DGEMMs gets one pixel of this
+    # frame wrong in the last bit; the complex product gets none
+    s1, s2, ppu, m = 3, 17, 13, 4
+    rng = np.random.default_rng(0)
+    amps = rng.uniform(0.2, 1.0, (s1, s2))
+    obj = ComplexField(amps * np.exp(2j * np.pi * rng.integers(0, m, (s1, s2)) / m))
+    return (obj, make_patterns(m, s1, s2).patterns[1], PsfModel("exponential", 4.0),
+            SimConfig(pixels_per_unit=ppu, crop_rows=0), 0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(frame_cases())
+@example(_dgemm_split_case())
 def test_simulate_matches_full_frame_reference(case):
     # the strip passes give the whole-frame expressions' frame bit for bit,
     # including the noise stream across cropped rows and strip edges
@@ -381,6 +406,25 @@ def test_simulate_holds_only_the_field_and_the_frame():
     pixels = (16 * 64) ** 2
     assert img.values.shape[1] == 16 * 64
     assert peak <= 1.1 * (16 + 8) * pixels
+
+
+def test_simulate_holds_the_frame_and_two_field_strips():
+    # the field is built one row strip at a time: no frame-sized complex
+    # array, only the frame (8 B/px) and at most two complex strips
+    rng = np.random.default_rng(0)
+    obj = ComplexField(np.exp(2j * np.pi * rng.integers(0, 4, (16, 16)) / 4))
+    pattern = ComplexField(np.ones((16, 16), dtype=complex))
+    cfg = SimConfig(pixels_per_unit=64, noise_sigma=0.05)
+    model = PsfModel("gaussian", 16.0)
+    tracemalloc.start()
+    try:
+        img = simulate_measurement_2d(obj, pattern, model, cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pixels = (16 * 64) ** 2
+    assert img.values.shape[1] == 16 * 64
+    assert peak <= 1.1 * 8 * pixels + 2 * 16 * STRIP_PIXELS
 
 
 # ---------------------------------------------------------------------------

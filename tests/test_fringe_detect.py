@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.ndimage import gaussian_filter1d
 
 from darkfringe.forward_model import (GridSpec, IntensityImage, PsfModel,
                                       SimConfig, simulate_measurement_2d)
-from darkfringe.fringe_detect import DetectConfig, FringeMaps, recognize_fringes
+from darkfringe.fringe_detect import (DetectConfig, FringeMaps, _gaussian_filter,
+                                      recognize_fringes)
 from darkfringe.patterns import make_patterns
 from darkfringe.pipeline import random_quantized_object
 
@@ -25,6 +28,15 @@ def test_fringe_maps_shape_consistency():
     with pytest.raises(ValueError):
         FringeMaps(row_map=np.zeros((4, 3), bool), col_map=np.zeros((2, 4), bool),
                    measurement_index=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=80),
+                  elements=st.floats(-1e6, 1e6)),
+       st.one_of(st.floats(0.01, 24.0), st.integers(1, 16).map(float)))
+def test_gaussian_filter_is_scipys_bit_for_bit(x, sigma):
+    want = gaussian_filter1d(x, sigma, axis=0, mode="constant", truncate=4.0)
+    assert _gaussian_filter(x, sigma).tobytes() == want.tobytes()
 
 
 def test_constant_image_gives_zero_edges_and_no_fringes():
