@@ -10,7 +10,7 @@ phase ratios along the paths.
 from .boundary_logic import (EdgeRatios, InvalidBoundaryMaps, inject_misjudgment,
                              mark_invalid_and_ratios)
 from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
-                            SimConfig, field_profile_1d, fringe_radius_sweep,
+                            field_profile_1d, fringe_radius_sweep,
                             gamma_second_derivative, intensity_profile_1d,
                             psf_eval, simulate_measurement_2d)
 from .fringe_detect import DetectConfig, FringeMaps, recognize_fringes
@@ -19,8 +19,7 @@ from .patterns import (PatternSet, ReferenceLibrary, encode_8bit, make_patterns,
 from .path_search import (BlockingStats, PathPlan, blocking_montecarlo,
                           plan_paths, plan_with_retry, reachable_bfs)
 from .pipeline import RunConfig, StageError, run_pipeline
-from .reconstruct import (Reconstruction, ScoreMetrics, accumulate_phase,
-                          compose, compose_and_score, estimate_amplitude,
-                          retrieve_phase)
+from .reconstruct import (ScoreMetrics, accumulate_phase, compose_and_score,
+                          estimate_amplitude, retrieve_phase)
 
 __version__ = "0.1.0"

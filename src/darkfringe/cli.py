@@ -98,8 +98,10 @@ def _check_run_config(cfg: RunConfig) -> None:
     """Build every configuration object the stages build, so that a bad value
     is a usage error before anything runs, not a stage failure."""
     cfg.psf()
-    cfg.grid()            # builds sim_config() too
+    cfg.grid()
     cfg.detect_config()
+    if cfg.noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be nonnegative, got {cfg.noise_sigma}")
     if cfg.m < 2:
         raise ValueError(f"m must be at least 2, got {cfg.m}")
     for r, c in cfg.origins:
@@ -155,15 +157,14 @@ def build_parser() -> _Parser:
 def _run_stage(args, cfg: RunConfig) -> str:
     """Run one stage subcommand on the artifacts in --outdir through the
     pipeline's own stage function; returns the line to print."""
+    if args.command == "detect" and not 1 <= args.j <= cfg.m:
+        raise _UsageError(f"--j must be in 1..{cfg.m}, got {args.j}")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     indices = range(1, cfg.m + 1)
 
     def save(name: str, writer, *data) -> None:
         writer(outdir / name, *data)
-
-    def frame(path):
-        return fileio.read_pgm16(path, pixels_per_unit=cfg.pixels_per_unit)
 
     def fringe_map(j: int, kind: str) -> np.ndarray:
         path = outdir / f"fringes_{kind}_j{j}.csv"
@@ -187,7 +188,7 @@ def _run_stage(args, cfg: RunConfig) -> str:
         return f"wrote {len(images)} measurements to {outdir}"
     if command == "detect":
         image = args.image or outdir / f"measurement_j{args.j}.pgm"
-        stage("detect", lambda: pipeline.detect(cfg, frame(image), args.j, save))
+        stage("detect", lambda: pipeline.detect(cfg, fileio.read_pgm16(image), args.j, save))
         return f"wrote fringe maps for measurement {args.j} to {outdir}"
     if command == "mark-invalid":
         invalid, _ = stage("mark-invalid", lambda: pipeline.mark_invalid(
@@ -204,7 +205,8 @@ def _run_stage(args, cfg: RunConfig) -> str:
             cfg, fileio.read_edge_ratios_csv(outdir / "edge_ratios.csv", cfg.s1, cfg.s2),
             [fileio.read_path_plan_csv(outdir / f"path_plan_origin{k}.csv", origin)
              for k, origin in enumerate(cfg.origins, start=1)],
-            [frame(outdir / f"measurement_j{j}.pgm") for j in indices], save))
+            [fileio.read_pgm16(outdir / f"measurement_j{j}.pgm") for j in indices],
+            save))
         unknown = int(np.count_nonzero(rec.values == 0))
         return f"wrote reconstruction.cf32 ({unknown} unknown units)"
 

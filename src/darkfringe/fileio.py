@@ -112,14 +112,14 @@ def _pgm_scale(meta: dict, path) -> float:
     return scale
 
 
-def read_pgm16(path, pixels_per_unit: int = 1) -> IntensityImage:
+def read_pgm16(path) -> IntensityImage:
     """The frame's 16-bit levels, as stored, and its scale."""
     with _reading(path), open(path, "rb") as fh:
         width, height, meta = _read_pgm_header(fh, path, 65535)
         scale = _pgm_scale(meta, path)
         raw = np.frombuffer(_read_payload(fh, path, width * height * 2, "PGM"),
                             dtype=LEVELS)
-    return IntensityImage(raw.reshape(height, width), pixels_per_unit, scale)
+    return IntensityImage(raw.reshape(height, width), scale)
 
 
 def write_pgm8(path, values: np.ndarray) -> None:

@@ -20,13 +20,14 @@ as 16-bit levels rint(value * scale) with scale = 65535 / peak
 every later stage computes from and the PGM file stores. F itself is built
 one row strip at a time, and every frame-sized pass (the squared modulus and
 its max, the noise draws, the clip, the readout) streams in row strips of
-about STRIP_PIXELS pixels, with no frame-sized temporary.
+about STRIP_PIXELS pixels, with no frame-sized temporary. The grid a frame
+is simulated on, and read against later, is one :class:`GridSpec`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,11 +169,11 @@ class IntensityImage:
 
     A measurement holds the camera's 16-bit levels, with intensity = level /
     scale. The forward model's output before readout holds nonnegative float
-    intensities, with scale 1.
+    intensities, with scale 1. Which units the pixels belong to is the
+    grid's to say (:class:`GridSpec`), not the frame's.
     """
 
     values: np.ndarray
-    pixels_per_unit: int
     scale: float = 1.0
 
     def __post_init__(self):
@@ -184,8 +185,6 @@ class IntensityImage:
         # boolean frame, and NaN fails the comparison too
         if not (is_levels(self.values) or self.values.min() >= 0):
             raise ValueError("intensity values must be nonnegative (and not NaN)")
-        if self.pixels_per_unit < 1:
-            raise ValueError("pixels_per_unit must be positive")
         self.scale = float(self.scale)
         if not 0 < self.scale < np.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
@@ -201,7 +200,9 @@ class IntensityImage:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Pixel-unit grid geometry shared by simulation, detection and scoring."""
+    """Pixel-unit grid geometry: the one description of the s1 x s2 units,
+    their pixel pitch and the rows cropped top and bottom, which simulation,
+    detection and amplitude estimation all read."""
 
     s1: int
     s2: int
@@ -224,6 +225,12 @@ class GridSpec:
     def width(self) -> int:
         return self.s2 * self.pixels_per_unit
 
+    def check_frame(self, img: IntensityImage) -> None:
+        """Raise unless the frame has this grid's (height, width)."""
+        if img.values.shape != (self.height, self.width):
+            raise ValueError(f"image shape {img.values.shape} does not match grid "
+                             f"{(self.height, self.width)}")
+
 
 # pixels per row strip of a frame-sized pass: a float64 strip (512 KB) stays
 # in a core's L2 cache and is small next to any frame worth streaming
@@ -238,29 +245,6 @@ def strip_rows(width: int) -> int:
 def default_crop_rows(pixels_per_unit: int) -> int:
     """A few rows trimmed top and bottom, scaled to the unit size."""
     return int(np.ceil(2 * pixels_per_unit / 32))
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Knobs of the 2D measurement simulation."""
-
-    pixels_per_unit: int = 32
-    noise_sigma: float = 0.0
-    crop_rows: int | None = None
-
-    def __post_init__(self):
-        if self.pixels_per_unit < 4:
-            raise ValueError("pixels_per_unit must be >= 4")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if self.crop_rows is not None and self.crop_rows < 0:
-            raise ValueError("crop_rows must be nonnegative")
-
-    @property
-    def effective_crop_rows(self) -> int:
-        if self.crop_rows is None:
-            return default_crop_rows(self.pixels_per_unit)
-        return self.crop_rows
 
 
 def _unit_window(model: PsfModel, x: np.ndarray, unit_len: int, n_units: int) -> np.ndarray:
@@ -369,8 +353,8 @@ def fringe_radius_sweep(delta_phis, radii, unit_len: int, model_kind: str,
     return rows
 
 
-def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
-                            model: PsfModel, cfg: SimConfig, seed: int) -> IntensityImage:
+def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: PsfModel,
+                            grid: GridSpec, noise_sigma: float, seed: int) -> IntensityImage:
     """Simulate one camera frame of the object seen through a phase pattern.
 
     The source field is the per-unit product object * pattern. With the
@@ -379,8 +363,8 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
     pair of matrix products, F = G Wx^T with G = Wy source (H x s2). The
     frame is |F|^2 + noise_sigma * max|F|^2 * z, clipped at zero, with z
     standard normal draws from the seed's generator taken row-major over the
-    uncropped frame; crop_rows rows are then removed top and bottom (the top
-    rows' draws are consumed and dropped).
+    uncropped frame; the grid's crop_rows rows are then removed top and
+    bottom (the top rows' draws are consumed and dropped).
 
     Every pass runs in row strips: one complex strip of F at a time, as a
     complex product of G's rows with Wx^T, whose |F|^2 and max go straight
@@ -393,9 +377,14 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
     product is kept because two real products for Re F and Im F can differ
     from it in the last bit.
     """
+    if obj.shape != (grid.s1, grid.s2):
+        raise ValueError(f"object shape {obj.shape} does not match grid "
+                         f"{(grid.s1, grid.s2)}")
     if obj.shape != pattern.shape:
         raise ValueError(f"object shape {obj.shape} != pattern shape {pattern.shape}")
-    ppu = cfg.pixels_per_unit
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be nonnegative")
+    ppu = grid.pixels_per_unit
     if model.radius >= ppu:
         warnings.warn(
             "PSF radius reaches across a whole pixel-unit; fringes may be "
@@ -406,7 +395,7 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
     g = _unit_window(model, ys, ppu, s1) @ (obj.values * pattern.values)
     wxt = _unit_window(model, xs, ppu, s2).T.astype(complex)
     height, width = len(ys), len(xs)
-    crop = cfg.effective_crop_rows
+    crop = grid.crop_rows
     frame = np.empty((height - 2 * crop, width))
     rows = min(strip_rows(width), len(frame))
     field = np.empty((max(rows, 2), width), dtype=complex)
@@ -427,8 +416,8 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
             np.square(power, out=power)
             peak = max(peak, float(power.max()))
     del field
-    if cfg.noise_sigma > 0:
-        scale = cfg.noise_sigma * peak
+    if noise_sigma > 0:
+        scale = noise_sigma * peak
         rng = np.random.default_rng(seed)
         noise = np.empty((rows, width))
         for top in range(0, crop, rows):
@@ -440,7 +429,7 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField,
             part = frame[top:top + len(draws)]
             part += draws
             np.clip(part, 0.0, None, out=part)
-    return IntensityImage(frame, pixels_per_unit=ppu)
+    return IntensityImage(frame)
 
 
 def quantize_16bit(img: IntensityImage) -> IntensityImage:
@@ -465,4 +454,4 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
         np.multiply(vals[top:top + n], scale, out=scaled[:n])
         np.rint(scaled[:n], out=scaled[:n])
         np.copyto(levels[top:top + n], scaled[:n], casting="unsafe")
-    return IntensityImage(levels, img.pixels_per_unit, scale)
+    return IntensityImage(levels, scale)

@@ -250,10 +250,7 @@ def recognize_fringes(img: IntensityImage, grid: GridSpec,
     """
     if cfg is None:
         cfg = default_detect_config(grid.pixels_per_unit)
-    if img.values.shape != (grid.height, grid.width):
-        raise ValueError(
-            f"image shape {img.values.shape} does not match grid "
-            f"{(grid.height, grid.width)}")
+    grid.check_frame(img)
     if 2 * cfg.band_halfwidth >= grid.pixels_per_unit:
         raise ValueError("band_halfwidth must be below pixels_per_unit / 2")
     (count1, left), (count2, right) = _grid_windows(grid, cfg)

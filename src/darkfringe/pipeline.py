@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +29,14 @@ import numpy as np
 from . import fileio
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps, mark_invalid_and_ratios
 from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
-                            SimConfig, quantize_16bit, simulate_measurement_2d)
+                            default_crop_rows, quantize_16bit, simulate_measurement_2d)
 from .fringe_detect import (DetectConfig, FringeMaps, default_detect_config,
                             recognize_fringes)
 from .patterns import (ReferenceLibrary, encode_8bit, expand_to_pixels,
                        make_patterns, reference_library)
 from .path_search import PathPlan, plan_with_retry
-from .reconstruct import (ScoreMetrics, compose, compose_and_score,
-                          estimate_amplitude, retrieve_phase)
+from .reconstruct import (ScoreMetrics, compose_and_score, estimate_amplitude,
+                          retrieve_phase)
 
 
 class StageError(RuntimeError):
@@ -57,7 +57,7 @@ class RunConfig:
     psf_radius: float = 8.0
     m: int = 4
     noise_sigma: float = 0.0
-    crop_rows: int | None = None
+    crop_rows: int | None = None           # None: default_crop_rows(pixels_per_unit)
     quadrature_step: float = 0.05
     highpass_sigma: float | None = None     # None: pixels_per_unit / 4
     band_halfwidth: int = 2
@@ -66,11 +66,6 @@ class RunConfig:
     seed: int = 0
     outdir: str = "out"
     object_file: str | None = None          # CF32 path; None draws a random object
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(pixels_per_unit=self.pixels_per_unit,
-                         noise_sigma=self.noise_sigma,
-                         crop_rows=self.crop_rows)
 
     def detect_config(self) -> DetectConfig:
         sigma = self.highpass_sigma
@@ -81,26 +76,23 @@ class RunConfig:
                             fringe_ratio_alpha=self.fringe_ratio_alpha)
 
     def grid(self) -> GridSpec:
+        crop = self.crop_rows
+        if crop is None:
+            crop = default_crop_rows(self.pixels_per_unit)
         return GridSpec(s1=self.s1, s2=self.s2,
-                        pixels_per_unit=self.pixels_per_unit,
-                        crop_rows=self.sim_config().effective_crop_rows)
+                        pixels_per_unit=self.pixels_per_unit, crop_rows=crop)
 
     def psf(self) -> PsfModel:
         return PsfModel(self.psf_kind, self.psf_radius, step=self.quadrature_step)
 
     def echo(self) -> dict:
-        return {
-            "s1": self.s1, "s2": self.s2, "pixels_per_unit": self.pixels_per_unit,
-            "psf_kind": self.psf_kind, "psf_radius": self.psf_radius, "m": self.m,
-            "noise_sigma": self.noise_sigma, "crop_rows": self.grid().crop_rows,
-            "quadrature_step": self.quadrature_step,
-            "highpass_sigma": self.detect_config().highpass_sigma,
-            "band_halfwidth": self.band_halfwidth,
-            "fringe_ratio_alpha": self.fringe_ratio_alpha,
-            "origins": [list(o) for o in self.origins],
-            "seed": self.seed,
-            "object_file": self.object_file,
-        }
+        """Every field but outdir, with the defaults crop_rows and
+        highpass_sigma resolved to the values the stages use."""
+        echo = asdict(self)
+        del echo["outdir"]
+        echo["crop_rows"] = self.grid().crop_rows
+        echo["highpass_sigma"] = self.detect_config().highpass_sigma
+        return echo
 
 
 def random_quantized_object(s1: int, s2: int, m: int, seed: int) -> ComplexField:
@@ -119,12 +111,13 @@ def random_quantized_object(s1: int, s2: int, m: int, seed: int) -> ComplexField
 
 
 def simulate_measurements(obj: ComplexField, pattern_set, model: PsfModel,
-                          sim_cfg: SimConfig, seed: int) -> list[IntensityImage]:
+                          grid: GridSpec, noise_sigma: float,
+                          seed: int) -> list[IntensityImage]:
     """One 16-bit frame per pattern, each read out as soon as it is
     simulated, so no float frame outlives its readout; per-frame seeds
     derive from the run seed."""
-    return [quantize_16bit(simulate_measurement_2d(obj, pattern, model, sim_cfg,
-                                                   seed=seed + j))
+    return [quantize_16bit(simulate_measurement_2d(obj, pattern, model, grid,
+                                                   noise_sigma, seed=seed + j))
             for j, pattern in enumerate(pattern_set.patterns, start=1)]
 
 
@@ -179,7 +172,7 @@ def simulate(cfg: RunConfig, obj: ComplexField, save) -> list[IntensityImage]:
     """One 16-bit measurement frame per pattern: its levels and scale are
     what the later stages compute from and what the PGM file holds."""
     images = simulate_measurements(obj, make_patterns(cfg.m, cfg.s1, cfg.s2),
-                                   cfg.psf(), cfg.sim_config(), cfg.seed)
+                                   cfg.psf(), cfg.grid(), cfg.noise_sigma, cfg.seed)
     for j, img in enumerate(images, start=1):
         save(f"measurement_j{j}.pgm", fileio.write_pgm16, img)
     return images
@@ -217,9 +210,11 @@ def reconstruct(cfg: RunConfig, ratios: EdgeRatios, plans: list[PathPlan],
     """The complex image from the phase along the given plans (one per
     origin) and the amplitude from the measurement frames, UNKNOWN units 0,
     rounded to the float32 of reconstruction.cf32, which it is written as."""
-    phase, provenance = retrieve_phase(None, ratios, list(cfg.origins), plans)
+    phase, _ = retrieve_phase(None, ratios, list(cfg.origins), plans)
     amplitude = estimate_amplitude(images, cfg.grid(), cfg.band_halfwidth + 1)
-    values = compose(phase, amplitude, provenance).complex_image.values
+    unknown = np.isnan(phase)
+    values = amplitude * np.exp(1j * np.where(unknown, 0.0, phase))
+    values[unknown] = 0.0
     rec = ComplexField(values.astype(np.complex64))
     save("reconstruction.cf32", fileio.write_complex_field, rec)
     return rec

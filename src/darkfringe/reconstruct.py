@@ -31,16 +31,6 @@ from .forward_model import ComplexField, GridSpec, IntensityImage
 from .path_search import PathPlan, plan_with_retry
 
 
-@dataclass
-class Reconstruction:
-    """Recovered phase / amplitude grids; NaN phase marks UNKNOWN units."""
-
-    phase: np.ndarray
-    amplitude: np.ndarray
-    complex_image: ComplexField
-    provenance: np.ndarray   # index of the origin that fixed each unit, -1 unknown
-
-
 @dataclass(frozen=True)
 class ScoreMetrics:
     phase_rmse: float
@@ -147,10 +137,7 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
     if not images:
         raise ValueError("need at least one image")
     for img in images:
-        if img.values.shape != (grid.height, grid.width):
-            raise ValueError(
-                f"image shape {img.values.shape} does not match grid "
-                f"{(grid.height, grid.width)}")
+        grid.check_frame(img)
     ppu, s2 = grid.pixels_per_unit, grid.s2
     inner = slice(erode, ppu - erode)
     cols = len(range(ppu)[inner])
@@ -222,23 +209,6 @@ def retrieve_phase(invalid: InvalidBoundaryMaps | None, ratios: EdgeRatios,
     phase = np.where(reached, np.mod(mean, 2.0 * np.pi), np.nan)
     provenance = np.where(reached, np.asarray(contributors)[first], -1)
     return phase, provenance
-
-
-def compose(phase: np.ndarray, amplitude: np.ndarray,
-            provenance: np.ndarray | None = None) -> Reconstruction:
-    """Pack phase and amplitude grids into a Reconstruction.
-
-    UNKNOWN units (NaN phase) are zeroed in the complex image; the NaN in the
-    phase grid stays authoritative.
-    """
-    if phase.shape != amplitude.shape:
-        raise ValueError("phase and amplitude shapes differ")
-    values = amplitude * np.exp(1j * np.where(np.isnan(phase), 0.0, phase))
-    values[np.isnan(phase)] = 0.0
-    if provenance is None:
-        provenance = np.where(np.isnan(phase), -1, 0).astype(int)
-    return Reconstruction(phase=phase, amplitude=amplitude,
-                          complex_image=ComplexField(values), provenance=provenance)
 
 
 def compose_and_score(phase: np.ndarray, amplitude: np.ndarray,

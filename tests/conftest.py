@@ -12,7 +12,7 @@ from scipy.ndimage import gaussian_filter
 
 import darkfringe as df
 from darkfringe.fileio import _read_pgm_header
-from darkfringe.forward_model import _unit_window
+from darkfringe.forward_model import _unit_window, default_crop_rows
 from darkfringe.path_search import MOVES, random_invalid_maps, transpose_invalid
 from darkfringe.fringe_detect import FringeMaps, default_detect_config
 from darkfringe.pipeline import random_quantized_object, simulate_measurements
@@ -326,22 +326,23 @@ def reference_retrieve_phase(invalid, ratios, origins, planner=None):
 # row strips and on two threads, kept as oracles
 
 
-def reference_simulate_measurement_2d(obj, pattern, model, cfg, seed) -> df.IntensityImage:
+def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
+                                      seed) -> df.IntensityImage:
     """|F|^2 as one frame, plus one frame of normal(0, sigma * max) noise,
     clipped, then cropped."""
     s1, s2 = obj.shape
-    ppu = cfg.pixels_per_unit
+    ppu = grid.pixels_per_unit
     source = obj.values * pattern.values
     wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1)
     wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
     intensity = np.abs(wy @ source @ wx.T) ** 2
-    if cfg.noise_sigma > 0:
+    if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        intensity = intensity + rng.normal(0.0, cfg.noise_sigma * intensity.max(),
+        intensity = intensity + rng.normal(0.0, noise_sigma * intensity.max(),
                                            size=intensity.shape)
         intensity = np.clip(intensity, 0.0, None)
-    crop = cfg.effective_crop_rows
-    return df.IntensityImage(intensity[crop:intensity.shape[0] - crop], ppu)
+    crop = grid.crop_rows
+    return df.IntensityImage(intensity[crop:intensity.shape[0] - crop])
 
 
 def reference_write_pgm16(path, img) -> None:
@@ -356,13 +357,12 @@ def reference_write_pgm16(path, img) -> None:
         fh.write(data.tobytes())
 
 
-def reference_read_pgm16(path, pixels_per_unit=1) -> df.IntensityImage:
+def reference_read_pgm16(path) -> df.IntensityImage:
     with open(path, "rb") as fh:
         width, height, meta = _read_pgm_header(fh, path, 65535)
         raw = np.frombuffer(fh.read(width * height * 2), dtype=">u2")
     scale = float(meta.get("scale", 1.0))
-    return df.IntensityImage(raw.reshape(height, width).astype(float) / scale,
-                             pixels_per_unit)
+    return df.IntensityImage(raw.reshape(height, width).astype(float) / scale)
 
 
 def reference_pattern_pgm(path, pattern, pixels_per_unit) -> None:
@@ -415,9 +415,9 @@ def frame_cases(draw):
     model = df.PsfModel(draw(st.sampled_from(df.forward_model.PSF_KINDS)),
                         draw(st.floats(0.5, ppu - 0.5)))
     crop = draw(st.one_of(st.none(), st.integers(0, (s1 * ppu - 1) // 2)))
-    cfg = df.SimConfig(pixels_per_unit=ppu, crop_rows=crop,
-                       noise_sigma=draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])))
-    return obj, pattern, model, cfg, draw(st.integers(0, 2**31 - 1))
+    grid = df.GridSpec(s1, s2, ppu, default_crop_rows(ppu) if crop is None else crop)
+    noise = draw(st.sampled_from([0.0, 0.01, 0.05, 0.3]))
+    return obj, pattern, model, grid, noise, draw(st.integers(0, 2**31 - 1))
 
 
 @st.composite
@@ -438,8 +438,8 @@ class SimSetup:
 
     def __init__(self, s1=16, s2=16, ppu=32, radius=8.0, noise=0.0, m=4):
         self.s1, self.s2, self.m = s1, s2, m
-        self.sim_cfg = df.SimConfig(pixels_per_unit=ppu, noise_sigma=noise)
-        self.grid = df.GridSpec(s1, s2, ppu, self.sim_cfg.effective_crop_rows)
+        self.noise = noise
+        self.grid = df.GridSpec(s1, s2, ppu, default_crop_rows(ppu))
         self.model = df.PsfModel("gaussian", radius)
         self.patterns = df.make_patterns(m, s1, s2)
         self.library = df.reference_library(self.patterns)
@@ -450,7 +450,7 @@ class SimSetup:
 
     def measure(self, obj, seed):
         return simulate_measurements(obj, self.patterns, self.model,
-                                     self.sim_cfg, seed)
+                                     self.grid, self.noise, seed)
 
     def detect(self, images):
         return [df.recognize_fringes(img, self.grid, self.detect_cfg,

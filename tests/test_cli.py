@@ -138,12 +138,31 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
     ["--band-halfwidth", "0"],
     ["--m", "1"],
     ["--s1", "4", "--s2", "4", "--origins", "9,9"],
-], ids=["quadrature-step", "band-halfwidth", "m", "origins"])
+    ["--noise-sigma", "-0.1"],
+    ["--pixels-per-unit", "3"],
+    ["--crop-rows", "-1"],
+], ids=["quadrature-step", "band-halfwidth", "m", "origins", "noise-sigma",
+        "pixels-per-unit", "crop-rows"])
 def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
     outdir = tmp_path / "run"
     assert main(["pipeline", "--outdir", str(outdir)] + flags) == 1
     assert "usage error: bad run configuration" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("j", ["0", "-1", "5", "7"])
+def test_cli_detect_j_out_of_range_is_usage_error(tmp_path, capsys, j):
+    # only measurements 1..m exist; any other --j writes nothing, even when
+    # --image names a real frame
+    run = ["--outdir", str(tmp_path), "--s1", "4", "--s2", "4",
+           "--pixels-per-unit", "8", "--psf-radius", "2"]
+    assert main(["simulate", *run]) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["detect", "--j", j, "--image", str(tmp_path / "measurement_j1.pgm"),
+                 *run]) == 1
+    assert f"usage error: --j must be in 1..4, got {j}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_cli_usage_error_exit_1(capsys):

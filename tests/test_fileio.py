@@ -23,11 +23,11 @@ from conftest import (frame_cases, planner_cases, reference_read_pgm16,
 
 def test_pgm16_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    img = IntensityImage(rng.random((20, 30)) * 1234.5, pixels_per_unit=10)
+    img = IntensityImage(rng.random((20, 30)) * 1234.5)
     frame = quantize_16bit(img)
     path = tmp_path / "img.pgm"
     fio.write_pgm16(path, frame)
-    back = fio.read_pgm16(path, pixels_per_unit=10)
+    back = fio.read_pgm16(path)
     # the file holds the levels and the scale as they are
     assert back.values.tobytes() == frame.values.tobytes()
     assert back.scale == frame.scale == 65535.0 / img.values.max()
@@ -43,22 +43,22 @@ def test_pgm16_matches_full_frame_reference(case):
     # strip-wise quantization gives the file bytes of the whole-frame
     # expressions, and the levels read back divided by their scale are the
     # whole-frame reader's values
-    obj, pattern, model, cfg, seed = case
-    img = simulate_measurement_2d(obj, pattern, model, cfg, seed)
+    obj, pattern, model, grid, noise, seed = case
+    img = simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.pgm", Path(tmp) / "want.pgm"
         reference_write_pgm16(want, img)
-        expected = reference_read_pgm16(want, pixels_per_unit=cfg.pixels_per_unit)
+        expected = reference_read_pgm16(want)
         for strips in strip_sizes():
             with strips:
                 fio.write_pgm16(got, quantize_16bit(img))
             assert got.read_bytes() == want.read_bytes()
-            back = fio.read_pgm16(got, pixels_per_unit=cfg.pixels_per_unit)
+            back = fio.read_pgm16(got)
             assert (back.values / back.scale).tobytes() == expected.values.tobytes()
 
 
 def test_pgm16_zero_frame_matches_reference(tmp_path):
-    img = IntensityImage(np.zeros((300, 7)), pixels_per_unit=4)
+    img = IntensityImage(np.zeros((300, 7)))
     fio.write_pgm16(tmp_path / "got.pgm", quantize_16bit(img))
     reference_write_pgm16(tmp_path / "want.pgm", img)
     assert (tmp_path / "got.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
@@ -71,7 +71,7 @@ def test_write_pgm16_streams_in_strips(tmp_path):
     # a 1024 x 1024 frame is 16 strips; the readout allocates the 2 B/px
     # levels and one float64 strip, never a scaled or rounded frame, and the
     # writer writes the levels without copying them
-    img = IntensityImage(np.random.default_rng(0).random((1024, 1024)), 64)
+    img = IntensityImage(np.random.default_rng(0).random((1024, 1024)))
     tracemalloc.start()
     try:
         frame = quantize_16bit(img)
@@ -89,7 +89,7 @@ def test_write_pgm16_streams_in_strips(tmp_path):
 def test_write_pgm16_rejects_a_float_frame(tmp_path):
     path = tmp_path / "frame.pgm"
     with pytest.raises(ValueError, match=r"frame\.pgm.*16-bit levels.*float64"):
-        fio.write_pgm16(path, IntensityImage(np.ones((4, 4)), pixels_per_unit=4))
+        fio.write_pgm16(path, IntensityImage(np.ones((4, 4))))
     assert not path.exists()
 
 
@@ -409,7 +409,7 @@ def _truncate(path, nbytes):
 
 def test_pgm16_truncated_names_file(tmp_path):
     path = tmp_path / "frame.pgm"
-    fio.write_pgm16(path, quantize_16bit(IntensityImage(np.ones((8, 8)), pixels_per_unit=4)))
+    fio.write_pgm16(path, quantize_16bit(IntensityImage(np.ones((8, 8)))))
     _truncate(path, 69)
     with pytest.raises(ValueError, match=r"frame\.pgm.*expected 128 data bytes, found 59"):
         fio.read_pgm16(path)
@@ -513,7 +513,7 @@ def _seed_files() -> dict:
                             vertical=np.array([[1j, -1j, 1]]))
         plan = plan_paths(InvalidBoundaryMaps(np.array([[False, True], [False, False]]),
                                               np.array([[False, True, False]])), (0, 0))
-        frame = quantize_16bit(IntensityImage(np.arange(12.0).reshape(3, 4), 2))
+        frame = quantize_16bit(IntensityImage(np.arange(12.0).reshape(3, 4)))
         plan_text = written(fio.write_path_plan_csv, plan)
         header = b"row,col,move\r\n"
         return {

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darkfringe.forward_model import (STRIP_PIXELS, ComplexField, GridSpec,
-                                      IntensityImage, PsfModel, SimConfig,
+                                      IntensityImage, PsfModel,
                                       _kernel_profile, alternating_phases,
+                                      default_crop_rows,
                                       field_profile_1d, fringe_radius_sweep,
                                       gamma_second_derivative,
                                       intensity_profile_1d, psf_eval,
@@ -286,8 +287,9 @@ def test_sweep_axis_local_min_then_max():
 def test_simulate_constant_object_identity_pattern_no_fringes():
     obj = ComplexField(np.ones((4, 4), dtype=complex))
     pattern = ComplexField(np.ones((4, 4), dtype=complex))   # ratio 1 ramp
-    cfg = SimConfig(pixels_per_unit=32, crop_rows=0)
-    img = simulate_measurement_2d(obj, pattern, PsfModel("gaussian", 8.0), cfg, seed=0)
+    grid = GridSpec(4, 4, 32, crop_rows=0)
+    img = simulate_measurement_2d(obj, pattern, PsfModel("gaussian", 8.0), grid, 0.0,
+                                  seed=0)
     inner = img.values[32:-32, 32:-32]
     assert np.ptp(inner) / inner.mean() < 1e-6
 
@@ -296,9 +298,9 @@ def test_simulate_2x2_fringes_match_1d_oracle():
     # phases {0, pi/2; pi/2, pi}: every shared boundary steps by a quarter turn
     obj = ComplexField(np.array([[1.0, 1j], [1j, -1.0]]))
     pattern = ComplexField(np.ones((2, 2), dtype=complex))
-    cfg = SimConfig(pixels_per_unit=64, crop_rows=0)
+    grid = GridSpec(2, 2, 64, crop_rows=0)
     model = PsfModel("gaussian", 8.0)
-    img = simulate_measurement_2d(obj, pattern, model, cfg, seed=0)
+    img = simulate_measurement_2d(obj, pattern, model, grid, 0.0, seed=0)
     # 1D oracle along the row through the middle of the first unit row
     prof = intensity_profile_1d([0.0, np.pi / 2], 64, model)
     row = img.values[32]
@@ -328,38 +330,50 @@ def test_simulate_fringe_disappears_in_exactly_one_pattern(sim16):
 
 
 def test_simulate_dimension_mismatch():
-    cfg = SimConfig(pixels_per_unit=32)
+    grid = GridSpec(2, 2, 32, default_crop_rows(32))
     with pytest.raises(ValueError):
         simulate_measurement_2d(ComplexField(np.ones((2, 2))),
                                 ComplexField(np.ones((2, 3))),
-                                PsfModel("gaussian", 4.0), cfg, seed=0)
+                                PsfModel("gaussian", 4.0), grid, 0.0, seed=0)
+
+
+def test_simulate_rejects_object_off_grid_and_negative_noise():
+    grid = GridSpec(2, 2, 8, crop_rows=0)
+    model = PsfModel("gaussian", 2.0)
+    with pytest.raises(ValueError, match=r"object shape \(2, 3\) does not match grid"):
+        simulate_measurement_2d(ComplexField(np.ones((2, 3))),
+                                ComplexField(np.ones((2, 3))), model, grid, 0.0, seed=0)
+    with pytest.raises(ValueError, match="noise_sigma must be nonnegative"):
+        simulate_measurement_2d(ComplexField(np.ones((2, 2))),
+                                ComplexField(np.ones((2, 2))), model, grid, -0.1, seed=0)
 
 
 def test_simulate_warns_on_wide_psf():
-    cfg = SimConfig(pixels_per_unit=8, crop_rows=0)
+    grid = GridSpec(2, 2, 8, crop_rows=0)
     with pytest.warns(UserWarning):
         simulate_measurement_2d(ComplexField(np.ones((2, 2))),
                                 ComplexField(np.ones((2, 2))),
-                                PsfModel("gaussian", 9.0), cfg, seed=0)
+                                PsfModel("gaussian", 9.0), grid, 0.0, seed=0)
 
 
 def test_simulate_deterministic_under_seed():
     obj = ComplexField(np.exp(1j * np.linspace(0, 3, 16).reshape(4, 4)))
     pattern = ComplexField(np.ones((4, 4), dtype=complex))
-    cfg = SimConfig(pixels_per_unit=16, noise_sigma=0.05)
+    grid = GridSpec(4, 4, 16, default_crop_rows(16))
     model = PsfModel("gaussian", 4.0)
-    a = simulate_measurement_2d(obj, pattern, model, cfg, seed=123)
-    b = simulate_measurement_2d(obj, pattern, model, cfg, seed=123)
+    a = simulate_measurement_2d(obj, pattern, model, grid, 0.05, seed=123)
+    b = simulate_measurement_2d(obj, pattern, model, grid, 0.05, seed=123)
     assert np.array_equal(a.values, b.values)
-    c = simulate_measurement_2d(obj, pattern, model, cfg, seed=124)
+    c = simulate_measurement_2d(obj, pattern, model, grid, 0.05, seed=124)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_noise_clipped_nonnegative():
     obj = ComplexField(np.ones((2, 2), dtype=complex))
     pattern = ComplexField(np.array([[1, 1j], [1j, -1]], dtype=complex))
-    cfg = SimConfig(pixels_per_unit=16, noise_sigma=0.5, crop_rows=0)
-    img = simulate_measurement_2d(obj, pattern, PsfModel("gaussian", 4.0), cfg, seed=1)
+    grid = GridSpec(2, 2, 16, crop_rows=0)
+    img = simulate_measurement_2d(obj, pattern, PsfModel("gaussian", 4.0), grid, 0.5,
+                                  seed=1)
     assert img.values.min() >= 0.0
 
 
@@ -371,7 +385,7 @@ def _dgemm_split_case():
     amps = rng.uniform(0.2, 1.0, (s1, s2))
     obj = ComplexField(amps * np.exp(2j * np.pi * rng.integers(0, m, (s1, s2)) / m))
     return (obj, make_patterns(m, s1, s2).patterns[1], PsfModel("exponential", 4.0),
-            SimConfig(pixels_per_unit=ppu, crop_rows=0), 0)
+            GridSpec(s1, s2, ppu, crop_rows=0), 0.0, 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -380,11 +394,11 @@ def _dgemm_split_case():
 def test_simulate_matches_full_frame_reference(case):
     # the strip passes give the whole-frame expressions' frame bit for bit,
     # including the noise stream across cropped rows and strip edges
-    obj, pattern, model, cfg, seed = case
-    want = reference_simulate_measurement_2d(obj, pattern, model, cfg, seed)
+    obj, pattern, model, grid, noise, seed = case
+    want = reference_simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
     for strips in strip_sizes():
         with strips:
-            got = simulate_measurement_2d(obj, pattern, model, cfg, seed)
+            got = simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
         assert got.values.shape == want.values.shape
         assert got.values.tobytes() == want.values.tobytes()
 
@@ -395,11 +409,11 @@ def test_simulate_holds_only_the_field_and_the_frame():
     rng = np.random.default_rng(0)
     obj = ComplexField(np.exp(2j * np.pi * rng.integers(0, 4, (16, 16)) / 4))
     pattern = ComplexField(np.ones((16, 16), dtype=complex))
-    cfg = SimConfig(pixels_per_unit=64, noise_sigma=0.05)
+    grid = GridSpec(16, 16, 64, default_crop_rows(64))
     model = PsfModel("gaussian", 16.0)
     tracemalloc.start()
     try:
-        img = simulate_measurement_2d(obj, pattern, model, cfg, seed=1)
+        img = simulate_measurement_2d(obj, pattern, model, grid, 0.05, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,11 +428,11 @@ def test_simulate_holds_the_frame_and_two_field_strips():
     rng = np.random.default_rng(0)
     obj = ComplexField(np.exp(2j * np.pi * rng.integers(0, 4, (16, 16)) / 4))
     pattern = ComplexField(np.ones((16, 16), dtype=complex))
-    cfg = SimConfig(pixels_per_unit=64, noise_sigma=0.05)
+    grid = GridSpec(16, 16, 64, default_crop_rows(64))
     model = PsfModel("gaussian", 16.0)
     tracemalloc.start()
     try:
-        img = simulate_measurement_2d(obj, pattern, model, cfg, seed=1)
+        img = simulate_measurement_2d(obj, pattern, model, grid, 0.05, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -435,9 +449,9 @@ def test_type_validation():
     with pytest.raises(ValueError):
         ComplexField(np.array([[np.inf + 0j]]))
     with pytest.raises(ValueError):
-        IntensityImage(np.array([[-1.0]]), 4)
+        IntensityImage(np.array([[-1.0]]))
     with pytest.raises(ValueError):
-        SimConfig(pixels_per_unit=2)
+        GridSpec(4, 4, 2)
     with pytest.raises(ValueError):
         PsfModel("gaussian", 8.0, step=0.3)
     with pytest.raises(ValueError):
@@ -448,21 +462,21 @@ def test_type_validation():
 
 def test_intensity_image_rejects_nan_and_empty():
     with pytest.raises(ValueError, match="nonnegative"):
-        IntensityImage(np.array([[1.0, np.nan], [0.0, 2.0]]), 4)
+        IntensityImage(np.array([[1.0, np.nan], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="nonnegative"):
-        IntensityImage(np.array([[np.nan]]), 4)
+        IntensityImage(np.array([[np.nan]]))
     with pytest.raises(ValueError, match="non-empty 2D"):
-        IntensityImage(np.zeros((0, 3)), 4)
-    assert IntensityImage(np.array([[0.0, -0.0]]), 4).values.shape == (1, 2)
+        IntensityImage(np.zeros((0, 3)))
+    assert IntensityImage(np.array([[0.0, -0.0]])).values.shape == (1, 2)
 
 
 def test_intensity_image_keeps_levels_and_checks_scale():
     levels = np.array([[0, 7], [65535, 1]], dtype=">u2")
-    img = IntensityImage(levels, 4, scale=2.5)
+    img = IntensityImage(levels, scale=2.5)
     assert img.values is levels and img.scale == 2.5
-    assert IntensityImage(np.ones((1, 1)), 4).scale == 1.0
+    assert IntensityImage(np.ones((1, 1))).scale == 1.0
     for scale in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="scale must be positive and finite"):
-            IntensityImage(levels, 4, scale=scale)
+            IntensityImage(levels, scale=scale)
     with pytest.raises(ValueError, match="already 16-bit levels"):
         quantize_16bit(img)

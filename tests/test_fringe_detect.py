@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.ndimage import gaussian_filter1d
 
 from darkfringe.forward_model import (GridSpec, IntensityImage, PsfModel,
-                                      SimConfig, simulate_measurement_2d)
+                                      simulate_measurement_2d)
 from darkfringe.fringe_detect import (DetectConfig, FringeMaps, _gaussian_filter,
                                       recognize_fringes)
 from darkfringe.patterns import make_patterns
@@ -41,21 +41,21 @@ def test_gaussian_filter_is_scipys_bit_for_bit(x, sigma):
 
 def test_constant_image_gives_zero_edges_and_no_fringes():
     grid = GridSpec(4, 4, 32, crop_rows=0)
-    img = IntensityImage(np.full((grid.height, grid.width), 7.0), 32)
+    img = IntensityImage(np.full((grid.height, grid.width), 7.0))
     maps = recognize_fringes(img, grid, DetectConfig(highpass_sigma=8.0))
     assert not maps.row_map.any()
     assert not maps.col_map.any()
 
 
 def test_grid_mismatch_rejected(sim16):
-    img = IntensityImage(np.ones((10, 10)), 32)
+    img = IntensityImage(np.ones((10, 10)))
     with pytest.raises(ValueError):
         recognize_fringes(img, sim16.grid, sim16.detect_cfg)
 
 
 def test_zero_flank_marks_present_and_flags():
     grid = GridSpec(1, 2, 32, crop_rows=0)
-    img = IntensityImage(np.zeros((grid.height, grid.width)), 32)
+    img = IntensityImage(np.zeros((grid.height, grid.width)))
     maps = recognize_fringes(img, grid, DetectConfig(highpass_sigma=8.0))
     assert maps.row_map[0, 0]
     assert maps.diagnostics["zero_flank_row"][0, 0]
@@ -113,16 +113,16 @@ def detection_case(s1, s2, ppu, crop, sigma, halfwidth, alpha, kind, radius,
                    noise, seed, pattern, zeroed=None):
     """A simulated frame with its grid and detection config; `zeroed` is an
     optional (row, col, height, width) rectangle set to 0."""
-    sim = SimConfig(pixels_per_unit=ppu, crop_rows=crop, noise_sigma=noise)
+    grid = GridSpec(s1, s2, ppu, crop)
     obj = random_quantized_object(s1, s2, 4, seed)
     values = simulate_measurement_2d(obj, make_patterns(4, s1, s2).patterns[pattern],
-                                     PsfModel(kind, radius), sim, seed).values
+                                     PsfModel(kind, radius), grid, noise, seed).values
     if zeroed is not None:
         r0, c0, h, w = zeroed
         values[r0:r0 + h, c0:c0 + w] = 0.0
     cfg = DetectConfig(highpass_sigma=sigma, band_halfwidth=halfwidth,
                        fringe_ratio_alpha=alpha)
-    return IntensityImage(values, ppu), GridSpec(s1, s2, ppu, crop), cfg
+    return IntensityImage(values), grid, cfg
 
 
 @st.composite

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import darkfringe as df
-from darkfringe.boundary_logic import InvalidBoundaryMaps
+from darkfringe.boundary_logic import EdgeRatios, InvalidBoundaryMaps
 from darkfringe.forward_model import (ComplexField, GridSpec, IntensityImage,
                                       quantize_16bit, simulate_measurement_2d)
+from darkfringe.fileio import read_complex_field
 from darkfringe.path_search import plan_paths, plan_with_retry
-from darkfringe.reconstruct import (_interior_rows, accumulate_phase, compose,
+from darkfringe.pipeline import RunConfig, reconstruct
+from darkfringe.reconstruct import (_interior_rows, accumulate_phase,
                                     compose_and_score, estimate_amplitude,
                                     retrieve_phase)
 
@@ -226,10 +228,8 @@ def test_amplitude_requires_consistent_shapes():
 def test_amplitude_matches_single_thread_reference(case, frames, erode):
     # two threads and caller-owned pool buffers give the one-thread medians
     # bit for bit, or the same error when a unit row has no interior left
-    obj, pattern, model, cfg, seed = case
-    s1, s2 = obj.shape
-    grid = GridSpec(s1, s2, cfg.pixels_per_unit, cfg.effective_crop_rows)
-    images = [simulate_measurement_2d(obj, pattern, model, cfg, seed + k)
+    obj, pattern, model, grid, noise, seed = case
+    images = [simulate_measurement_2d(obj, pattern, model, grid, noise, seed + k)
               for k in range(frames)]
     try:
         want = reference_estimate_amplitude(images, grid, erode)
@@ -242,8 +242,7 @@ def test_amplitude_matches_single_thread_reference(case, frames, erode):
     # 16-bit frames: each frame's levels divided by its own scale give the
     # medians of the frames read back from their PGM files
     frames = [quantize_16bit(img) for img in images]
-    read_back = [IntensityImage(f.values.astype(float) / f.scale, f.pixels_per_unit)
-                 for f in frames]
+    read_back = [IntensityImage(f.values.astype(float) / f.scale) for f in frames]
     got = estimate_amplitude(frames, grid, erode)
     assert got.tobytes() == reference_estimate_amplitude(read_back, grid, erode).tobytes()
 
@@ -262,7 +261,7 @@ def test_interior_rows_stay_inside_the_cropped_frame():
 
 def test_amplitude_names_the_first_empty_unit_row():
     grid = GridSpec(4, 4, 8, crop_rows=6)
-    images = [df.IntensityImage(np.ones((grid.height, grid.width)), 8)]
+    images = [df.IntensityImage(np.ones((grid.height, grid.width)))]
     with pytest.raises(ValueError, match=re.escape("unit (0, 0) has no surviving")):
         estimate_amplitude(images, grid, erode=3)
 
@@ -304,9 +303,19 @@ def test_score_counts_unknown_units():
     assert m.phase_rmse == 0.0
 
 
-def test_compose_zeroes_unknowns():
-    phase = np.array([[0.0, np.nan]])
-    amp = np.array([[1.0, 0.5]])
-    rec = compose(phase, amp)
-    assert rec.complex_image.values[0, 1] == 0.0
-    assert rec.provenance[0, 1] == -1
+def test_reconstruct_stores_unreachable_unit_as_zero(tmp_path):
+    # unit (0, 2) is walled off on both of its edges: the origin's plan
+    # leaves it unreachable, and reconstruction.cf32 holds exactly 0 there
+    cfg = RunConfig(s1=2, s2=3, pixels_per_unit=8, psf_radius=2.0)
+    grid = cfg.grid()
+    invalid = InvalidBoundaryMaps(np.array([[False, True], [False, False]]),
+                                  np.array([[False, False, True]]))
+    ratios = EdgeRatios(np.ones((2, 2), complex), np.ones((1, 3), complex))
+    plans = [plan_with_retry(invalid, [(0, 0)])]
+    assert not plans[0].reachable_mask()[0, 2]
+    images = [IntensityImage(np.ones((grid.height, grid.width)))]
+    reconstruct(cfg, ratios, plans, images,
+                lambda name, writer, *args: writer(tmp_path / name, *args))
+    stored = read_complex_field(tmp_path / "reconstruction.cf32").values
+    assert stored[0, 2] == 0
+    assert np.count_nonzero(stored) == 5
