@@ -7,8 +7,10 @@ data (the 16-bit measurement frames, the path plans `paths` wrote), so both
 write the same files; `simulate` writes object.cf32 too, which `metrics
 --truth` reads, and `mark-invalid` refuses a fringe map whose kind=/j= header
 is not the one its file name says. A --config file of key=value lines seeds the
-options; explicit flags override it. Exit status: 0 on success, 1 on usage
-errors, 2 when a stage fails, with the stage named on stderr.
+options; explicit flags override it. A configuration that RunConfig.check
+rejects, and an argument that a study tool rejects, is a usage error; the
+CLI's own rule is only --j's range 1..m. Exit status: 0 on success, 1 on
+usage errors, 2 when a stage fails, with the stage named on stderr.
 """
 
 from __future__ import annotations
@@ -88,25 +90,10 @@ def _run_config(args) -> RunConfig:
             values[key] = flag
     cfg = RunConfig(**values)
     try:
-        _check_run_config(cfg)
+        cfg.check()
     except ValueError as exc:
         raise _UsageError(f"bad run configuration: {exc}") from exc
     return cfg
-
-
-def _check_run_config(cfg: RunConfig) -> None:
-    """Build every configuration object the stages build, so that a bad value
-    is a usage error before anything runs, not a stage failure."""
-    cfg.psf()
-    cfg.grid()
-    cfg.detect_config()
-    if cfg.noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be nonnegative, got {cfg.noise_sigma}")
-    if cfg.m < 2:
-        raise ValueError(f"m must be at least 2, got {cfg.m}")
-    for r, c in cfg.origins:
-        if not (0 <= r < cfg.s1 and 0 <= c < cfg.s2):
-            raise ValueError(f"origin {(r, c)} outside the {cfg.s1} x {cfg.s2} grid")
 
 
 def _add_run_options(sub):
@@ -217,6 +204,15 @@ def _run_stage(args, cfg: RunConfig) -> str:
             f"unknown_frac={metrics.unknown_frac!r}")
 
 
+def _study(command: str, tool, *args):
+    """Run a study tool. It reads no file, so a ValueError from it rejects
+    one of its arguments: a usage error."""
+    try:
+        return tool(*args)
+    except ValueError as exc:
+        raise _UsageError(f"bad {command} argument: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -226,14 +222,15 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.command == "psf-sweep":
-            rows = fringe_radius_sweep([w * np.pi for w in args.delta_phis],
-                                       args.radii, args.unit_len, args.kind)
+            rows = _study(args.command, fringe_radius_sweep,
+                          [w * np.pi for w in args.delta_phis], args.radii,
+                          args.unit_len, args.kind)
             fileio.write_sweep_csv(args.out, rows)
             print(f"wrote {len(rows)} sweep rows to {args.out}")
             return 0
         if args.command == "montecarlo-blocking":
-            stats = blocking_montecarlo((args.s1, args.s2), args.sigmas,
-                                        args.trials, args.seed)
+            stats = _study(args.command, blocking_montecarlo, (args.s1, args.s2),
+                           args.sigmas, args.trials, args.seed)
             fileio.write_blocking_stats_csv(args.out, stats)
             for s in stats:
                 print(f"sigma={s.sigma}: single={s.single_pass_block_rate} "

@@ -355,8 +355,9 @@ def write_reference_library_csv(path, lib: ReferenceLibrary) -> None:
 
 
 def read_reference_library_csv(path) -> ReferenceLibrary:
-    """One ratio per measurement index j; a row that does not parse or
-    repeats a j is a format error naming the file and line."""
+    """One ratio per measurement index j, the k-th row holding j = k, as
+    the writer lists them; a row that does not parse or holds another j
+    (0, a gap, a repeat) is a format error naming the file and line."""
     ratios = {}
     with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -366,9 +367,10 @@ def read_reference_library_csv(path) -> ReferenceLibrary:
                 value = complex(float(row["ratio_real"]), float(row["ratio_imag"]))
             except (KeyError, TypeError, ValueError):
                 j = None
-            if j is None or j in ratios:
+            if j != len(ratios) + 1:
                 raise ValueError(f"bad reference library row in {str(path)!r} line "
-                                 f"{reader.line_num}: {list(row.values())!r}")
+                                 f"{reader.line_num}: {list(row.values())!r} (expected "
+                                 f"j={len(ratios) + 1})")
             ratios[j] = value
     return ReferenceLibrary(ratios)
 

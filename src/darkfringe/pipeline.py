@@ -1,13 +1,16 @@
 """End-to-end runs: simulate m frames, detect, fuse, plan, reconstruct, score.
 
-Each stage is one function here (write_patterns, load_object, simulate,
-detect, mark_invalid, plan, reconstruct, score). It takes the run config, its
-inputs in memory and a callback save(name, writer, *args) that writes one
-artifact into the output directory, and returns its outputs; stage() runs it
-and names the stage in any failure. run_pipeline chains them in memory; the
-CLI stage subcommands read their inputs back from the output directory and
-call the same functions. The data are the same either way: a measurement is
-its 16-bit levels and scale, in memory as in its PGM file, and the plans the
+A run is a RunConfig, and RunConfig.check is the one verdict on whether its
+settings fit together: run_pipeline runs it as stage 'config', and the CLI
+turns its error into a usage error, both before any file is written. Each
+stage is one function here (write_patterns, load_object, simulate, detect,
+mark_invalid, plan, reconstruct, score). It takes the run config, its inputs
+in memory and a callback save(name, writer, *args) that writes one artifact
+into the output directory, and returns its outputs; stage() runs it and
+names the stage in any failure. run_pipeline chains them in memory; the CLI
+stage subcommands read their inputs back from the output directory and call
+the same functions. The data are the same either way: a measurement is its
+16-bit levels and scale, in memory as in its PGM file, and the plans the
 reconstruction follows are the ones the plan stage wrote, so both callers
 write the same files. Every artifact is written in its module's file
 format, and run_pipeline's manifest records the configuration echo, the final
@@ -36,7 +39,7 @@ from .patterns import (ReferenceLibrary, encode_8bit, expand_to_pixels,
                        make_patterns, reference_library)
 from .path_search import PathPlan, plan_with_retry
 from .reconstruct import (ScoreMetrics, compose_and_score, estimate_amplitude,
-                          retrieve_phase)
+                          interior_pixels, retrieve_phase)
 
 
 class StageError(RuntimeError):
@@ -84,6 +87,30 @@ class RunConfig:
 
     def psf(self) -> PsfModel:
         return PsfModel(self.psf_kind, self.psf_radius, step=self.quadrature_step)
+
+    def amplitude_erode(self) -> int:
+        """Pixels eroded from each side of a unit before its amplitude is
+        taken; one more than the band half-width keeps the fringe bands out."""
+        return self.band_halfwidth + 1
+
+    def check(self) -> None:
+        """Raise ValueError if a stage would reject this configuration: build
+        what the stages build, check noise, m and origins, and run the
+        amplitude stage's interior-pixel check, which implies detection's
+        2 * band_halfwidth < pixels_per_unit."""
+        self.psf()
+        grid = self.grid()
+        self.detect_config()
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if self.m < 2:
+            raise ValueError(f"m must be at least 2, got {self.m}")
+        if not self.origins:
+            raise ValueError("need at least one origin")
+        for r, c in self.origins:
+            if not (0 <= r < self.s1 and 0 <= c < self.s2):
+                raise ValueError(f"origin {(r, c)} outside the {self.s1} x {self.s2} grid")
+        interior_pixels(grid, self.amplitude_erode())
 
     def echo(self) -> dict:
         """Every field but outdir, with the defaults crop_rows and
@@ -211,7 +238,7 @@ def reconstruct(cfg: RunConfig, ratios: EdgeRatios, plans: list[PathPlan],
     origin) and the amplitude from the measurement frames, UNKNOWN units 0,
     rounded to the float32 of reconstruction.cf32, which it is written as."""
     phase, _ = retrieve_phase(None, ratios, list(cfg.origins), plans)
-    amplitude = estimate_amplitude(images, cfg.grid(), cfg.band_halfwidth + 1)
+    amplitude = estimate_amplitude(images, cfg.grid(), cfg.amplitude_erode())
     unknown = np.isnan(phase)
     values = amplitude * np.exp(1j * np.where(unknown, 0.0, phase))
     values[unknown] = 0.0
@@ -236,10 +263,12 @@ def score(cfg: RunConfig, rec: ComplexField, obj: ComplexField, save) -> ScoreMe
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute the full chain and write all artifacts plus a manifest.
 
-    Returns the manifest dictionary. Any stage failure raises StageError
-    naming the stage. Each file is hashed on one background thread as soon
-    as it is written; that thread runs only file reads and hashlib, and it
-    is joined on every exit, a failed run dropping the hashes still queued.
+    Returns the manifest dictionary. A configuration that RunConfig.check
+    rejects raises StageError 'config' before any file is written; any other
+    stage failure raises StageError naming the stage. Each file is hashed on
+    one background thread as soon as it is written; that thread runs only
+    file reads and hashlib, and it is joined on every exit, a failed run
+    dropping the hashes still queued.
     """
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -252,7 +281,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         digests[path] = hasher.submit(_sha256, path)
 
     try:
-        stage("simulate", cfg.psf)      # rejects a bad step before any write
+        stage("config", cfg.check)
         lib = stage("patterns", write_patterns, cfg, save)
         obj = stage("object", load_object, cfg, save)
         images = stage("simulate", simulate, cfg, obj, save)

@@ -97,6 +97,21 @@ def _interior_rows(grid: GridSpec, i: int, erode: int) -> slice:
     return slice(top - grid.crop_rows, bottom - grid.crop_rows)
 
 
+def interior_pixels(grid: GridSpec, erode: int) -> tuple[slice, list[tuple[int, slice]]]:
+    """The pixel columns inside a unit and, per unit row, the frame rows
+    inside it, once eroded by `erode` pixels per side and cropped; a
+    ValueError names the first unit left with no interior pixel."""
+    ppu = grid.pixels_per_unit
+    inner = slice(erode, ppu - erode)
+    unit_rows = [(i, _interior_rows(grid, i, erode)) for i in range(grid.s1)]
+    for i, rows in unit_rows:
+        if len(range(ppu)[inner]) * (rows.stop - rows.start) == 0:
+            raise ValueError(f"unit {(i, 0)} has no surviving interior pixels: "
+                             f"{ppu} px units eroded by {erode} px per side, "
+                             f"{grid.crop_rows} rows cropped")
+    return inner, unit_rows
+
+
 def _pooled_medians(images: list[IntensityImage], grid: GridSpec, inner: slice,
                     unit_rows: list[tuple[int, slice]], pool_buffer: np.ndarray,
                     amp: np.ndarray) -> None:
@@ -127,26 +142,22 @@ def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
     its own scale) are pooled over all measurements (patterns are
     unit-modulus, so every frame sees the same amplitudes), and the square
     root of the pooled median is normalized to a maximum of 1.
-    Every unit row is checked for surviving pixels first. The medians of the
-    lower half of the unit rows are then taken on one worker thread and
-    those of the upper half on the calling thread, each pooling one unit row
-    at a time over the measurements into a buffer the calling thread
-    allocates (so no array holds all frames, and the worker allocates
-    nothing large).
+    Every unit row is checked for surviving pixels first, by
+    :func:`interior_pixels` on the calling thread. The medians of the lower
+    half of the unit rows are then taken on one worker thread and those of
+    the upper half on the calling thread, each pooling one unit row at a time
+    over the measurements into a buffer the calling thread allocates (so no
+    array holds all frames, and the worker allocates nothing large).
     """
     if not images:
         raise ValueError("need at least one image")
     for img in images:
         grid.check_frame(img)
-    ppu, s2 = grid.pixels_per_unit, grid.s2
-    inner = slice(erode, ppu - erode)
-    cols = len(range(ppu)[inner])
-    unit_rows = [(i, _interior_rows(grid, i, erode)) for i in range(grid.s1)]
-    heights = [len(range(grid.height)[rows]) for _, rows in unit_rows]
-    for i, height in enumerate(heights):
-        if height * cols == 0:
-            raise ValueError(f"unit {(i, 0)} has no surviving interior pixels")
-    pools = np.empty((2, s2 * len(images) * max(heights) * cols))
+    inner, unit_rows = interior_pixels(grid, erode)
+    height = max(rows.stop - rows.start for _, rows in unit_rows)
+    cols = len(range(grid.pixels_per_unit)[inner])
+    s2 = grid.s2
+    pools = np.empty((2, s2 * len(images) * height * cols))
     amp = np.zeros((grid.s1, s2))
     half = grid.s1 // 2
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -189,7 +200,7 @@ def retrieve_phase(invalid: InvalidBoundaryMaps | None, ratios: EdgeRatios,
         if k == 0:
             offset = 0.0
             base = ph
-        elif known[origins[0]] and not np.isnan(base[origins[0]]):
+        elif known[origins[0]]:
             offset = base[origins[0]] - ph[origins[0]]
         else:
             overlap = known & ~np.isnan(base)

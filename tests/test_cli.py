@@ -1,14 +1,18 @@
 import re
 import shutil
+import tempfile
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import darkfringe.fileio as fio
 import darkfringe.pipeline as pipeline
 from darkfringe.cli import main
-from darkfringe.forward_model import ComplexField, simulate_measurement_2d
+from darkfringe.forward_model import PSF_KINDS, ComplexField, simulate_measurement_2d
 from darkfringe.pipeline import (RunConfig, StageError, random_quantized_object,
                                  run_pipeline)
 
@@ -110,8 +114,65 @@ def test_pipeline_bad_quadrature_step_writes_nothing(tmp_path):
     outdir = tmp_path / "run"
     with pytest.raises(StageError) as info:
         run_pipeline(RunConfig(s1=2, s2=2, quadrature_step=0.3, outdir=str(outdir)))
-    assert info.value.stage == "simulate"
+    assert info.value.stage == "config"
     assert not any(outdir.iterdir())
+
+
+# 4 x 4 units at 8 px/unit, r = 2: a band of half-width 4 does not fit a unit
+# (detection's rule); half-width 3 erodes the 8 px units by 4 px per side
+# for their amplitudes, and 6 cropped rows leave unit row 0 no interior row
+# after the default erosion of 3
+SMALL_CONFIG = dict(s1=4, s2=4, pixels_per_unit=8, psf_radius=2.0)
+SMALL_RUN = ["--s1", "4", "--s2", "4", "--pixels-per-unit", "8", "--psf-radius", "2"]
+
+
+@pytest.mark.parametrize("bad", [
+    dict(band_halfwidth=4), dict(band_halfwidth=3), dict(crop_rows=6),
+    dict(noise_sigma=-0.1), dict(origins=((9, 9),)), dict(origins=()), dict(m=1),
+], ids=["band-halfwidth-4", "band-halfwidth-3", "crop-rows-6", "noise-sigma",
+        "origin-off-grid", "no-origin", "m-1"])
+def test_pipeline_bad_run_config_fails_before_any_write(tmp_path, bad):
+    outdir = tmp_path / "run"
+    with pytest.raises(StageError) as info:
+        run_pipeline(RunConfig(outdir=str(outdir), **{**SMALL_CONFIG, **bad}))
+    assert info.value.stage == "config"
+    assert not any(outdir.iterdir())
+
+
+@st.composite
+def small_run_configs(draw):
+    """Run settings on grids of at most 4 x 4 units at 4-12 px/unit: every
+    PSF kind, crop and band width, m 2-5, one to three origins on the grid
+    and, half the time, one more off it."""
+    s1, s2, ppu = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(4, 12))
+    origins = draw(st.lists(st.tuples(st.integers(0, s1 - 1), st.integers(0, s2 - 1)),
+                            min_size=1, max_size=3))
+    if draw(st.booleans()):
+        off = draw(st.tuples(st.integers(-1, 4), st.integers(-1, 4)).filter(
+            lambda o: not (0 <= o[0] < s1 and 0 <= o[1] < s2)))
+        origins.insert(draw(st.integers(0, len(origins))), off)
+    return RunConfig(s1=s1, s2=s2, pixels_per_unit=ppu,
+                     psf_kind=draw(st.sampled_from(PSF_KINDS)),
+                     psf_radius=draw(st.floats(0.25, 12.0)),
+                     crop_rows=draw(st.one_of(st.none(), st.integers(0, ppu))),
+                     band_halfwidth=draw(st.integers(1, 6)), m=draw(st.integers(2, 5)),
+                     noise_sigma=draw(st.sampled_from([0.0, 0.02])),
+                     origins=tuple(origins), seed=draw(st.integers(0, 50)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_run_configs())
+def test_checked_config_runs_or_is_rejected(cfg):
+    # RunConfig.check is the one verdict on a run's settings: a configuration
+    # it accepts runs through every stage
+    try:
+        cfg.check()
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # a PSF wide for its units only warns
+        cfg.outdir = outdir
+        run_pipeline(cfg)
 
 
 def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
@@ -141,8 +202,12 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
     ["--noise-sigma", "-0.1"],
     ["--pixels-per-unit", "3"],
     ["--crop-rows", "-1"],
+    SMALL_RUN + ["--band-halfwidth", "4"],
+    SMALL_RUN + ["--band-halfwidth", "3"],
+    SMALL_RUN + ["--crop-rows", "6"],
 ], ids=["quadrature-step", "band-halfwidth", "m", "origins", "noise-sigma",
-        "pixels-per-unit", "crop-rows"])
+        "pixels-per-unit", "crop-rows", "band-wider-than-unit",
+        "erosion-leaves-no-interior", "crop-leaves-no-interior"])
 def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
     outdir = tmp_path / "run"
     assert main(["pipeline", "--outdir", str(outdir)] + flags) == 1
@@ -228,6 +293,18 @@ def test_cli_psf_sweep(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "delta_phi,radius,relative_intensity"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["montecarlo-blocking", "--trials", "50"], "need at least 100 trials"),
+    (["psf-sweep", "--radii", "0"], "PSF radius must be positive"),
+    (["psf-sweep", "--unit-len", "0"], "unit_len must be a positive integer"),
+], ids=["trials-50", "radius-0", "unit-len-0"])
+def test_cli_study_tool_bad_argument_is_usage_error(tmp_path, capsys, argv, why):
+    out = tmp_path / "study.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert f"usage error: bad {argv[0]} argument: {why}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_montecarlo_blocking(tmp_path):
@@ -324,9 +401,6 @@ def _bad_scale_frame(tmp_path):
     return ["detect", "--outdir", str(tmp_path), "--image", str(path)]
 
 
-SMALL_RUN = ["--s1", "4", "--s2", "4", "--pixels-per-unit", "8", "--psf-radius", "2"]
-
-
 def _run_stages(outdir, *commands):
     for argv in commands:
         assert main([*argv, "--outdir", str(outdir), *SMALL_RUN]) == 0, argv
@@ -346,6 +420,15 @@ def _misfiled_fringe_map(tmp_path):
     return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
 
 
+def _library_j0(tmp_path):
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"))
+    lib = tmp_path / "reference_library.csv"
+    header, first, *rest = lib.read_text().splitlines()
+    lib.write_text("\n".join([header, "0" + first[1:], *rest]) + "\n")
+    return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
+
+
 def _zero_object(tmp_path):
     fio.write_complex_field(tmp_path / "zero.cf32", ComplexField(np.zeros((4, 4), complex)))
     return ["simulate", "--outdir", str(tmp_path), *SMALL_RUN,
@@ -360,11 +443,12 @@ def _zero_object(tmp_path):
     ("reconstruct", _missing_plan, "path_plan_origin1.csv"),
     ("mark-invalid", _misfiled_fringe_map,
      "fringes_row_j1.csv' holds kind=row,j=3, expected kind=row,j=1"),
+    ("mark-invalid", _library_j0, r"reference_library\.csv' line 2: .*expected j=1"),
     ("object", _zero_object, "zero.cf32' is zero everywhere"),
     ("metrics", _wrong_shape_metrics, ""),
 ], ids=["detect-missing-image", "detect-bad-scale", "reconstruct-empty-dir",
-        "reconstruct-missing-plan", "mark-invalid-misfiled-map", "simulate-zero-object",
-        "metrics-wrong-shape"])
+        "reconstruct-missing-plan", "mark-invalid-misfiled-map", "mark-invalid-library-j0",
+        "simulate-zero-object", "metrics-wrong-shape"])
 def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv, why):
     argv = argv(tmp_path)
     capsys.readouterr()

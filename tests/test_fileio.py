@@ -464,8 +464,9 @@ def test_edge_ratios_reader_rejects_repeats_and_extra_fields(tmp_path, row):
         fio.read_edge_ratios_csv(path, 2, 3)
 
 
-@pytest.mark.parametrize("row", ["2,1.0", "two,1.0,0.0", "1,-1.0,0.0"],
-                         ids=["short", "j-not-int", "repeated-j"])
+@pytest.mark.parametrize("row", ["2,1.0", "two,1.0,0.0", "1,-1.0,0.0", "0,-1.0,0.0",
+                                 "3,-1.0,0.0"],
+                         ids=["short", "j-not-int", "repeated-j", "j-zero", "j-gap"])
 def test_reference_library_reader_rejects_malformed(tmp_path, row):
     path = tmp_path / "lib.csv"
     path.write_text("j,ratio_real,ratio_imag\n1,0.0,1.0\n" + row + "\n")
