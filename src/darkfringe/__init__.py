@@ -12,7 +12,7 @@ from .boundary_logic import (EdgeRatios, InvalidBoundaryMaps, inject_misjudgment
 from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
                             field_profile_1d, fringe_radius_sweep,
                             gamma_second_derivative, intensity_profile_1d,
-                            psf_eval, simulate_measurement_2d)
+                            simulate_measurement_2d)
 from .fringe_detect import DetectConfig, FringeMaps, recognize_fringes
 from .patterns import (PatternSet, ReferenceLibrary, encode_8bit, make_patterns,
                        reference_library)

@@ -225,13 +225,13 @@ def main(argv=None) -> int:
             rows = _study(args.command, fringe_radius_sweep,
                           [w * np.pi for w in args.delta_phis], args.radii,
                           args.unit_len, args.kind)
-            fileio.write_sweep_csv(args.out, rows)
+            stage(args.command, fileio.write_sweep_csv, args.out, rows)
             print(f"wrote {len(rows)} sweep rows to {args.out}")
             return 0
         if args.command == "montecarlo-blocking":
             stats = _study(args.command, blocking_montecarlo, (args.s1, args.s2),
                            args.sigmas, args.trials, args.seed)
-            fileio.write_blocking_stats_csv(args.out, stats)
+            stage(args.command, fileio.write_blocking_stats_csv, args.out, stats)
             for s in stats:
                 print(f"sigma={s.sigma}: single={s.single_pass_block_rate} "
                       f"retry={s.retry_block_rate}")

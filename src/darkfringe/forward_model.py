@@ -17,11 +17,11 @@ A simulated frame is |F|^2 plus sigma * max|F|^2 * z, clipped at zero, with
 z standard normal draws from the frame's seed. The camera reads it out once,
 as 16-bit levels rint(value * scale) with scale = 65535 / peak
 (:func:`quantize_16bit`); the levels and their scale are the measurement
-every later stage computes from and the PGM file stores. F itself is built
-one row strip at a time, and every frame-sized pass (the squared modulus and
-its max, the noise draws, the clip, the readout) streams in row strips of
-about STRIP_PIXELS pixels, with no frame-sized temporary. The grid a frame
-is simulated on, and read against later, is one :class:`GridSpec`.
+every later stage computes from and the PGM file stores. The whole uncropped
+frame is simulated, F one row strip at a time, and every frame-sized pass
+(|F|^2 and its max, the noise, the clip, the readout) runs over one list of
+row strips of about STRIP_PIXELS pixels (:func:`row_strips`); the grid
+(:class:`GridSpec`) says which rows a slice then crops.
 """
 
 from __future__ import annotations
@@ -122,12 +122,6 @@ class PsfModel:
         return f"PsfModel(kind={self.kind!r}, radius={self.radius}, step={self.step})"
 
 
-def psf_eval(model: PsfModel, x) -> float | np.ndarray:
-    """Evaluate the kernel profile p at x (scalar in, scalar out)."""
-    out = model.p(x)
-    return float(out) if np.isscalar(x) else out
-
-
 @dataclass
 class ComplexField:
     """Rectangular grid of complex amplitudes, one value per pixel-unit."""
@@ -212,8 +206,8 @@ class GridSpec:
     def __post_init__(self):
         if self.s1 < 1 or self.s2 < 1:
             raise ValueError("grid must contain at least one unit")
-        if self.pixels_per_unit < 4:
-            raise ValueError("pixels_per_unit must be >= 4")
+        if self.pixels_per_unit < 1:
+            raise ValueError("pixels_per_unit must be positive")
         if self.crop_rows < 0 or 2 * self.crop_rows >= self.s1 * self.pixels_per_unit:
             raise ValueError("crop_rows out of range")
 
@@ -237,9 +231,19 @@ class GridSpec:
 STRIP_PIXELS = 1 << 16
 
 
-def strip_rows(width: int) -> int:
-    """Rows per strip of a frame-sized pass over `width`-pixel rows."""
-    return max(1, STRIP_PIXELS // width)
+def row_strips(height: int, rows: int) -> list[slice]:
+    """Strips of `rows` rows (at least two) covering [0, height) in order,
+    a leftover single row folded into the strip before it.
+
+    A one-row matrix product runs as a matrix-vector product, whose sums may
+    differ from a matrix product's in the last bit. With no one-row strip
+    (unless height is 1), a row's values do not depend on where the strip
+    edges fall.
+    """
+    tops = list(range(0, height, max(rows, 2)))
+    if len(tops) > 1 and height - tops[-1] == 1:
+        tops.pop()
+    return [slice(top, bottom) for top, bottom in zip(tops, tops[1:] + [height])]
 
 
 def default_crop_rows(pixels_per_unit: int) -> int:
@@ -363,19 +367,16 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     pair of matrix products, F = G Wx^T with G = Wy source (H x s2). The
     frame is |F|^2 + noise_sigma * max|F|^2 * z, clipped at zero, with z
     standard normal draws from the seed's generator taken row-major over the
-    uncropped frame; the grid's crop_rows rows are then removed top and
-    bottom (the top rows' draws are consumed and dropped).
+    uncropped frame, whose crop_rows rows top and bottom are then sliced off.
 
-    Every pass runs in row strips: one complex strip of F at a time, as a
-    complex product of G's rows with Wx^T, whose |F|^2 and max go straight
-    into the frame (the cropped rows through the frame's first rows); then
-    the noise draws through one float strip buffer, scaled and added into
-    the frame, and the clip. A call holds the returned frame, one strip and
-    the small G and Wx^T, never a frame-sized complex array. The frame is
-    bit for bit that of the whole-frame product: a strip is never one row,
-    since a one-row product runs as a matrix-vector product, and the complex
-    product is kept because two real products for Re F and Im F can differ
-    from it in the last bit.
+    Every pass runs over one list of row strips (:func:`row_strips`): one
+    complex strip of F at a time, as a complex product of G's rows with
+    Wx^T, whose |F|^2 and max go straight into the frame; then the noise
+    draws through one float strip buffer, scaled and added into the frame,
+    and the clip. A call holds the frame, one strip and the small G and
+    Wx^T, never a frame-sized complex array. The frame is bit for bit that
+    of the whole-frame product: the complex product is kept because two real
+    products for Re F and Im F can differ from it in the last bit.
     """
     if obj.shape != (grid.s1, grid.s2):
         raise ValueError(f"object shape {obj.shape} does not match grid "
@@ -395,41 +396,30 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     g = _unit_window(model, ys, ppu, s1) @ (obj.values * pattern.values)
     wxt = _unit_window(model, xs, ppu, s2).T.astype(complex)
     height, width = len(ys), len(xs)
-    crop = grid.crop_rows
-    frame = np.empty((height - 2 * crop, width))
-    rows = min(strip_rows(width), len(frame))
-    field = np.empty((max(rows, 2), width), dtype=complex)
+    strips = row_strips(height, STRIP_PIXELS // width)
+    size = max(rows.stop - rows.start for rows in strips)
+    frame = np.empty((height, width))
+    field = np.empty((size, width), dtype=complex)
     peak = 0.0
-    # |F|^2 strip by strip: the cropped rows only count toward the max and
-    # are squared in the frame's first rows, before the frame's own rows are
-    for start, stop in ((0, crop), (height - crop, height), (crop, height - crop)):
-        for top in range(start, stop, rows):
-            bottom = min(top + rows, stop)
-            power = (frame[top - crop:bottom - crop] if start == crop
-                     else frame[:bottom - top])
-            # a one-row product would run as a matrix-vector product, whose
-            # sums may differ in the last bit: take that row from two
-            lo = min(top, height - 2) if bottom - top == 1 else top
-            hi = max(bottom, lo + 2)
-            np.matmul(g[lo:hi], wxt, out=field[:hi - lo])
-            np.abs(field[top - lo:bottom - lo], out=power)
-            np.square(power, out=power)
-            peak = max(peak, float(power.max()))
+    for rows in strips:
+        power = frame[rows]
+        np.matmul(g[rows], wxt, out=field[:len(power)])
+        np.abs(field[:len(power)], out=power)
+        np.square(power, out=power)
+        peak = max(peak, float(power.max()))
     del field
     if noise_sigma > 0:
         scale = noise_sigma * peak
         rng = np.random.default_rng(seed)
-        noise = np.empty((rows, width))
-        for top in range(0, crop, rows):
-            rng.standard_normal(out=noise[:min(rows, crop - top)])
-        for top in range(0, len(frame), rows):
-            draws = noise[:min(rows, len(frame) - top)]
+        noise = np.empty((size, width))
+        for rows in strips:
+            part = frame[rows]
+            draws = noise[:len(part)]
             rng.standard_normal(out=draws)
             draws *= scale
-            part = frame[top:top + len(draws)]
             part += draws
             np.clip(part, 0.0, None, out=part)
-    return IntensityImage(frame)
+    return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows])
 
 
 def quantize_16bit(img: IntensityImage) -> IntensityImage:
@@ -446,12 +436,12 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
     peak = float(vals.max())
     scale = 65535.0 / peak if peak > 0 else 1.0
     height, width = vals.shape
-    rows = min(strip_rows(width), height)
-    scaled = np.empty((rows, width))
+    strips = row_strips(height, STRIP_PIXELS // width)
+    buffer = np.empty((max(rows.stop - rows.start for rows in strips), width))
     levels = np.empty((height, width), dtype=LEVELS)
-    for top in range(0, height, rows):
-        n = min(rows, height - top)
-        np.multiply(vals[top:top + n], scale, out=scaled[:n])
-        np.rint(scaled[:n], out=scaled[:n])
-        np.copyto(levels[top:top + n], scaled[:n], casting="unsafe")
+    for rows in strips:
+        scaled = buffer[:rows.stop - rows.start]
+        np.multiply(vals[rows], scale, out=scaled)
+        np.rint(scaled, out=scaled)
+        np.copyto(levels[rows], scaled, casting="unsafe")
     return IntensityImage(levels, scale)

@@ -18,8 +18,9 @@ G^T w. Each window column is nonzero only near its own unit, so the product
 is taken block by block over the rows each block of columns touches. The
 windows depend only on (grid, config) and are cached, so the m frames of a
 run build them once. A measurement's 16-bit levels enter the product as
-floats, one strip of rows at a time; every decision compares two means of
-the same frame, so the frame's scale never enters.
+floats, one row strip at a time (forward_model.row_strips, so no row's sums
+depend on where a strip ends); every decision compares two means of the
+same frame, so the frame's scale never enters.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forward_model import GridSpec, IntensityImage
+from .forward_model import GridSpec, IntensityImage, row_strips
 
 # Gaussian reach in standard deviations, as scipy.ndimage.gaussian_filter1d's
 # default truncate
@@ -178,16 +179,17 @@ def _banded(windows: np.ndarray) -> tuple:
 
 def _times(a: np.ndarray, banded: tuple) -> np.ndarray:
     """a @ windows, for windows split by :func:`_banded`, with `a` of any
-    real dtype converted to float one strip of _STRIP_ROWS rows at a time."""
+    real dtype converted to float one row strip of about _STRIP_ROWS rows
+    at a time (:func:`row_strips`)."""
     k, pieces = banded
     out = np.zeros((a.shape[0], k))
-    strip = np.empty((min(_STRIP_ROWS, a.shape[0]), a.shape[1]))
-    for top in range(0, a.shape[0], _STRIP_ROWS):
-        part = strip[:min(_STRIP_ROWS, a.shape[0] - top)]
-        np.copyto(part, a[top:top + len(part)])
-        rows = out[top:top + len(part)]
+    strips = row_strips(a.shape[0], _STRIP_ROWS)
+    buffer = np.empty((max(rows.stop - rows.start for rows in strips), a.shape[1]))
+    for rows in strips:
+        part = buffer[:rows.stop - rows.start]
+        np.copyto(part, a[rows])
         for cols, lo, hi, block in pieces:
-            rows[:, cols] = part[:, lo:hi] @ block
+            out[rows, cols] = part[:, lo:hi] @ block
     return out
 
 

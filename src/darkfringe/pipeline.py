@@ -249,11 +249,12 @@ def reconstruct(cfg: RunConfig, ratios: EdgeRatios, plans: list[PathPlan],
 
 def score(cfg: RunConfig, rec: ComplexField, obj: ComplexField, save) -> ScoreMetrics:
     """Metrics of the reconstruction, whose units of amplitude 0 are UNKNOWN,
-    against the object divided by its peak amplitude, written as
-    metrics.csv."""
+    against the object rounded to the complex64 of object.cf32 and divided
+    by its peak amplitude, written as metrics.csv."""
     amplitude = np.abs(rec.values)
     phase = np.where(amplitude > 0, np.mod(np.angle(rec.values), 2 * np.pi), np.nan)
-    truth = ComplexField(obj.values / np.abs(obj.values).max())
+    stored = obj.values.astype(np.complex64).astype(complex)
+    truth = ComplexField(stored / np.abs(stored).max())
     metrics = compose_and_score(phase, amplitude, truth)
     save("metrics.csv", fileio.write_metrics_csv,
          metrics.phase_rmse, metrics.complex_l2, metrics.unknown_frac)

@@ -307,6 +307,15 @@ def test_cli_study_tool_bad_argument_is_usage_error(tmp_path, capsys, argv, why)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["psf-sweep", "--unit-len", "16", "--radii", "2", "--delta-phis", "0.5"],
+    ["montecarlo-blocking", "--sigmas", "0.1", "--trials", "100", "--s1", "4", "--s2", "4"],
+], ids=["psf-sweep", "montecarlo-blocking"])
+def test_cli_study_tool_unwritable_out_names_the_tool(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert f"error: stage '{argv[0]}' failed: " in capsys.readouterr().err
+
+
 def test_cli_montecarlo_blocking(tmp_path):
     out = tmp_path / "blocking.csv"
     assert main(["montecarlo-blocking", "--sigmas", "0.1", "--trials", "100",
@@ -473,18 +482,23 @@ def test_cli_run_flags_are_the_config_keys():
 
 def test_cli_stage_sequence_writes_the_pipeline_files(tmp_path):
     # every artifact but the pipeline-only manifest is byte-identical: both
-    # compute from the same 16-bit frames and the same plans
-    run = ["--s1", "6", "--s2", "7", "--pixels-per-unit", "8", "--psf-radius", "2",
-           "--noise-sigma", "0.02", "--seed", "4", "--origins", "0,0;5,6"]
-    stages = tmp_path / "stages"
-    for argv in (["patterns"], ["simulate"], *(["detect", "--j", j] for j in "1234"),
-                 ["mark-invalid"], ["paths"], ["reconstruct"]):
-        assert main([*argv, "--outdir", str(stages), *run]) == 0
-    assert main(["metrics", "--outdir", str(stages), *run,
-                 "--reconstruction", str(stages / "reconstruction.cf32"),
-                 "--truth", str(stages / "object.cf32")]) == 0
-    assert main(["pipeline", "--outdir", str(tmp_path / "pipeline"), *run]) == 0
-    names = {p.name for p in stages.iterdir()}
-    assert names == {p.name for p in (tmp_path / "pipeline").iterdir()} - {"manifest.json"}
-    for name in sorted(names):
-        assert (stages / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
+    # compute from the same 16-bit frames and the same plans, and both score
+    # against the object as object.cf32 stores it (at m = 3 its phases are
+    # not exact in float32)
+    for m in (4, 3):
+        run = ["--s1", "6", "--s2", "7", "--pixels-per-unit", "8", "--psf-radius", "2",
+               "--noise-sigma", "0.02", "--seed", "4", "--origins", "0,0;5,6",
+               "--m", str(m)]
+        stages, piped = tmp_path / f"stages{m}", tmp_path / f"pipeline{m}"
+        for argv in (["patterns"], ["simulate"],
+                     *(["detect", "--j", str(j)] for j in range(1, m + 1)),
+                     ["mark-invalid"], ["paths"], ["reconstruct"]):
+            assert main([*argv, "--outdir", str(stages), *run]) == 0
+        assert main(["metrics", "--outdir", str(stages), *run,
+                     "--reconstruction", str(stages / "reconstruction.cf32"),
+                     "--truth", str(stages / "object.cf32")]) == 0
+        assert main(["pipeline", "--outdir", str(piped), *run]) == 0
+        names = {p.name for p in stages.iterdir()}
+        assert names == {p.name for p in piped.iterdir()} - {"manifest.json"}
+        for name in sorted(names):
+            assert (stages / name).read_bytes() == (piped / name).read_bytes(), (m, name)

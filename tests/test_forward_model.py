@@ -12,8 +12,8 @@ from darkfringe.forward_model import (STRIP_PIXELS, ComplexField, GridSpec,
                                       default_crop_rows,
                                       field_profile_1d, fringe_radius_sweep,
                                       gamma_second_derivative,
-                                      intensity_profile_1d, psf_eval,
-                                      quantize_16bit, simulate_measurement_2d)
+                                      intensity_profile_1d, quantize_16bit,
+                                      row_strips, simulate_measurement_2d)
 from darkfringe.patterns import make_patterns
 
 from conftest import (frame_cases, gamma2_centered_fd, gamma2_fd_richardson,
@@ -27,16 +27,16 @@ from conftest import (frame_cases, gamma2_centered_fd, gamma2_fd_richardson,
 
 def test_psf_eval_box():
     model = PsfModel("box", 2.0)
-    assert psf_eval(model, 1.5) == 1.0
-    assert psf_eval(model, 2.5) == 0.0
+    assert model.p(1.5) == 1.0
+    assert model.p(2.5) == 0.0
 
 
 def test_psf_eval_gaussian_center():
-    assert psf_eval(PsfModel("gaussian", 7.3), 0.0) == 1.0
+    assert PsfModel("gaussian", 7.3).p(0.0) == 1.0
 
 
 def test_psf_eval_exponential():
-    assert psf_eval(PsfModel("exponential", 3.0), 3.0) == pytest.approx(np.exp(-2.0))
+    assert PsfModel("exponential", 3.0).p(3.0) == pytest.approx(np.exp(-2.0))
 
 
 @given(st.sampled_from(["box", "exponential", "gaussian"]),
@@ -441,6 +441,16 @@ def test_simulate_holds_the_frame_and_two_field_strips():
     assert peak <= 1.1 * 8 * pixels + 2 * 16 * STRIP_PIXELS
 
 
+@given(st.integers(1, 600), st.integers(0, 300))
+def test_row_strips_cover_the_frame_without_one_row_strips(height, rows):
+    strips = row_strips(height, rows)
+    assert strips[0].start == 0 and strips[-1].stop == height
+    assert all(a.stop == b.start for a, b in zip(strips, strips[1:]))
+    sizes = [s.stop - s.start for s in strips]
+    assert min(sizes) >= min(2, height)
+    assert max(sizes) <= max(rows, 2) + 1
+
+
 # ---------------------------------------------------------------------------
 # type validation
 
@@ -451,7 +461,7 @@ def test_type_validation():
     with pytest.raises(ValueError):
         IntensityImage(np.array([[-1.0]]))
     with pytest.raises(ValueError):
-        GridSpec(4, 4, 2)
+        GridSpec(4, 4, 0)
     with pytest.raises(ValueError):
         PsfModel("gaussian", 8.0, step=0.3)
     with pytest.raises(ValueError):
