@@ -11,11 +11,15 @@ options; explicit flags override it. A configuration that RunConfig.check
 rejects, and an argument that a study tool rejects, is a usage error; the
 CLI's own rule is only --j's range 1..m. Exit status: 0 on success, 1 on
 usage errors, 2 when a stage fails, with the stage named on stderr.
+
+A process builds the parser once (`build_parser` is cached), and every `main`
+call parses its argv with it; no call changes the parser or its defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -107,6 +111,7 @@ def _csv_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="darkfringe")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -214,9 +219,8 @@ def _study(command: str, tool, *args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

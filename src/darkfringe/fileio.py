@@ -6,7 +6,10 @@ camera's 16-bit levels plus their scale (forward_model.quantize_16bit), so
 the 16-bit writer writes the header, the scale in a '# scale=<float>'
 comment and the level buffer as it is, and the reader returns the file's
 levels and scale without converting them. Everything tabular is plain CSV
-with a fixed header; a path plan is one `row,col,move` line per unit. Complex
+with a fixed header; a path plan is one `row,col,move` line per unit. The
+writers of 0/1 grids, edge ratios and path plans format whole columns (a 0/1
+grid is one byte block), and the edge-ratio and path-plan readers parse all
+rows first and check them as arrays, naming the first bad line. Complex
 fields use a one-line ASCII header followed by row-major interleaved (real,
 imag) little-endian float32. Readers decode text inside `_reading`, so bytes
 that are not UTF-8 are a format error naming the file.
@@ -157,15 +160,25 @@ def write_sweep_csv(path, rows) -> None:
                 [(repr(a), repr(b), repr(c)) for a, b, c in rows])
 
 
+def _bool_grid_bytes(grid: np.ndarray) -> bytes:
+    """csv.writer's bytes for a 0/1 grid, built as one block: each row is its
+    flags as digits joined by commas and ended by \r\n."""
+    flags = np.asarray(grid, dtype=bool)
+    rows, cols = flags.shape
+    block = np.full((rows, max(2 * cols + 1, 2)), ord(","), dtype=np.uint8)
+    block[:, :2 * cols:2] = flags + ord("0")
+    block[:, -2:] = (ord("\r"), ord("\n"))
+    return block.tobytes()
+
+
 def write_fringe_maps_csv(path, maps: FringeMaps, kind: str) -> None:
     """One 0/1 grid per file; `kind` selects the row or col map."""
     if kind not in ("row", "col"):
         raise ValueError("kind must be 'row' or 'col'")
     grid = maps.row_map if kind == "row" else maps.col_map
-    with open(path, "w", newline="") as fh:
-        fh.write(f"kind={kind},j={maps.measurement_index}\n")
-        writer = csv.writer(fh)
-        writer.writerows(grid.astype(int).tolist())
+    with open(path, "wb") as fh:
+        fh.write(f"kind={kind},j={maps.measurement_index}\n".encode())
+        fh.write(_bool_grid_bytes(grid))
 
 
 def _read_bool_rows(fh, path, lines_before: int = 0) -> np.ndarray:
@@ -205,8 +218,8 @@ def read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:
 
 
 def write_bool_grid_csv(path, grid: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(np.asarray(grid, dtype=int).tolist())
+    with open(path, "wb") as fh:
+        fh.write(_bool_grid_bytes(grid))
 
 
 def read_bool_grid_csv(path) -> np.ndarray:
@@ -224,54 +237,138 @@ def read_invalid_maps(path_a, path_b) -> InvalidBoundaryMaps:
                                matrix_b=read_bool_grid_csv(path_b))
 
 
+_EDGE_RATIO_FIELDS = ["kind", "row", "col", "ratio_real", "ratio_imag", "valid"]
+
+
 def write_edge_ratios_csv(path, ratios: EdgeRatios) -> None:
+    """One line per edge, the horizontal grid and then the vertical one, each
+    row-major; an edge with a NaN part is written as nan,nan and valid 0."""
     rows = []
     for kind, grid in (("h", ratios.horizontal), ("v", ratios.vertical)):
-        for (r, c), val in np.ndenumerate(grid):
-            valid = not np.isnan(val)
-            rows.append((kind, r, c,
-                         repr(float(val.real)) if valid else "nan",
-                         repr(float(val.imag)) if valid else "nan",
-                         int(valid)))
-    _write_rows(path, ["kind", "row", "col", "ratio_real", "ratio_imag", "valid"], rows)
+        valid = ~np.isnan(grid).ravel()
+        value = np.where(valid, grid.ravel(), complex(np.nan, np.nan))
+        r, c = np.indices(grid.shape).reshape(2, -1).tolist()
+        rows += zip([kind] * valid.size, r, c, value.real.tolist(), value.imag.tolist(),
+                    valid.astype(int).tolist())
+    _write_rows(path, _EDGE_RATIO_FIELDS, rows)
+
+
+def _read_rows(reader) -> tuple[list[list[str]], list[int], Exception | None]:
+    """The rows a csv reader yields and the line each ends on, up to the first
+    line that does not decode or split; that error is returned, to be raised
+    only if no row before it is bad, as a reader checking row by row would."""
+    rows, lines = [], []
+    try:
+        for fields in reader:
+            rows.append(fields)
+            lines.append(reader.line_num)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return rows, lines, exc
+    return rows, lines, None
+
+
+def _parsed(texts, cast) -> tuple[list, np.ndarray]:
+    """`cast` of each text, and where it parsed; a text that does not parse,
+    or a missing field (None), reads as 0."""
+    try:
+        return list(map(cast, texts)), np.ones(len(texts), dtype=bool)
+    except (TypeError, ValueError):
+        pass
+    values, ok = [], []
+    for text in texts:
+        try:
+            values.append(cast(text))
+            ok.append(True)
+        except (TypeError, ValueError):
+            values.append(0)
+            ok.append(False)
+    return values, np.array(ok, dtype=bool)
+
+
+def _ints(values: list) -> np.ndarray:
+    """Python ints as an array, exactly: of object dtype when one exceeds int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _first_index(keys: list) -> np.ndarray:
+    """For each key, the index of its first occurrence in `keys`."""
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
+def _dict_row(header: list[str], fields: list[str]) -> dict:
+    """A row as csv.DictReader maps it: fields beyond the header in a list
+    under None, header names beyond the fields to None."""
+    row = dict(zip(header, fields))
+    if len(fields) > len(header):
+        row[None] = fields[len(header):]
+    for name in header[len(fields):]:
+        row[name] = None
+    return row
 
 
 def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
     """Edge ratios of an s1 x s2 grid. A row that does not parse, has extra
     fields, whose kind is not h or v, whose edge is off the grid or listed
     before, or whose valid flag is not 0 or 1 is a format error naming the
-    file and line."""
+    file and line.
+
+    The header names the columns, in any order, and blank lines are skipped,
+    as csv.DictReader reads them. All rows are parsed as columns and checked
+    as arrays; the error names the first bad row and lists its fields.
+    """
     grids = {"h": np.full((s1, s2 - 1), complex(np.nan, np.nan)),
              "v": np.full((s1 - 1, s2), complex(np.nan, np.nan))}
-    seen = set()
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                kind = row["kind"]
-                grid = grids[kind]
-                r, c, valid = int(row["row"]), int(row["col"]), int(row["valid"])
-                value = complex(float(row["ratio_real"]), float(row["ratio_imag"]))
-                ok = (None not in row and valid in (0, 1) and (kind, r, c) not in seen
-                      and 0 <= r < grid.shape[0] and 0 <= c < grid.shape[1])
-            except (KeyError, TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ValueError(f"bad edge ratio row in {str(path)!r} line "
-                                 f"{reader.line_num}: {list(row.values())!r}")
-            seen.add((kind, r, c))
-            if valid:
-                grid[r, c] = value
+    with _reading(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows, lines, unread = _read_rows(reader)
+        lines = [line for fields, line in zip(rows, lines) if fields]
+        rows = [fields for fields in rows if fields]
+        n, width = len(rows), len(header)
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+        padded = rows
+        if (lengths != width).any():
+            padded = [fields[:width] + [None] * (width - len(fields)) for fields in rows]
+        columns = dict(zip(header, zip(*padded)))     # a repeated name: its last column
+        column = {name: columns.get(name, (None,) * n) for name in _EDGE_RATIO_FIELDS}
+        kinds = np.array(column["kind"], dtype=object)
+        is_h = kinds == "h"
+        (r, r_ok), (c, c_ok), (valid, valid_ok) = (_parsed(column[name], int)
+                                                   for name in ("row", "col", "valid"))
+        (re, re_ok), (im, im_ok) = (_parsed(column[name], float)
+                                    for name in ("ratio_real", "ratio_imag"))
+        r_arr, c_arr, valid_arr = _ints(r), _ints(c), _ints(valid)
+        ok = ((lengths <= width) & (is_h | (kinds == "v"))
+              & r_ok & c_ok & valid_ok & re_ok & im_ok
+              & ((valid_arr == 0) | (valid_arr == 1))
+              & (r_arr >= 0) & (r_arr < np.where(is_h, s1, s1 - 1))
+              & (c_arr >= 0) & (c_arr < np.where(is_h, s2 - 1, s2))
+              & (_first_index(list(zip(column["kind"], r, c))) == np.arange(n)))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"bad edge ratio row in {str(path)!r} line {lines[i]}: "
+                             f"{list(_dict_row(header, rows[i]).values())!r}")
+        if unread:
+            raise unread
+    value = np.empty(n, dtype=complex)
+    value.real, value.imag = re, im
+    for kind, rows_of_kind in (("h", is_h), ("v", ~is_h)):
+        sel = rows_of_kind & (valid_arr == 1)
+        grids[kind][r_arr[sel], c_arr[sel]] = value[sel]
     return EdgeRatios(horizontal=grids["h"], vertical=grids["v"])
 
 
 def write_path_plan_csv(path, plan: PathPlan) -> None:
     """One `row,col,move` line per unit: the move that enters it from its
     parent, "" at the origin, X when unreachable."""
-    s2 = plan.shape[1]
+    rows, cols = np.indices(plan.shape).reshape(2, -1).tolist()
     moves = np.where(plan.reachable_mask(), plan.moves(), "X").ravel().tolist()
-    _write_rows(path, ["row", "col", "move"],
-                [(*divmod(u, s2), mv) for u, mv in enumerate(moves)])
+    _write_rows(path, ["row", "col", "move"], zip(rows, cols, moves))
 
 
 def read_path_plan_csv(path, origin: tuple[int, int]) -> PathPlan:
@@ -280,65 +377,90 @@ def read_path_plan_csv(path, origin: tuple[int, int]) -> PathPlan:
     A move (U, D, L or R) enters the unit from its parent, which must lie on
     the grid; only the origin has the empty move; X marks an UNREACHABLE
     unit. Every parent chain must reach the origin, not an X unit or a cycle.
-    Anything else is a format error naming the file and line.
+    Anything else is a format error naming the file and line. All rows are
+    parsed as columns and checked as arrays; a bad row is reported by the
+    first of these rules, in the order listed, that it breaks.
     """
     def bad(line: int, why: str) -> ValueError:
         return ValueError(f"bad path plan {str(path)!r} line {line}: {why}")
 
     origin = (int(origin[0]), int(origin[1]))
-    units: dict[tuple[int, int], tuple[int, str]] = {}
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header != ["row", "col", "move"]:
-            raise bad(1, f"header {','.join(header)!r} is not 'row,col,move'")
-        for fields in reader:
-            line = reader.line_num
-            try:
-                r, c, mv = int(fields[0]), int(fields[1]), fields[2]
-                ok = len(fields) == 3 and r >= 0 and c >= 0
-            except (IndexError, ValueError):
-                ok = False
-            if not ok:
-                raise bad(line, "expected a non-negative integer row and col and a move")
-            if mv not in MOVES and mv not in ("", "X"):
-                raise bad(line, f"move {mv!r} is not one of U, D, L, R, X or empty")
-            if (r, c) == origin and mv != "":
-                raise bad(line, f"the origin {origin} needs the empty move, not {mv!r}")
-            if mv == "" and (r, c) != origin:
-                raise bad(line, f"unit {(r, c)} has the empty move, which only "
-                                f"the origin {origin} may have")
-            if (r, c) in units:
-                raise bad(line, f"unit {(r, c)} is listed twice, first on "
-                                f"line {units[(r, c)][0]}")
-            units[(r, c)] = (line, mv)
-    s1, s2 = (1 + max(unit[k] for unit in [origin, *units]) for k in (0, 1))
-    if len(units) != s1 * s2:
-        missing = next((r, c) for r in range(s1) for c in range(s2) if (r, c) not in units)
+    with _reading(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header != ["row", "col", "move"]:
+                raise bad(1, f"header {','.join(header)!r} is not 'row,col,move'")
+            rows, lines, unread = _read_rows(reader)
+        n = len(rows)
+        three = np.fromiter(map(len, rows), dtype=np.intp, count=n) == 3
+        if not three.all():
+            rows = [fields if len(fields) == 3 else ["", "", ""] for fields in rows]
+        rs, cs, moves = zip(*rows) if n else ((), (), ())
+        (r, r_ok), (c, c_ok) = _parsed(rs, int), _parsed(cs, int)
+        r_arr, c_arr, mv = _ints(r), _ints(c), np.array(moves, dtype=object)
+        at_origin = (r_arr == origin[0]) & (c_arr == origin[1])
+        empty, unreachable = mv == "", mv == "X"
+        entering = {move: mv == move for move in MOVES}
+        entered = np.logical_or.reduce(list(entering.values()))
+        first = _first_index(list(zip(r, c)))
+        fails = np.array([
+            ~(three & r_ok & c_ok & (r_arr >= 0) & (c_arr >= 0)),
+            ~(empty | unreachable | entered),
+            at_origin & ~empty,
+            empty & ~at_origin,
+            first != np.arange(n),
+        ])
+        if fails.any():
+            i = int(fails.any(axis=0).argmax())
+            unit, move = (r[i], c[i]), moves[i]
+            raise bad(lines[i], (
+                "expected a non-negative integer row and col and a move",
+                f"move {move!r} is not one of U, D, L, R, X or empty",
+                f"the origin {origin} needs the empty move, not {move!r}",
+                f"unit {unit} has the empty move, which only the origin {origin} may have",
+                f"unit {unit} is listed twice, first on line {lines[first[i]]}",
+            )[int(fails[:, i].argmax())])
+        if unread:
+            raise unread
+    s1, s2 = 1 + max([origin[0], *r]), 1 + max([origin[1], *c])
+    if n != s1 * s2:
+        listed = set(zip(r, c))
+        missing = next((rr, cc) for rr in range(s1) for cc in range(s2)
+                       if (rr, cc) not in listed)
         raise bad(reader.line_num, f"unit {missing} of the {s1} x {s2} grid is not listed")
-    parent = np.full((s1, s2), -1, dtype=np.intp)
-    for (r, c), (line, mv) in units.items():
-        if mv in MOVES:
-            pr, pc = r - MOVES[mv][0], c - MOVES[mv][1]
-            if not (0 <= pr < s1 and 0 <= pc < s2):
-                raise bad(line, f"move {mv!r} enters unit {(r, c)} from {(pr, pc)}, "
-                                f"off the {s1} x {s2} grid")
-            parent[r, c] = pr * s2 + pc
-    prov = [[None if units[(r, c)][1] == "X" else "file" for c in range(s2)]
-            for r in range(s1)]
-    plan = PathPlan(origin=origin, parent=parent, provenance=prov)
+    # every unit is listed once, so the rows and cols fit the grid
+    dr, dc = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for move, step in MOVES.items():
+        dr[entering[move]], dc[entering[move]] = step
+    pr, pc = r_arr - dr, c_arr - dc
+    off = entered & ~((pr >= 0) & (pr < s1) & (pc >= 0) & (pc < s2))
+    if off.any():
+        i = int(off.argmax())
+        raise bad(lines[i], f"move {moves[i]!r} enters unit {(r[i], c[i])} from "
+                            f"{(int(pr[i]), int(pc[i]))}, off the {s1} x {s2} grid")
+    flat = r_arr * s2 + c_arr
+    parent = np.full(s1 * s2, -1, dtype=np.intp)
+    parent[flat[entered]] = (pr * s2 + pc)[entered]
+    parent = parent.reshape(s1, s2)
+    marked_x = np.zeros(s1 * s2, dtype=bool)
+    marked_x[flat[unreachable]] = True
+    line_of = np.empty(s1 * s2, dtype=np.intp)
+    line_of[flat] = lines
+    plan = PathPlan(origin=origin, parent=parent,
+                    provenance=np.where(marked_x, None, "file").reshape(s1, s2).tolist())
     # every chain reaches the origin exactly when each unit follows its parent
     order = plan.order()
     rank = np.full(s1 * s2, s1 * s2)
     rank[order] = np.arange(order.size)
     late = order[1:][rank[parent.flat[order[1:]]] > rank[order[1:]]]
     if late.size:
-        line, u = min((units[divmod(u, s2)][0], u) for u in late.tolist())
+        u = int(late[line_of[late].argmin()])
         up = int(parent.flat[u])
         why = (f"hangs under the unreachable unit {divmod(up, s2)}"
                if rank[up] == s1 * s2 else "runs into a cycle")
-        raise bad(line, f"the parent chain of unit {divmod(u, s2)} {why} "
-                        f"instead of reaching the origin {origin}")
+        raise bad(int(line_of[u]), f"the parent chain of unit {divmod(u, s2)} {why} "
+                                   f"instead of reaching the origin {origin}")
     return plan
 
 

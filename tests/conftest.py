@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 import darkfringe as df
-from darkfringe.fileio import _read_pgm_header
+from darkfringe.fileio import _read_pgm_header, _reading
 from darkfringe.forward_model import _unit_window, default_crop_rows
 from darkfringe.path_search import MOVES, random_invalid_maps, transpose_invalid
 from darkfringe.fringe_detect import FringeMaps, default_detect_config
@@ -363,6 +364,140 @@ def reference_read_pgm16(path) -> df.IntensityImage:
         raw = np.frombuffer(fh.read(width * height * 2), dtype=">u2")
     scale = float(meta.get("scale", 1.0))
     return df.IntensityImage(raw.reshape(height, width).astype(float) / scale)
+
+
+# The CSV writers and readers as they were written one element at a time:
+# the package's array versions must write the same bytes and read the same
+# grids and plans, and raise the same message for the same malformed file.
+
+
+def _reference_write_rows(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def reference_write_fringe_maps_csv(path, maps: FringeMaps, kind: str) -> None:
+    """One 0/1 grid per file; `kind` selects the row or col map."""
+    if kind not in ("row", "col"):
+        raise ValueError("kind must be 'row' or 'col'")
+    grid = maps.row_map if kind == "row" else maps.col_map
+    with open(path, "w", newline="") as fh:
+        fh.write(f"kind={kind},j={maps.measurement_index}\n")
+        writer = csv.writer(fh)
+        writer.writerows(grid.astype(int).tolist())
+
+
+def reference_write_bool_grid_csv(path, grid: np.ndarray) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(np.asarray(grid, dtype=int).tolist())
+
+
+def reference_write_edge_ratios_csv(path, ratios: df.EdgeRatios) -> None:
+    rows = []
+    for kind, grid in (("h", ratios.horizontal), ("v", ratios.vertical)):
+        for (r, c), val in np.ndenumerate(grid):
+            valid = not np.isnan(val)
+            rows.append((kind, r, c,
+                         repr(float(val.real)) if valid else "nan",
+                         repr(float(val.imag)) if valid else "nan",
+                         int(valid)))
+    _reference_write_rows(path, ["kind", "row", "col", "ratio_real", "ratio_imag", "valid"],
+                          rows)
+
+
+def reference_read_edge_ratios_csv(path, s1: int, s2: int) -> df.EdgeRatios:
+    grids = {"h": np.full((s1, s2 - 1), complex(np.nan, np.nan)),
+             "v": np.full((s1 - 1, s2), complex(np.nan, np.nan))}
+    seen = set()
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                kind = row["kind"]
+                grid = grids[kind]
+                r, c, valid = int(row["row"]), int(row["col"]), int(row["valid"])
+                value = complex(float(row["ratio_real"]), float(row["ratio_imag"]))
+                ok = (None not in row and valid in (0, 1) and (kind, r, c) not in seen
+                      and 0 <= r < grid.shape[0] and 0 <= c < grid.shape[1])
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"bad edge ratio row in {str(path)!r} line "
+                                 f"{reader.line_num}: {list(row.values())!r}")
+            seen.add((kind, r, c))
+            if valid:
+                grid[r, c] = value
+    return df.EdgeRatios(horizontal=grids["h"], vertical=grids["v"])
+
+
+def reference_write_path_plan_csv(path, plan: df.PathPlan) -> None:
+    s2 = plan.shape[1]
+    moves = np.where(plan.reachable_mask(), plan.moves(), "X").ravel().tolist()
+    _reference_write_rows(path, ["row", "col", "move"],
+                          [(*divmod(u, s2), mv) for u, mv in enumerate(moves)])
+
+
+def reference_read_path_plan_csv(path, origin: tuple[int, int]) -> df.PathPlan:
+    def bad(line: int, why: str) -> ValueError:
+        return ValueError(f"bad path plan {str(path)!r} line {line}: {why}")
+
+    origin = (int(origin[0]), int(origin[1]))
+    units: dict[tuple[int, int], tuple[int, str]] = {}
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != ["row", "col", "move"]:
+            raise bad(1, f"header {','.join(header)!r} is not 'row,col,move'")
+        for fields in reader:
+            line = reader.line_num
+            try:
+                r, c, mv = int(fields[0]), int(fields[1]), fields[2]
+                ok = len(fields) == 3 and r >= 0 and c >= 0
+            except (IndexError, ValueError):
+                ok = False
+            if not ok:
+                raise bad(line, "expected a non-negative integer row and col and a move")
+            if mv not in MOVES and mv not in ("", "X"):
+                raise bad(line, f"move {mv!r} is not one of U, D, L, R, X or empty")
+            if (r, c) == origin and mv != "":
+                raise bad(line, f"the origin {origin} needs the empty move, not {mv!r}")
+            if mv == "" and (r, c) != origin:
+                raise bad(line, f"unit {(r, c)} has the empty move, which only "
+                                f"the origin {origin} may have")
+            if (r, c) in units:
+                raise bad(line, f"unit {(r, c)} is listed twice, first on "
+                                f"line {units[(r, c)][0]}")
+            units[(r, c)] = (line, mv)
+    s1, s2 = (1 + max(unit[k] for unit in [origin, *units]) for k in (0, 1))
+    if len(units) != s1 * s2:
+        missing = next((r, c) for r in range(s1) for c in range(s2) if (r, c) not in units)
+        raise bad(reader.line_num, f"unit {missing} of the {s1} x {s2} grid is not listed")
+    parent = np.full((s1, s2), -1, dtype=np.intp)
+    for (r, c), (line, mv) in units.items():
+        if mv in MOVES:
+            pr, pc = r - MOVES[mv][0], c - MOVES[mv][1]
+            if not (0 <= pr < s1 and 0 <= pc < s2):
+                raise bad(line, f"move {mv!r} enters unit {(r, c)} from {(pr, pc)}, "
+                                f"off the {s1} x {s2} grid")
+            parent[r, c] = pr * s2 + pc
+    prov = [[None if units[(r, c)][1] == "X" else "file" for c in range(s2)]
+            for r in range(s1)]
+    plan = df.PathPlan(origin=origin, parent=parent, provenance=prov)
+    # every chain reaches the origin exactly when each unit follows its parent
+    order = plan.order()
+    rank = np.full(s1 * s2, s1 * s2)
+    rank[order] = np.arange(order.size)
+    late = order[1:][rank[parent.flat[order[1:]]] > rank[order[1:]]]
+    if late.size:
+        line, u = min((units[divmod(u, s2)][0], u) for u in late.tolist())
+        up = int(parent.flat[u])
+        why = (f"hangs under the unreachable unit {divmod(up, s2)}"
+               if rank[up] == s1 * s2 else "runs into a cycle")
+        raise bad(line, f"the parent chain of unit {divmod(u, s2)} {why} "
+                        f"instead of reaching the origin {origin}")
+    return plan
 
 
 def reference_pattern_pgm(path, pattern, pixels_per_unit) -> None:

@@ -502,3 +502,55 @@ def test_cli_stage_sequence_writes_the_pipeline_files(tmp_path):
         assert names == {p.name for p in piped.iterdir()} - {"manifest.json"}
         for name in sorted(names):
             assert (stages / name).read_bytes() == (piped / name).read_bytes(), (m, name)
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
+    # every main call in a process parses its argv with the same parser
+    import darkfringe.cli as cli
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "darkfringe":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["patterns", "--outdir", str(tmp_path), *SMALL_RUN]) == 0
+        assert main(["simulate", "--outdir", str(tmp_path), *SMALL_RUN]) == 0
+        assert main(["no-such-command"]) == 1
+        assert main(["psf-sweep", "--unit-len", "16", "--radii", "2", "--delta-phis", "0.5",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_cli_runs_alike_on_the_shared_parser(tmp_path):
+    # no call leaves state in the parser that the next call sees: the stage
+    # sequence writes the same files twice in one process, and a study tool
+    # called without --radii after a call with it sweeps the default radii
+    def stage_sequence(outdir):
+        for argv in (["patterns"], ["simulate"], *(["detect", "--j", j] for j in "1234"),
+                     ["mark-invalid"], ["paths"], ["reconstruct"]):
+            assert main([*argv, "--outdir", str(outdir), *SMALL_RUN,
+                         "--noise-sigma", "0.02", "--seed", "6", "--origins", "0,0;3,3"]) == 0
+        assert main(["metrics", "--outdir", str(outdir),
+                     "--reconstruction", str(outdir / "reconstruction.cf32"),
+                     "--truth", str(outdir / "object.cf32")]) == 0
+        return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+    first = stage_sequence(tmp_path / "first")
+    assert len(first) == 25
+    assert stage_sequence(tmp_path / "second") == first
+
+    def radii(*flags):
+        out = tmp_path / "sweep.csv"
+        assert main(["psf-sweep", "--unit-len", "16", "--delta-phis", "0.5", *flags,
+                     "--out", str(out)]) == 0
+        return [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+
+    assert radii("--radii", "3") == [3.0]
+    assert radii() == [2.0, 18.0, 34.0]

@@ -1,3 +1,4 @@
+import math
 import tempfile
 import threading
 import tracemalloc
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import darkfringe.fileio as fio
@@ -17,7 +18,10 @@ from darkfringe.path_search import (BlockingStats, plan_paths, plan_with_retry,
                                     random_invalid_maps)
 from darkfringe.patterns import ReferenceLibrary
 
-from conftest import (frame_cases, planner_cases, reference_read_pgm16,
+from conftest import (frame_cases, planner_cases, reference_read_edge_ratios_csv,
+                      reference_read_path_plan_csv, reference_read_pgm16,
+                      reference_write_bool_grid_csv, reference_write_edge_ratios_csv,
+                      reference_write_fringe_maps_csv, reference_write_path_plan_csv,
                       reference_write_pgm16, strip_sizes)
 
 
@@ -597,3 +601,163 @@ def test_readers_parse_or_name_the_file(data):
         exc = _within(10, read, path)
     if exc is not None:
         assert type(exc) is ValueError and str(path) in str(exc), repr(exc)
+
+
+# -- the array writers and readers against the element-at-a-time references
+# in conftest: the same bytes, the same grids and plans, the same errors
+
+FLOAT_PARTS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                               0.1 + 0.2, 1 / 3, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+@st.composite
+def csv_artifacts(draw):
+    """Edge ratios with NaN, signed-zero, subnormal, huge and 17-digit parts
+    (some NaN in one part only), fringe maps and 0/1 grids of the same grid,
+    and plans with X units from every drawn origin; 1-6 x 1-6 units."""
+    s1, s2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def ratios(shape):
+        parts = draw(st.lists(st.tuples(FLOAT_PARTS, FLOAT_PARTS),
+                              min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        return np.array([complex(a, b) for a, b in parts], dtype=complex).reshape(shape)
+
+    def flags(shape):
+        return np.array(draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1])), dtype=bool).reshape(shape)
+
+    edges = EdgeRatios(horizontal=ratios((s1, s2 - 1)), vertical=ratios((s1 - 1, s2)))
+    maps = FringeMaps(row_map=flags((s1, s2 - 1)), col_map=flags((s1 - 1, s2)),
+                      measurement_index=draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    invalid = random_invalid_maps(s1, s2, draw(st.sampled_from([0.0, 0.2, 0.5])), rng)
+    origins = draw(st.lists(st.tuples(st.integers(0, s1 - 1), st.integers(0, s2 - 1)),
+                            min_size=1, max_size=3))
+    plans = [plan_with_retry(invalid, origins)] + [plan_paths(invalid, o) for o in origins]
+    return (s1, s2), edges, maps, invalid, plans
+
+
+def _explicit_csv_artifacts(s1, s2, origin):
+    """A csv_artifacts case whose edge ratios cycle through one-NaN-part,
+    signed-zero, subnormal, +-1e300 and 17-digit values, with X units."""
+    parts = [complex(np.nan, 1.0), complex(-0.0, 5e-324), complex(1e300, -1e300),
+             complex(0.1 + 0.2, 1 / 3), complex(1.0, np.nan)]
+    cycle = np.resize(np.array(parts), 2 * s1 * s2)
+    edges = EdgeRatios(horizontal=cycle[:s1 * (s2 - 1)].reshape(s1, s2 - 1),
+                       vertical=cycle[s1 * s2:s1 * s2 + (s1 - 1) * s2].reshape(s1 - 1, s2))
+    invalid = InvalidBoundaryMaps(np.arange(s1 * (s2 - 1)).reshape(s1, s2 - 1) % 3 == 1,
+                                  np.zeros((s1 - 1, s2), bool))
+    maps = FringeMaps(row_map=invalid.matrix_a, col_map=~invalid.matrix_b, measurement_index=3)
+    return (s1, s2), edges, maps, invalid, [plan_paths(invalid, origin)]
+
+
+def _read_outcome(read, path):
+    """What a reader makes of a file: its error, or its grids or plan as bytes."""
+    try:
+        got = read(path)
+    except Exception as exc:   # compared with the reference's, whatever it is
+        return type(exc), str(exc)
+    if isinstance(got, EdgeRatios):
+        return got.horizontal.shape, got.horizontal.tobytes(), got.vertical.tobytes()
+    return got.origin, got.parent.shape, got.parent.tobytes(), got.provenance
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_artifacts())
+@example(_explicit_csv_artifacts(1, 1, (0, 0)))
+@example(_explicit_csv_artifacts(1, 7, (0, 4)))
+@example(_explicit_csv_artifacts(3, 4, (2, 1)))
+def test_csv_writers_and_readers_match_the_references(case):
+    (s1, s2), edges, maps, invalid, plans = case
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        writes = [(fio.write_edge_ratios_csv, reference_write_edge_ratios_csv, (edges,)),
+                  (fio.write_bool_grid_csv, reference_write_bool_grid_csv, (invalid.matrix_a,)),
+                  (fio.write_bool_grid_csv, reference_write_bool_grid_csv, (invalid.matrix_b,))]
+        writes += [(fio.write_fringe_maps_csv, reference_write_fringe_maps_csv, (maps, kind))
+                   for kind in ("row", "col")]
+        writes += [(fio.write_path_plan_csv, reference_write_path_plan_csv, (plan,))
+                   for plan in plans]
+        for write, reference_write, args in writes:
+            write(got, *args)
+            reference_write(want, *args)
+            assert got.read_bytes() == want.read_bytes(), write.__name__
+        # both readers read the files back alike, and without an error
+        reads = [(fio.write_edge_ratios_csv, edges, lambda p: fio.read_edge_ratios_csv(p, s1, s2),
+                  lambda p: reference_read_edge_ratios_csv(p, s1, s2))]
+        reads += [(fio.write_path_plan_csv, plan,
+                   lambda p, o=plan.origin: fio.read_path_plan_csv(p, o),
+                   lambda p, o=plan.origin: reference_read_path_plan_csv(p, o)) for plan in plans]
+        for write, data, read, reference_read in reads:
+            write(got, data)
+            outcome = _read_outcome(read, got)
+            assert outcome == _read_outcome(reference_read, got)
+            assert not isinstance(outcome[0], type), outcome
+
+EQUIVALENCE_READERS = {
+    "edge_ratios": (lambda p: fio.read_edge_ratios_csv(p, 2, 3),
+                    lambda p: reference_read_edge_ratios_csv(p, 2, 3)),
+    "path_plan": (lambda p: fio.read_path_plan_csv(p, (0, 0)),
+                  lambda p: reference_read_path_plan_csv(p, (0, 0))),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_csv_readers_fail_like_the_references(data):
+    # on any mutation of a valid file, both read the same result or raise
+    # the same error, message included
+    name = data.draw(st.sampled_from(sorted(EQUIVALENCE_READERS)), label="reader")
+    seeds = SEED_FILES[f"read_{name}_csv"][1]
+    content = data.draw(st.sampled_from(seeds).flatmap(mutated), label="content")
+    read, reference_read = EQUIVALENCE_READERS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.csv"
+        path.write_bytes(content)
+        assert _read_outcome(read, path) == _read_outcome(reference_read, path)
+
+
+EDGE_ROW = b"h,0,0,1.0,0.0,1\r\n"
+PLAN_ROWS = b"0,0,\r\n0,1,R\r\n1,0,D\r\n1,1,R\r\n"
+
+
+@pytest.mark.parametrize("name, content", [
+    ("edge_ratios", b""),
+    ("edge_ratios", EDGE_RATIOS_HEADER.encode()),
+    ("edge_ratios", EDGE_RATIOS_HEADER.encode() + b"\r\n\r\n" + EDGE_ROW + b"\n\nh,0,1,x,0,1\n"),
+    ("edge_ratios", b"row,kind,col,ratio_imag,ratio_real,valid\r\n0,h,1,2.0,1.0,1\r\n"),
+    ("edge_ratios", b"kind,row,col,ratio_real,ratio_imag,valid,note\r\nh,0,0,1.0,0.0,1\r\n"
+                    b"v,0,2,-1.0,0.0,1,x\r\nh,1,1,1.0,0.0,0,x,y\r\n"),
+    ("edge_ratios", b"kind,row,row,col,ratio_real,ratio_imag,valid\r\nh,x,1,0,1.0,0.0,1\r\n"
+                    b"h,1,x,0,1.0,0.0,1\r\n"),
+    ("edge_ratios", b"kind,row,col,ratio_real,valid\r\nh,0,0,1.0,1\r\n"),
+    ("edge_ratios", b"\r\nh,0,0,1.0,0.0,1\r\n"),
+    ("edge_ratios", EDGE_RATIOS_HEADER.encode() + b"h,99999999999999999999,0,1,0,1\r\n"),
+    ("edge_ratios", EDGE_RATIOS_HEADER.encode() + b"h, 1,+0,1_0.5,-0,1\r\n"
+                    b"v,0,\xd9\xa3,nan,inf,0\r\n"),
+    ("edge_ratios", EDGE_RATIOS_HEADER.encode() + b'h,0,0,"1.0\n",0.0,1\r\nh,0,0,1,0,1\r\n'),
+    ("edge_ratios", EDGE_RATIOS_HEADER.encode() + b"h,0,0,x,0,1\r\n" + EDGE_ROW * 900 + b"\xff"),
+    ("edge_ratios", EDGE_RATIOS_HEADER.encode() + EDGE_ROW + b"\xff" * 9000 + b"h,0,0,x,0,1\r\n"),
+    ("edge_ratios", EDGE_RATIOS_HEADER.encode() + EDGE_ROW + b"\r\n" * 5000 + b"\xff"),
+    ("path_plan", b"row,col,move\r\n"),
+    ("path_plan", b"row,col,move\r\n" + PLAN_ROWS + b"99999999999999999999,0,R\r\n"),
+    ("path_plan", b"row,col,move\r\n" + PLAN_ROWS + b"99999999999999999999,0,R\r\n" * 2),
+    ("path_plan", b"row,col,move\r\n" + PLAN_ROWS[:-8] + b"\r\n1,1,R\r\n"),
+    ("path_plan", b"row,col,move\r\n" + PLAN_ROWS[:-8] + b'1,1,"R\nX"\r\n'),
+    ("path_plan", b"row,col,move\r\n" + PLAN_ROWS[:-8] + b"1,1,R\x00\r\n"),
+    ("path_plan", b"row,col,move\r\n0,0,\r\n0,1,R,\r\n1,0,D\r\n1,1\r\n"),
+    ("path_plan", b"row,col,move\r\n0,0,\r\n0,1,X\r\n1,0,D\r\n1,1,U\r\n0,1,X\r\n"),
+    ("path_plan", b"row,col,move\r\n+0,0,\r\n0, 1,R\r\n\xd9\xa1,0,D\r\n1,1_0,R\r\n"),
+    ("path_plan", b"row,col,move\r\n0,0,R\r\n" + PLAN_ROWS * 600 + b"\xff"),
+    ("path_plan", b"row,col,move\r\n" + PLAN_ROWS + b"\xff" * 9000 + b"0,0,R\r\n"),
+    ("path_plan", b"row,col,move\r\n0,0,\r\n0," + b" " * 9000 + b"1,R\r\n\xff"),
+], ids=lambda v: "" if isinstance(v, bytes) else v)
+def test_csv_readers_read_odd_files_like_the_references(tmp_path, name, content):
+    # blank lines, reordered, extra and repeated header names, a short
+    # header, huge ints, what int() and float() accept, a line inside quotes,
+    # a NUL, and bytes that do not decode before or after a bad row or
+    # after more than a decoder's chunk of good ones
+    path = tmp_path / "odd.csv"
+    path.write_bytes(content)
+    read, reference_read = EQUIVALENCE_READERS[name]
+    assert _read_outcome(read, path) == _read_outcome(reference_read, path)
