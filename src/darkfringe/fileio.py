@@ -8,10 +8,10 @@ comment and the level buffer as it is, and the reader returns the file's
 levels and scale without converting them. Everything tabular is plain CSV
 with a fixed header; a path plan is one `row,col,move` line per unit. The
 writers of 0/1 grids, edge ratios and path plans format whole columns (a 0/1
-grid is one byte block), and the edge-ratio and path-plan readers parse all
-rows first and check them as arrays, naming the first bad line. Complex
-fields use a one-line ASCII header followed by row-major interleaved (real,
-imag) little-endian float32. Readers decode text inside `_reading`, so bytes
+grid is one byte block), and the 0/1 grid, edge-ratio and path-plan readers
+parse all rows first and check them as arrays, naming the first bad line.
+Complex fields use a one-line ASCII header followed by row-major interleaved
+(real, imag) little-endian float32. Readers decode text inside `_reading`, so bytes
 that are not UTF-8 are a format error naming the file.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import os
 
 import numpy as np
@@ -181,25 +182,46 @@ def write_fringe_maps_csv(path, maps: FringeMaps, kind: str) -> None:
         fh.write(_bool_grid_bytes(grid))
 
 
+# the flag of each text a 0/1 grid writes
+_FLAGS = {"0": 0, "1": 1}
+
+
 def _read_bool_rows(fh, path, lines_before: int = 0) -> np.ndarray:
     """A CSV grid of 0/1 rows of one length, or a format error naming the
-    file (and the line of a bad value, `lines_before` header lines counted)."""
-    reader = csv.reader(fh)
-    grid = []
-    for row in reader:
-        if grid and len(row) != len(grid[0]):
-            raise ValueError(f"ragged grid in {str(path)!r}: row {len(grid) + 1} has "
-                             f"{len(row)} fields, row 1 has {len(grid[0])}")
-        line = lines_before + reader.line_num
+    file (and the line of a bad value, `lines_before` header lines counted).
+
+    All rows are parsed first and checked as arrays. A value other than the
+    text 0 or 1 is read by int(), as " 1" or "+0" are; the error names the
+    first bad row by the first rule it breaks: the first row's length, a
+    value int() cannot read, a value other than 0 or 1.
+    """
+    rows, lines, unread = _read_rows(csv.reader(fh))
+    n = len(rows)
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+    texts = list(itertools.chain.from_iterable(rows))
+    flags = np.fromiter(map(_FLAGS.get, texts, itertools.repeat(-1)), dtype=np.int8,
+                        count=len(texts))
+    for i in np.flatnonzero(flags < 0).tolist():
+        with contextlib.suppress(ValueError):
+            if (value := int(texts[i])) in (0, 1):
+                flags[i] = value
+    bad = lengths != lengths[:1]
+    bad[np.repeat(np.arange(n), lengths)[flags < 0]] = True
+    if bad.any():
+        i = int(bad.argmax())
+        if lengths[i] != lengths[0]:
+            raise ValueError(f"ragged grid in {str(path)!r}: row {i + 1} has "
+                             f"{lengths[i]} fields, row 1 has {lengths[0]}")
+        line = lines_before + lines[i]
         try:
-            flags = [int(v) for v in row]
+            list(map(int, rows[i]))
         except ValueError as exc:
             raise ValueError(f"bad grid value in {str(path)!r} line {line}: {exc}") from exc
-        if not set(flags) <= {0, 1}:
-            raise ValueError(f"bad grid value in {str(path)!r} line {line}: "
-                             f"{row!r} (expected 0 or 1)")
-        grid.append(flags)
-    return np.array(grid, dtype=bool)
+        raise ValueError(f"bad grid value in {str(path)!r} line {line}: "
+                         f"{rows[i]!r} (expected 0 or 1)")
+    if unread:
+        raise unread
+    return flags.astype(bool).reshape(n, -1) if n else np.zeros(0, dtype=bool)
 
 
 def read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:

@@ -22,12 +22,21 @@ frame is simulated, F one row strip at a time, and every frame-sized pass
 (|F|^2 and its max, the noise, the clip, the readout) runs over one list of
 row strips of about STRIP_PIXELS pixels (:func:`row_strips`); the grid
 (:class:`GridSpec`) says which rows a slice then crops.
+
+F = Wy source Wx^T is a banded product. The tabulated primitive saturates in
+float, so each window is exactly zero beyond a few units of its own (its
+reach, read off the window matrix's nonzeros), and a strip of F is built in
+blocks of unit columns from only the units within reach. Each block product
+is small enough for BLAS to run it on the calling thread, and the frame is
+bit for bit that of the whole-frame product. The windows depend on the PSF
+and the grid only, and are cached, so the m frames of a run build them once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +73,9 @@ class PsfModel:
         Half-reach of the primitive table. Defaults to 20 r; P is clamped to
         its end value beyond, which is exact for the box kernel and loses
         only the (negligible) tail mass for the other two.
+
+    Two models are equal when their (kind, radius, step, extent) are, which
+    fixes the table, so separately built models share cached windows.
     """
 
     def __init__(self, kind: str, radius: float, step: float = 0.05,
@@ -117,6 +129,17 @@ class PsfModel:
         h = self.step
         return (self.primitive(x) - 2.0 * self.primitive(x - h)
                 + self.primitive(x - 2.0 * h)) / h**2
+
+    def _key(self) -> tuple:
+        return self.kind, self.radius, self.step, self.extent
+
+    def __eq__(self, other):
+        if not isinstance(other, PsfModel):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"PsfModel(kind={self.kind!r}, radius={self.radius}, step={self.step})"
@@ -229,6 +252,12 @@ class GridSpec:
 # pixels per row strip of a frame-sized pass: a float64 strip (512 KB) stays
 # in a core's L2 cache and is small next to any frame worth streaming
 STRIP_PIXELS = 1 << 16
+# complex multiply-adds (rows x K x N) per block product of the field pass:
+# OpenBLAS 0.3.31, as numpy 2.4.6 ships it, runs products below this on the
+# calling thread. 32 x 8 x 128 stayed on one thread; 64 x 8 x 128 and larger
+# woke a second thread, which then spun for 100-130 ms of CPU after every
+# call and slowed the noise draws that follow on a 2-core host.
+_BLOCK_MADDS = 1 << 16
 
 
 def row_strips(height: int, rows: int) -> list[slice]:
@@ -357,6 +386,49 @@ def fringe_radius_sweep(delta_phis, radii, unit_len: int, model_kind: str,
     return rows
 
 
+def _reach(window: np.ndarray, ppu: int) -> int:
+    """Units between a pixel's own unit and the farthest unit whose window is
+    nonzero at that pixel, over the window matrix (pixels x units): its
+    nonzero band, which the tabulated primitive's saturation makes finite."""
+    pixel, unit = np.nonzero(window)
+    return int(np.abs(unit - pixel // ppu).max(initial=0))
+
+
+@lru_cache(maxsize=4)
+def _field_windows(model: PsfModel, grid: GridSpec, rows: int) -> tuple:
+    """Read-only Wy, its reach and the Wx^T blocks of the uncropped frame,
+    for row strips of at most `rows` rows (which the grid fixes, so a run
+    builds them once per PSF and grid).
+
+    A block is (pixel columns, first and last + 1 unit of G it reads,
+    read-only complex Wx^T[units, columns]) for a run of whole units: its
+    columns and every unit within Wx's reach of them. The runs are
+    :func:`row_strips` of the units, two or more units each unless the grid
+    is one unit wide, so no block product is a matrix-vector product (whose
+    sums may differ from a matrix product's); they are the widest that keep
+    each strip's block products below _BLOCK_MADDS, where two units can.
+    """
+    ppu, s1, s2 = grid.pixels_per_unit, grid.s1, grid.s2
+    wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1)
+    wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
+    reach_x = _reach(wx, ppu)
+    # a leftover unit folds into the last run, so a run one unit wider
+    # must stay below the bound too
+    fits = [n for n in range(1, s2)
+            if rows * min(n + 1 + 2 * reach_x, s2) * (n + 1) * ppu < _BLOCK_MADDS]
+    blocks = []
+    for units in row_strips(s2, max(fits, default=1)):
+        lo, hi = max(units.start - reach_x, 0), min(units.stop + reach_x, s2)
+        cols = slice(units.start * ppu, units.stop * ppu)
+        block = wx[cols, lo:hi].T.astype(complex)
+        block.flags.writeable = False
+        blocks.append((cols, lo, hi, block))
+    wy.flags.writeable = False
+    # a one-column G is a matrix-vector product, whose sums group each term
+    # by its place in the whole row of Wy: it takes every unit
+    return wy, _reach(wy, ppu) if s2 > 1 else s1, tuple(blocks)
+
+
 def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: PsfModel,
                             grid: GridSpec, noise_sigma: float, seed: int) -> IntensityImage:
     """Simulate one camera frame of the object seen through a phase pattern.
@@ -369,14 +441,19 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     standard normal draws from the seed's generator taken row-major over the
     uncropped frame, whose crop_rows rows top and bottom are then sliced off.
 
-    Every pass runs over one list of row strips (:func:`row_strips`): one
-    complex strip of F at a time, as a complex product of G's rows with
-    Wx^T, whose |F|^2 and max go straight into the frame; then the noise
-    draws through one float strip buffer, scaled and added into the frame,
-    and the clip. A call holds the frame, one strip and the small G and
-    Wx^T, never a frame-sized complex array. The frame is bit for bit that
-    of the whole-frame product: the complex product is kept because two real
-    products for Re F and Im F can differ from it in the last bit.
+    Every pass runs over one list of row strips (:func:`row_strips`). A
+    strip's rows of G take only the units within Wy's reach of the strip,
+    and its F is filled in blocks of unit columns, each a complex product of
+    only the G columns within Wx's reach of the block (:func:`_field_windows`,
+    cached per PSF and grid). Each product stays below _BLOCK_MADDS
+    multiply-adds where the frame is wide enough, so BLAS runs it on the
+    calling thread. |F|^2 and its max go straight into the frame; then the
+    noise draws through one float strip buffer, scaled and added into the
+    frame, and the clip. A call holds the frame, one strip and the small
+    windows, never a frame-sized complex array. The frame is bit for bit
+    that of the whole-frame product: the terms left out are exact zeros, and
+    the complex product is kept because two real products for Re F and Im F
+    can differ from it in the last bit.
     """
     if obj.shape != (grid.s1, grid.s2):
         raise ValueError(f"object shape {obj.shape} does not match grid "
@@ -391,20 +468,23 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
             "PSF radius reaches across a whole pixel-unit; fringes may be "
             "indistinguishable", stacklevel=2)
     s1, s2 = obj.shape
-    ys = np.arange(s1 * ppu) + 0.5
-    xs = np.arange(s2 * ppu) + 0.5
-    g = _unit_window(model, ys, ppu, s1) @ (obj.values * pattern.values)
-    wxt = _unit_window(model, xs, ppu, s2).T.astype(complex)
-    height, width = len(ys), len(xs)
+    height, width = s1 * ppu, s2 * ppu
     strips = row_strips(height, STRIP_PIXELS // width)
     size = max(rows.stop - rows.start for rows in strips)
+    wy, reach, blocks = _field_windows(model, grid, size)
+    source = obj.values * pattern.values
     frame = np.empty((height, width))
     field = np.empty((size, width), dtype=complex)
     peak = 0.0
     for rows in strips:
         power = frame[rows]
-        np.matmul(g[rows], wxt, out=field[:len(power)])
-        np.abs(field[:len(power)], out=power)
+        lo = max(rows.start // ppu - reach, 0)
+        hi = min((rows.stop - 1) // ppu + 1 + reach, s1)
+        g = wy[rows, lo:hi] @ source[lo:hi]
+        part = field[:len(power)]
+        for cols, a, b, block in blocks:
+            np.matmul(g[:, a:b], block, out=part[:, cols])
+        np.abs(part, out=power)
         np.square(power, out=power)
         peak = max(peak, float(power.max()))
     del field

@@ -394,6 +394,45 @@ def reference_write_bool_grid_csv(path, grid: np.ndarray) -> None:
         csv.writer(fh).writerows(np.asarray(grid, dtype=int).tolist())
 
 
+def reference_read_bool_rows(fh, path, lines_before: int = 0) -> np.ndarray:
+    reader = csv.reader(fh)
+    grid = []
+    for row in reader:
+        if grid and len(row) != len(grid[0]):
+            raise ValueError(f"ragged grid in {str(path)!r}: row {len(grid) + 1} has "
+                             f"{len(row)} fields, row 1 has {len(grid[0])}")
+        line = lines_before + reader.line_num
+        try:
+            flags = [int(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"bad grid value in {str(path)!r} line {line}: {exc}") from exc
+        if not set(flags) <= {0, 1}:
+            raise ValueError(f"bad grid value in {str(path)!r} line {line}: "
+                             f"{row!r} (expected 0 or 1)")
+        grid.append(flags)
+    return np.array(grid, dtype=bool)
+
+
+def reference_read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        try:
+            parts = dict(item.split("=") for item in header.split(","))
+            kind, j = parts["kind"], int(parts["j"])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"bad fringe map header in {str(path)!r}: "
+                             f"{header!r} (expected kind=row|col,j=<index>)") from exc
+        if kind not in ("row", "col"):
+            raise ValueError(f"bad fringe map kind {kind!r} in {str(path)!r}")
+        grid = reference_read_bool_rows(fh, path, lines_before=1)
+    return kind, j, grid
+
+
+def reference_read_bool_grid_csv(path) -> np.ndarray:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        return reference_read_bool_rows(fh, path)
+
+
 def reference_write_edge_ratios_csv(path, ratios: df.EdgeRatios) -> None:
     rows = []
     for kind, grid in (("h", ratios.horizontal), ("v", ratios.vertical)):
@@ -536,11 +575,12 @@ def strip_sizes():
 
 
 @st.composite
-def frame_cases(draw):
-    """Object, pattern, PSF and simulation settings: 1-19 units per side,
-    ppu in {4, 5, 8, 13, 16, 32}, three PSF kinds, sigma in {0, .01, .05, .3},
-    default or drawn crop, m in {2, 3, 4, 6}; plus a seed."""
-    s1, s2 = draw(st.integers(1, 19)), draw(st.integers(1, 19))
+def frame_cases(draw, rows=(1, 19), cols=(1, 19)):
+    """Object, pattern, PSF and simulation settings: 1-19 units per side (or
+    the `rows` and `cols` ranges), ppu in {4, 5, 8, 13, 16, 32}, three PSF
+    kinds, sigma in {0, .01, .05, .3}, default or drawn crop, m in
+    {2, 3, 4, 6}; plus a seed."""
+    s1, s2 = draw(st.integers(*rows)), draw(st.integers(*cols))
     ppu = draw(st.sampled_from([4, 5, 8, 13, 16, 32]))
     m = draw(st.sampled_from([2, 3, 4, 6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darkfringe.fileio as fio
+import darkfringe.forward_model as forward_model
 import darkfringe.pipeline as pipeline
 from darkfringe.cli import main
 from darkfringe.forward_model import PSF_KINDS, ComplexField, simulate_measurement_2d
@@ -52,6 +53,16 @@ def test_pipeline_reproducible_byte_identical(tmp_path):
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("m", [2, 4, 7])
+def test_pipeline_builds_the_field_windows_once(tmp_path, m):
+    # each frame's PSF is a separately built but equal model: one cache entry
+    forward_model._field_windows.cache_clear()
+    run_pipeline(RunConfig(s1=4, s2=5, pixels_per_unit=8, psf_radius=2.0, m=m,
+                           noise_sigma=0.01, outdir=str(tmp_path / "run")))
+    info = forward_model._field_windows.cache_info()
+    assert (info.misses, info.hits) == (1, m - 1)
 
 
 def test_pipeline_single_unit_grid(tmp_path):

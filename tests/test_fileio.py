@@ -18,7 +18,8 @@ from darkfringe.path_search import (BlockingStats, plan_paths, plan_with_retry,
                                     random_invalid_maps)
 from darkfringe.patterns import ReferenceLibrary
 
-from conftest import (frame_cases, planner_cases, reference_read_edge_ratios_csv,
+from conftest import (frame_cases, planner_cases, reference_read_bool_grid_csv,
+                      reference_read_edge_ratios_csv, reference_read_fringe_maps_csv,
                       reference_read_path_plan_csv, reference_read_pgm16,
                       reference_write_bool_grid_csv, reference_write_edge_ratios_csv,
                       reference_write_fringe_maps_csv, reference_write_path_plan_csv,
@@ -659,6 +660,11 @@ def _read_outcome(read, path):
         return type(exc), str(exc)
     if isinstance(got, EdgeRatios):
         return got.horizontal.shape, got.horizontal.tobytes(), got.vertical.tobytes()
+    if isinstance(got, np.ndarray):
+        return got.dtype, got.shape, got.tobytes()
+    if isinstance(got, tuple):
+        kind, j, grid = got
+        return kind, j, grid.dtype, grid.shape, grid.tobytes()
     return got.origin, got.parent.shape, got.parent.tobytes(), got.provenance
 
 
@@ -683,13 +689,18 @@ def test_csv_writers_and_readers_match_the_references(case):
             reference_write(want, *args)
             assert got.read_bytes() == want.read_bytes(), write.__name__
         # both readers read the files back alike, and without an error
-        reads = [(fio.write_edge_ratios_csv, edges, lambda p: fio.read_edge_ratios_csv(p, s1, s2),
+        reads = [(fio.write_edge_ratios_csv, (edges,),
+                  lambda p: fio.read_edge_ratios_csv(p, s1, s2),
                   lambda p: reference_read_edge_ratios_csv(p, s1, s2))]
-        reads += [(fio.write_path_plan_csv, plan,
+        reads += [(fio.write_path_plan_csv, (plan,),
                    lambda p, o=plan.origin: fio.read_path_plan_csv(p, o),
                    lambda p, o=plan.origin: reference_read_path_plan_csv(p, o)) for plan in plans]
-        for write, data, read, reference_read in reads:
-            write(got, data)
+        reads += [(fio.write_fringe_maps_csv, (maps, kind), fio.read_fringe_maps_csv,
+                   reference_read_fringe_maps_csv) for kind in ("row", "col")]
+        reads += [(fio.write_bool_grid_csv, (grid,), fio.read_bool_grid_csv,
+                   reference_read_bool_grid_csv) for grid in (invalid.matrix_a, invalid.matrix_b)]
+        for write, args, read, reference_read in reads:
+            write(got, *args)
             outcome = _read_outcome(read, got)
             assert outcome == _read_outcome(reference_read, got)
             assert not isinstance(outcome[0], type), outcome
@@ -699,10 +710,12 @@ EQUIVALENCE_READERS = {
                     lambda p: reference_read_edge_ratios_csv(p, 2, 3)),
     "path_plan": (lambda p: fio.read_path_plan_csv(p, (0, 0)),
                   lambda p: reference_read_path_plan_csv(p, (0, 0))),
+    "fringe_maps": (fio.read_fringe_maps_csv, reference_read_fringe_maps_csv),
+    "bool_grid": (fio.read_bool_grid_csv, reference_read_bool_grid_csv),
 }
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(st.data())
 def test_csv_readers_fail_like_the_references(data):
     # on any mutation of a valid file, both read the same result or raise
@@ -751,6 +764,24 @@ PLAN_ROWS = b"0,0,\r\n0,1,R\r\n1,0,D\r\n1,1,R\r\n"
     ("path_plan", b"row,col,move\r\n0,0,R\r\n" + PLAN_ROWS * 600 + b"\xff"),
     ("path_plan", b"row,col,move\r\n" + PLAN_ROWS + b"\xff" * 9000 + b"0,0,R\r\n"),
     ("path_plan", b"row,col,move\r\n0,0,\r\n0," + b" " * 9000 + b"1,R\r\n\xff"),
+    ("bool_grid", b""),
+    ("bool_grid", b"\r\n\r\n"),
+    ("bool_grid", b"0,1\r\n\r\n1,0\r\n"),
+    ("bool_grid", b" 1,+0,01,0_0\r\n\xd9\xa1,1\t,-0,1\r\n"),
+    ("bool_grid", b"0,1\r\n1,2\r\n"),
+    ("bool_grid", b"0,1\r\n1,x\r\n0\r\n"),
+    ("bool_grid", b"0,1\r\n1\r\n0,x\r\n"),
+    ("bool_grid", b"0,1\r\n1,99999999999999999999\r\n"),
+    ("bool_grid", b"1,0\r\n0," + b"1" * 5000 + b"\r\n"),
+    ("bool_grid", b'0,"1\n"\r\n1,"0\r\n"\r\n1,y\r\n'),
+    ("bool_grid", b"0,1\x00\r\n1,0\r\n"),
+    ("bool_grid", b"0,1\r\n" * 3000 + b"\xff"),
+    ("bool_grid", b"0,1\r\n1,9\r\n" + b"0,1\r\n" * 3000 + b"\xff"),
+    ("fringe_maps", b"kind=row,j=2\n0,1\r\n1, 1\r\n"),
+    ("fringe_maps", b"kind=col,j=1\n0,1\r\n1,0,1\r\n"),
+    ("fringe_maps", b"kind=col,j=1\n0,1\r\n\r\nx,0\r\n"),
+    ("fringe_maps", b"kind=col,j=1\n0,1\r\n1,0\r\nx,0\r\n"),
+    ("fringe_maps", b"kind=row,j=3\n"),
 ], ids=lambda v: "" if isinstance(v, bytes) else v)
 def test_csv_readers_read_odd_files_like_the_references(tmp_path, name, content):
     # blank lines, reordered, extra and repeated header names, a short

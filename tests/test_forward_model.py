@@ -6,9 +6,11 @@ from scipy.integrate import cumulative_trapezoid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darkfringe.forward_model import (STRIP_PIXELS, ComplexField, GridSpec,
+from darkfringe.forward_model import (_BLOCK_MADDS, PSF_KINDS, STRIP_PIXELS,
+                                      ComplexField, GridSpec,
                                       IntensityImage, PsfModel,
-                                      _kernel_profile, alternating_phases,
+                                      _field_windows, _kernel_profile, _reach,
+                                      _unit_window, alternating_phases,
                                       default_crop_rows,
                                       field_profile_1d, fringe_radius_sweep,
                                       gamma_second_derivative,
@@ -75,6 +77,18 @@ def test_primitive_table_is_cumulative_trapezoid(kind, radius, step):
     xs = model._xs
     want = np.concatenate(([0.0], cumulative_trapezoid(_kernel_profile(kind, radius, xs), xs)))
     assert model._table.tobytes() == want.tobytes()
+
+
+def test_psf_models_are_equal_by_value():
+    # separately built models of one kernel are one cache key
+    model = PsfModel("Gaussian", 8, step=0.05)
+    same = PsfModel("gaussian", 8.0, extent=160.0)
+    assert model == same and hash(model) == hash(same) and len({model, same}) == 1
+    assert model != PsfModel("gaussian", 8.0, step=0.04)
+    assert model != PsfModel("gaussian", 8.0, extent=100.0)
+    assert model != PsfModel("exponential", 8.0)
+    assert model != PsfModel("gaussian", 7.5)
+    assert model != ("gaussian", 8.0, 0.05, 160.0)
 
 
 def test_psf_model_validation():
@@ -401,6 +415,75 @@ def test_simulate_matches_full_frame_reference(case):
             got = simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
         assert got.values.shape == want.values.shape
         assert got.values.tobytes() == want.values.tobytes()
+
+
+def _grid_case(s1, s2, ppu, model):
+    rng = np.random.default_rng(s2)
+    obj = ComplexField(np.exp(2j * np.pi * rng.integers(0, 4, (s1, s2)) / 4))
+    return (obj, make_patterns(4, s1, s2).patterns[1], model,
+            GridSpec(s1, s2, ppu, default_crop_rows(ppu)), 0.01, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_cases(rows=(1, 4), cols=(20, 48)))
+@example(_grid_case(1, 40, 8, PsfModel("exponential", 4.0)))     # long reach, one row
+@example(_grid_case(3, 24, 8, PsfModel("box", 7.5)))             # r = ppu - 0.5
+@example(_grid_case(2, 2, 16, PsfModel("gaussian", 4.0)))        # narrower than a block
+@example(_grid_case(12, 1, 8, PsfModel("gaussian", 3.0)))        # one unit wide
+def test_banded_field_matches_full_frame_reference_on_wide_and_narrow_grids(case):
+    # wide grids cross many column blocks per strip, narrow ones fit in one:
+    # the banded products give the whole-frame product's frame bit for bit
+    obj, pattern, model, grid, noise, seed = case
+    want = reference_simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
+    for strips in strip_sizes():
+        with strips:
+            got = simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("kind, reach", [("gaussian", 2), ("exponential", 5), ("box", 1)])
+def test_window_reach_at_32_px_per_unit(kind, reach):
+    # r = 8: where the tabulated primitive saturates, the windows are zero
+    window = _unit_window(PsfModel(kind, 8.0), np.arange(16 * 32) + 0.5, 32, 16)
+    assert _reach(window, 32) == reach
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PSF_KINDS), st.sampled_from([1, 2, 4, 5, 8, 13, 32]),
+       st.floats(0.05, 1.5), st.integers(1, 12), st.integers(1, 12), st.integers(1, 2000))
+def test_field_windows_cover_every_nonzero(kind, ppu, r_per_unit, s1, s2, rows):
+    model = PsfModel(kind, r_per_unit * ppu)
+    wy, reach, blocks = _field_windows(model, GridSpec(s1, s2, ppu), rows)
+    assert not wy.flags.writeable
+    assert wy.tobytes() == _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).tobytes()
+    pixel, unit = np.nonzero(wy)
+    assert np.all(np.abs(unit - pixel // ppu) <= reach)
+    # the blocks tile the columns in order, whole units each, and each holds
+    # every nonzero of Wx in its columns
+    wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
+    assert blocks[0][0].start == 0 and blocks[-1][0].stop == s2 * ppu
+    for (cols, lo, hi, block), after in zip(blocks, blocks[1:] + ((slice(s2 * ppu, None),),)):
+        assert cols.stop == after[0].start and cols.start % ppu == 0
+        assert not wx[cols, :lo].any() and not wx[cols, hi:].any()
+        assert not block.flags.writeable
+        assert np.array_equal(block, wx[cols, lo:hi].T)
+
+
+@pytest.mark.parametrize("units", [32, 64, 128])
+@pytest.mark.parametrize("kind", PSF_KINDS)
+def test_field_products_stay_below_the_one_thread_size(kind, units):
+    # at the benchmark's 32 px per unit and r = 8, every block product of a
+    # strip, G's included, is small enough for BLAS to run on one thread
+    grid = GridSpec(units, units, 32, default_crop_rows(32))
+    strips = row_strips(grid.s1 * 32, STRIP_PIXELS // grid.width)
+    size = max(rows.stop - rows.start for rows in strips)
+    wy, reach, blocks = _field_windows(PsfModel(kind, 8.0), grid, size)
+    for rows in strips:
+        units_of_g = (min((rows.stop - 1) // 32 + 1 + reach, units)
+                      - max(rows.start // 32 - reach, 0))
+        assert (rows.stop - rows.start) * units_of_g * units < _BLOCK_MADDS
+    for cols, lo, hi, block in blocks:
+        assert size * (hi - lo) * (cols.stop - cols.start) < _BLOCK_MADDS
 
 
 def test_simulate_holds_only_the_field_and_the_frame():
