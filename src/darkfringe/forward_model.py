@@ -18,18 +18,16 @@ z standard normal draws from the frame's seed. The camera reads it out once,
 as 16-bit levels rint(value * scale) with scale = 65535 / peak
 (:func:`quantize_16bit`); the levels and their scale are the measurement
 every later stage computes from and the PGM file stores. The whole uncropped
-frame is simulated, F one row strip at a time, and every frame-sized pass
-(|F|^2 and its max, the noise, the clip, the readout) runs over one list of
-row strips of about STRIP_PIXELS pixels (:func:`row_strips`); the grid
-(:class:`GridSpec`) says which rows a slice then crops.
+frame is simulated, and every frame-sized pass (F, |F|^2 and its max, the
+noise, the clip, the readout) runs over one list of row strips of about
+STRIP_PIXELS pixels (:func:`frame_strips`); a slice crops it to the grid.
 
-F = Wy source Wx^T is a banded product. The tabulated primitive saturates in
-float, so each window is exactly zero beyond a few units of its own (its
-reach, read off the window matrix's nonzeros), and a strip of F is built in
-blocks of unit columns from only the units within reach. Each block product
-is small enough for BLAS to run it on the calling thread, and the frame is
-bit for bit that of the whole-frame product. The windows depend on the PSF
-and the grid only, and are cached, so the m frames of a run build them once.
+F = Wy source Wx^T, like detection's L^T frame R, is a product with banded
+window matrices: one routine (:func:`banded`, :func:`banded_times`) takes
+both in pieces that hold every nonzero of their columns and run on the
+calling thread. The tabulated primitive saturates in float, so each PSF
+window is exactly zero beyond a few units of its own (its reach); a frame is
+bit for bit the whole-frame product's, from windows cached per PSF and grid.
 """
 
 from __future__ import annotations
@@ -252,11 +250,10 @@ class GridSpec:
 # pixels per row strip of a frame-sized pass: a float64 strip (512 KB) stays
 # in a core's L2 cache and is small next to any frame worth streaming
 STRIP_PIXELS = 1 << 16
-# complex multiply-adds (rows x K x N) per block product of the field pass:
-# OpenBLAS 0.3.31, as numpy 2.4.6 ships it, runs products below this on the
-# calling thread. 32 x 8 x 128 stayed on one thread; 64 x 8 x 128 and larger
-# woke a second thread, which then spun for 100-130 ms of CPU after every
-# call and slowed the noise draws that follow on a 2-core host.
+# multiply-adds (rows x K x N) per banded product: OpenBLAS 0.3.31, as numpy
+# 2.4.6 ships it, runs products below this on the calling thread. 64 x 8 x 128
+# complex and larger woke a second thread, which then spun for 100-130 ms of
+# CPU after every call and slowed the noise draws that follow on a 2-core host.
 _BLOCK_MADDS = 1 << 16
 
 
@@ -273,6 +270,66 @@ def row_strips(height: int, rows: int) -> list[slice]:
     if len(tops) > 1 and height - tops[-1] == 1:
         tops.pop()
     return [slice(top, bottom) for top, bottom in zip(tops, tops[1:] + [height])]
+
+
+def frame_strips(height: int, width: int) -> tuple[list[slice], int]:
+    """The :func:`row_strips` of about STRIP_PIXELS pixels, and their most rows."""
+    strips = row_strips(height, STRIP_PIXELS // width)
+    return strips, max(rows.stop - rows.start for rows in strips)
+
+
+def banded(windows: np.ndarray, rows: int) -> tuple:
+    """Read-only (columns, lo, hi, block) pieces of a window matrix for
+    products of `rows` rows by it (:func:`banded_times`): block =
+    windows[lo:hi, columns] holds every nonzero of its columns.
+
+    Columns are taken in order of their first nonzero, in runs of at least
+    two (a one-column product is a matrix-vector product, whose sums may
+    differ), each the widest whose rows x (hi - lo) x columns stays below
+    _BLOCK_MADDS where two columns do; a column left over joins the run
+    before it. A one-row product is a vector-matrix product, whose sums group
+    terms by their place in the whole column, so it takes the whole matrix.
+    """
+    nonzero = windows != 0
+    used = np.flatnonzero(nonzero.any(axis=0))
+    lo = np.argmax(nonzero, axis=0)
+    hi = len(windows) - np.argmax(nonzero[::-1], axis=0)
+    order = used[np.argsort(lo[used], kind="stable")]
+    runs = [(slice(None), 0, len(windows))] if rows == 1 else []
+    while rows > 1 and len(order):
+        # lo is sorted, so a run spans from its first lo to the running max of hi
+        madds = (rows * (np.maximum.accumulate(hi[order]) - lo[order[0]])
+                 * np.arange(1, len(order) + 1))
+        width = max(int(np.count_nonzero(madds < _BLOCK_MADDS)), 2)
+        if len(order) == width + 1:
+            width += 1 if width == 2 else -1
+        cols, order = order[:width], order[width:]
+        if (np.diff(cols) == 1).all():
+            cols = slice(int(cols[0]), int(cols[-1]) + 1)
+        runs.append((cols, int(lo[cols].min()), int(hi[cols].max())))
+    pieces = []
+    for cols, start, stop in runs:
+        block = np.ascontiguousarray(windows[start:stop, cols])
+        block.flags.writeable = False
+        pieces.append((cols, start, stop, block))
+    return tuple(pieces)
+
+
+def banded_times(a: np.ndarray, pieces: tuple, out: np.ndarray) -> np.ndarray:
+    """out = a @ windows for the :func:`banded` pieces of the windows, over
+    the :func:`frame_strips` of `a`, each copied into a buffer of out's
+    dtype; columns that no piece holds are left as they are."""
+    strips, size = frame_strips(*a.shape)
+    buffer = np.empty((size, a.shape[1]), dtype=out.dtype)
+    for rows in strips:
+        part, strip = buffer[:rows.stop - rows.start], out[rows]
+        np.copyto(part, a[rows])
+        for cols, lo, hi, block in pieces:
+            if isinstance(cols, slice):
+                np.matmul(part[:, lo:hi], block, out=strip[:, cols])
+            else:
+                strip[:, cols] = part[:, lo:hi] @ block
+    return out
 
 
 def default_crop_rows(pixels_per_unit: int) -> int:
@@ -396,37 +453,15 @@ def _reach(window: np.ndarray, ppu: int) -> int:
 
 @lru_cache(maxsize=4)
 def _field_windows(model: PsfModel, grid: GridSpec, rows: int) -> tuple:
-    """Read-only Wy, its reach and the Wx^T blocks of the uncropped frame,
-    for row strips of at most `rows` rows (which the grid fixes, so a run
-    builds them once per PSF and grid).
-
-    A block is (pixel columns, first and last + 1 unit of G it reads,
-    read-only complex Wx^T[units, columns]) for a run of whole units: its
-    columns and every unit within Wx's reach of them. The runs are
-    :func:`row_strips` of the units, two or more units each unless the grid
-    is one unit wide, so no block product is a matrix-vector product (whose
-    sums may differ from a matrix product's); they are the widest that keep
-    each strip's block products below _BLOCK_MADDS, where two units can.
-    """
+    """Read-only Wy, its reach and the :func:`banded` pieces of Wx^T of the
+    uncropped frame, for row strips of at most `rows` rows (the grid's)."""
     ppu, s1, s2 = grid.pixels_per_unit, grid.s1, grid.s2
     wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1)
     wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
-    reach_x = _reach(wx, ppu)
-    # a leftover unit folds into the last run, so a run one unit wider
-    # must stay below the bound too
-    fits = [n for n in range(1, s2)
-            if rows * min(n + 1 + 2 * reach_x, s2) * (n + 1) * ppu < _BLOCK_MADDS]
-    blocks = []
-    for units in row_strips(s2, max(fits, default=1)):
-        lo, hi = max(units.start - reach_x, 0), min(units.stop + reach_x, s2)
-        cols = slice(units.start * ppu, units.stop * ppu)
-        block = wx[cols, lo:hi].T.astype(complex)
-        block.flags.writeable = False
-        blocks.append((cols, lo, hi, block))
     wy.flags.writeable = False
     # a one-column G is a matrix-vector product, whose sums group each term
     # by its place in the whole row of Wy: it takes every unit
-    return wy, _reach(wy, ppu) if s2 > 1 else s1, tuple(blocks)
+    return wy, _reach(wy, ppu) if s2 > 1 else s1, banded(wx.T.astype(complex), rows)
 
 
 def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: PsfModel,
@@ -441,19 +476,16 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     standard normal draws from the seed's generator taken row-major over the
     uncropped frame, whose crop_rows rows top and bottom are then sliced off.
 
-    Every pass runs over one list of row strips (:func:`row_strips`). A
+    Every pass runs over one list of row strips (:func:`frame_strips`). A
     strip's rows of G take only the units within Wy's reach of the strip,
-    and its F is filled in blocks of unit columns, each a complex product of
-    only the G columns within Wx's reach of the block (:func:`_field_windows`,
-    cached per PSF and grid). Each product stays below _BLOCK_MADDS
-    multiply-adds where the frame is wide enough, so BLAS runs it on the
-    calling thread. |F|^2 and its max go straight into the frame; then the
-    noise draws through one float strip buffer, scaled and added into the
-    frame, and the clip. A call holds the frame, one strip and the small
-    windows, never a frame-sized complex array. The frame is bit for bit
-    that of the whole-frame product: the terms left out are exact zeros, and
-    the complex product is kept because two real products for Re F and Im F
-    can differ from it in the last bit.
+    and its F is their :func:`banded_times` product by the pieces of Wx^T
+    (:func:`_field_windows`, cached per PSF and grid). |F|^2 and its max go
+    straight into the frame; then the noise draws through one float strip
+    buffer, scaled and added into the frame, and the clip. A call holds the
+    frame, one strip and the small windows, never a frame-sized complex
+    array. The frame is bit for bit that of the whole-frame product: the
+    terms left out are exact zeros, and the complex product is kept because
+    two real products for Re F and Im F can differ from it in the last bit.
     """
     if obj.shape != (grid.s1, grid.s2):
         raise ValueError(f"object shape {obj.shape} does not match grid "
@@ -469,9 +501,8 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
             "indistinguishable", stacklevel=2)
     s1, s2 = obj.shape
     height, width = s1 * ppu, s2 * ppu
-    strips = row_strips(height, STRIP_PIXELS // width)
-    size = max(rows.stop - rows.start for rows in strips)
-    wy, reach, blocks = _field_windows(model, grid, size)
+    strips, size = frame_strips(height, width)
+    wy, reach, pieces = _field_windows(model, grid, size)
     source = obj.values * pattern.values
     frame = np.empty((height, width))
     field = np.empty((size, width), dtype=complex)
@@ -480,10 +511,7 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
         power = frame[rows]
         lo = max(rows.start // ppu - reach, 0)
         hi = min((rows.stop - 1) // ppu + 1 + reach, s1)
-        g = wy[rows, lo:hi] @ source[lo:hi]
-        part = field[:len(power)]
-        for cols, a, b, block in blocks:
-            np.matmul(g[:, a:b], block, out=part[:, cols])
+        part = banded_times(wy[rows, lo:hi] @ source[lo:hi], pieces, field[:len(power)])
         np.abs(part, out=power)
         np.square(power, out=power)
         peak = max(peak, float(power.max()))
@@ -516,8 +544,8 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
     peak = float(vals.max())
     scale = 65535.0 / peak if peak > 0 else 1.0
     height, width = vals.shape
-    strips = row_strips(height, STRIP_PIXELS // width)
-    buffer = np.empty((max(rows.stop - rows.start for rows in strips), width))
+    strips, size = frame_strips(height, width)
+    buffer = np.empty((size, width))
     levels = np.empty((height, width), dtype=LEVELS)
     for rows in strips:
         scaled = buffer[:rows.stop - rows.start]

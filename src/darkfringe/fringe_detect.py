@@ -14,13 +14,13 @@ Every band and flank mean is a rectangle mean of the raw image, and the
 Gaussian is separable, so G*raw = G_y raw G_x^T. The rectangle sums of raw and
 of G*raw therefore come from one product L^T raw R, where the window
 matrices L and R hold the indicator windows and their filtered versions
-G^T w. Each window column is nonzero only near its own unit, so the product
-is taken block by block over the rows each block of columns touches. The
-windows depend only on (grid, config) and are cached, so the m frames of a
-run build them once. A measurement's 16-bit levels enter the product as
-floats, one row strip at a time (forward_model.row_strips, so no row's sums
-depend on where a strip ends); every decision compares two means of the
-same frame, so the frame's scale never enters.
+G^T w. Each window column is nonzero only near its own unit, so both factors
+are forward_model's banded products, the ones simulation takes: blocks of
+columns over the rows they touch, each run on the calling thread. The windows
+are cached per (grid, config), so the m frames of a run build them once. A
+measurement's 16-bit levels enter the product as floats, one row strip at a
+time (so no row's sums depend on where a strip ends); every decision compares
+two means of the same frame, so the frame's scale never enters.
 """
 
 from __future__ import annotations
@@ -30,15 +30,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forward_model import GridSpec, IntensityImage, row_strips
+from .forward_model import GridSpec, IntensityImage, banded, banded_times, frame_strips
 
 # Gaussian reach in standard deviations, as scipy.ndimage.gaussian_filter1d's
 # default truncate
 _TRUNCATE = 4.0
-# window columns per block of the banded product (six per unit)
-_BLOCK_COLUMNS = 24
-# frame rows converted to float per step of the banded product
-_STRIP_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -159,40 +155,6 @@ def _gaussian_transpose(windows: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def _banded(windows: np.ndarray) -> tuple:
-    """Split a window matrix into (columns, lo, hi, block) pieces, where
-    block = windows[lo:hi, columns] holds every nonzero of those columns."""
-    nonzero = windows != 0
-    lo = np.argmax(nonzero, axis=0)
-    hi = windows.shape[0] - np.argmax(nonzero[::-1], axis=0)
-    used = nonzero.any(axis=0)
-    order = [c for c in np.argsort(lo, kind="stable") if used[c]]
-    pieces = []
-    for start in range(0, len(order), _BLOCK_COLUMNS):
-        cols = np.array(order[start:start + _BLOCK_COLUMNS])
-        a, b = int(lo[cols].min()), int(hi[cols].max())
-        block = np.ascontiguousarray(windows[a:b, cols])
-        block.flags.writeable = False
-        pieces.append((cols, a, b, block))
-    return windows.shape[1], tuple(pieces)
-
-
-def _times(a: np.ndarray, banded: tuple) -> np.ndarray:
-    """a @ windows, for windows split by :func:`_banded`, with `a` of any
-    real dtype converted to float one row strip of about _STRIP_ROWS rows
-    at a time (:func:`row_strips`)."""
-    k, pieces = banded
-    out = np.zeros((a.shape[0], k))
-    strips = row_strips(a.shape[0], _STRIP_ROWS)
-    buffer = np.empty((max(rows.stop - rows.start for rows in strips), a.shape[1]))
-    for rows in strips:
-        part = buffer[:rows.stop - rows.start]
-        np.copyto(part, a[rows])
-        for cols, lo, hi, block in pieces:
-            out[rows, cols] = part[:, lo:hi] @ block
-    return out
-
-
 def _axis_windows(n_units: int, ppu: int, lo: int, hi: int,
                   cfg: DetectConfig) -> tuple:
     """(pixel counts, windows) for one image axis covering pixels [lo, hi).
@@ -200,8 +162,8 @@ def _axis_windows(n_units: int, ppu: int, lo: int, hi: int,
     The k = 3 n_units - 2 indicator columns are, in order: the eroded span
     along each unit (n_units), the band on each boundary line (n_units - 1)
     and the two flank interiors of each boundary (n_units - 1). The windows
-    are those k columns followed by their k filtered versions, split by
-    :func:`_banded`; the counts are the k indicator column sums.
+    are those k columns followed by their k filtered versions; the counts
+    are the k indicator column sums.
     """
     margin = min(cfg.band_halfwidth + 1, (ppu - 1) // 2)
     ind = np.zeros((hi - lo, 3 * n_units - 2))
@@ -213,16 +175,18 @@ def _axis_windows(n_units: int, ppu: int, lo: int, hi: int,
         ind[_flank_band(b, ppu, lo, hi), flank] += 1.0
         ind[_flank_band(b + 1, ppu, lo, hi), flank] += 1.0
     filtered = _gaussian_transpose(ind, cfg.highpass_sigma)
-    return ind.sum(axis=0), _banded(np.hstack([ind, filtered]))
+    return ind.sum(axis=0), np.hstack([ind, filtered])
 
 
 @lru_cache(maxsize=4)
 def _grid_windows(grid: GridSpec, cfg: DetectConfig) -> tuple:
-    """Row-axis (L) and column-axis (R) windows of the cropped frame."""
-    ppu = grid.pixels_per_unit
-    rows = _axis_windows(grid.s1, ppu, grid.crop_rows, grid.crop_rows + grid.height, cfg)
-    cols = _axis_windows(grid.s2, ppu, 0, grid.width, cfg)
-    return rows, cols
+    """(counts, :func:`banded` pieces) of the row-axis (L) and column-axis
+    (R) windows of the cropped frame, for products of frame R and (frame R)^T."""
+    ppu, height = grid.pixels_per_unit, grid.height
+    count1, left = _axis_windows(grid.s1, ppu, grid.crop_rows, grid.crop_rows + height, cfg)
+    count2, right = _axis_windows(grid.s2, ppu, 0, grid.width, cfg)
+    return ((count1, banded(left, frame_strips(right.shape[1], height)[1])),
+            (count2, banded(right, frame_strips(height, grid.width)[1])))
 
 
 def _band_decisions(raw, hp, count, band, flank, alpha: float):
@@ -257,7 +221,8 @@ def recognize_fringes(img: IntensityImage, grid: GridSpec,
         raise ValueError("band_halfwidth must be below pixels_per_unit / 2")
     (count1, left), (count2, right) = _grid_windows(grid, cfg)
     k1, k2 = count1.size, count2.size
-    sums = _times(_times(img.values, right).T, left).T     # L^T raw R
+    raw_r = banded_times(img.values, right, np.zeros((grid.height, 2 * k2)))
+    sums = banded_times(raw_r.T, left, np.zeros((2 * k2, 2 * k1))).T     # L^T raw R
     raw = sums[:k1, :k2]                    # rectangle sums of raw
     hp = sums[k1:, k2:] - raw               # ... and of G*raw - raw
     count = np.outer(count1, count2)

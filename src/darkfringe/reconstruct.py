@@ -184,6 +184,7 @@ def retrieve_phase(invalid: InvalidBoundaryMaps | None, ratios: EdgeRatios,
     anchored at the first contributor: exact when all contributors agree mod
     2*pi, the plain circular mean otherwise. Returns (phase, provenance) where
     provenance holds the index of the first origin that reached each unit.
+    A plan for another grid than the ratios' is rejected, naming its origin.
     """
     if not origins:
         raise ValueError("need at least one origin")
@@ -191,6 +192,11 @@ def retrieve_phase(invalid: InvalidBoundaryMaps | None, ratios: EdgeRatios,
         plans = [plan_with_retry(invalid, [origin]) for origin in origins]
     elif [tuple(p.origin) for p in plans] != [tuple(o) for o in origins]:
         raise ValueError("plans must be given one per origin, in origin order")
+    grid = (ratios.horizontal.shape[0], ratios.vertical.shape[1])
+    for origin, plan in zip(origins, plans):
+        if plan.shape != grid:
+            raise ValueError(f"the plan from origin {tuple(origin)} is for a {plan.shape} "
+                             f"grid, but the edge ratios are for {grid}")
     aligned = []
     contributors = []
     base = None

@@ -449,6 +449,12 @@ def _library_j0(tmp_path):
     return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
 
 
+def _plan_from_another_grid(tmp_path):
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"), ["mark-invalid"], ["paths"])
+    return ["reconstruct", "--outdir", str(tmp_path), *SMALL_RUN, "--s1", "5"]
+
+
 def _zero_object(tmp_path):
     fio.write_complex_field(tmp_path / "zero.cf32", ComplexField(np.zeros((4, 4), complex)))
     return ["simulate", "--outdir", str(tmp_path), *SMALL_RUN,
@@ -461,13 +467,16 @@ def _zero_object(tmp_path):
     ("detect", _bad_scale_frame, "bad scale '0' in PGM '.*frame.pgm'"),
     ("reconstruct", lambda tmp: ["reconstruct", "--outdir", str(tmp)], ""),
     ("reconstruct", _missing_plan, "path_plan_origin1.csv"),
+    ("reconstruct", _plan_from_another_grid,
+     r"the plan from origin \(0, 0\) is for a \(4, 4\) grid, but the edge ratios are for \(5, 4\)"),
     ("mark-invalid", _misfiled_fringe_map,
      "fringes_row_j1.csv' holds kind=row,j=3, expected kind=row,j=1"),
     ("mark-invalid", _library_j0, r"reference_library\.csv' line 2: .*expected j=1"),
     ("object", _zero_object, "zero.cf32' is zero everywhere"),
     ("metrics", _wrong_shape_metrics, ""),
 ], ids=["detect-missing-image", "detect-bad-scale", "reconstruct-empty-dir",
-        "reconstruct-missing-plan", "mark-invalid-misfiled-map", "mark-invalid-library-j0",
+        "reconstruct-missing-plan", "reconstruct-plan-from-another-grid",
+        "mark-invalid-misfiled-map", "mark-invalid-library-j0",
         "simulate-zero-object", "metrics-wrong-shape"])
 def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv, why):
     argv = argv(tmp_path)

@@ -10,12 +10,14 @@ from darkfringe.forward_model import (_BLOCK_MADDS, PSF_KINDS, STRIP_PIXELS,
                                       ComplexField, GridSpec,
                                       IntensityImage, PsfModel,
                                       _field_windows, _kernel_profile, _reach,
-                                      _unit_window, alternating_phases,
+                                      _unit_window, alternating_phases, banded,
                                       default_crop_rows,
-                                      field_profile_1d, fringe_radius_sweep,
+                                      field_profile_1d, frame_strips,
+                                      fringe_radius_sweep,
                                       gamma_second_derivative,
                                       intensity_profile_1d, quantize_16bit,
                                       row_strips, simulate_measurement_2d)
+from darkfringe.fringe_detect import _grid_windows, default_detect_config
 from darkfringe.patterns import make_patterns
 
 from conftest import (frame_cases, gamma2_centered_fd, gamma2_fd_richardson,
@@ -417,11 +419,12 @@ def test_simulate_matches_full_frame_reference(case):
         assert got.values.tobytes() == want.values.tobytes()
 
 
-def _grid_case(s1, s2, ppu, model):
+def _grid_case(s1, s2, ppu, model, crop=None):
     rng = np.random.default_rng(s2)
     obj = ComplexField(np.exp(2j * np.pi * rng.integers(0, 4, (s1, s2)) / 4))
+    crop = default_crop_rows(ppu) if crop is None else crop
     return (obj, make_patterns(4, s1, s2).patterns[1], model,
-            GridSpec(s1, s2, ppu, default_crop_rows(ppu)), 0.01, 3)
+            GridSpec(s1, s2, ppu, crop), 0.01, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,6 +433,12 @@ def _grid_case(s1, s2, ppu, model):
 @example(_grid_case(3, 24, 8, PsfModel("box", 7.5)))             # r = ppu - 0.5
 @example(_grid_case(2, 2, 16, PsfModel("gaussian", 4.0)))        # narrower than a block
 @example(_grid_case(12, 1, 8, PsfModel("gaussian", 3.0)))        # one unit wide
+@example(_grid_case(1, 40, 1, PsfModel("box", 0.5), crop=0))     # one pixel high
+@example(_grid_case(1, 40, 1, PsfModel("exponential", 0.5), crop=0))
+@example(_grid_case(1, 40, 1, PsfModel("gaussian", 0.5), crop=0))
+@example(_grid_case(1, 2000, 1, PsfModel("box", 0.5), crop=0))
+@example(_grid_case(1, 2000, 1, PsfModel("exponential", 0.5), crop=0))
+@example(_grid_case(1, 2000, 1, PsfModel("gaussian", 0.5), crop=0))
 def test_banded_field_matches_full_frame_reference_on_wide_and_narrow_grids(case):
     # wide grids cross many column blocks per strip, narrow ones fit in one:
     # the banded products give the whole-frame product's frame bit for bit
@@ -448,42 +457,92 @@ def test_window_reach_at_32_px_per_unit(kind, reach):
     assert _reach(window, 32) == reach
 
 
+def check_banded_pieces(windows, rows, pieces):
+    """Each used column of `windows` in exactly one piece, every nonzero
+    inside its piece's block, no one-column piece unless one column is used,
+    and every product below _BLOCK_MADDS wherever two columns fit."""
+    n, k = windows.shape
+    used = np.flatnonzero((windows != 0).any(axis=0))
+    if rows == 1:
+        # a vector-matrix product takes the whole matrix
+        assert len(pieces) == 1 and pieces[0][1:3] == (0, n)
+        assert pieces[0][3].tobytes() == np.ascontiguousarray(windows).tobytes()
+        return
+    seen = []
+    for index, (cols, lo, hi, block) in enumerate(pieces):
+        cols = np.arange(k)[cols]
+        seen.extend(cols.tolist())
+        assert not block.flags.writeable and block.flags.c_contiguous
+        assert block.tobytes() == np.ascontiguousarray(windows[lo:hi, cols]).tobytes()
+        assert not windows[:lo, cols].any() and not windows[hi:, cols].any()
+        assert len(cols) >= min(2, len(used))
+        if rows * (hi - lo) * len(cols) >= _BLOCK_MADDS:
+            nonzero = np.flatnonzero((windows[:, cols[:2]] != 0).any(axis=1))
+            two = rows * (nonzero[-1] + 1 - nonzero[0]) * 2
+            # or three columns at the end, where two fit but no piece of
+            # one column may be left
+            assert two >= _BLOCK_MADDS or (index == len(pieces) - 1 and len(cols) == 3)
+    assert sorted(seen) == used.tolist()
+
+
+@st.composite
+def banded_matrices(draw):
+    """A random window matrix whose columns are each nonzero on one band
+    (or nowhere), in a random column order as detection's windows are, and
+    the rows of the products it is cut for."""
+    n, k = draw(st.integers(1, 80)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    windows = np.zeros((n, k))
+    tops = np.sort(rng.integers(0, n, k))
+    for c, top in enumerate(tops):
+        width = rng.integers(0, min(draw(st.sampled_from([3, 12, 80])), n - top) + 1)
+        windows[top:top + width, c] = rng.uniform(-1, 1, width)
+    if draw(st.booleans()):
+        windows = windows[:, rng.permutation(k)]
+    return windows, draw(st.sampled_from([1, 2, 3, 16, 32, 200, 3000]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(banded_matrices())
+def test_banded_pieces_hold_every_nonzero_once(case):
+    windows, rows = case
+    check_banded_pieces(windows, rows, banded(windows, rows))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(PSF_KINDS), st.sampled_from([1, 2, 4, 5, 8, 13, 32]),
        st.floats(0.05, 1.5), st.integers(1, 12), st.integers(1, 12), st.integers(1, 2000))
 def test_field_windows_cover_every_nonzero(kind, ppu, r_per_unit, s1, s2, rows):
     model = PsfModel(kind, r_per_unit * ppu)
-    wy, reach, blocks = _field_windows(model, GridSpec(s1, s2, ppu), rows)
+    wy, reach, pieces = _field_windows(model, GridSpec(s1, s2, ppu), rows)
     assert not wy.flags.writeable
     assert wy.tobytes() == _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).tobytes()
     pixel, unit = np.nonzero(wy)
     assert np.all(np.abs(unit - pixel // ppu) <= reach)
-    # the blocks tile the columns in order, whole units each, and each holds
-    # every nonzero of Wx in its columns
+    # the pieces are banded's pieces of the complex Wx^T
     wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
-    assert blocks[0][0].start == 0 and blocks[-1][0].stop == s2 * ppu
-    for (cols, lo, hi, block), after in zip(blocks, blocks[1:] + ((slice(s2 * ppu, None),),)):
-        assert cols.stop == after[0].start and cols.start % ppu == 0
-        assert not wx[cols, :lo].any() and not wx[cols, hi:].any()
-        assert not block.flags.writeable
-        assert np.array_equal(block, wx[cols, lo:hi].T)
+    check_banded_pieces(wx.T.astype(complex), rows, pieces)
 
 
 @pytest.mark.parametrize("units", [32, 64, 128])
 @pytest.mark.parametrize("kind", PSF_KINDS)
 def test_field_products_stay_below_the_one_thread_size(kind, units):
     # at the benchmark's 32 px per unit and r = 8, every block product of a
-    # strip, G's included, is small enough for BLAS to run on one thread
+    # strip, G's included, is small enough for BLAS to run on one thread;
+    # so is every product of detection's L and R pieces
     grid = GridSpec(units, units, 32, default_crop_rows(32))
-    strips = row_strips(grid.s1 * 32, STRIP_PIXELS // grid.width)
-    size = max(rows.stop - rows.start for rows in strips)
-    wy, reach, blocks = _field_windows(PsfModel(kind, 8.0), grid, size)
+    strips, size = frame_strips(grid.s1 * 32, grid.width)
+    wy, reach, pieces = _field_windows(PsfModel(kind, 8.0), grid, size)
     for rows in strips:
         units_of_g = (min((rows.stop - 1) // 32 + 1 + reach, units)
                       - max(rows.start // 32 - reach, 0))
         assert (rows.stop - rows.start) * units_of_g * units < _BLOCK_MADDS
-    for cols, lo, hi, block in blocks:
-        assert size * (hi - lo) * (cols.stop - cols.start) < _BLOCK_MADDS
+    (count1, left), (count2, right) = _grid_windows(grid, default_detect_config(32))
+    for pieces, rows in ((pieces, size),
+                         (right, frame_strips(grid.height, grid.width)[1]),
+                         (left, frame_strips(2 * count2.size, grid.height)[1])):
+        for cols, lo, hi, block in pieces:
+            assert rows * (hi - lo) * block.shape[1] < _BLOCK_MADDS
 
 
 def test_simulate_holds_only_the_field_and_the_frame():

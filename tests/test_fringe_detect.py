@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import gaussian_filter1d
 
-from darkfringe.forward_model import (GridSpec, IntensityImage, PsfModel,
+from darkfringe.forward_model import (GridSpec, IntensityImage, PsfModel, banded_times,
                                       simulate_measurement_2d)
 from darkfringe.fringe_detect import (DetectConfig, FringeMaps, _gaussian_filter,
-                                      _grid_windows, _times, default_detect_config,
+                                      _grid_windows, default_detect_config,
                                       recognize_fringes)
 from darkfringe.patterns import make_patterns
 from darkfringe.pipeline import random_quantized_object
@@ -41,14 +41,16 @@ def test_gaussian_filter_is_scipys_bit_for_bit(x, sigma):
 
 
 def test_window_product_rows_do_not_depend_on_strip_edges():
-    # in 256-row strips, 257 rows would leave a one-row last strip and 258 a
-    # two-row one; a one-row product runs as a matrix-vector product whose
-    # sums differ in the last bit
+    # 91 px rows go in strips of 720 rows: 721 rows would leave a one-row
+    # last strip and 722 a two-row one; a one-row product runs as a
+    # matrix-vector product whose sums differ in the last bit
     grid = GridSpec(3, 7, 13)
-    _, right = _grid_windows(grid, default_detect_config(13))[1]
-    levels = np.random.default_rng(0).integers(0, 1 << 16, (258, grid.width))
+    count, right = _grid_windows(grid, default_detect_config(13))[1]
+    levels = np.random.default_rng(0).integers(0, 1 << 16, (722, grid.width))
     a = levels.astype(">u2")
-    assert _times(a[:257], right).tobytes() == _times(a[:258], right)[:257].tobytes()
+    k = 2 * count.size
+    short = banded_times(a[:721], right, np.zeros((721, k)))
+    assert short.tobytes() == banded_times(a, right, np.zeros((722, k)))[:721].tobytes()
 
 
 def test_constant_image_gives_zero_edges_and_no_fringes():

@@ -319,3 +319,19 @@ def test_reconstruct_stores_unreachable_unit_as_zero(tmp_path):
     stored = read_complex_field(tmp_path / "reconstruction.cf32").values
     assert stored[0, 2] == 0
     assert np.count_nonzero(stored) == 5
+
+
+def test_reconstruct_rejects_a_plan_from_another_grid(tmp_path):
+    # the plans of a 4 x 4 run with the edge ratios of a 5 x 4 one: the stage
+    # fails naming the plan's origin and both grids, before anything is read
+    # from the frames or written
+    cfg = RunConfig(s1=5, s2=4, pixels_per_unit=8, psf_radius=2.0, origins=((0, 0), (3, 3)))
+    ratios = EdgeRatios(np.ones((5, 3), complex), np.ones((4, 4), complex))
+    plans = [plan_with_retry(empty_invalid(4, 4), [origin]) for origin in cfg.origins]
+    with pytest.raises(df.StageError) as info:
+        df.pipeline.stage("reconstruct", reconstruct, cfg, ratios, plans, [],
+                          lambda name, writer, *args: writer(tmp_path / name, *args))
+    assert info.value.stage == "reconstruct"
+    assert ("the plan from origin (0, 0) is for a (4, 4) grid, but the edge ratios "
+            "are for (5, 4)") in str(info.value)
+    assert not any(tmp_path.iterdir())
