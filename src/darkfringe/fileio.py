@@ -336,7 +336,8 @@ def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
     """Edge ratios of an s1 x s2 grid. A row that does not parse, has extra
     fields, whose kind is not h or v, whose edge is off the grid or listed
     before, or whose valid flag is not 0 or 1 is a format error naming the
-    file and line.
+    file and line; so is a file that does not list every edge of the grid
+    (as one of another grid does), naming the file and both edge counts.
 
     The header names the columns, in any order, and blank lines are skipped,
     as csv.DictReader reads them. All rows are parsed as columns and checked
@@ -377,6 +378,10 @@ def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
                              f"{list(_dict_row(header, rows[i]).values())!r}")
         if unread:
             raise unread
+    edges = s1 * (s2 - 1) + (s1 - 1) * s2
+    if n != edges:
+        raise ValueError(f"edge ratios file {str(path)!r} lists {n} edges, but a "
+                         f"{s1} x {s2} grid has {edges}")
     value = np.empty(n, dtype=complex)
     value.real, value.imag = re, im
     for kind, rows_of_kind in (("h", is_h), ("v", ~is_h)):

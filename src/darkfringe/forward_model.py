@@ -14,25 +14,34 @@ same mechanism serves all kernel families (the Gaussian has no elementary
 primitive).
 
 A simulated frame is |F|^2 plus sigma * max|F|^2 * z, clipped at zero, with
-z standard normal draws from the frame's seed. The camera reads it out once,
-as 16-bit levels rint(value * scale) with scale = 65535 / peak
-(:func:`quantize_16bit`); the levels and their scale are the measurement
-every later stage computes from and the PGM file stores. The whole uncropped
-frame is simulated, and every frame-sized pass (F, |F|^2 and its max, the
-noise, the clip, the readout) runs over one list of row strips of about
+z standard normal draws from two streams spawned from the frame's seed: the
+first draws the top half of the uncropped frame's rows, the second the rest.
+The camera reads it out once, as 16-bit levels rint(value * scale) with
+scale = 65535 / peak (:func:`quantize_16bit`); the levels and their scale are
+the measurement every later stage computes from and the PGM file stores. The
+whole uncropped frame is simulated, and every frame-sized pass (F, |F|^2 and
+its max, the noise, the clip, the readout) runs over row strips of about
 STRIP_PIXELS pixels (:func:`frame_strips`); a slice crops it to the grid.
+Simulation runs its two frame-sized passes, |F|^2 and the noise, on the
+calling thread and one worker thread that calls no public function and
+allocates nothing frame-sized; the two take strips from shared lists as they
+go, so a thread that the host slows down takes fewer.
 
 F = Wy source Wx^T, like detection's L^T frame R, is a product with banded
 window matrices: one routine (:func:`banded`, :func:`banded_times`) takes
-both in pieces that hold every nonzero of their columns and run on the
-calling thread. The tabulated primitive saturates in float, so each PSF
-window is exactly zero beyond a few units of its own (its reach); a frame is
-bit for bit the whole-frame product's, from windows cached per PSF and grid.
+both in pieces that hold every nonzero of their columns, each small enough
+for BLAS to run it on the thread that calls it. The tabulated primitive
+saturates in float, so each PSF window is exactly zero beyond a few units of
+its own (its reach); a frame is bit for bit the whole-frame product's, from
+windows cached per PSF and grid.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -322,13 +331,20 @@ def banded_times(a: np.ndarray, pieces: tuple, out: np.ndarray) -> np.ndarray:
     strips, size = frame_strips(*a.shape)
     buffer = np.empty((size, a.shape[1]), dtype=out.dtype)
     for rows in strips:
-        part, strip = buffer[:rows.stop - rows.start], out[rows]
+        part = buffer[:rows.stop - rows.start]
         np.copyto(part, a[rows])
-        for cols, lo, hi, block in pieces:
-            if isinstance(cols, slice):
-                np.matmul(part[:, lo:hi], block, out=strip[:, cols])
-            else:
-                strip[:, cols] = part[:, lo:hi] @ block
+        _banded_strip(part, pieces, out[rows])
+    return out
+
+
+def _banded_strip(part: np.ndarray, pieces: tuple, out: np.ndarray) -> np.ndarray:
+    """out = part @ windows for one strip, `part` already of out's dtype: the
+    body of :func:`banded_times`, which simulation's worker thread calls too."""
+    for cols, lo, hi, block in pieces:
+        if isinstance(cols, slice):
+            np.matmul(part[:, lo:hi], block, out=out[:, cols])
+        else:
+            out[:, cols] = part[:, lo:hi] @ block
     return out
 
 
@@ -464,6 +480,45 @@ def _field_windows(model: PsfModel, grid: GridSpec, rows: int) -> tuple:
     return wy, _reach(wy, ppu) if s2 > 1 else s1, banded(wx.T.astype(complex), rows)
 
 
+def _power(strips: Iterator[slice], source: np.ndarray, wy: np.ndarray, reach: int,
+           ppu: int, pieces: tuple, frame: np.ndarray, field: np.ndarray) -> float:
+    """|F|^2 into `frame` of each strip taken from `strips`, a list iterator
+    both threads share (each next() runs under the GIL, so every strip goes
+    to exactly one thread), each strip's F through this thread's complex
+    strip buffer `field`; returns the max of the strips taken (0 for none)."""
+    peak = 0.0
+    for rows in strips:
+        power = frame[rows]
+        lo = max(rows.start // ppu - reach, 0)
+        hi = min((rows.stop - 1) // ppu + 1 + reach, len(source))
+        part = _banded_strip(wy[rows, lo:hi] @ source[lo:hi], pieces, field[:len(power)])
+        np.abs(part, out=power)
+        np.square(power, out=power)
+        peak = max(peak, float(power.max()))
+    return peak
+
+
+def _add_noise(halves: list[tuple], scale: float, buffer: np.ndarray) -> None:
+    """Add scale times standard normal draws to each noise half in turn, then
+    clip at zero, through this thread's flat float `buffer`. A half is (lock,
+    strips, rng, view): `strips`, an iterator both threads share, cuts the
+    frame rows `view`. A strip is taken and drawn under the half's lock, so
+    its rng draws row-major whichever thread takes which strip; the scale,
+    add and clip run outside it."""
+    for lock, strips, rng, view in halves:
+        while True:
+            with lock:
+                rows = next(strips, None)
+                if rows is None:
+                    break
+                part = view[rows]
+                draws = buffer[:part.size].reshape(part.shape)
+                rng.standard_normal(out=draws)
+            draws *= scale
+            part += draws
+            np.clip(part, 0.0, None, out=part)
+
+
 def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: PsfModel,
                             grid: GridSpec, noise_sigma: float, seed: int) -> IntensityImage:
     """Simulate one camera frame of the object seen through a phase pattern.
@@ -472,20 +527,34 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     separable kernel p(x)p(y), each unit's contribution factorizes into a
     product of primitive differences along x and y, so the whole field F is a
     pair of matrix products, F = G Wx^T with G = Wy source (H x s2). The
-    frame is |F|^2 + noise_sigma * max|F|^2 * z, clipped at zero, with z
-    standard normal draws from the seed's generator taken row-major over the
+    frame is |F|^2 + noise_sigma * max|F|^2 * z, clipped at zero, over the
     uncropped frame, whose crop_rows rows top and bottom are then sliced off.
+    z is standard normal: `a, b = SeedSequence(seed).spawn(2)`, stream a
+    draws rows [0, H // 2) and stream b rows [H // 2, H), each row-major. The
+    halves are fixed by the frame, not by the strips, so no frame depends on
+    where strip edges fall; the noisy frames differ in bytes from those of
+    versions that drew the whole frame from one stream.
 
-    Every pass runs over one list of row strips (:func:`frame_strips`). A
-    strip's rows of G take only the units within Wy's reach of the strip,
-    and its F is their :func:`banded_times` product by the pieces of Wx^T
-    (:func:`_field_windows`, cached per PSF and grid). |F|^2 and its max go
-    straight into the frame; then the noise draws through one float strip
-    buffer, scaled and added into the frame, and the clip. A call holds the
-    frame, one strip and the small windows, never a frame-sized complex
-    array. The frame is bit for bit that of the whole-frame product: the
-    terms left out are exact zeros, and the complex product is kept because
-    two real products for Re F and Im F can differ from it in the last bit.
+    Both passes run on the calling thread and one worker thread, each taking
+    strips from a shared iterator until none is left, so neither waits for
+    a fixed half of the other's: when the host slows one thread the other
+    takes more strips, and a frame costs at most about what one thread
+    alone would. The |F|^2 pass shares the list of row strips
+    (:func:`frame_strips`): a strip's rows of G take only the units within
+    Wy's reach of the strip, and its F is their banded product by the pieces
+    of Wx^T (:func:`banded_times`; :func:`_field_windows`, cached per PSF and
+    grid). |F|^2 goes straight into the frame, and the frame's max is the
+    larger of the two threads' maxima. The noise pass shares each noise
+    half's row strips: a thread draws its own half's strips first, then
+    helps with the other's, a strip taken and drawn under its half's lock
+    so that each stream still draws row-major; it then scales, adds and
+    clips the strip. The caller allocates the frame and one complex strip
+    buffer per thread, whose float view holds the noise draws; the worker
+    allocates nothing frame-sized and calls no public function. Which thread
+    takes a strip changes no bit. The frame is bit for bit that of the
+    whole-frame product: the terms left out are exact zeros, and the
+    complex product is kept because two real products for Re F and Im F can
+    differ from it in the last bit.
     """
     if obj.shape != (grid.s1, grid.s2):
         raise ValueError(f"object shape {obj.shape} does not match grid "
@@ -503,30 +572,24 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     height, width = s1 * ppu, s2 * ppu
     strips, size = frame_strips(height, width)
     wy, reach, pieces = _field_windows(model, grid, size)
+    windows = (wy, reach, ppu, pieces)
     source = obj.values * pattern.values
     frame = np.empty((height, width))
-    field = np.empty((size, width), dtype=complex)
-    peak = 0.0
-    for rows in strips:
-        power = frame[rows]
-        lo = max(rows.start // ppu - reach, 0)
-        hi = min((rows.stop - 1) // ppu + 1 + reach, s1)
-        part = banded_times(wy[rows, lo:hi] @ source[lo:hi], pieces, field[:len(power)])
-        np.abs(part, out=power)
-        np.square(power, out=power)
-        peak = max(peak, float(power.max()))
-    del field
-    if noise_sigma > 0:
-        scale = noise_sigma * peak
-        rng = np.random.default_rng(seed)
-        noise = np.empty((size, width))
-        for rows in strips:
-            part = frame[rows]
-            draws = noise[:len(part)]
-            rng.standard_normal(out=draws)
-            draws *= scale
-            part += draws
-            np.clip(part, 0.0, None, out=part)
+    buffers = np.empty((2, size, width), dtype=complex)
+    shared = iter(strips)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        second = worker.submit(_power, shared, source, *windows, frame, buffers[1])
+        peak = max(_power(shared, source, *windows, frame, buffers[0]), second.result())
+        if noise_sigma > 0:
+            half, rows = height // 2, STRIP_PIXELS // width
+            halves = [(threading.Lock(), iter(row_strips(len(view), rows)),
+                       np.random.default_rng(stream), view)
+                      for stream, view in zip(np.random.SeedSequence(seed).spawn(2),
+                                              (frame[:half], frame[half:]))]
+            scale, noise = noise_sigma * peak, buffers.view(float).reshape(2, -1)
+            second = worker.submit(_add_noise, halves[::-1], scale, noise[1])
+            _add_noise(halves, scale, noise[0])
+            second.result()
     return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows])
 
 

@@ -328,9 +328,11 @@ def reference_retrieve_phase(invalid, ratios, origins, planner=None):
 
 
 def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
-                                      seed) -> df.IntensityImage:
-    """|F|^2 as one frame, plus one frame of normal(0, sigma * max) noise,
-    clipped, then cropped."""
+                                      seed, streams=None) -> df.IntensityImage:
+    """|F|^2 as one frame, plus normal(0, sigma * max) noise, clipped, then
+    cropped. The noise is drawn in two halves of the uncropped rows, the top
+    H // 2 rows from the first of `streams` and the rest from the second,
+    each row-major; `streams` defaults to SeedSequence(seed).spawn(2)."""
     s1, s2 = obj.shape
     ppu = grid.pixels_per_unit
     source = obj.values * pattern.values
@@ -338,10 +340,12 @@ def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
     wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
     intensity = np.abs(wy @ source @ wx.T) ** 2
     if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        intensity = intensity + rng.normal(0.0, noise_sigma * intensity.max(),
-                                           size=intensity.shape)
-        intensity = np.clip(intensity, 0.0, None)
+        height, width = intensity.shape
+        streams = np.random.SeedSequence(seed).spawn(2) if streams is None else streams
+        sigma = noise_sigma * intensity.max()
+        noise = [np.random.default_rng(stream).normal(0.0, sigma, size=(rows, width))
+                 for stream, rows in zip(streams, (height // 2, height - height // 2))]
+        intensity = np.clip(intensity + np.concatenate(noise), 0.0, None)
     crop = grid.crop_rows
     return df.IntensityImage(intensity[crop:intensity.shape[0] - crop])
 
@@ -468,6 +472,10 @@ def reference_read_edge_ratios_csv(path, s1: int, s2: int) -> df.EdgeRatios:
             seen.add((kind, r, c))
             if valid:
                 grid[r, c] = value
+    edges = s1 * (s2 - 1) + (s1 - 1) * s2
+    if len(seen) != edges:
+        raise ValueError(f"edge ratios file {str(path)!r} lists {len(seen)} edges, but a "
+                         f"{s1} x {s2} grid has {edges}")
     return df.EdgeRatios(horizontal=grids["h"], vertical=grids["v"])
 
 

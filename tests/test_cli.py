@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import darkfringe.fileio as fio
 import darkfringe.forward_model as forward_model
 import darkfringe.pipeline as pipeline
+from darkfringe.boundary_logic import EdgeRatios
 from darkfringe.cli import main
 from darkfringe.forward_model import PSF_KINDS, ComplexField, simulate_measurement_2d
 from darkfringe.pipeline import (RunConfig, StageError, random_quantized_object,
@@ -449,10 +450,18 @@ def _library_j0(tmp_path):
     return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
 
 
-def _plan_from_another_grid(tmp_path):
+def _edge_ratios_of_another_grid(tmp_path):
     _run_stages(tmp_path, ["patterns"], ["simulate"],
                 *(["detect", "--j", j] for j in "1234"), ["mark-invalid"], ["paths"])
     return ["reconstruct", "--outdir", str(tmp_path), *SMALL_RUN, "--s1", "5"]
+
+
+def _plan_from_another_grid(tmp_path):
+    # edge ratios of the 5 x 4 grid asked for, plans of the 4 x 4 run
+    argv = _edge_ratios_of_another_grid(tmp_path)
+    fio.write_edge_ratios_csv(tmp_path / "edge_ratios.csv",
+                              EdgeRatios(np.ones((5, 3), complex), np.ones((4, 4), complex)))
+    return argv
 
 
 def _zero_object(tmp_path):
@@ -467,6 +476,8 @@ def _zero_object(tmp_path):
     ("detect", _bad_scale_frame, "bad scale '0' in PGM '.*frame.pgm'"),
     ("reconstruct", lambda tmp: ["reconstruct", "--outdir", str(tmp)], ""),
     ("reconstruct", _missing_plan, "path_plan_origin1.csv"),
+    ("reconstruct", _edge_ratios_of_another_grid,
+     r"edge_ratios\.csv' lists 24 edges, but a 5 x 4 grid has 31"),
     ("reconstruct", _plan_from_another_grid,
      r"the plan from origin \(0, 0\) is for a \(4, 4\) grid, but the edge ratios are for \(5, 4\)"),
     ("mark-invalid", _misfiled_fringe_map,
@@ -475,7 +486,8 @@ def _zero_object(tmp_path):
     ("object", _zero_object, "zero.cf32' is zero everywhere"),
     ("metrics", _wrong_shape_metrics, ""),
 ], ids=["detect-missing-image", "detect-bad-scale", "reconstruct-empty-dir",
-        "reconstruct-missing-plan", "reconstruct-plan-from-another-grid",
+        "reconstruct-missing-plan", "reconstruct-edge-ratios-of-another-grid",
+        "reconstruct-plan-from-another-grid",
         "mark-invalid-misfiled-map", "mark-invalid-library-j0",
         "simulate-zero-object", "metrics-wrong-shape"])
 def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv, why):

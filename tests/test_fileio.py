@@ -469,6 +469,23 @@ def test_edge_ratios_reader_rejects_repeats_and_extra_fields(tmp_path, row):
         fio.read_edge_ratios_csv(path, 2, 3)
 
 
+@pytest.mark.parametrize("s1, s2, dropped, found, expected", [
+    (5, 4, 0, 24, 31),           # a 4 x 4 run's file read at 5 x 4
+    (4, 5, 0, 24, 31),
+    (4, 4, 1, 23, 24),           # its own grid, the last edge's line missing
+])
+def test_edge_ratios_reader_rejects_a_file_that_lacks_an_edge(tmp_path, s1, s2, dropped,
+                                                              found, expected):
+    path = tmp_path / "ratios.csv"
+    fio.write_edge_ratios_csv(path, EdgeRatios(horizontal=np.ones((4, 3), complex),
+                                               vertical=np.ones((3, 4), complex)))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:len(lines) - dropped]))
+    with pytest.raises(ValueError, match=rf"ratios\.csv' lists {found} edges, but a "
+                                         rf"{s1} x {s2} grid has {expected}"):
+        fio.read_edge_ratios_csv(path, s1, s2)
+
+
 @pytest.mark.parametrize("row", ["2,1.0", "two,1.0,0.0", "1,-1.0,0.0", "0,-1.0,0.0",
                                  "3,-1.0,0.0"],
                          ids=["short", "j-not-int", "repeated-j", "j-zero", "j-gap"])

@@ -1,4 +1,9 @@
+import functools
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import darkfringe.forward_model as forward_model
 from darkfringe.forward_model import (_BLOCK_MADDS, PSF_KINDS, STRIP_PIXELS,
                                       ComplexField, GridSpec,
                                       IntensityImage, PsfModel,
@@ -439,6 +445,10 @@ def _grid_case(s1, s2, ppu, model, crop=None):
 @example(_grid_case(1, 2000, 1, PsfModel("box", 0.5), crop=0))
 @example(_grid_case(1, 2000, 1, PsfModel("exponential", 0.5), crop=0))
 @example(_grid_case(1, 2000, 1, PsfModel("gaussian", 0.5), crop=0))
+@example(_grid_case(1, 9, 1, PsfModel("gaussian", 0.5), crop=0))     # noise halves of 0 and 1 rows
+@example(_grid_case(1, 9, 2, PsfModel("exponential", 1.0), crop=0))  # 1 and 1
+@example(_grid_case(1, 9, 3, PsfModel("box", 1.5), crop=0))          # 1 and 2
+@example(_grid_case(3, 20, 5, PsfModel("gaussian", 2.0)))            # split at row 7 of unit 1
 def test_banded_field_matches_full_frame_reference_on_wide_and_narrow_grids(case):
     # wide grids cross many column blocks per strip, narrow ones fit in one:
     # the banded products give the whole-frame product's frame bit for bit
@@ -448,6 +458,78 @@ def test_banded_field_matches_full_frame_reference_on_wide_and_narrow_grids(case
         with strips:
             got = simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
         assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_noise_halves_are_drawn_from_their_own_streams():
+    # stream a draws the uncropped frame's rows [0, H // 2) and stream b the
+    # rest: with either stream swapped for a third, the oracle's frame keeps
+    # the other half's rows bit for bit and changes the swapped half
+    obj, pattern, model, _, noise, seed = _grid_case(3, 20, 5, PsfModel("gaussian", 2.0))
+    grid = GridSpec(3, 20, 5, crop_rows=0)
+    got = simulate_measurement_2d(obj, pattern, model, grid, noise, seed).values
+    a, b, other = np.random.SeedSequence(seed).spawn(3)
+    top, bottom = slice(0, 15 // 2), slice(15 // 2, None)
+    for streams, kept, changed in (((a, other), top, bottom), ((other, b), bottom, top)):
+        want = reference_simulate_measurement_2d(obj, pattern, model, grid, noise, seed,
+                                                 streams=streams).values
+        assert got[kept].tobytes() == want[kept].tobytes()
+        assert not np.array_equal(got[changed], want[changed])
+
+
+class _OneThreadPool:
+    """Stands in for simulation's one-worker pool on the calling thread: each
+    submitted call runs at once (the worker takes every strip before the
+    caller starts) or when its result is asked for (the caller has taken
+    every strip by then)."""
+
+    def __init__(self, eager):
+        self.eager = eager
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        call = functools.partial(fn, *args)
+        if self.eager:
+            value = call()
+            call = lambda: value  # noqa: E731
+        return SimpleNamespace(result=call)
+
+
+@pytest.mark.parametrize("eager", [True, False], ids=["worker-first", "caller-first"])
+def test_frames_do_not_depend_on_which_thread_takes_a_strip(eager):
+    # both passes share their strips between the two threads: with one side
+    # taking every strip, |F|^2, the peak and both noise streams are still
+    # the oracle's bit for bit, over many strips per noise half
+    case = _grid_case(12, 6, 8, PsfModel("gaussian", 3.0))
+    want = reference_simulate_measurement_2d(*case).values.tobytes()
+    with strip_sizes()[1], mock.patch.object(forward_model, "ThreadPoolExecutor",
+                                             _OneThreadPool(eager)):
+        got = simulate_measurement_2d(*case).values.tobytes()
+    assert got == want
+
+
+def test_concurrent_simulations_match_the_reference():
+    # four callers at once, each with its own worker thread, more threads
+    # than cores and a short switch interval: every frame is still the
+    # oracle's, so no call writes into another's frame or buffers
+    case = _grid_case(3, 20, 5, PsfModel("gaussian", 2.0))
+    want = reference_simulate_measurement_2d(*case).values.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            frames = [pool.submit(simulate_measurement_2d, *case) for _ in range(16)]
+            got = [frame.result(timeout=60).values.tobytes() for frame in frames]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 16
 
 
 @pytest.mark.parametrize("kind, reach", [("gaussian", 2), ("exponential", 5), ("box", 1)])
