@@ -90,16 +90,16 @@ class PsfModel:
         kind = kind.lower()
         if kind not in PSF_KINDS:
             raise ValueError(f"unknown PSF kind {kind!r}; expected one of {PSF_KINDS}")
-        if radius <= 0:
-            raise ValueError("PSF radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError(f"PSF radius must be positive and finite, got {radius!r}")
         if not 0 < step <= 0.25:
             raise ValueError("primitive table step must be in (0, 0.25]")
         self.kind = kind
         self.radius = float(radius)
         self.step = float(step)
         self.extent = float(extent) if extent is not None else _EXTENT_RADII * self.radius
-        if self.extent <= 0:
-            raise ValueError("table extent must be positive")
+        if not 0 < self.extent < np.inf:
+            raise ValueError("table extent must be positive and finite")
         n = int(np.ceil(self.extent / self.step)) + 1
         self._xs = np.arange(n) * self.step
         ps = _kernel_profile(kind, self.radius, self._xs)
@@ -561,8 +561,8 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
                          f"{(grid.s1, grid.s2)}")
     if obj.shape != pattern.shape:
         raise ValueError(f"object shape {obj.shape} != pattern shape {pattern.shape}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError("noise_sigma must be nonnegative and finite")
     ppu = grid.pixels_per_unit
     if model.radius >= ppu:
         warnings.warn(

@@ -12,15 +12,34 @@ producing false positives.
 
 Every band and flank mean is a rectangle mean of the raw image, and the
 Gaussian is separable, so G*raw = G_y raw G_x^T. The rectangle sums of raw and
-of G*raw therefore come from one product L^T raw R, where the window
-matrices L and R hold the indicator windows and their filtered versions
-G^T w. Each window column is nonzero only near its own unit, so both factors
-are forward_model's banded products, the ones simulation takes: blocks of
-columns over the rows they touch, each run on the calling thread. The windows
-are cached per (grid, config), so the m frames of a run build them once. A
-measurement's 16-bit levels enter the product as floats, one row strip at a
-time (so no row's sums depend on where a strip ends); every decision compares
-two means of the same frame, so the frame's scale never enters.
+of G*raw are therefore entries of L^T raw R, where the window matrices L and
+R hold the indicator windows and their filtered versions G^T w. The
+decisions read only four blocks of it, raw and filtered: a row boundary's
+band and flanks run along a unit row (along x band, along x flank), a
+column boundary's along a unit column (band x along, flank x along). So
+detection takes the along sums first, in one pass over the frame's row
+strips, and never forms the rest of the product:
+
+- B = frame [R_along, G^T R_along] (height x 2 s2), each strip's rows by
+  forward_model's banded pieces, the ones simulation takes;
+- A = sum over strips of [L_along, G^T L_along][strip]^T strip (2 s1 x
+  width), each strip's product over the window columns nonzero in it and
+  in column chunks;
+- then the small banded products A [R_rest, G^T R_rest] and B^T [L_rest,
+  G^T L_rest] of the band and flank windows, raw by raw and filtered by
+  filtered, give the four blocks.
+
+Every product stays below forward_model's one-thread size, so BLAS runs it
+on the calling thread, and detection runs there alone: split into fixed
+halves over two threads, the strips of four 2048^2 frames took 0.09-0.13 s,
+against 0.07-0.08 s on one. The windows and pieces are cached per (grid, config), so the m
+frames of a run build them once. A measurement's 16-bit levels enter as
+floats one row strip at a time. B's rows do not depend on where a strip
+ends; A's sums do, but the strip edges depend only on the frame's shape.
+Every decision compares two means of the same frame, so the frame's scale
+never enters. On a 2-core Xeon host a 2048^2 frame takes 20-24 ms, against
+28-38 ms for the whole product L^T raw R, and a 4096^2 frame 103-132 ms,
+against 179-200 ms.
 """
 
 from __future__ import annotations
@@ -30,7 +49,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forward_model import GridSpec, IntensityImage, banded, banded_times, frame_strips
+from .forward_model import (_BLOCK_MADDS, GridSpec, IntensityImage, _banded_strip, banded,
+                            banded_times, frame_strips)
 
 # Gaussian reach in standard deviations, as scipy.ndimage.gaussian_filter1d's
 # default truncate
@@ -48,8 +68,9 @@ class DetectConfig:
     fringe_ratio_alpha: float = 0.7
 
     def __post_init__(self):
-        if self.highpass_sigma <= 0:
-            raise ValueError("highpass_sigma must be positive")
+        if not 0 < self.highpass_sigma < np.inf:
+            raise ValueError(f"highpass_sigma must be positive and finite, "
+                             f"got {self.highpass_sigma!r}")
         if self.band_halfwidth < 1:
             raise ValueError("band_halfwidth must be a positive integer")
         if not 0 < self.fringe_ratio_alpha < 1:
@@ -155,15 +176,20 @@ def _gaussian_transpose(windows: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def _axis_windows(n_units: int, ppu: int, lo: int, hi: int,
-                  cfg: DetectConfig) -> tuple:
-    """(pixel counts, windows) for one image axis covering pixels [lo, hi).
+def _axis_windows(n_units: int, ppu: int, lo: int, hi: int, cfg: DetectConfig,
+                  cut_along, rest_rows: int) -> tuple:
+    """Indicator counts and window pieces for one image axis covering
+    pixels [lo, hi).
 
     The k = 3 n_units - 2 indicator columns are, in order: the eroded span
     along each unit (n_units), the band on each boundary line (n_units - 1)
-    and the two flank interiors of each boundary (n_units - 1). The windows
-    are those k columns followed by their k filtered versions; the counts
-    are the k indicator column sums.
+    and the two flank interiors of each boundary (n_units - 1); G^T w is a
+    column's filtered version. Returns the column sums of the along
+    columns and of the band and flank columns (the rest), `cut_along` of the
+    along columns followed by their filtered versions, and the
+    :func:`banded` pieces of the rest columns and of the filtered rest
+    columns for products of `rest_rows` rows. Only pieces outlive the call,
+    so the dense windows of one axis are freed before the other's are built.
     """
     margin = min(cfg.band_halfwidth + 1, (ppu - 1) // 2)
     ind = np.zeros((hi - lo, 3 * n_units - 2))
@@ -175,18 +201,64 @@ def _axis_windows(n_units: int, ppu: int, lo: int, hi: int,
         ind[_flank_band(b, ppu, lo, hi), flank] += 1.0
         ind[_flank_band(b + 1, ppu, lo, hi), flank] += 1.0
     filtered = _gaussian_transpose(ind, cfg.highpass_sigma)
-    return ind.sum(axis=0), np.hstack([ind, filtered])
+    count = ind.sum(axis=0)
+    return (count[:n_units], count[n_units:],
+            cut_along(np.hstack([ind[:, :n_units], filtered[:, :n_units]])),
+            banded(ind[:, n_units:], rest_rows), banded(filtered[:, n_units:], rest_rows))
+
+
+def _strip_windows(windows: np.ndarray, strips: list[slice], width: int) -> list[tuple]:
+    """Per row strip, read-only (rows, columns, block, chunks) for adding
+    windows[rows]^T @ frame[rows]: block = windows[rows, columns]^T holds
+    the columns nonzero in the strip, and the frame's columns are cut into
+    even chunks, each as wide as lets block @ frame[rows, chunk] stay below
+    _BLOCK_MADDS (one column where none does)."""
+    pieces = []
+    for rows in strips:
+        cols = np.flatnonzero(windows[rows].any(axis=0))
+        block = np.ascontiguousarray(windows[rows, cols].T)
+        block.flags.writeable = False
+        widest = max((_BLOCK_MADDS - 1) // max(block.size, 1), 1)
+        step = -(-width // -(-width // widest))
+        pieces.append((rows, cols, block, [slice(c, c + step) for c in range(0, width, step)]))
+    return pieces
 
 
 @lru_cache(maxsize=4)
 def _grid_windows(grid: GridSpec, cfg: DetectConfig) -> tuple:
-    """(counts, :func:`banded` pieces) of the row-axis (L) and column-axis
-    (R) windows of the cropped frame, for products of frame R and (frame R)^T."""
-    ppu, height = grid.pixels_per_unit, grid.height
-    count1, left = _axis_windows(grid.s1, ppu, grid.crop_rows, grid.crop_rows + height, cfg)
-    count2, right = _axis_windows(grid.s2, ppu, 0, grid.width, cfg)
-    return ((count1, banded(left, frame_strips(right.shape[1], height)[1])),
-            (count2, banded(right, frame_strips(height, grid.width)[1])))
+    """The pieces of every product of detection, cached per (grid, config):
+
+    - the frame pass, over the cropped frame's :func:`frame_strips`: the
+      :func:`_strip_windows` of the row axis' along windows [L_along,
+      G^T L_along], for A = sum over strips of [L_along, G^T L_along][strip]^T
+      strip (2 s1 x width), and the :func:`banded` pieces of the column
+      axis' along windows [R_along, G^T R_along], for B = frame [R_along,
+      G^T R_along] (height x 2 s2);
+    - per boundary axis, row boundaries and then column boundaries: the
+      counts of the along windows and of the band and flank windows, and
+      the banded pieces of the other axis' band and flank windows and of
+      their filtered versions, for the products A [R_rest, G^T R_rest] and
+      B^T [L_rest, G^T L_rest], raw by raw and filtered by filtered.
+
+    At 64^2 units of 32 px, a strip of the frame pass runs 14 pieces of B,
+    about 25.6K multiply-adds per pixel row, and 3-5 column chunks of A,
+    about 8.1K; the whole R that L^T frame R took ran 31 pieces and about
+    55K. The band and flank products add about 9% to the frame pass's
+    multiply-adds. Building the pieces one axis at a time peaks at 15.8 MB
+    of traced allocations at 64^2: with both axes' dense windows alive at
+    once it peaked at 23.2 MB, and the heap that left behind raised a
+    pipeline-64 run's peak RSS from 109 to 115 MB.
+    """
+    ppu, height, width = grid.pixels_per_unit, grid.height, grid.width
+    strips, rows = frame_strips(height, width)
+    count1, rest_count1, left, rest1, rest_hp1 = _axis_windows(
+        grid.s1, ppu, grid.crop_rows, grid.crop_rows + height, cfg,
+        lambda along: _strip_windows(along, strips, width), frame_strips(grid.s2, height)[1])
+    count2, rest_count2, right, rest2, rest_hp2 = _axis_windows(
+        grid.s2, ppu, 0, width, cfg, lambda along: banded(along, rows),
+        frame_strips(grid.s1, width)[1])
+    return (left, right, (count1, rest_count2, rest2, rest_hp2),
+            (count2, rest_count1, rest1, rest_hp1))
 
 
 def _band_decisions(raw, hp, count, band, flank, alpha: float):
@@ -204,6 +276,20 @@ def _band_decisions(raw, hp, count, band, flank, alpha: float):
     return zero_flank | (dark & ridge), zero_flank
 
 
+def _boundary_decisions(along, along_hp, count, rest_count, pieces, hp_pieces,
+                        alpha: float):
+    """(present, zero_flank) maps of the boundaries across one axis, a row
+    per unit along it: `along` and `along_hp` are the along sums of the
+    frame and of G*frame (units x pixels across the boundaries), the rest
+    the axis' :func:`_grid_windows` entry."""
+    shape = (len(along), rest_count.size)
+    raw = banded_times(along, pieces, np.zeros(shape))
+    hp = banded_times(along_hp, hp_pieces, np.zeros(shape)) - raw
+    n = rest_count.size // 2
+    return _band_decisions(raw, hp, np.outer(count, rest_count),
+                           np.s_[:, :n], np.s_[:, n:], alpha)
+
+
 def recognize_fringes(img: IntensityImage, grid: GridSpec,
                       cfg: DetectConfig | None = None,
                       measurement_index: int = 0) -> FringeMaps:
@@ -219,22 +305,25 @@ def recognize_fringes(img: IntensityImage, grid: GridSpec,
     grid.check_frame(img)
     if 2 * cfg.band_halfwidth >= grid.pixels_per_unit:
         raise ValueError("band_halfwidth must be below pixels_per_unit / 2")
-    (count1, left), (count2, right) = _grid_windows(grid, cfg)
-    k1, k2 = count1.size, count2.size
-    raw_r = banded_times(img.values, right, np.zeros((grid.height, 2 * k2)))
-    sums = banded_times(raw_r.T, left, np.zeros((2 * k2, 2 * k1))).T     # L^T raw R
-    raw = sums[:k1, :k2]                    # rectangle sums of raw
-    hp = sums[k1:, k2:] - raw               # ... and of G*raw - raw
-    count = np.outer(count1, count2)
-
+    left, right, row_axis, col_axis = _grid_windows(grid, cfg)
     s1, s2 = grid.s1, grid.s2
-    along1, band1, flank1 = slice(0, s1), slice(s1, 2 * s1 - 1), slice(2 * s1 - 1, None)
-    along2, band2, flank2 = slice(0, s2), slice(s2, 2 * s2 - 1), slice(2 * s2 - 1, None)
+    buffer = np.empty((frame_strips(grid.height, grid.width)[1], grid.width))
+    products = np.empty((max(len(cols) for _, cols, _, _ in left), grid.width))
+    along_l = np.zeros((2 * s1, grid.width))     # [L_along, G^T L_along]^T frame
+    along_r = np.zeros((grid.height, 2 * s2))    # frame [R_along, G^T R_along]
+    for rows, cols, block, chunks in left:
+        part = buffer[:rows.stop - rows.start]
+        np.copyto(part, img.values[rows])
+        _banded_strip(part, right, along_r[rows])
+        product = products[:len(cols)]
+        for chunk in chunks:
+            np.matmul(block, part[:, chunk], out=product[:, chunk])
+        along_l[cols] += product
     alpha = cfg.fringe_ratio_alpha
-    row_map, zf_row = _band_decisions(raw, hp, count, (along1, band2),
-                                      (along1, flank2), alpha)
-    col_map, zf_col = _band_decisions(raw, hp, count, (band1, along2),
-                                      (flank1, along2), alpha)
+    row_map, zf_row = _boundary_decisions(along_l[:s1], along_l[s1:], *row_axis, alpha)
+    col_map, zf_col = _boundary_decisions(along_r[:, :s2].T, along_r[:, s2:].T,
+                                          *col_axis, alpha)
+    col_map, zf_col = col_map.T, zf_col.T
 
     diagnostics = {}
     if zf_row.any() or zf_col.any():

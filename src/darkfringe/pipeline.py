@@ -101,8 +101,9 @@ class RunConfig:
         self.psf()
         grid = self.grid()
         self.detect_config()
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be nonnegative and finite, "
+                             f"got {self.noise_sigma}")
         if self.m < 2:
             raise ValueError(f"m must be at least 2, got {self.m}")
         if not self.origins:

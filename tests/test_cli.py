@@ -141,8 +141,11 @@ SMALL_RUN = ["--s1", "4", "--s2", "4", "--pixels-per-unit", "8", "--psf-radius",
 @pytest.mark.parametrize("bad", [
     dict(band_halfwidth=4), dict(band_halfwidth=3), dict(crop_rows=6),
     dict(noise_sigma=-0.1), dict(origins=((9, 9),)), dict(origins=()), dict(m=1),
+    dict(noise_sigma=float("nan")), dict(highpass_sigma=float("inf")),
+    dict(psf_radius=float("inf")),
 ], ids=["band-halfwidth-4", "band-halfwidth-3", "crop-rows-6", "noise-sigma",
-        "origin-off-grid", "no-origin", "m-1"])
+        "origin-off-grid", "no-origin", "m-1", "noise-sigma-nan",
+        "highpass-sigma-inf", "psf-radius-inf"])
 def test_pipeline_bad_run_config_fails_before_any_write(tmp_path, bad):
     outdir = tmp_path / "run"
     with pytest.raises(StageError) as info:
@@ -217,9 +220,21 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
     SMALL_RUN + ["--band-halfwidth", "4"],
     SMALL_RUN + ["--band-halfwidth", "3"],
     SMALL_RUN + ["--crop-rows", "6"],
+    # non-finite settings: NaN fails every comparison and inf passes a lower
+    # bound, so each range check must exclude both
+    ["--noise-sigma", "nan"],
+    ["--noise-sigma", "inf"],
+    ["--highpass-sigma", "nan"],
+    ["--highpass-sigma", "inf"],
+    ["--psf-radius", "nan"],
+    ["--psf-radius", "inf"],
+    ["--psf-radius", "1e308"],
 ], ids=["quadrature-step", "band-halfwidth", "m", "origins", "noise-sigma",
         "pixels-per-unit", "crop-rows", "band-wider-than-unit",
-        "erosion-leaves-no-interior", "crop-leaves-no-interior"])
+        "erosion-leaves-no-interior", "crop-leaves-no-interior",
+        "noise-sigma-nan", "noise-sigma-inf", "highpass-sigma-nan",
+        "highpass-sigma-inf", "psf-radius-nan", "psf-radius-inf",
+        "psf-table-extent-inf"])
 def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
     outdir = tmp_path / "run"
     assert main(["pipeline", "--outdir", str(outdir)] + flags) == 1

@@ -611,7 +611,9 @@ def test_field_windows_cover_every_nonzero(kind, ppu, r_per_unit, s1, s2, rows):
 def test_field_products_stay_below_the_one_thread_size(kind, units):
     # at the benchmark's 32 px per unit and r = 8, every block product of a
     # strip, G's included, is small enough for BLAS to run on one thread;
-    # so is every product of detection's L and R pieces
+    # so is every product of detection: the frame pass's B pieces and each
+    # column chunk of its A accumulation, and the band/flank products of A
+    # and of B^T
     grid = GridSpec(units, units, 32, default_crop_rows(32))
     strips, size = frame_strips(grid.s1 * 32, grid.width)
     wy, reach, pieces = _field_windows(PsfModel(kind, 8.0), grid, size)
@@ -619,10 +621,19 @@ def test_field_products_stay_below_the_one_thread_size(kind, units):
         units_of_g = (min((rows.stop - 1) // 32 + 1 + reach, units)
                       - max(rows.start // 32 - reach, 0))
         assert (rows.stop - rows.start) * units_of_g * units < _BLOCK_MADDS
-    (count1, left), (count2, right) = _grid_windows(grid, default_detect_config(32))
+    left, right, row_axis, col_axis = _grid_windows(grid, default_detect_config(32))
+    for rows, cols, block, chunks in left:
+        assert block.shape == (len(cols), rows.stop - rows.start)
+        assert [i for chunk in chunks for i in range(grid.width)[chunk]] == \
+            list(range(grid.width))
+        for chunk in chunks:
+            assert block.size * len(range(grid.width)[chunk]) < _BLOCK_MADDS
     for pieces, rows in ((pieces, size),
                          (right, frame_strips(grid.height, grid.width)[1]),
-                         (left, frame_strips(2 * count2.size, grid.height)[1])):
+                         (row_axis[2], frame_strips(units, grid.width)[1]),
+                         (row_axis[3], frame_strips(units, grid.width)[1]),
+                         (col_axis[2], frame_strips(units, grid.height)[1]),
+                         (col_axis[3], frame_strips(units, grid.height)[1])):
         for cols, lo, hi, block in pieces:
             assert rows * (hi - lo) * block.shape[1] < _BLOCK_MADDS
 

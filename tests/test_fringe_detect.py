@@ -41,14 +41,15 @@ def test_gaussian_filter_is_scipys_bit_for_bit(x, sigma):
 
 
 def test_window_product_rows_do_not_depend_on_strip_edges():
-    # 91 px rows go in strips of 720 rows: 721 rows would leave a one-row
-    # last strip and 722 a two-row one; a one-row product runs as a
+    # the frame pass's B = frame [R_along, G^T R_along] (2 s2 columns): 91 px
+    # rows go in strips of 720 rows, so 721 rows would leave a one-row last
+    # strip and 722 a two-row one; a one-row product runs as a
     # matrix-vector product whose sums differ in the last bit
     grid = GridSpec(3, 7, 13)
-    count, right = _grid_windows(grid, default_detect_config(13))[1]
+    right = _grid_windows(grid, default_detect_config(13))[1]
     levels = np.random.default_rng(0).integers(0, 1 << 16, (722, grid.width))
     a = levels.astype(">u2")
-    k = 2 * count.size
+    k = 2 * grid.s2
     short = banded_times(a[:721], right, np.zeros((721, k)))
     assert short.tobytes() == banded_times(a, right, np.zeros((722, k)))[:721].tobytes()
 

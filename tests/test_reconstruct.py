@@ -10,12 +10,13 @@ from darkfringe.forward_model import (ComplexField, GridSpec, IntensityImage,
 from darkfringe.fileio import read_complex_field
 from darkfringe.path_search import plan_paths, plan_with_retry
 from darkfringe.pipeline import RunConfig, reconstruct
-from darkfringe.reconstruct import (_interior_rows, accumulate_phase,
+from darkfringe.reconstruct import (_interior_rows, _row_medians, accumulate_phase,
                                     compose_and_score, estimate_amplitude,
                                     retrieve_phase)
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (SimSetup, frame_cases, planner_cases,
                       reference_accumulate_phase, reference_estimate_amplitude,
@@ -245,6 +246,37 @@ def test_amplitude_matches_single_thread_reference(case, frames, erode):
     read_back = [IntensityImage(f.values.astype(float) / f.scale) for f in frames]
     got = estimate_amplitude(frames, grid, erode)
     assert got.tobytes() == reference_estimate_amplitude(read_back, grid, erode).tobytes()
+
+
+@st.composite
+def median_rows(draw):
+    """2D float arrays of 1-9 rows of 1-40 values: half the time drawn from a
+    few levels, so most rows hold ties. Signed zeros compare equal, so which
+    one a partition leaves in the middle is not fixed; x + 0.0 makes every
+    zero +0.0, as the pools of levels over a scale hold."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 40)))
+    # the largest and the smallest float: their halves and their sums round
+    # differently, so only np.median's (a + b) / 2 gives its bits
+    values = st.one_of(st.floats(allow_nan=False),
+                       st.sampled_from([0.0, 5e-324, 0.25, 1.0, 3.0, 1.7976931348623157e308,
+                                        np.inf]))
+    if draw(st.booleans()):
+        values = st.sampled_from([0.0, 0.5, 0.5000000000000001, 2.0])
+    return draw(hnp.arrays(np.float64, shape, elements=values)) + 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(median_rows())
+@example(np.array([[2.0, 2.0, 1.0, 2.0], [0.0, 0.0, 0.0, 0.0]]))
+@example(np.array([[7.0], [3.0]]))
+@example(np.array([[5e-324, 5e-324], [1.7976931348623157e308] * 2]))
+@example(np.arange(243, dtype=float)[None, ::-1] % 5)
+def test_row_medians_are_numpys_bit_for_bit(x):
+    # the largest floats' sums overflow and inf - inf is NaN, in both alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.median(x, axis=1)
+        got = _row_medians(x.copy())
+    assert got.tobytes() == want.tobytes()
 
 
 def test_interior_rows_stay_inside_the_cropped_frame():
