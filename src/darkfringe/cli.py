@@ -29,6 +29,7 @@ from . import fileio, pipeline
 from .forward_model import PSF_KINDS, fringe_radius_sweep
 from .fringe_detect import FringeMaps
 from .path_search import blocking_montecarlo
+from .patterns import make_patterns
 from .pipeline import RunConfig, run_pipeline, stage
 
 
@@ -176,8 +177,9 @@ def _run_stage(args, cfg: RunConfig) -> str:
         return f"wrote {cfg.m} patterns and reference library to {outdir}"
     if command == "simulate":
         obj = stage("object", pipeline.load_object, cfg, save)
-        images = stage("simulate", pipeline.simulate, cfg, obj, save)
-        return f"wrote {len(images)} measurements to {outdir}"
+        for j, pattern in enumerate(make_patterns(cfg.m, cfg.s1, cfg.s2).patterns, start=1):
+            stage("simulate", pipeline.simulate, cfg, obj, pattern, j, save)
+        return f"wrote {cfg.m} measurements to {outdir}"
     if command == "detect":
         image = args.image or outdir / f"measurement_j{args.j}.pgm"
         stage("detect", lambda: pipeline.detect(cfg, fileio.read_pgm16(image), args.j, save))
@@ -197,7 +199,7 @@ def _run_stage(args, cfg: RunConfig) -> str:
             cfg, fileio.read_edge_ratios_csv(outdir / "edge_ratios.csv", cfg.s1, cfg.s2),
             [fileio.read_path_plan_csv(outdir / f"path_plan_origin{k}.csv", origin)
              for k, origin in enumerate(cfg.origins, start=1)],
-            [fileio.read_pgm16(outdir / f"measurement_j{j}.pgm") for j in indices],
+            [outdir / f"measurement_j{j}.pgm" for j in indices],
             save))
         unknown = int(np.count_nonzero(rec.values == 0))
         return f"wrote reconstruction.cf32 ({unknown} unknown units)"

@@ -22,10 +22,11 @@ the measurement every later stage computes from and the PGM file stores. The
 whole uncropped frame is simulated, and every frame-sized pass (F, |F|^2 and
 its max, the noise, the clip, the readout) runs over row strips of about
 STRIP_PIXELS pixels (:func:`frame_strips`); a slice crops it to the grid.
-Simulation runs its two frame-sized passes, |F|^2 and the noise, on the
-calling thread and one worker thread that calls no public function and
-allocates nothing frame-sized; the two take strips from shared lists as they
-go, so a thread that the host slows down takes fewer.
+Simulation runs its two frame-sized passes, |F|^2 and the noise, and the
+readout its two, the peak and the scaled rint and cast, on the calling
+thread and one worker thread that calls no public function and allocates
+nothing frame-sized; the two take strips from shared lists as they go, so
+a thread that the host slows down takes fewer.
 
 F = Wy source Wx^T, like detection's L^T frame R, is a product with banded
 window matrices: one routine (:func:`banded`, :func:`banded_times`) takes
@@ -593,26 +594,53 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows])
 
 
-def quantize_16bit(img: IntensityImage) -> IntensityImage:
-    """The camera's 16-bit readout of a float frame.
+def _peak(strips: Iterator[slice], vals: np.ndarray) -> float:
+    """The max of each strip of `vals` taken from `strips`, an iterator both
+    threads share; 0 for none (the values are nonnegative)."""
+    peak = 0.0
+    for rows in strips:
+        peak = max(peak, float(vals[rows].max()))
+    return peak
 
-    Levels are rint(value * scale), with scale = 65535 / peak (1 for an
-    all-zero frame), cast to big-endian 16-bit words. The frame is scaled,
-    rounded and cast one row strip at a time through one reused float strip,
-    so the readout holds the levels and nothing else frame-sized.
-    """
-    vals = img.values
-    if is_levels(vals):
-        raise ValueError("frame is already 16-bit levels")
-    peak = float(vals.max())
-    scale = 65535.0 / peak if peak > 0 else 1.0
-    height, width = vals.shape
-    strips, size = frame_strips(height, width)
-    buffer = np.empty((size, width))
-    levels = np.empty((height, width), dtype=LEVELS)
+
+def _read_out(strips: Iterator[slice], vals: np.ndarray, scale: float,
+              buffer: np.ndarray, levels: np.ndarray) -> None:
+    """rint(value * scale) of each strip taken from `strips`, through this
+    thread's float strip `buffer`, cast into the strip's rows of `levels`."""
     for rows in strips:
         scaled = buffer[:rows.stop - rows.start]
         np.multiply(vals[rows], scale, out=scaled)
         np.rint(scaled, out=scaled)
         np.copyto(levels[rows], scaled, casting="unsafe")
+
+
+def quantize_16bit(img: IntensityImage) -> IntensityImage:
+    """The camera's 16-bit readout of a float frame.
+
+    Levels are rint(value * scale), with scale = 65535 / peak (1 for an
+    all-zero frame), cast to big-endian 16-bit words. Both passes, the peak
+    and the scaled rint and cast, run on the calling thread and one worker
+    thread that take row strips (:func:`frame_strips`) from a shared
+    iterator, as simulation's |F|^2 pass does. The peak is the larger of the
+    two threads' maxima, and each thread scales its strips through its own
+    float strip buffer, which the calling thread allocates along with the
+    levels, so the readout holds the levels and nothing else frame-sized.
+    Which thread takes a strip changes no bit.
+    """
+    vals = img.values
+    if is_levels(vals):
+        raise ValueError("frame is already 16-bit levels")
+    height, width = vals.shape
+    strips, size = frame_strips(height, width)
+    buffers = np.empty((2, size, width))
+    levels = np.empty((height, width), dtype=LEVELS)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        shared = iter(strips)
+        second = worker.submit(_peak, shared, vals)
+        peak = max(_peak(shared, vals), second.result())
+        scale = 65535.0 / peak if peak > 0 else 1.0
+        shared = iter(strips)
+        second = worker.submit(_read_out, shared, vals, scale, buffers[1], levels)
+        _read_out(shared, vals, scale, buffers[0], levels)
+        second.result()
     return IntensityImage(levels, scale)

@@ -5,18 +5,23 @@ settings fit together: run_pipeline runs it as stage 'config', and the CLI
 turns its error into a usage error, both before any file is written. Each
 stage is one function here (write_patterns, load_object, simulate, detect,
 mark_invalid, plan, reconstruct, score). It takes the run config, its inputs
-in memory and a callback save(name, writer, *args) that writes one artifact
-into the output directory, and returns its outputs; stage() runs it and
-names the stage in any failure. run_pipeline chains them in memory; the CLI
-stage subcommands read their inputs back from the output directory and call
-the same functions. The data are the same either way: a measurement is its
-16-bit levels and scale, in memory as in its PGM file, and the plans the
-reconstruction follows are the ones the plan stage wrote, so both callers
-write the same files. Every artifact is written in its module's file
-format, and run_pipeline's manifest records the configuration echo, the final
-metrics and a sha256 checksum of every file written, so identical (config,
-seed) runs can be compared byte for byte. Files are hashed on one background
-thread as they are written, in fixed-size chunks, while the next stages run.
+and a callback save(name, writer, *args) that writes one artifact into the
+output directory, and returns its outputs; stage() runs it and names the
+stage in any failure. simulate makes one measurement. run_pipeline streams
+each one through simulate and detect, writing its PGM file, and drops its
+levels before the next is simulated, so a run holds one measurement at a
+time whatever m is; the reconstruct stage reads the amplitudes back from
+the measurement PGM files in bands. The CLI stage subcommands read their
+inputs back from the output directory and call the same functions (the
+simulate subcommand loops over the frames). The data are the same either
+way: a measurement is its 16-bit levels and scale, in memory as in its PGM
+file, and the plans the reconstruction follows are the ones the plan stage
+wrote, so both callers write the same files. Every artifact is written in
+its module's file format, and run_pipeline's manifest records the
+configuration echo, the final metrics and a sha256 checksum of every file
+written, so identical (config, seed) runs can be compared byte for byte.
+Files are hashed on one background thread as they are written, in
+fixed-size chunks, while the next stages run.
 """
 
 from __future__ import annotations
@@ -97,9 +102,15 @@ class RunConfig:
         """Raise ValueError if a stage would reject this configuration: build
         what the stages build, check noise, m and origins, and run the
         amplitude stage's interior-pixel check, which implies detection's
-        2 * band_halfwidth < pixels_per_unit."""
-        self.psf()
+        2 * band_halfwidth < pixels_per_unit. The PSF radius is bounded by
+        the frame's larger side before the PSF is built, since its table
+        grows with the radius."""
         grid = self.grid()
+        side = max(grid.s1, grid.s2) * grid.pixels_per_unit
+        if self.psf_radius > side:
+            raise ValueError(f"psf_radius {self.psf_radius!r} exceeds the frame's "
+                             f"larger side, {side} px")
+        self.psf()
         self.detect_config()
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be nonnegative and finite, "
@@ -136,17 +147,6 @@ def random_quantized_object(s1: int, s2: int, m: int, seed: int) -> ComplexField
     else:
         values = np.exp(2j * np.pi * levels / m)
     return ComplexField(values)
-
-
-def simulate_measurements(obj: ComplexField, pattern_set, model: PsfModel,
-                          grid: GridSpec, noise_sigma: float,
-                          seed: int) -> list[IntensityImage]:
-    """One 16-bit frame per pattern, each read out as soon as it is
-    simulated, so no float frame outlives its readout; per-frame seeds
-    derive from the run seed."""
-    return [quantize_16bit(simulate_measurement_2d(obj, pattern, model, grid,
-                                                   noise_sigma, seed=seed + j))
-            for j, pattern in enumerate(pattern_set.patterns, start=1)]
 
 
 def _sha256(path: Path) -> str:
@@ -196,14 +196,16 @@ def load_object(cfg: RunConfig, save) -> ComplexField:
     return obj
 
 
-def simulate(cfg: RunConfig, obj: ComplexField, save) -> list[IntensityImage]:
-    """One 16-bit measurement frame per pattern: its levels and scale are
-    what the later stages compute from and what the PGM file holds."""
-    images = simulate_measurements(obj, make_patterns(cfg.m, cfg.s1, cfg.s2),
-                                   cfg.psf(), cfg.grid(), cfg.noise_sigma, cfg.seed)
-    for j, img in enumerate(images, start=1):
-        save(f"measurement_j{j}.pgm", fileio.write_pgm16, img)
-    return images
+def simulate(cfg: RunConfig, obj: ComplexField, pattern: ComplexField, j: int,
+             save) -> IntensityImage:
+    """Measurement j, of the object seen through its pattern, read out as
+    soon as it is simulated, so no float frame outlives its readout: its
+    16-bit levels and scale are what the later stages compute from and what
+    measurement_j<j>.pgm holds. Its noise seed is the run seed plus j."""
+    image = quantize_16bit(simulate_measurement_2d(obj, pattern, cfg.psf(), cfg.grid(),
+                                                   cfg.noise_sigma, seed=cfg.seed + j))
+    save(f"measurement_j{j}.pgm", fileio.write_pgm16, image)
+    return image
 
 
 def detect(cfg: RunConfig, image: IntensityImage, j: int, save) -> FringeMaps:
@@ -234,12 +236,13 @@ def plan(cfg: RunConfig, invalid: InvalidBoundaryMaps, save) -> list[PathPlan]:
 
 
 def reconstruct(cfg: RunConfig, ratios: EdgeRatios, plans: list[PathPlan],
-                images: list[IntensityImage], save) -> ComplexField:
+                frames: list[Path], save) -> ComplexField:
     """The complex image from the phase along the given plans (one per
-    origin) and the amplitude from the measurement frames, UNKNOWN units 0,
-    rounded to the float32 of reconstruction.cf32, which it is written as."""
+    origin) and the amplitude from the measurement PGM files `frames`,
+    UNKNOWN units 0, rounded to the float32 of reconstruction.cf32, which it
+    is written as."""
     phase, _ = retrieve_phase(None, ratios, list(cfg.origins), plans)
-    amplitude = estimate_amplitude(images, cfg.grid(), cfg.amplitude_erode())
+    amplitude = estimate_amplitude(frames, cfg.grid(), cfg.amplitude_erode())
     unknown = np.isnan(phase)
     values = amplitude * np.exp(1j * np.where(unknown, 0.0, phase))
     values[unknown] = 0.0
@@ -286,12 +289,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
         stage("config", cfg.check)
         lib = stage("patterns", write_patterns, cfg, save)
         obj = stage("object", load_object, cfg, save)
-        images = stage("simulate", simulate, cfg, obj, save)
-        maps = [stage("detect", detect, cfg, img, j, save)
-                for j, img in enumerate(images, start=1)]
+        maps = []
+        for j, pattern in enumerate(make_patterns(cfg.m, cfg.s1, cfg.s2).patterns, start=1):
+            image = stage("simulate", simulate, cfg, obj, pattern, j, save)
+            maps.append(stage("detect", detect, cfg, image, j, save))
+            del image   # the next frame is simulated without this one's levels
         invalid, ratios = stage("mark-invalid", mark_invalid, cfg, maps, lib, save)
         plans = stage("paths", plan, cfg, invalid, save)
-        rec = stage("reconstruct", reconstruct, cfg, ratios, plans, images, save)
+        frames = [outdir / f"measurement_j{j}.pgm" for j in range(1, cfg.m + 1)]
+        rec = stage("reconstruct", reconstruct, cfg, ratios, plans, frames, save)
         metrics = stage("metrics", score, cfg, rec, obj, save)
         files = {p.name: digests[p].result() for p in sorted(digests)}
     finally:

@@ -10,11 +10,13 @@ Accumulating the product instead of summing arguments keeps quantized ratios
 exact: products of {1, i, -1, -i} never leave that set. Several origins are
 fused per unit by a circular mean anchored at the first origin that reaches it.
 Amplitudes come from a median over eroded unit interiors pooled across all
-measurements, one unit row at a time into pool buffers the calling thread
-allocates; the lower half of the unit rows is taken on one worker thread that
-runs only numpy (the partition releases the GIL) and the upper half on
-the calling thread. A measurement's 16-bit levels enter the pool divided by
-their frame's scale, since each frame has its own. A unit row's medians
+measurements, read from their 16-bit PGM files one unit row's band of pixel
+rows at a time into band and pool buffers the calling thread allocates, so
+no whole frame is ever held; the lower half of the unit rows is taken on
+one worker thread that runs only file reads and numpy (the reads and the
+partition release the GIL) and the upper half on the calling thread. A
+measurement's 16-bit levels enter the pool divided by their frame's scale,
+since each frame has its own. A unit row's medians
 come from one partition at the middle of each pool, where np.median also
 partitions below the middle and at the end (for its NaN check): on a
 2-core Xeon host the amplitudes of four 2048^2 frames take 32-39 ms, against
@@ -24,14 +26,16 @@ intensity measurements can never determine.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from .forward_model import ComplexField, GridSpec, IntensityImage
+from .forward_model import LEVELS, ComplexField, GridSpec
 from .path_search import PathPlan, plan_with_retry
 
 
@@ -132,58 +136,68 @@ def _row_medians(x: np.ndarray) -> np.ndarray:
     return (x[:, :half].max(axis=1) + x[:, half]) / 2
 
 
-def _pooled_medians(images: list[IntensityImage], grid: GridSpec, inner: slice,
-                    unit_rows: list[tuple[int, slice]], pool_buffer: np.ndarray,
-                    amp: np.ndarray) -> None:
+def _pooled_medians(frames: list[tuple], grid: GridSpec, inner: slice,
+                    unit_rows: list[tuple[int, slice]], band_buffer: np.ndarray,
+                    pool_buffer: np.ndarray, amp: np.ndarray) -> None:
     """sqrt of the median of each unit's pooled interior intensities, for
     the given (unit row, pixel rows) pairs, into the matching rows of `amp`.
 
-    Only numpy runs here (it may run on a worker thread): one unit row at a
-    time is divided by each frame's own scale into `pool_buffer`, as
-    (s2, m, rows, cols), and then partitioned in place by :func:`_row_medians`.
+    Only file reads and numpy run here (it may run on a worker thread): a
+    frame is (path, offset of its levels, scale), opened here on this
+    thread's own file handle. One unit row at a time, each frame's band of
+    pixel rows is read into `band_buffer` and its interiors divided by the
+    frame's scale into `pool_buffer`, as (s2, m, rows, cols), which is then
+    partitioned in place by :func:`_row_medians`.
     """
-    ppu, s2, m = grid.pixels_per_unit, grid.s2, len(images)
-    for i, rows in unit_rows:
-        blocks = [img.values[rows].reshape(-1, s2, ppu)[:, :, inner].transpose(1, 0, 2)
-                  for img in images]
-        shape = (s2, m, *blocks[0].shape[1:])
-        pool = pool_buffer[:math.prod(shape)].reshape(shape)
-        for k, (img, block) in enumerate(zip(images, blocks)):
-            np.divide(block, img.scale, out=pool[:, k])
-        amp[i] = np.sqrt(_row_medians(pool.reshape(s2, -1)))
+    ppu, s2, width, m = grid.pixels_per_unit, grid.s2, grid.width, len(frames)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "rb", buffering=0)) for path, _, _ in frames]
+        for i, rows in unit_rows:
+            band = band_buffer[:(rows.stop - rows.start) * width].reshape(-1, width)
+            block = band.reshape(-1, s2, ppu)[:, :, inner].transpose(1, 0, 2)
+            shape = (s2, m, *block.shape[1:])
+            pool = pool_buffer[:math.prod(shape)].reshape(shape)
+            for k, (fh, (path, offset, scale)) in enumerate(zip(files, frames)):
+                fileio._read_band(fh, path, offset + rows.start * width * 2, band)
+                np.divide(block, scale, out=pool[:, k])
+            amp[i] = np.sqrt(_row_medians(pool.reshape(s2, -1)))
 
 
-def estimate_amplitude(images: list[IntensityImage], grid: GridSpec,
-                       erode: int = 3) -> np.ndarray:
-    """Per-unit amplitude from the median interior intensity.
+def estimate_amplitude(paths: list, grid: GridSpec, erode: int = 3) -> np.ndarray:
+    """Per-unit amplitude from the median interior intensity of the
+    measurement frames in the 16-bit PGM files `paths`.
 
     Interiors are eroded by `erode` pixels per side (band halfwidth + 1 keeps
-    the fringe bands out), pixel intensities (each frame's values divided by
+    the fringe bands out), pixel intensities (each frame's levels divided by
     its own scale) are pooled over all measurements (patterns are
     unit-modulus, so every frame sees the same amplitudes), and the square
     root of the pooled median is normalized to a maximum of 1.
-    Every unit row is checked for surviving pixels first, by
-    :func:`interior_pixels` on the calling thread. The medians of the lower
-    half of the unit rows are then taken on one worker thread and those of
-    the upper half on the calling thread, each pooling one unit row at a time
-    over the measurements into a buffer the calling thread allocates (so no
-    array holds all frames, and the worker allocates nothing large).
+    On the calling thread, every file's header, scale, shape (the grid's)
+    and data size are checked first, a bad file failing with a format error
+    that names it, and then every unit row for surviving pixels
+    (:func:`interior_pixels`). The medians of the lower half of the unit
+    rows are then taken on one worker thread and those of the upper half on
+    the calling thread. Each reads one unit row's band of pixel rows of one
+    file at a time, into a band buffer, and pools it over the measurements
+    into a pool buffer; the calling thread allocates both for each thread,
+    so no array holds a whole frame and the worker allocates nothing large.
     """
-    if not images:
-        raise ValueError("need at least one image")
-    for img in images:
-        grid.check_frame(img)
+    if not paths:
+        raise ValueError("need at least one measurement file")
+    frames = [(path, *fileio._pgm16_layout(path, grid.height, grid.width))
+              for path in paths]
     inner, unit_rows = interior_pixels(grid, erode)
     height = max(rows.stop - rows.start for _, rows in unit_rows)
     cols = len(range(grid.pixels_per_unit)[inner])
     s2 = grid.s2
-    pools = np.empty((2, s2 * len(images) * height * cols))
+    bands = np.empty((2, height * grid.width), dtype=LEVELS)
+    pools = np.empty((2, s2 * len(frames) * height * cols))
     amp = np.zeros((grid.s1, s2))
     half = grid.s1 // 2
     with ThreadPoolExecutor(max_workers=1) as worker:
-        lower = worker.submit(_pooled_medians, images, grid, inner,
-                              unit_rows[:half], pools[0], amp)
-        _pooled_medians(images, grid, inner, unit_rows[half:], pools[1], amp)
+        lower = worker.submit(_pooled_medians, frames, grid, inner,
+                              unit_rows[:half], bands[0], pools[0], amp)
+        _pooled_medians(frames, grid, inner, unit_rows[half:], bands[1], pools[1], amp)
         lower.result()
     peak = amp.max()
     if peak > 0:

@@ -16,7 +16,7 @@ from darkfringe.fileio import _read_pgm_header, _reading
 from darkfringe.forward_model import _unit_window, default_crop_rows
 from darkfringe.path_search import MOVES, random_invalid_maps, transpose_invalid
 from darkfringe.fringe_detect import FringeMaps, default_detect_config
-from darkfringe.pipeline import random_quantized_object, simulate_measurements
+from darkfringe.pipeline import random_quantized_object
 
 
 def kernel_profile(kind: str, r: float, u: np.ndarray) -> np.ndarray:
@@ -573,6 +573,45 @@ def reference_estimate_amplitude(images, grid, erode=3) -> np.ndarray:
         amp[i] = np.sqrt(np.median(pool.reshape(s2, -1), axis=1))
     peak = amp.max()
     return amp / peak if peak > 0 else amp
+
+
+def simulate_measurements(obj, pattern_set, model, grid, noise_sigma, seed):
+    """One 16-bit frame per pattern, as the pipeline's simulate stage makes
+    each: read out as soon as it is simulated, the noise seed the run seed
+    plus the measurement index j."""
+    return [df.forward_model.quantize_16bit(
+                df.simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
+                                           seed=seed + j))
+            for j, pattern in enumerate(pattern_set.patterns, start=1)]
+
+
+def write_measurements(directory, frames) -> list:
+    """Each 16-bit frame written as measurement_j<j>.pgm in `directory`, as
+    the simulate stage writes it; the paths, in order."""
+    paths = []
+    for j, frame in enumerate(frames, start=1):
+        paths.append(directory / f"measurement_j{j}.pgm")
+        df.fileio.write_pgm16(paths[-1], frame)
+    return paths
+
+
+def reference_quantize_16bit(img):
+    """The 16-bit readout on one thread: the whole frame's max, then
+    rint(value * scale) cast to big-endian 16-bit words, row strip by row
+    strip through one float strip."""
+    vals = img.values
+    peak = float(vals.max())
+    scale = 65535.0 / peak if peak > 0 else 1.0
+    height, width = vals.shape
+    strips, size = df.forward_model.frame_strips(height, width)
+    buffer = np.empty((size, width))
+    levels = np.empty((height, width), dtype=df.forward_model.LEVELS)
+    for rows in strips:
+        scaled = buffer[:rows.stop - rows.start]
+        np.multiply(vals[rows], scale, out=scaled)
+        np.rint(scaled, out=scaled)
+        np.copyto(levels[rows], scaled, casting="unsafe")
+    return df.IntensityImage(levels, scale)
 
 
 def strip_sizes():

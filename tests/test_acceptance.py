@@ -19,7 +19,8 @@ from darkfringe.path_search import (blocking_montecarlo, plan_with_retry,
 from darkfringe.pipeline import RunConfig, run_pipeline
 from darkfringe.reconstruct import compose_and_score, estimate_amplitude, retrieve_phase
 
-from conftest import (SimSetup, gamma2_centered_fd, truth_presence_maps)
+from conftest import (SimSetup, gamma2_centered_fd, truth_presence_maps,
+                      write_measurements)
 
 
 @pytest.fixture
@@ -107,8 +108,9 @@ def test_criterion_3_radius_sweep_behavior(report):
 
 
 @pytest.fixture(scope="module")
-def noiseless_runs():
+def noiseless_runs(tmp_path_factory):
     """The 100 noiseless random-object runs shared by criteria 4 and 5."""
+    directory = tmp_path_factory.mktemp("frames")
     setup = SimSetup()
     results = []
     t0 = time.time()
@@ -118,7 +120,7 @@ def noiseless_runs():
         maps = setup.detect(images)
         invalid, ratios = mark_invalid_and_ratios(maps, setup.library)
         phase, _ = retrieve_phase(invalid, ratios, [(0, 0), (15, 15)])
-        amplitude = estimate_amplitude(images, setup.grid)
+        amplitude = estimate_amplitude(write_measurements(directory, images), setup.grid)
         metrics = compose_and_score(phase, amplitude, obj)
         counts = (np.stack([m.row_map for m in maps]).sum(axis=0),
                   np.stack([m.col_map for m in maps]).sum(axis=0))

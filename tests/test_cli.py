@@ -1,8 +1,10 @@
 import re
 import shutil
 import tempfile
+import tracemalloc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ import darkfringe.forward_model as forward_model
 import darkfringe.pipeline as pipeline
 from darkfringe.boundary_logic import EdgeRatios
 from darkfringe.cli import main
-from darkfringe.forward_model import PSF_KINDS, ComplexField, simulate_measurement_2d
+from darkfringe.forward_model import (LEVELS, PSF_KINDS, ComplexField, IntensityImage,
+                                      simulate_measurement_2d)
+from darkfringe.patterns import make_patterns
 from darkfringe.pipeline import (RunConfig, StageError, random_quantized_object,
                                  run_pipeline)
 
@@ -109,8 +113,10 @@ def test_pipeline_frames_are_16_bit_levels(tmp_path, monkeypatch):
     cfg = RunConfig(s1=4, s2=5, pixels_per_unit=8, psf_radius=2.0, noise_sigma=0.02,
                     seed=3, outdir=str(tmp_path))
     saved = {}
-    frames = pipeline.simulate(cfg, random_quantized_object(4, 5, 4, 3),
-                               lambda name, writer, *args: saved.setdefault(name, args))
+    obj = random_quantized_object(4, 5, 4, 3)
+    frames = [pipeline.simulate(cfg, obj, pattern, j,
+                                lambda name, writer, *args: saved.setdefault(name, args))
+              for j, pattern in enumerate(make_patterns(4, 4, 5).patterns, start=1)]
     assert len(floats) == len(frames) == 4
     assert all(ref() is None for ref in floats)
     for j, frame in enumerate(frames, start=1):
@@ -142,10 +148,10 @@ SMALL_RUN = ["--s1", "4", "--s2", "4", "--pixels-per-unit", "8", "--psf-radius",
     dict(band_halfwidth=4), dict(band_halfwidth=3), dict(crop_rows=6),
     dict(noise_sigma=-0.1), dict(origins=((9, 9),)), dict(origins=()), dict(m=1),
     dict(noise_sigma=float("nan")), dict(highpass_sigma=float("inf")),
-    dict(psf_radius=float("inf")),
+    dict(psf_radius=float("inf")), dict(psf_radius=1e12),
 ], ids=["band-halfwidth-4", "band-halfwidth-3", "crop-rows-6", "noise-sigma",
         "origin-off-grid", "no-origin", "m-1", "noise-sigma-nan",
-        "highpass-sigma-inf", "psf-radius-inf"])
+        "highpass-sigma-inf", "psf-radius-inf", "psf-radius-1e12"])
 def test_pipeline_bad_run_config_fails_before_any_write(tmp_path, bad):
     outdir = tmp_path / "run"
     with pytest.raises(StageError) as info:
@@ -229,12 +235,16 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
     ["--psf-radius", "nan"],
     ["--psf-radius", "inf"],
     ["--psf-radius", "1e308"],
+    # a finite radius above the frame's larger side (32 px), bounded before
+    # the PSF tabulates 20 r / step entries
+    SMALL_RUN[:-1] + ["1e12"],
+    SMALL_RUN[:-1] + ["33"],
 ], ids=["quadrature-step", "band-halfwidth", "m", "origins", "noise-sigma",
         "pixels-per-unit", "crop-rows", "band-wider-than-unit",
         "erosion-leaves-no-interior", "crop-leaves-no-interior",
         "noise-sigma-nan", "noise-sigma-inf", "highpass-sigma-nan",
         "highpass-sigma-inf", "psf-radius-nan", "psf-radius-inf",
-        "psf-table-extent-inf"])
+        "psf-table-extent-inf", "psf-radius-1e12", "psf-radius-above-frame"])
 def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
     outdir = tmp_path / "run"
     assert main(["pipeline", "--outdir", str(outdir)] + flags) == 1
@@ -510,6 +520,54 @@ def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv, why):
     capsys.readouterr()
     assert main(argv) == 2
     assert re.search(f"error: stage '{stage}' failed: .*{why}", capsys.readouterr().err)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def _reshape(path):
+    fio.write_pgm16(path, IntensityImage(np.ones((3, 5), dtype=LEVELS), 2.0))
+
+
+def _bad_scale(path):
+    path.write_bytes(re.sub(rb"# scale=[^\n]*", b"# scale=nan", path.read_bytes(), count=1))
+
+
+@pytest.mark.parametrize("damage, why", [
+    (_truncate, r"truncated PGM file '.*measurement_j2\.pgm': expected 1920 data bytes, found 1917"),
+    (_reshape, r"PGM '.*measurement_j2\.pgm' holds a 3 x 5 frame, expected 30 x 32"),
+    (_bad_scale, r"bad scale 'nan' in PGM '.*measurement_j2\.pgm'"),
+], ids=["truncated", "wrong-shape", "bad-scale"])
+def test_cli_reconstruct_names_a_bad_measurement_file(tmp_path, capsys, damage, why):
+    # the amplitudes read bands of the measurement PGMs: every file is checked
+    # before any band is read, and a bad one fails the stage, named
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"), ["mark-invalid"], ["paths"])
+    damage(tmp_path / "measurement_j2.pgm")
+    capsys.readouterr()
+    assert main(["reconstruct", "--outdir", str(tmp_path), *SMALL_RUN]) == 2
+    assert re.search(f"error: stage 'reconstruct' failed: {why}", capsys.readouterr().err)
+    assert not (tmp_path / "reconstruction.cf32").exists()
+
+
+def test_pipeline_memory_does_not_grow_with_m(tmp_path):
+    # frames stream through simulate -> detect one at a time and the
+    # amplitudes read bands of the PGM files, so a run at m = 8 holds no more
+    # than one at m = 4, within less than one frame's 16-bit levels (the
+    # first run builds the cached windows both measured runs share)
+    base = RunConfig(s1=16, s2=16, pixels_per_unit=32, noise_sigma=0.01, seed=5)
+    run_pipeline(replace(base, outdir=str(tmp_path / "warm")))
+    peaks = {}
+    for m in (4, 8):
+        tracemalloc.start()
+        try:
+            run_pipeline(replace(base, m=m, outdir=str(tmp_path / f"m{m}")))
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    grid = base.grid()
+    assert peaks[8] - peaks[4] < grid.height * grid.width * 2
 
 
 def test_cli_run_flags_are_the_config_keys():

@@ -74,8 +74,9 @@ def test_pgm16_zero_frame_matches_reference(tmp_path):
 
 def test_write_pgm16_streams_in_strips(tmp_path):
     # a 1024 x 1024 frame is 16 strips; the readout allocates the 2 B/px
-    # levels and one float64 strip, never a scaled or rounded frame, and the
-    # writer writes the levels without copying them
+    # levels and one float64 strip for each of its two threads (plus the
+    # worker thread's own objects, about 10 KB), never a scaled or rounded
+    # frame, and the writer writes the levels without copying them
     img = IntensityImage(np.random.default_rng(0).random((1024, 1024)))
     tracemalloc.start()
     try:
@@ -87,7 +88,7 @@ def test_write_pgm16_streams_in_strips(tmp_path):
         write_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert quantize_peak <= 2 * img.values.size + 8 * STRIP_PIXELS + 4096
+    assert quantize_peak <= 2 * img.values.size + 2 * 8 * STRIP_PIXELS + 16384
     assert write_peak <= 8 * STRIP_PIXELS // 8
 
 
@@ -418,6 +419,29 @@ def test_pgm16_truncated_names_file(tmp_path):
     _truncate(path, 69)
     with pytest.raises(ValueError, match=r"frame\.pgm.*expected 128 data bytes, found 59"):
         fio.read_pgm16(path)
+
+
+def test_pgm16_bands_read_as_the_reader_reads(tmp_path):
+    # the amplitudes' band reads: the layout's offset and scale, then any
+    # band of rows read into a caller's buffer, are the reader's levels
+    path = tmp_path / "frame.pgm"
+    frame = quantize_16bit(IntensityImage(np.random.default_rng(4).random((9, 6))))
+    fio.write_pgm16(path, frame)
+    offset, scale = fio._pgm16_layout(path, 9, 6)
+    assert scale == fio.read_pgm16(path).scale == frame.scale
+    band = np.empty((3, 6), dtype=frame.values.dtype)
+    with open(path, "rb", buffering=0) as fh:
+        for top in (0, 4, 6):
+            fio._read_band(fh, path, offset + top * 6 * 2, band)
+            assert band.tobytes() == frame.values[top:top + 3].tobytes()
+        # a file that ends before the band does (it shrank after its check)
+        with pytest.raises(ValueError, match=r"frame\.pgm.*ends before byte"):
+            fio._read_band(fh, path, offset + 7 * 6 * 2, band)
+    with pytest.raises(ValueError, match=r"frame\.pgm' holds a 9 x 6 frame, expected 9 x 7"):
+        fio._pgm16_layout(path, 9, 7)
+    _truncate(path, 1)
+    with pytest.raises(ValueError, match=r"frame\.pgm.*expected 108 data bytes, found 107"):
+        fio._pgm16_layout(path, 9, 6)
 
 
 def test_pgm8_truncated_names_file(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import sys
 import tracemalloc
@@ -27,8 +28,8 @@ from darkfringe.fringe_detect import _grid_windows, default_detect_config
 from darkfringe.patterns import make_patterns
 
 from conftest import (frame_cases, gamma2_centered_fd, gamma2_fd_richardson,
-                      gamma_quadrature, reference_simulate_measurement_2d,
-                      strip_sizes)
+                      gamma_quadrature, reference_quantize_16bit,
+                      reference_simulate_measurement_2d, strip_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +514,47 @@ def test_frames_do_not_depend_on_which_thread_takes_a_strip(eager):
                                              _OneThreadPool(eager)):
         got = simulate_measurement_2d(*case).values.tobytes()
     assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_cases())
+def test_readout_matches_one_thread_reference(case):
+    # the peak and the scaled rint and cast, each split between two threads,
+    # give the one-thread readout's levels and scale bit for bit
+    img = simulate_measurement_2d(*case)
+    want = reference_quantize_16bit(img)
+    for strips in strip_sizes():
+        with strips:
+            got = quantize_16bit(img)
+        assert got.scale == want.scale
+        assert got.values.dtype == want.values.dtype
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+READOUT_FRAMES = {
+    "one-row": np.random.default_rng(1).random((1, 3000)) * 7.0,
+    "all-zero": np.zeros((300, 7)),
+    "many-strips": np.random.default_rng(2).random((257, 40)),
+}
+
+
+@pytest.mark.parametrize("frame", READOUT_FRAMES.values(), ids=READOUT_FRAMES)
+@pytest.mark.parametrize("pool", ["threads", "worker-first", "caller-first"])
+def test_readout_does_not_depend_on_which_thread_takes_a_strip(frame, pool):
+    # one row (one strip), an all-zero frame (scale 1) and many strips: with
+    # two threads, or one side taking every strip of both passes, the levels
+    # and scale are the one-thread readout's
+    img = IntensityImage(frame)
+    want = reference_quantize_16bit(img)
+    threads = (contextlib.nullcontext() if pool == "threads" else
+               mock.patch.object(forward_model, "ThreadPoolExecutor",
+                                 _OneThreadPool(pool == "worker-first")))
+    with strip_sizes()[1], threads:
+        got = quantize_16bit(img)
+    assert got.scale == want.scale
+    assert got.values.tobytes() == want.values.tobytes()
+    if not frame.any():
+        assert got.scale == 1.0 and not got.values.any()
 
 
 def test_concurrent_simulations_match_the_reference():

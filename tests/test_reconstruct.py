@@ -1,11 +1,13 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import darkfringe as df
 from darkfringe.boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from darkfringe.forward_model import (ComplexField, GridSpec, IntensityImage,
+from darkfringe.forward_model import (LEVELS, ComplexField, GridSpec, IntensityImage,
                                       quantize_16bit, simulate_measurement_2d)
 from darkfringe.fileio import read_complex_field
 from darkfringe.path_search import plan_paths, plan_with_retry
@@ -21,7 +23,12 @@ from hypothesis.extra import numpy as hnp
 from conftest import (SimSetup, frame_cases, planner_cases,
                       reference_accumulate_phase, reference_estimate_amplitude,
                       reference_plan_paths, reference_plan_with_retry,
-                      reference_retrieve_phase, truth_edge_ratios)
+                      reference_retrieve_phase, truth_edge_ratios, write_measurements)
+
+
+def ones_frame(grid):
+    """A 16-bit frame of the grid's shape, every level 1."""
+    return IntensityImage(np.ones((grid.height, grid.width), dtype=LEVELS))
 
 
 def empty_invalid(s1, s2):
@@ -187,65 +194,65 @@ def test_unknown_units_only_where_unreachable():
     assert np.array_equal(np.isnan(phase), unreachable)
 
 
-def _amplitude_setup(values, radius=4.0):
+def _amplitude_setup(values, directory, radius=4.0):
     setup = SimSetup(s1=values.shape[0], s2=values.shape[1], radius=radius)
     obj = ComplexField(values)
-    images = setup.measure(obj, seed=2)
-    return setup, images
+    paths = write_measurements(directory, setup.measure(obj, seed=2))
+    return setup, paths
 
 
-def test_amplitude_uniform_object():
-    setup, images = _amplitude_setup(np.ones((6, 6), complex))
-    amp = estimate_amplitude(images, setup.grid)
+def test_amplitude_uniform_object(tmp_path):
+    setup, paths = _amplitude_setup(np.ones((6, 6), complex), tmp_path)
+    amp = estimate_amplitude(paths, setup.grid)
     assert np.allclose(amp, 1.0, atol=0.02)
 
 
-def test_amplitude_half_amplitude_unit():
+def test_amplitude_half_amplitude_unit(tmp_path):
     values = np.ones((6, 6), complex)
     values[3, 3] = 0.5
-    setup, images = _amplitude_setup(values)
-    amp = estimate_amplitude(images, setup.grid)
+    setup, paths = _amplitude_setup(values, tmp_path)
+    amp = estimate_amplitude(paths, setup.grid)
     assert amp[3, 3] == pytest.approx(0.5, abs=0.025)
     assert np.allclose(np.delete(amp.ravel(), 3 * 6 + 3), 1.0, atol=0.02)
 
 
-def test_amplitude_invariant_across_patterns():
+def test_amplitude_invariant_across_patterns(tmp_path):
     values = np.ones((4, 4), complex) * np.exp(0.3j)
     values[1, 2] = 0.7 * np.exp(1.1j)
-    setup, images = _amplitude_setup(values)
-    single = [estimate_amplitude([img], setup.grid) for img in images]
+    setup, paths = _amplitude_setup(values, tmp_path)
+    single = [estimate_amplitude([path], setup.grid) for path in paths]
     for a in single[1:]:
         assert np.allclose(a, single[0], atol=0.02)
 
 
-def test_amplitude_requires_consistent_shapes():
-    setup, images = _amplitude_setup(np.ones((4, 4), complex))
-    with pytest.raises(ValueError):
-        estimate_amplitude(images, GridSpec(5, 4, 32, setup.grid.crop_rows))
+def test_amplitude_requires_consistent_shapes(tmp_path):
+    setup, paths = _amplitude_setup(np.ones((4, 4), complex), tmp_path)
+    with pytest.raises(ValueError, match=re.escape(str(paths[0]))):
+        estimate_amplitude(paths, GridSpec(5, 4, 32, setup.grid.crop_rows))
 
 
 @settings(max_examples=60, deadline=None)
 @given(frame_cases(), st.integers(1, 3), st.integers(0, 4))
 def test_amplitude_matches_single_thread_reference(case, frames, erode):
-    # two threads and caller-owned pool buffers give the one-thread medians
-    # bit for bit, or the same error when a unit row has no interior left
+    # two threads, band reads and caller-owned buffers give the one-thread
+    # medians bit for bit, or the same error when a unit row has no interior
+    # left: each 16-bit frame's levels divided by its own scale give the
+    # medians of the frames read back from their PGM files
     obj, pattern, model, grid, noise, seed = case
     images = [simulate_measurement_2d(obj, pattern, model, grid, noise, seed + k)
               for k in range(frames)]
-    try:
-        want = reference_estimate_amplitude(images, grid, erode)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            estimate_amplitude(images, grid, erode)
-        return
-    got = estimate_amplitude(images, grid, erode)
-    assert got.tobytes() == want.tobytes()
-    # 16-bit frames: each frame's levels divided by its own scale give the
-    # medians of the frames read back from their PGM files
     frames = [quantize_16bit(img) for img in images]
     read_back = [IntensityImage(f.values.astype(float) / f.scale) for f in frames]
-    got = estimate_amplitude(frames, grid, erode)
-    assert got.tobytes() == reference_estimate_amplitude(read_back, grid, erode).tobytes()
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_measurements(Path(directory), frames)
+        try:
+            want = reference_estimate_amplitude(read_back, grid, erode)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                estimate_amplitude(paths, grid, erode)
+            return
+        got = estimate_amplitude(paths, grid, erode)
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -291,11 +298,11 @@ def test_interior_rows_stay_inside_the_cropped_frame():
             for i in range(grid.s1)] == [0, 2, 2, 0]
 
 
-def test_amplitude_names_the_first_empty_unit_row():
+def test_amplitude_names_the_first_empty_unit_row(tmp_path):
     grid = GridSpec(4, 4, 8, crop_rows=6)
-    images = [df.IntensityImage(np.ones((grid.height, grid.width)))]
+    paths = write_measurements(tmp_path, [ones_frame(grid)])
     with pytest.raises(ValueError, match=re.escape("unit (0, 0) has no surviving")):
-        estimate_amplitude(images, grid, erode=3)
+        estimate_amplitude(paths, grid, erode=3)
 
 
 def test_score_exact_match_is_zero():
@@ -345,8 +352,8 @@ def test_reconstruct_stores_unreachable_unit_as_zero(tmp_path):
     ratios = EdgeRatios(np.ones((2, 2), complex), np.ones((1, 3), complex))
     plans = [plan_with_retry(invalid, [(0, 0)])]
     assert not plans[0].reachable_mask()[0, 2]
-    images = [IntensityImage(np.ones((grid.height, grid.width)))]
-    reconstruct(cfg, ratios, plans, images,
+    paths = write_measurements(tmp_path, [ones_frame(grid)])
+    reconstruct(cfg, ratios, plans, paths,
                 lambda name, writer, *args: writer(tmp_path / name, *args))
     stored = read_complex_field(tmp_path / "reconstruction.cf32").values
     assert stored[0, 2] == 0
