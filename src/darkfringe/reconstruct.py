@@ -16,12 +16,13 @@ no whole frame is ever held; the lower half of the unit rows is taken on
 one worker thread that runs only file reads and numpy (the reads and the
 partition release the GIL) and the upper half on the calling thread. A
 measurement's 16-bit levels enter the pool divided by their frame's scale,
-since each frame has its own. A unit row's medians
-come from one partition at the middle of each pool, where np.median also
-partitions below the middle and at the end (for its NaN check): on a
-2-core Xeon host the amplitudes of four 2048^2 frames take 32-39 ms, against
-102-104 ms with np.median. Scoring removes the global phase offset that
-intensity measurements can never determine.
+since each frame has its own. A unit row's medians come from one partition
+at the middle of each pool, where np.median also partitions below the
+middle and at the end (for its NaN check): on a 2-core Xeon host the
+amplitudes of four 2048^2 frames took 32-39 ms from levels held in memory,
+against 102-104 ms with np.median; read from their files (page cache warm)
+they take 44-47 ms. Scoring removes the global phase offset that intensity
+measurements can never determine.
 """
 
 from __future__ import annotations

@@ -516,21 +516,6 @@ def test_frames_do_not_depend_on_which_thread_takes_a_strip(eager):
     assert got == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(frame_cases())
-def test_readout_matches_one_thread_reference(case):
-    # the peak and the scaled rint and cast, each split between two threads,
-    # give the one-thread readout's levels and scale bit for bit
-    img = simulate_measurement_2d(*case)
-    want = reference_quantize_16bit(img)
-    for strips in strip_sizes():
-        with strips:
-            got = quantize_16bit(img)
-        assert got.scale == want.scale
-        assert got.values.dtype == want.values.dtype
-        assert got.values.tobytes() == want.values.tobytes()
-
-
 READOUT_FRAMES = {
     "one-row": np.random.default_rng(1).random((1, 3000)) * 7.0,
     "all-zero": np.zeros((300, 7)),
@@ -572,6 +557,23 @@ def test_concurrent_simulations_match_the_reference():
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 16
+
+
+def test_concurrent_readouts_match_the_reference():
+    # four callers at once, each with its own worker thread, more threads
+    # than cores and a short switch interval: every readout is still the
+    # one-thread readout, so no call writes into another's levels or strips
+    img = IntensityImage(np.random.default_rng(3).random((120, 90)) * 5.0)
+    want = reference_quantize_16bit(img)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with strip_sizes()[1], ThreadPoolExecutor(max_workers=4) as pool:
+            frames = [pool.submit(quantize_16bit, img) for _ in range(16)]
+            got = [frame.result(timeout=60) for frame in frames]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [(f.scale, f.values.tobytes()) for f in got] == [(want.scale, want.values.tobytes())] * 16
 
 
 @pytest.mark.parametrize("kind, reach", [("gaussian", 2), ("exponential", 5), ("box", 1)])
