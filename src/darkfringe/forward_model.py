@@ -14,8 +14,12 @@ same mechanism serves all kernel families (the Gaussian has no elementary
 primitive).
 
 A simulated frame is |F|^2 plus sigma * max|F|^2 * z, clipped at zero, with
-z standard normal draws from two streams spawned from the frame's seed: the
-first draws the top half of the uncropped frame's rows, the second the rest.
+z standard normal: a float32 Box-Muller transform of float32 uniforms from
+two streams spawned from the frame's seed, the first for the top half of
+the uncropped frame's rows, the second for the rest. Its tail is cut at
+sqrt(48 ln 2) ~ 5.77, and its bytes depend on the SIMD target numpy's
+float32 log, sqrt, cos and sin run on, as the BLAS products' do on the BLAS
+kernel. A run seeds frame j with the pair (run seed, j).
 The camera reads it out once, as 16-bit levels rint(value * scale) with
 scale = 65535 / peak (:func:`quantize_16bit`); the levels and their scale are
 the measurement every later stage computes from and the PGM file stores. The
@@ -265,6 +269,8 @@ STRIP_PIXELS = 1 << 16
 # complex and larger woke a second thread, which then spun for 100-130 ms of
 # CPU after every call and slowed the noise draws that follow on a 2-core host.
 _BLOCK_MADDS = 1 << 16
+# the angle factor of a float32 Box-Muller pair
+_TWO_PI = np.float32(2.0 * np.pi)
 
 
 def row_strips(height: int, rows: int) -> list[slice]:
@@ -500,28 +506,58 @@ def _power(strips: Iterator[slice], source: np.ndarray, wy: np.ndarray, reach: i
 
 
 def _add_noise(halves: list[tuple], scale: float, buffer: np.ndarray) -> None:
-    """Add scale times standard normal draws to each noise half in turn, then
-    clip at zero, through this thread's flat float `buffer`. A half is (lock,
-    strips, rng, view): `strips`, an iterator both threads share, cuts the
-    frame rows `view`. A strip is taken and drawn under the half's lock, so
-    its rng draws row-major whichever thread takes which strip; the scale,
-    add and clip run outside it."""
-    for lock, strips, rng, view in halves:
+    """Add scale times standard normal values to each noise half in turn, then
+    clip at zero. A half is (lock, cuts, rng, flat): `cuts`, an iterator both
+    threads share, cuts the half's flat samples `flat` into ranges of even
+    length but the last. Only a cut's uniform draw runs under the half's
+    lock, so its rng draws in order whichever thread takes which cut; the
+    transform (:func:`_box_muller`), the scale, add and clip run outside it.
+    In this thread's complex strip `buffer` (16 B per pixel), a cut's
+    uniforms, turned into z in place, take the upper half's float32 words,
+    and its scaled noise the lower half's float64 values, where the
+    transform's scratch lies until then."""
+    words = buffer.reshape(-1).view(np.float32)
+    lower, upper = words[:len(words) // 2], words[len(words) // 2:]
+    for lock, cuts, rng, flat in halves:
         while True:
             with lock:
-                rows = next(strips, None)
-                if rows is None:
+                span = next(cuts, None)
+                if span is None:
                     break
-                part = view[rows]
-                draws = buffer[:part.size].reshape(part.shape)
-                rng.standard_normal(out=draws)
-            draws *= scale
-            part += draws
+                part = flat[span]
+                # an odd last cut draws a whole pair and drops its last value
+                pairs = (len(part) + 1) // 2
+                uniforms = upper[:2 * pairs]
+                rng.random(out=uniforms, dtype=np.float32)
+            normal = _box_muller(uniforms, lower[:3 * pairs].reshape(3, pairs))
+            noise = lower.view(float)[:len(part)]
+            np.copyto(noise, normal[:len(part)])
+            noise *= scale
+            part += noise
             np.clip(part, 0.0, None, out=part)
 
 
+def _box_muller(uniforms: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Standard normal values in place of float32 uniforms in [0, 1): each
+    consecutive pair (u1, u2) becomes sqrt(-2 ln(1 - u1)) (cos, sin)(2 pi u2)
+    (Box & Muller 1958), through three float32 rows of `scratch`. 1 - u1 is
+    at least 2^-24, so no value exceeds sqrt(48 ln 2) ~ 5.77 in size."""
+    radius, cosine, angle = scratch
+    np.subtract(np.float32(1.0), uniforms[0::2], out=radius)
+    np.log(radius, out=radius)
+    radius *= np.float32(-2.0)
+    np.sqrt(radius, out=radius)
+    np.multiply(uniforms[1::2], _TWO_PI, out=angle)
+    np.cos(angle, out=cosine)
+    np.sin(angle, out=angle)
+    np.multiply(radius, cosine, out=uniforms[0::2])
+    np.multiply(radius, angle, out=uniforms[1::2])
+    return uniforms
+
+
 def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: PsfModel,
-                            grid: GridSpec, noise_sigma: float, seed: int) -> IntensityImage:
+                            grid: GridSpec, noise_sigma: float,
+                            seed: int | tuple[int, ...]) -> IntensityImage:
     """Simulate one camera frame of the object seen through a phase pattern.
 
     The source field is the per-unit product object * pattern. With the
@@ -530,11 +566,18 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     pair of matrix products, F = G Wx^T with G = Wy source (H x s2). The
     frame is |F|^2 + noise_sigma * max|F|^2 * z, clipped at zero, over the
     uncropped frame, whose crop_rows rows top and bottom are then sliced off.
-    z is standard normal: `a, b = SeedSequence(seed).spawn(2)`, stream a
-    draws rows [0, H // 2) and stream b rows [H // 2, H), each row-major. The
-    halves are fixed by the frame, not by the strips, so no frame depends on
-    where strip edges fall; the noisy frames differ in bytes from those of
-    versions that drew the whole frame from one stream.
+    z is standard normal: `a, b = SeedSequence(seed).spawn(2)` (`seed` an
+    int or a tuple of ints, as the pipeline's (run seed, j)), stream a draws
+    rows [0, H // 2) and stream b rows [H // 2, H), each row-major as float32
+    uniforms whose consecutive pairs (u1, u2) the float32 Box-Muller
+    transform turns into sqrt(-2 ln(1 - u1)) (cos, sin)(2 pi u2), so |z| is
+    at most sqrt(48 ln 2) ~ 5.77; a half of odd size drops its last value.
+    z is float32, and its last bits depend on the SIMD target numpy's
+    float32 log, sqrt, cos and sin run on, as the field's do on the BLAS
+    kernel; the scale, add and clip are float64. The halves and pairs are
+    fixed by the frame, not by the strips, so no frame depends on where
+    strip edges fall; the noisy frames differ in bytes from those of
+    versions that drew numpy's float64 standard normals.
 
     Both passes run on the calling thread and one worker thread, each taking
     strips from a shared iterator until none is left, so neither waits for
@@ -545,14 +588,16 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     Wy's reach of the strip, and its F is their banded product by the pieces
     of Wx^T (:func:`banded_times`; :func:`_field_windows`, cached per PSF and
     grid). |F|^2 goes straight into the frame, and the frame's max is the
-    larger of the two threads' maxima. The noise pass shares each noise
-    half's row strips: a thread draws its own half's strips first, then
-    helps with the other's, a strip taken and drawn under its half's lock
-    so that each stream still draws row-major; it then scales, adds and
-    clips the strip. The caller allocates the frame and one complex strip
-    buffer per thread, whose float view holds the noise draws; the worker
-    allocates nothing frame-sized and calls no public function. Which thread
-    takes a strip changes no bit. The frame is bit for bit that of the
+    larger of the two threads' maxima. The noise pass cuts each noise half
+    into flat ranges of as many pixels as a thread's strip buffer holds,
+    rounded down to even, so a pair never spans two cuts: a thread takes its
+    own half's cuts first, then helps with the other's, a cut taken and its
+    uniforms drawn under its half's lock so that each stream still draws in
+    order; the transform, scale, add and clip run outside the lock. The
+    caller allocates the frame and one complex strip buffer per thread,
+    which also holds the thread's uniforms, transform and scaled noise; the
+    worker allocates nothing and calls no public function. Which thread
+    takes a strip or a cut changes no bit. The frame is bit for bit that of the
     whole-frame product: the terms left out are exact zeros, and the
     complex product is kept because two real products for Re F and Im F can
     differ from it in the last bit.
@@ -576,20 +621,24 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     windows = (wy, reach, ppu, pieces)
     source = obj.values * pattern.values
     frame = np.empty((height, width))
-    buffers = np.empty((2, size, width), dtype=complex)
+    # two rows at least, so that a one-pixel frame's buffer holds a noise pair
+    buffers = np.empty((2, max(size, 2), width), dtype=complex)
     shared = iter(strips)
     with ThreadPoolExecutor(max_workers=1) as worker:
         second = worker.submit(_power, shared, source, *windows, frame, buffers[1])
         peak = max(_power(shared, source, *windows, frame, buffers[0]), second.result())
         if noise_sigma > 0:
-            half, rows = height // 2, STRIP_PIXELS // width
-            halves = [(threading.Lock(), iter(row_strips(len(view), rows)),
+            # cuts of as many even pixels as a thread's buffer holds
+            flat, cut = frame.reshape(-1), buffers[0].size // 2 * 2
+            halves = [(threading.Lock(),
+                       iter([slice(lo, lo + cut) for lo in range(0, len(view), cut)]),
                        np.random.default_rng(stream), view)
                       for stream, view in zip(np.random.SeedSequence(seed).spawn(2),
-                                              (frame[:half], frame[half:]))]
-            scale, noise = noise_sigma * peak, buffers.view(float).reshape(2, -1)
-            second = worker.submit(_add_noise, halves[::-1], scale, noise[1])
-            _add_noise(halves, scale, noise[0])
+                                              (flat[:height // 2 * width],
+                                               flat[height // 2 * width:]))]
+            scale = noise_sigma * peak
+            second = worker.submit(_add_noise, halves[::-1], scale, buffers[1])
+            _add_noise(halves, scale, buffers[0])
             second.result()
     return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows])
 

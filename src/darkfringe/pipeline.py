@@ -100,7 +100,7 @@ class RunConfig:
 
     def check(self) -> None:
         """Raise ValueError if a stage would reject this configuration: build
-        what the stages build, check noise, m and origins, and run the
+        what the stages build, check noise, seed, m and origins, and run the
         amplitude stage's interior-pixel check, which implies detection's
         2 * band_halfwidth < pixels_per_unit. The PSF radius is bounded by
         the frame's larger side before the PSF is built, since its table
@@ -115,6 +115,8 @@ class RunConfig:
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be nonnegative and finite, "
                              f"got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.m < 2:
             raise ValueError(f"m must be at least 2, got {self.m}")
         if not self.origins:
@@ -201,9 +203,10 @@ def simulate(cfg: RunConfig, obj: ComplexField, pattern: ComplexField, j: int,
     """Measurement j, of the object seen through its pattern, read out as
     soon as it is simulated, so no float frame outlives its readout: its
     16-bit levels and scale are what the later stages compute from and what
-    measurement_j<j>.pgm holds. Its noise seed is the run seed plus j."""
+    measurement_j<j>.pgm holds. Its noise seed is the pair (run seed, j),
+    so no frame of one run draws the noise of a frame of another."""
     image = quantize_16bit(simulate_measurement_2d(obj, pattern, cfg.psf(), cfg.grid(),
-                                                   cfg.noise_sigma, seed=cfg.seed + j))
+                                                   cfg.noise_sigma, seed=(cfg.seed, j)))
     save(f"measurement_j{j}.pgm", fileio.write_pgm16, image)
     return image
 

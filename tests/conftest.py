@@ -327,12 +327,26 @@ def reference_retrieve_phase(invalid, ratios, origins, planner=None):
 # row strips and on two threads, kept as oracles
 
 
+def reference_standard_normal(rng, n: int) -> np.ndarray:
+    """n standard normal float32 values from rng: ceil(n / 2) pairs of float32
+    uniforms drawn in one call, each consecutive pair (u1, u2) turned into
+    sqrt(-2 ln(1 - u1)) (cos, sin)(2 pi u2); an odd n drops the last value."""
+    u = rng.random(2 * ((n + 1) // 2), dtype=np.float32)
+    radius = np.sqrt(np.float32(-2.0) * np.log(np.float32(1.0) - u[0::2]))
+    angle = u[1::2] * np.float32(2.0 * np.pi)
+    z = np.empty_like(u)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:n]
+
+
 def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
                                       seed, streams=None) -> df.IntensityImage:
-    """|F|^2 as one frame, plus normal(0, sigma * max) noise, clipped, then
-    cropped. The noise is drawn in two halves of the uncropped rows, the top
-    H // 2 rows from the first of `streams` and the rest from the second,
-    each row-major; `streams` defaults to SeedSequence(seed).spawn(2)."""
+    """|F|^2 as one frame, plus sigma * max times standard normal noise,
+    clipped, then cropped. The noise is drawn in two halves of the uncropped
+    rows, the top H // 2 rows from the first of `streams` and the rest from
+    the second, each row-major in one call (:func:`reference_standard_normal`);
+    `streams` defaults to SeedSequence(seed).spawn(2)."""
     s1, s2 = obj.shape
     ppu = grid.pixels_per_unit
     source = obj.values * pattern.values
@@ -342,10 +356,12 @@ def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
     if noise_sigma > 0:
         height, width = intensity.shape
         streams = np.random.SeedSequence(seed).spawn(2) if streams is None else streams
-        sigma = noise_sigma * intensity.max()
-        noise = [np.random.default_rng(stream).normal(0.0, sigma, size=(rows, width))
-                 for stream, rows in zip(streams, (height // 2, height - height // 2))]
-        intensity = np.clip(intensity + np.concatenate(noise), 0.0, None)
+        z = np.concatenate([reference_standard_normal(np.random.default_rng(stream),
+                                                      rows * width)
+                            for stream, rows in zip(streams, (height // 2,
+                                                              height - height // 2))])
+        noise = z.astype(float).reshape(height, width) * (noise_sigma * intensity.max())
+        intensity = np.clip(intensity + noise, 0.0, None)
     crop = grid.crop_rows
     return df.IntensityImage(intensity[crop:intensity.shape[0] - crop])
 
@@ -577,11 +593,11 @@ def reference_estimate_amplitude(images, grid, erode=3) -> np.ndarray:
 
 def simulate_measurements(obj, pattern_set, model, grid, noise_sigma, seed):
     """One 16-bit frame per pattern, as the pipeline's simulate stage makes
-    each: read out as soon as it is simulated, the noise seed the run seed
-    plus the measurement index j."""
+    each: read out as soon as it is simulated, the noise seed the pair (run
+    seed, measurement index j)."""
     return [df.forward_model.quantize_16bit(
                 df.simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
-                                           seed=seed + j))
+                                           seed=(seed, j)))
             for j, pattern in enumerate(pattern_set.patterns, start=1)]
 
 

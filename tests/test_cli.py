@@ -128,6 +128,19 @@ def test_pipeline_frames_are_16_bit_levels(tmp_path, monkeypatch):
         assert back.values.tobytes() == frame.values.tobytes()
 
 
+def test_runs_draw_no_frame_noise_of_another_run():
+    # frame j draws its noise from the pair (run seed, j): frame 2 of run
+    # seed 1 and frame 1 of run seed 2, whose seed + j is the same, draw
+    # different noise over the same object and pattern
+    obj = ComplexField(np.ones((4, 4), dtype=complex))
+    pattern = make_patterns(4, 4, 4).patterns[0]
+    config = dict(s1=4, s2=4, pixels_per_unit=8, psf_radius=2.0, noise_sigma=0.05)
+    frames = [pipeline.simulate(RunConfig(seed=seed, **config), obj, pattern, j,
+                                lambda *args: None)
+              for seed, j in ((1, 2), (2, 1))]
+    assert not np.array_equal(frames[0].values, frames[1].values)
+
+
 def test_pipeline_bad_quadrature_step_writes_nothing(tmp_path):
     outdir = tmp_path / "run"
     with pytest.raises(StageError) as info:
@@ -148,10 +161,10 @@ SMALL_RUN = ["--s1", "4", "--s2", "4", "--pixels-per-unit", "8", "--psf-radius",
     dict(band_halfwidth=4), dict(band_halfwidth=3), dict(crop_rows=6),
     dict(noise_sigma=-0.1), dict(origins=((9, 9),)), dict(origins=()), dict(m=1),
     dict(noise_sigma=float("nan")), dict(highpass_sigma=float("inf")),
-    dict(psf_radius=float("inf")), dict(psf_radius=1e12),
+    dict(psf_radius=float("inf")), dict(psf_radius=1e12), dict(seed=-5),
 ], ids=["band-halfwidth-4", "band-halfwidth-3", "crop-rows-6", "noise-sigma",
         "origin-off-grid", "no-origin", "m-1", "noise-sigma-nan",
-        "highpass-sigma-inf", "psf-radius-inf", "psf-radius-1e12"])
+        "highpass-sigma-inf", "psf-radius-inf", "psf-radius-1e12", "seed-negative"])
 def test_pipeline_bad_run_config_fails_before_any_write(tmp_path, bad):
     outdir = tmp_path / "run"
     with pytest.raises(StageError) as info:
@@ -239,12 +252,15 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
     # the PSF tabulates 20 r / step entries
     SMALL_RUN[:-1] + ["1e12"],
     SMALL_RUN[:-1] + ["33"],
+    # no SeedSequence takes a negative seed
+    SMALL_RUN + ["--seed", "-5"],
 ], ids=["quadrature-step", "band-halfwidth", "m", "origins", "noise-sigma",
         "pixels-per-unit", "crop-rows", "band-wider-than-unit",
         "erosion-leaves-no-interior", "crop-leaves-no-interior",
         "noise-sigma-nan", "noise-sigma-inf", "highpass-sigma-nan",
         "highpass-sigma-inf", "psf-radius-nan", "psf-radius-inf",
-        "psf-table-extent-inf", "psf-radius-1e12", "psf-radius-above-frame"])
+        "psf-table-extent-inf", "psf-radius-1e12", "psf-radius-above-frame",
+        "seed-negative"])
 def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
     outdir = tmp_path / "run"
     assert main(["pipeline", "--outdir", str(outdir)] + flags) == 1

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import cumulative_trapezoid
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -450,6 +451,7 @@ def _grid_case(s1, s2, ppu, model, crop=None):
 @example(_grid_case(1, 9, 2, PsfModel("exponential", 1.0), crop=0))  # 1 and 1
 @example(_grid_case(1, 9, 3, PsfModel("box", 1.5), crop=0))          # 1 and 2
 @example(_grid_case(3, 20, 5, PsfModel("gaussian", 2.0)))            # split at row 7 of unit 1
+@example(_grid_case(3, 7, 7, PsfModel("gaussian", 2.0)))             # odd halves, odd buffer
 def test_banded_field_matches_full_frame_reference_on_wide_and_narrow_grids(case):
     # wide grids cross many column blocks per strip, narrow ones fit in one:
     # the banded products give the whole-frame product's frame bit for bit
@@ -475,6 +477,33 @@ def test_noise_halves_are_drawn_from_their_own_streams():
                                                  streams=streams).values
         assert got[kept].tobytes() == want[kept].tobytes()
         assert not np.array_equal(got[changed], want[changed])
+
+
+def test_noise_is_standard_normal():
+    # the noise a frame gets, read back from a noisy and a noiseless frame of
+    # one 2048 x 2048 uniform field, no pixel of which the clip reaches
+    # (|F|^2 >= 0.08 max against 5.77 sigma max): 2^22 values whose mean,
+    # variance, skew and excess kurtosis lie within 5 standard errors of the
+    # standard normal's, which a KS test cannot tell apart, whose tail goes
+    # past 5 (the largest of 2^22 normal values does so with probability
+    # 0.91) but not past sqrt(48 ln 2), the bound of float32 uniforms, and
+    # whose consecutive values are uncorrelated
+    grid = GridSpec(64, 64, 32, crop_rows=0)
+    ones = ComplexField(np.ones((64, 64), dtype=complex))
+    model = PsfModel("gaussian", 8.0)
+    clean = simulate_measurement_2d(ones, ones, model, grid, 0.0, seed=0).values
+    noisy = simulate_measurement_2d(ones, ones, model, grid, 1e-3, seed=0).values
+    assert clean.min() >= 0.08 * clean.max()
+    z = ((noisy - clean) / (1e-3 * clean.max())).ravel()
+    n = z.size
+    assert n == 1 << 22
+    assert abs(z.mean()) < 5 / np.sqrt(n)
+    assert abs(z.var() - 1) < 5 * np.sqrt(2 / n)
+    assert abs(stats.skew(z)) < 5 * np.sqrt(6 / n)
+    assert abs(stats.kurtosis(z)) < 5 * np.sqrt(24 / n)
+    assert stats.kstest(z, "norm").pvalue >= 1e-3
+    assert 5 < np.abs(z).max() <= np.sqrt(48 * np.log(2))
+    assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < 5 / np.sqrt(n)
 
 
 class _OneThreadPool:
