@@ -24,13 +24,14 @@ The camera reads it out once, as 16-bit levels rint(value * scale) with
 scale = 65535 / peak (:func:`quantize_16bit`); the levels and their scale are
 the measurement every later stage computes from and the PGM file stores. The
 whole uncropped frame is simulated, and every frame-sized pass (F, |F|^2 and
-its max, the noise, the clip, the readout) runs over row strips of about
-STRIP_PIXELS pixels (:func:`frame_strips`); a slice crops it to the grid.
-Simulation runs its two frame-sized passes, |F|^2 and the noise, and the
-readout its two, the peak and the scaled rint and cast, on the calling
-thread and one worker thread that calls no public function and allocates
-nothing frame-sized; the two take strips from shared lists as they go, so
-a thread that the host slows down takes fewer.
+its max, the readout) runs over row strips of about STRIP_PIXELS pixels
+(:func:`frame_strips`), the noise and clip over flat cuts of as many; a
+slice crops the frame to the grid. Simulation runs its two frame-sized
+passes, |F|^2 and the noise, and the readout its two, the peak and the
+scaled rint and cast, on the calling thread and one worker thread that
+calls no public function and allocates no buffer; the two take strips or
+cuts from shared lists as they go, so a thread that the host slows down
+takes fewer.
 
 F = Wy source Wx^T, like detection's L^T frame R, is a product with banded
 window matrices: one routine (:func:`banded`, :func:`banded_times`) takes
@@ -596,7 +597,7 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     order; the transform, scale, add and clip run outside the lock. The
     caller allocates the frame and one complex strip buffer per thread,
     which also holds the thread's uniforms, transform and scaled noise; the
-    worker allocates nothing and calls no public function. Which thread
+    worker allocates no buffer and calls no public function. Which thread
     takes a strip or a cut changes no bit. The frame is bit for bit that of the
     whole-frame product: the terms left out are exact zeros, and the
     complex product is kept because two real products for Re F and Im F can
@@ -628,14 +629,13 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
         second = worker.submit(_power, shared, source, *windows, frame, buffers[1])
         peak = max(_power(shared, source, *windows, frame, buffers[0]), second.result())
         if noise_sigma > 0:
-            # cuts of as many even pixels as a thread's buffer holds
-            flat, cut = frame.reshape(-1), buffers[0].size // 2 * 2
+            # cuts of as many pixels as a thread's buffer holds, rounded down to even
+            flat, half, cut = frame.reshape(-1), height // 2 * width, buffers[0].size // 2 * 2
             halves = [(threading.Lock(),
                        iter([slice(lo, lo + cut) for lo in range(0, len(view), cut)]),
                        np.random.default_rng(stream), view)
                       for stream, view in zip(np.random.SeedSequence(seed).spawn(2),
-                                              (flat[:height // 2 * width],
-                                               flat[height // 2 * width:]))]
+                                              (flat[:half], flat[half:]))]
             scale = noise_sigma * peak
             second = worker.submit(_add_noise, halves[::-1], scale, buffers[1])
             _add_noise(halves, scale, buffers[0])
