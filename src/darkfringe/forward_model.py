@@ -26,12 +26,8 @@ the measurement every later stage computes from and the PGM file stores. The
 whole uncropped frame is simulated, and every frame-sized pass (F, |F|^2 and
 its max, the readout) runs over row strips of about STRIP_PIXELS pixels
 (:func:`frame_strips`), the noise and clip over flat cuts of as many; a
-slice crops the frame to the grid. Simulation runs its two frame-sized
-passes, |F|^2 and the noise, and the readout its two, the peak and the
-scaled rint and cast, on the calling thread and one worker thread that
-calls no public function and allocates no buffer; the two take strips or
-cuts from shared lists as they go, so a thread that the host slows down
-takes fewer.
+slice crops the frame to the grid. Every frame-sized pass runs on two
+threads through :func:`_on_two_threads`.
 
 F = Wy source Wx^T, like detection's L^T frame R, is a product with banded
 window matrices: one routine (:func:`banded`, :func:`banded_times`) takes
@@ -44,9 +40,7 @@ windows cached per PSF and grid.
 
 from __future__ import annotations
 
-import threading
 import warnings
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -488,54 +482,71 @@ def _field_windows(model: PsfModel, grid: GridSpec, rows: int) -> tuple:
     return wy, _reach(wy, ppu) if s2 > 1 else s1, banded(wx.T.astype(complex), rows)
 
 
-def _power(strips: Iterator[slice], source: np.ndarray, wy: np.ndarray, reach: int,
-           ppu: int, pieces: tuple, frame: np.ndarray, field: np.ndarray) -> float:
-    """|F|^2 into `frame` of each strip taken from `strips`, a list iterator
-    both threads share (each next() runs under the GIL, so every strip goes
-    to exactly one thread), each strip's F through this thread's complex
-    strip buffer `field`; returns the max of the strips taken (0 for none)."""
-    peak = 0.0
-    for rows in strips:
-        power = frame[rows]
-        lo = max(rows.start // ppu - reach, 0)
-        hi = min((rows.stop - 1) // ppu + 1 + reach, len(source))
-        part = _banded_strip(wy[rows, lo:hi] @ source[lo:hi], pieces, field[:len(power)])
-        np.abs(part, out=power)
-        np.square(power, out=power)
-        peak = max(peak, float(power.max()))
-    return peak
+def _on_two_threads(worker: ThreadPoolExecutor, body, items, scratch, *args) -> list:
+    """body(item, scratch[t], *args) for every item, on the calling thread
+    (t = 0) and on `worker`, a one-thread pool (t = 1): the one place where
+    a pass is split between two threads. Returns the calling thread's
+    results, then the worker's.
+
+    Both threads take items from one shared iterator (each next() runs under
+    the GIL, so every item goes to exactly one thread) until none is left,
+    so neither waits for a fixed share of the other's: when the host slows
+    one thread, the other takes more. The calling thread allocates each
+    thread's scratch and whatever the pass writes, so the worker allocates
+    no buffer; a body runs only numpy and file reads, never a public
+    function, and which thread takes an item changes no bit. A public call
+    starts one worker for all of its passes (a start costs ~0.2 ms).
+    """
+    shared = iter(items)
+
+    def take(own):
+        return [body(item, own, *args) for item in shared]
+
+    second = worker.submit(take, scratch[1])
+    return take(scratch[0]) + second.result()
 
 
-def _add_noise(halves: list[tuple], scale: float, buffer: np.ndarray) -> None:
-    """Add scale times standard normal values to each noise half in turn, then
-    clip at zero. A half is (lock, cuts, rng, flat): `cuts`, an iterator both
-    threads share, cuts the half's flat samples `flat` into ranges of even
-    length but the last. Only a cut's uniform draw runs under the half's
-    lock, so its rng draws in order whichever thread takes which cut; the
-    transform (:func:`_box_muller`), the scale, add and clip run outside it.
-    In this thread's complex strip `buffer` (16 B per pixel), a cut's
+def _power(rows: slice, field: np.ndarray, source: np.ndarray, wy: np.ndarray,
+           reach: int, ppu: int, pieces: tuple, frame: np.ndarray) -> float:
+    """|F|^2 of one row strip into its rows of `frame`, its F through the
+    thread's complex strip buffer `field`; returns the strip's max."""
+    power = frame[rows]
+    lo = max(rows.start // ppu - reach, 0)
+    hi = min((rows.stop - 1) // ppu + 1 + reach, len(source))
+    part = _banded_strip(wy[rows, lo:hi] @ source[lo:hi], pieces, field[:len(power)])
+    np.abs(part, out=power)
+    np.square(power, out=power)
+    return float(power.max())
+
+
+def _add_noise(cut: tuple, scratch: tuple, starts: list, scale: float) -> None:
+    """Add scale times standard normal values to one noise cut, then clip at
+    zero. A cut is (k, lo, part): the flat samples `part` of noise half k
+    from offset lo, which is even, as is part's length unless it ends the
+    half. `scratch` is this thread's complex strip buffer and generator. The
+    generator seeks: it is set to stream k's state `starts[k]` and advanced
+    by lo // 2 outputs of 64 bits, two float32 uniforms each (advance drops
+    any buffered half output), so the cut draws what one in-order draw of
+    the whole half draws at lo. In the buffer (16 B per pixel), the cut's
     uniforms, turned into z in place, take the upper half's float32 words,
     and its scaled noise the lower half's float64 values, where the
     transform's scratch lies until then."""
+    k, lo, part = cut
+    buffer, rng = scratch
+    rng.bit_generator.state = starts[k]
+    rng.bit_generator.advance(lo // 2)
     words = buffer.reshape(-1).view(np.float32)
     lower, upper = words[:len(words) // 2], words[len(words) // 2:]
-    for lock, cuts, rng, flat in halves:
-        while True:
-            with lock:
-                span = next(cuts, None)
-                if span is None:
-                    break
-                part = flat[span]
-                # an odd last cut draws a whole pair and drops its last value
-                pairs = (len(part) + 1) // 2
-                uniforms = upper[:2 * pairs]
-                rng.random(out=uniforms, dtype=np.float32)
-            normal = _box_muller(uniforms, lower[:3 * pairs].reshape(3, pairs))
-            noise = lower.view(float)[:len(part)]
-            np.copyto(noise, normal[:len(part)])
-            noise *= scale
-            part += noise
-            np.clip(part, 0.0, None, out=part)
+    # an odd last cut draws a whole pair and drops its last value
+    pairs = (len(part) + 1) // 2
+    uniforms = upper[:2 * pairs]
+    rng.random(out=uniforms, dtype=np.float32)
+    normal = _box_muller(uniforms, lower[:3 * pairs].reshape(3, pairs))
+    noise = lower.view(float)[:len(part)]
+    np.copyto(noise, normal[:len(part)])
+    noise *= scale
+    part += noise
+    np.clip(part, 0.0, None, out=part)
 
 
 def _box_muller(uniforms: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -580,28 +591,21 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     strip edges fall; the noisy frames differ in bytes from those of
     versions that drew numpy's float64 standard normals.
 
-    Both passes run on the calling thread and one worker thread, each taking
-    strips from a shared iterator until none is left, so neither waits for
-    a fixed half of the other's: when the host slows one thread the other
-    takes more strips, and a frame costs at most about what one thread
-    alone would. The |F|^2 pass shares the list of row strips
-    (:func:`frame_strips`): a strip's rows of G take only the units within
-    Wy's reach of the strip, and its F is their banded product by the pieces
-    of Wx^T (:func:`banded_times`; :func:`_field_windows`, cached per PSF and
-    grid). |F|^2 goes straight into the frame, and the frame's max is the
-    larger of the two threads' maxima. The noise pass cuts each noise half
-    into flat ranges of as many pixels as a thread's strip buffer holds,
-    rounded down to even, so a pair never spans two cuts: a thread takes its
-    own half's cuts first, then helps with the other's, a cut taken and its
-    uniforms drawn under its half's lock so that each stream still draws in
-    order; the transform, scale, add and clip run outside the lock. The
-    caller allocates the frame and one complex strip buffer per thread,
-    which also holds the thread's uniforms, transform and scaled noise; the
-    worker allocates no buffer and calls no public function. Which thread
-    takes a strip or a cut changes no bit. The frame is bit for bit that of the
-    whole-frame product: the terms left out are exact zeros, and the
-    complex product is kept because two real products for Re F and Im F can
-    differ from it in the last bit.
+    Both passes run on two threads (:func:`_on_two_threads`). The |F|^2
+    pass takes the row strips (:func:`frame_strips`): a strip's rows of G
+    take only the units within Wy's reach of the strip, and its F is their
+    banded product by the pieces of Wx^T (:func:`banded_times`;
+    :func:`_field_windows`, cached per PSF and grid). |F|^2 goes straight
+    into the frame, whose max is the largest strip max. The noise pass cuts
+    each noise half into flat ranges of as many pixels as a thread's strip
+    buffer holds, rounded down to even, so a pair never spans two cuts, and
+    each cut seeks its offset in its half's stream (:func:`_add_noise`). The
+    caller allocates the frame and, per thread, one complex strip buffer,
+    which also holds the thread's uniforms, transform and scaled noise, and
+    one generator. The frame is bit for bit that of the whole-frame product:
+    the terms left out are exact zeros, and the complex product is kept
+    because two real products for Re F and Im F can differ from it in the
+    last bit.
     """
     if obj.shape != (grid.s1, grid.s2):
         raise ValueError(f"object shape {obj.shape} does not match grid "
@@ -624,43 +628,30 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     frame = np.empty((height, width))
     # two rows at least, so that a one-pixel frame's buffer holds a noise pair
     buffers = np.empty((2, max(size, 2), width), dtype=complex)
-    shared = iter(strips)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        second = worker.submit(_power, shared, source, *windows, frame, buffers[1])
-        peak = max(_power(shared, source, *windows, frame, buffers[0]), second.result())
+        peak = max(_on_two_threads(worker, _power, strips, buffers, source, *windows, frame))
         if noise_sigma > 0:
             # cuts of as many pixels as a thread's buffer holds, rounded down to even
             flat, half, cut = frame.reshape(-1), height // 2 * width, buffers[0].size // 2 * 2
-            halves = [(threading.Lock(),
-                       iter([slice(lo, lo + cut) for lo in range(0, len(view), cut)]),
-                       np.random.default_rng(stream), view)
-                      for stream, view in zip(np.random.SeedSequence(seed).spawn(2),
-                                              (flat[:half], flat[half:]))]
-            scale = noise_sigma * peak
-            second = worker.submit(_add_noise, halves[::-1], scale, buffers[1])
-            _add_noise(halves, scale, buffers[0])
-            second.result()
+            cuts = [(k, lo, view[lo:lo + cut])
+                    for k, view in enumerate((flat[:half], flat[half:]))
+                    for lo in range(0, len(view), cut)]
+            # one generator per thread, which each cut sets to its stream's start
+            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+            starts = [rng.bit_generator.state for rng in rngs]
+            _on_two_threads(worker, _add_noise, cuts, list(zip(buffers, rngs)),
+                            starts, noise_sigma * peak)
     return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows])
 
 
-def _peak(strips: Iterator[slice], vals: np.ndarray) -> float:
-    """The max of each strip of `vals` taken from `strips`, an iterator both
-    threads share; 0 for none (the values are nonnegative)."""
-    peak = 0.0
-    for rows in strips:
-        peak = max(peak, float(vals[rows].max()))
-    return peak
-
-
-def _read_out(strips: Iterator[slice], vals: np.ndarray, scale: float,
-              buffer: np.ndarray, levels: np.ndarray) -> None:
-    """rint(value * scale) of each strip taken from `strips`, through this
-    thread's float strip `buffer`, cast into the strip's rows of `levels`."""
-    for rows in strips:
-        scaled = buffer[:rows.stop - rows.start]
-        np.multiply(vals[rows], scale, out=scaled)
-        np.rint(scaled, out=scaled)
-        np.copyto(levels[rows], scaled, casting="unsafe")
+def _read_out(rows: slice, buffer: np.ndarray, vals: np.ndarray, scale: float,
+              levels: np.ndarray) -> None:
+    """rint(value * scale) of one row strip, through this thread's float
+    strip `buffer`, cast into the strip's rows of `levels`."""
+    scaled = buffer[:rows.stop - rows.start]
+    np.multiply(vals[rows], scale, out=scaled)
+    np.rint(scaled, out=scaled)
+    np.copyto(levels[rows], scaled, casting="unsafe")
 
 
 def quantize_16bit(img: IntensityImage) -> IntensityImage:
@@ -668,13 +659,11 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
 
     Levels are rint(value * scale), with scale = 65535 / peak (1 for an
     all-zero frame), cast to big-endian 16-bit words. Both passes, the peak
-    and the scaled rint and cast, run on the calling thread and one worker
-    thread that take row strips (:func:`frame_strips`) from a shared
-    iterator, as simulation's |F|^2 pass does. The peak is the larger of the
-    two threads' maxima, and each thread scales its strips through its own
-    float strip buffer, which the calling thread allocates along with the
-    levels, so the readout holds the levels and nothing else frame-sized.
-    Which thread takes a strip changes no bit.
+    and the scaled rint and cast, run over the row strips
+    (:func:`frame_strips`) on two threads (:func:`_on_two_threads`); each
+    thread scales its strips through its own float strip buffer, which the
+    calling thread allocates along with the levels, so the readout holds
+    the levels and nothing else frame-sized.
     """
     vals = img.values
     if is_levels(vals):
@@ -684,12 +673,8 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
     buffers = np.empty((2, size, width))
     levels = np.empty((height, width), dtype=LEVELS)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        shared = iter(strips)
-        second = worker.submit(_peak, shared, vals)
-        peak = max(_peak(shared, vals), second.result())
+        peak = max(_on_two_threads(worker, lambda rows, _: float(vals[rows].max()),
+                                   strips, buffers))
         scale = 65535.0 / peak if peak > 0 else 1.0
-        shared = iter(strips)
-        second = worker.submit(_read_out, shared, vals, scale, buffers[1], levels)
-        _read_out(shared, vals, scale, buffers[0], levels)
-        second.result()
+        _on_two_threads(worker, _read_out, strips, buffers, vals, scale, levels)
     return IntensityImage(levels, scale)

@@ -315,10 +315,18 @@ def blocking_montecarlo(grid: tuple[int, int], sigmas, trials: int, seed: int,
     reported rate is the blocked fraction of all oracle-connected units
     pooled over the trials, i.e. the per-path blocking probability, for the
     single pass and for the transpose retry. Per-trial seeds derive from the
-    batch seed, so results do not depend on evaluation order.
+    batch seed, so results do not depend on evaluation order. Each sigma is
+    a probability: an empty list, or a sigma outside [0, 1] or NaN, is a
+    ValueError.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for meaningful rates")
+    sigmas = list(sigmas)
+    if not sigmas:
+        raise ValueError("need at least one sigma")
+    for sigma in sigmas:
+        if not 0 <= sigma <= 1:
+            raise ValueError(f"sigma must be in [0, 1], got {sigma}")
     s1, s2 = grid
     out = []
     for si, sigma in enumerate(sigmas):

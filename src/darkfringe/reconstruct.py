@@ -12,10 +12,9 @@ fused per unit by a circular mean anchored at the first origin that reaches it.
 Amplitudes come from a median over eroded unit interiors pooled across all
 measurements, read from their 16-bit PGM files one unit row's band of pixel
 rows at a time into band and pool buffers the calling thread allocates, so
-no whole frame is ever held; the lower half of the unit rows is taken on
-one worker thread that runs only file reads and numpy (the reads and the
-partition release the GIL) and the upper half on the calling thread. A
-measurement's 16-bit levels enter the pool divided by their frame's scale,
+no whole frame is ever held; the unit rows are shared between two threads
+(:func:`forward_model._on_two_threads`; the reads and the partition release
+the GIL). A measurement's 16-bit levels enter the pool divided by their frame's scale,
 since each frame has its own. A unit row's medians come from one partition
 at the middle of each pool, where np.median also partitions below the
 middle and at the end (for its NaN check): on a 2-core Xeon host the
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import fileio
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from .forward_model import LEVELS, ComplexField, GridSpec
+from .forward_model import LEVELS, ComplexField, GridSpec, _on_two_threads
 from .path_search import PathPlan, plan_with_retry
 
 
@@ -137,31 +136,28 @@ def _row_medians(x: np.ndarray) -> np.ndarray:
     return (x[:, :half].max(axis=1) + x[:, half]) / 2
 
 
-def _pooled_medians(frames: list[tuple], grid: GridSpec, inner: slice,
-                    unit_rows: list[tuple[int, slice]], band_buffer: np.ndarray,
-                    pool_buffer: np.ndarray, amp: np.ndarray) -> None:
-    """sqrt of the median of each unit's pooled interior intensities, for
-    the given (unit row, pixel rows) pairs, into the matching rows of `amp`.
+def _pooled_medians(unit_row: tuple[int, slice], scratch: tuple, frames: list[tuple],
+                    grid: GridSpec, inner: slice, amp: np.ndarray) -> None:
+    """sqrt of the median of each unit's pooled interior intensities in one
+    unit row, given as (i, pixel rows), into row i of `amp`.
 
-    Only file reads and numpy run here (it may run on a worker thread): a
-    frame is (path, offset of its levels, scale), opened here on this
-    thread's own file handle. One unit row at a time, each frame's band of
-    pixel rows is read into `band_buffer` and its interiors divided by the
-    frame's scale into `pool_buffer`, as (s2, m, rows, cols), which is then
-    partitioned in place by :func:`_row_medians`.
+    `scratch` is this thread's band and pool buffers and its handles on the
+    frames' files; a frame is (path, offset of its levels, scale). Each
+    frame's band of pixel rows is read into the band buffer and its
+    interiors divided by the frame's scale into the pool buffer, as (s2, m,
+    rows, cols), which is then partitioned in place by :func:`_row_medians`.
     """
+    i, rows = unit_row
+    band_buffer, pool_buffer, files = scratch
     ppu, s2, width, m = grid.pixels_per_unit, grid.s2, grid.width, len(frames)
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "rb", buffering=0)) for path, _, _ in frames]
-        for i, rows in unit_rows:
-            band = band_buffer[:(rows.stop - rows.start) * width].reshape(-1, width)
-            block = band.reshape(-1, s2, ppu)[:, :, inner].transpose(1, 0, 2)
-            shape = (s2, m, *block.shape[1:])
-            pool = pool_buffer[:math.prod(shape)].reshape(shape)
-            for k, (fh, (path, offset, scale)) in enumerate(zip(files, frames)):
-                fileio._read_band(fh, path, offset + rows.start * width * 2, band)
-                np.divide(block, scale, out=pool[:, k])
-            amp[i] = np.sqrt(_row_medians(pool.reshape(s2, -1)))
+    band = band_buffer[:(rows.stop - rows.start) * width].reshape(-1, width)
+    block = band.reshape(-1, s2, ppu)[:, :, inner].transpose(1, 0, 2)
+    shape = (s2, m, *block.shape[1:])
+    pool = pool_buffer[:math.prod(shape)].reshape(shape)
+    for k, (fh, (path, offset, scale)) in enumerate(zip(files, frames)):
+        fileio._read_band(fh, path, offset + rows.start * width * 2, band)
+        np.divide(block, scale, out=pool[:, k])
+    amp[i] = np.sqrt(_row_medians(pool.reshape(s2, -1)))
 
 
 def estimate_amplitude(paths: list, grid: GridSpec, erode: int = 3) -> np.ndarray:
@@ -176,12 +172,12 @@ def estimate_amplitude(paths: list, grid: GridSpec, erode: int = 3) -> np.ndarra
     On the calling thread, every file's header, scale, shape (the grid's)
     and data size are checked first, a bad file failing with a format error
     that names it, and then every unit row for surviving pixels
-    (:func:`interior_pixels`). The medians of the lower half of the unit
-    rows are then taken on one worker thread and those of the upper half on
-    the calling thread. Each reads one unit row's band of pixel rows of one
-    file at a time, into a band buffer, and pools it over the measurements
-    into a pool buffer; the calling thread allocates both for each thread,
-    so no array holds a whole frame and the worker allocates nothing large.
+    (:func:`interior_pixels`). The unit rows' medians are then taken on two
+    threads (:func:`forward_model._on_two_threads`), each reading one unit
+    row's band of pixel rows of one file at a time into a band buffer and
+    pooling it over the measurements into a pool buffer; the calling thread
+    allocates both and opens each file once for each thread, so no array
+    holds a whole frame.
     """
     if not paths:
         raise ValueError("need at least one measurement file")
@@ -194,12 +190,11 @@ def estimate_amplitude(paths: list, grid: GridSpec, erode: int = 3) -> np.ndarra
     bands = np.empty((2, height * grid.width), dtype=LEVELS)
     pools = np.empty((2, s2 * len(frames) * height * cols))
     amp = np.zeros((grid.s1, s2))
-    half = grid.s1 // 2
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        lower = worker.submit(_pooled_medians, frames, grid, inner,
-                              unit_rows[:half], bands[0], pools[0], amp)
-        _pooled_medians(frames, grid, inner, unit_rows[half:], bands[1], pools[1], amp)
-        lower.result()
+    with contextlib.ExitStack() as stack, ThreadPoolExecutor(max_workers=1) as worker:
+        scratch = [(band, pool, [stack.enter_context(open(path, "rb", buffering=0))
+                                 for path, _, _ in frames])
+                   for band, pool in zip(bands, pools)]
+        _on_two_threads(worker, _pooled_medians, unit_rows, scratch, frames, grid, inner, amp)
     peak = amp.max()
     if peak > 0:
         amp /= peak

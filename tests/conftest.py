@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -628,6 +630,45 @@ def reference_quantize_16bit(img):
         np.rint(scaled, out=scaled)
         np.copyto(levels[rows], scaled, casting="unsafe")
     return df.IntensityImage(levels, scale)
+
+
+class OneThreadPool:
+    """Stands in for a module's one-worker pool on the calling thread: each
+    submitted call runs at once (the worker takes every item of a two-thread
+    pass before the caller starts) or when its result is asked for (the
+    caller has taken every item by then)."""
+
+    def __init__(self, eager):
+        self.eager = eager
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        call = functools.partial(fn, *args)
+        if self.eager:
+            value = call()
+            call = lambda: value  # noqa: E731
+        return SimpleNamespace(result=call)
+
+
+THREAD_ORDERS = ["threads", "worker-first", "caller-first"]
+
+
+def thread_order(module, order: str):
+    """A context in which `module`'s two-thread passes run on two threads
+    ("threads"), or on the calling thread alone with a :class:`OneThreadPool`
+    in place of its ThreadPoolExecutor ("worker-first", "caller-first")."""
+    if order == "threads":
+        return contextlib.nullcontext()
+    return mock.patch.object(module, "ThreadPoolExecutor",
+                             OneThreadPool(order == "worker-first"))
 
 
 def strip_sizes():

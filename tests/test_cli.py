@@ -331,6 +331,18 @@ def test_cli_config_bad_value_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("name, data", [("missing.cfg", None), ("latin1.cfg", b"s1=\xe9\n")],
+                         ids=["missing", "not-utf8"])
+def test_cli_unreadable_config_file_is_usage_error(tmp_path, capsys, name, data):
+    config = tmp_path / name
+    if data is not None:
+        config.write_bytes(data)
+    assert main(["pipeline", "--config", str(config),
+                 "--outdir", str(tmp_path / "run")]) == 1
+    assert f"usage error: cannot read config file {str(config)!r}: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_config_removed_edge_threshold_key(tmp_path):
     config = tmp_path / "old.cfg"
     config.write_text("edge_threshold_frac=0.2\n")
@@ -352,7 +364,12 @@ def test_cli_psf_sweep(tmp_path):
     (["montecarlo-blocking", "--trials", "50"], "need at least 100 trials"),
     (["psf-sweep", "--radii", "0"], "PSF radius must be positive"),
     (["psf-sweep", "--unit-len", "0"], "unit_len must be a positive integer"),
-], ids=["trials-50", "radius-0", "unit-len-0"])
+    (["montecarlo-blocking", "--sigmas", "1.5"], "sigma must be in [0, 1], got 1.5"),
+    (["montecarlo-blocking", "--sigmas", "0.1,-0.1"], "sigma must be in [0, 1], got -0.1"),
+    (["montecarlo-blocking", "--sigmas", "nan"], "sigma must be in [0, 1], got nan"),
+    (["montecarlo-blocking", "--sigmas", ""], "need at least one sigma"),
+], ids=["trials-50", "radius-0", "unit-len-0", "sigma-1.5", "sigma-negative", "sigma-nan",
+        "sigmas-empty"])
 def test_cli_study_tool_bad_argument_is_usage_error(tmp_path, capsys, argv, why):
     out = tmp_path / "study.csv"
     assert main(argv + ["--out", str(out)]) == 1

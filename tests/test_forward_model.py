@@ -1,10 +1,6 @@
-import contextlib
-import functools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +24,10 @@ from darkfringe.forward_model import (_BLOCK_MADDS, PSF_KINDS, STRIP_PIXELS,
 from darkfringe.fringe_detect import _grid_windows, default_detect_config
 from darkfringe.patterns import make_patterns
 
-from conftest import (frame_cases, gamma2_centered_fd, gamma2_fd_richardson,
-                      gamma_quadrature, reference_quantize_16bit,
-                      reference_simulate_measurement_2d, strip_sizes)
+from conftest import (THREAD_ORDERS, frame_cases, gamma2_centered_fd,
+                      gamma2_fd_richardson, gamma_quadrature,
+                      reference_quantize_16bit, reference_simulate_measurement_2d,
+                      strip_sizes, thread_order)
 
 
 # ---------------------------------------------------------------------------
@@ -506,41 +503,14 @@ def test_noise_is_standard_normal():
     assert abs(np.corrcoef(z[:-1], z[1:])[0, 1]) < 5 / np.sqrt(n)
 
 
-class _OneThreadPool:
-    """Stands in for simulation's one-worker pool on the calling thread: each
-    submitted call runs at once (the worker takes every strip before the
-    caller starts) or when its result is asked for (the caller has taken
-    every strip by then)."""
-
-    def __init__(self, eager):
-        self.eager = eager
-
-    def __call__(self, max_workers):
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        call = functools.partial(fn, *args)
-        if self.eager:
-            value = call()
-            call = lambda: value  # noqa: E731
-        return SimpleNamespace(result=call)
-
-
-@pytest.mark.parametrize("eager", [True, False], ids=["worker-first", "caller-first"])
-def test_frames_do_not_depend_on_which_thread_takes_a_strip(eager):
-    # both passes share their strips between the two threads: with one side
-    # taking every strip, |F|^2, the peak and both noise streams are still
-    # the oracle's bit for bit, over many strips per noise half
+@pytest.mark.parametrize("pool", THREAD_ORDERS[1:])
+def test_frames_do_not_depend_on_which_thread_takes_a_strip(pool):
+    # both passes share their strips or cuts between the two threads: with
+    # one side taking every strip and cut, |F|^2, the peak and both noise
+    # streams are still the oracle's bit for bit, over many cuts per half
     case = _grid_case(12, 6, 8, PsfModel("gaussian", 3.0))
     want = reference_simulate_measurement_2d(*case).values.tobytes()
-    with strip_sizes()[1], mock.patch.object(forward_model, "ThreadPoolExecutor",
-                                             _OneThreadPool(eager)):
+    with strip_sizes()[1], thread_order(forward_model, pool):
         got = simulate_measurement_2d(*case).values.tobytes()
     assert got == want
 
@@ -553,17 +523,14 @@ READOUT_FRAMES = {
 
 
 @pytest.mark.parametrize("frame", READOUT_FRAMES.values(), ids=READOUT_FRAMES)
-@pytest.mark.parametrize("pool", ["threads", "worker-first", "caller-first"])
+@pytest.mark.parametrize("pool", THREAD_ORDERS)
 def test_readout_does_not_depend_on_which_thread_takes_a_strip(frame, pool):
     # one row (one strip), an all-zero frame (scale 1) and many strips: with
     # two threads, or one side taking every strip of both passes, the levels
     # and scale are the one-thread readout's
     img = IntensityImage(frame)
     want = reference_quantize_16bit(img)
-    threads = (contextlib.nullcontext() if pool == "threads" else
-               mock.patch.object(forward_model, "ThreadPoolExecutor",
-                                 _OneThreadPool(pool == "worker-first")))
-    with strip_sizes()[1], threads:
+    with strip_sizes()[1], thread_order(forward_model, pool):
         got = quantize_16bit(img)
     assert got.scale == want.scale
     assert got.values.tobytes() == want.values.tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import darkfringe as df
+import darkfringe.reconstruct as reconstruct_module
 from darkfringe.boundary_logic import EdgeRatios, InvalidBoundaryMaps
 from darkfringe.forward_model import (LEVELS, ComplexField, GridSpec, IntensityImage,
                                       quantize_16bit, simulate_measurement_2d)
@@ -20,10 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import (SimSetup, frame_cases, planner_cases,
+from conftest import (THREAD_ORDERS, SimSetup, frame_cases, planner_cases,
                       reference_accumulate_phase, reference_estimate_amplitude,
                       reference_plan_paths, reference_plan_with_retry,
-                      reference_retrieve_phase, truth_edge_ratios, write_measurements)
+                      reference_retrieve_phase, thread_order, truth_edge_ratios,
+                      write_measurements)
 
 
 def ones_frame(grid):
@@ -234,10 +236,11 @@ def test_amplitude_requires_consistent_shapes(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(frame_cases(), st.integers(1, 3), st.integers(0, 4))
 def test_amplitude_matches_single_thread_reference(case, frames, erode):
-    # two threads, band reads and caller-owned buffers give the one-thread
-    # medians bit for bit, or the same error when a unit row has no interior
-    # left: each 16-bit frame's levels divided by its own scale give the
-    # medians of the frames read back from their PGM files
+    # two threads, or either side taking every unit row, with band reads and
+    # caller-owned buffers give the one-thread medians bit for bit, or the
+    # same error when a unit row has no interior left: each 16-bit frame's
+    # levels divided by its own scale give the medians of the frames read
+    # back from their PGM files
     obj, pattern, model, grid, noise, seed = case
     images = [simulate_measurement_2d(obj, pattern, model, grid, noise, seed + k)
               for k in range(frames)]
@@ -251,8 +254,10 @@ def test_amplitude_matches_single_thread_reference(case, frames, erode):
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 estimate_amplitude(paths, grid, erode)
             return
-        got = estimate_amplitude(paths, grid, erode)
-    assert got.tobytes() == want.tobytes()
+        for pool in THREAD_ORDERS:
+            with thread_order(reconstruct_module, pool):
+                got = estimate_amplitude(paths, grid, erode)
+            assert got.tobytes() == want.tobytes(), pool
 
 
 @st.composite
