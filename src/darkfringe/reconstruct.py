@@ -14,13 +14,13 @@ measurements, read from their 16-bit PGM files one unit row's band of pixel
 rows at a time into band and pool buffers the calling thread allocates, so
 no whole frame is ever held; the unit rows are shared between two threads
 (:func:`forward_model._on_two_threads`; the reads and the partition release
-the GIL). A measurement's 16-bit levels enter the pool divided by their frame's scale,
-since each frame has its own. A unit row's medians come from one partition
-at the middle of each pool, where np.median also partitions below the
-middle and at the end (for its NaN check): on a 2-core Xeon host the
-amplitudes of four 2048^2 frames took 32-39 ms from levels held in memory,
-against 102-104 ms with np.median; read from their files (page cache warm)
-they take 44-47 ms. Scoring removes the global phase offset that intensity
+the GIL). A measurement's 16-bit levels enter the pool divided by their
+frame's scale, since each frame has its own. A unit row's medians come from
+one partition at the middle of each pool, where np.median also partitions
+below the middle and at the end (for its NaN check): on a 2-core Xeon host
+the amplitudes of four 2048^2 frames took 32-39 ms from levels held in
+memory, against 102-104 ms with np.median; read from their files (page
+cache warm) they take 44-47 ms. Scoring removes the global phase offset that intensity
 measurements can never determine.
 """
 

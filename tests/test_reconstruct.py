@@ -1,5 +1,7 @@
 import re
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +227,27 @@ def test_amplitude_invariant_across_patterns(tmp_path):
     single = [estimate_amplitude([path], setup.grid) for path in paths]
     for a in single[1:]:
         assert np.allclose(a, single[0], atol=0.02)
+
+
+def test_concurrent_amplitudes_match_the_reference(tmp_path):
+    # four callers at once, each with its own worker thread, more threads
+    # than cores and a short switch interval: every call still gives the
+    # one-thread medians, so no call writes into another's rows or buffers
+    values = np.exp(1j * np.random.default_rng(4).random((7, 5)))
+    values *= np.random.default_rng(5).uniform(0.3, 1.0, (7, 5))
+    setup, paths = _amplitude_setup(values, tmp_path)
+    frames = [IntensityImage(f.values.astype(float) / f.scale)
+              for f in map(df.fileio.read_pgm16, paths)]
+    want = reference_estimate_amplitude(frames, setup.grid).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            calls = [pool.submit(estimate_amplitude, paths, setup.grid) for _ in range(16)]
+            got = [call.result(timeout=60).tobytes() for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 16
 
 
 def test_amplitude_requires_consistent_shapes(tmp_path):
