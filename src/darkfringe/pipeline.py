@@ -38,8 +38,7 @@ from . import fileio
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps, mark_invalid_and_ratios
 from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
                             default_crop_rows, quantize_16bit, simulate_measurement_2d)
-from .fringe_detect import (DetectConfig, FringeMaps, default_detect_config,
-                            recognize_fringes)
+from .fringe_detect import DetectConfig, FringeMaps, recognize_fringes
 from .patterns import (ReferenceLibrary, encode_8bit, expand_to_pixels,
                        make_patterns, reference_library)
 from .path_search import PathPlan, plan_with_retry
@@ -67,7 +66,6 @@ class RunConfig:
     noise_sigma: float = 0.0
     crop_rows: int | None = None           # None: default_crop_rows(pixels_per_unit)
     quadrature_step: float = 0.05
-    highpass_sigma: float | None = None     # None: pixels_per_unit / 4
     band_halfwidth: int = 2
     fringe_ratio_alpha: float = 0.7
     origins: tuple[tuple[int, int], ...] = ((0, 0),)
@@ -76,11 +74,7 @@ class RunConfig:
     object_file: str | None = None          # CF32 path; None draws a random object
 
     def detect_config(self) -> DetectConfig:
-        sigma = self.highpass_sigma
-        if sigma is None:
-            sigma = default_detect_config(self.pixels_per_unit).highpass_sigma
-        return DetectConfig(highpass_sigma=sigma,
-                            band_halfwidth=self.band_halfwidth,
+        return DetectConfig(band_halfwidth=self.band_halfwidth,
                             fringe_ratio_alpha=self.fringe_ratio_alpha)
 
     def grid(self) -> GridSpec:
@@ -127,12 +121,11 @@ class RunConfig:
         interior_pixels(grid, self.amplitude_erode())
 
     def echo(self) -> dict:
-        """Every field but outdir, with the defaults crop_rows and
-        highpass_sigma resolved to the values the stages use."""
+        """Every field but outdir, with the default crop_rows resolved to the
+        value the stages use."""
         echo = asdict(self)
         del echo["outdir"]
         echo["crop_rows"] = self.grid().crop_rows
-        echo["highpass_sigma"] = self.detect_config().highpass_sigma
         return echo
 
 

@@ -266,27 +266,28 @@ def compose_and_score(phase: np.ndarray, amplitude: np.ndarray,
     the mean-square-optimal global offset (circular mean, then a linear
     refinement; exact recoveries score exactly 0.0). complex_l2: relative L2
     error of amplitude * exp(i phase) after its own optimal global phase.
-    unknown_frac: fraction of NaN-phase units.
+    unknown_frac: fraction of NaN-phase units. A reconstruction with no
+    known unit, or whose known units all have zero truth, has no score, so
+    it raises ValueError rather than return NaN metrics.
     """
     if phase.shape != truth.shape or amplitude.shape != truth.shape:
         raise ValueError("shape mismatch with ground truth")
     known = ~np.isnan(phase)
-    unknown_frac = 1.0 - known.mean()
     if not known.any():
-        return ScoreMetrics(phase_rmse=np.nan, complex_l2=np.nan,
-                            unknown_frac=unknown_frac)
-    d = _wrap(phase[known] - np.angle(truth.values[known]))
+        raise ValueError("no unit of the reconstruction is known")
+    tru = truth.values[known]
+    denom = np.linalg.norm(tru)
+    if not denom > 0:
+        raise ValueError(f"the truth is zero on all {int(known.sum())} known units")
+    d = _wrap(phase[known] - np.angle(tru))
     alpha = np.angle(np.sum(np.exp(1j * d)))
     alpha = alpha + np.mean(_wrap(d - alpha))
     resid = _wrap(d - alpha)
     phase_rmse = float(np.sqrt(np.mean(resid**2)))
 
     rec = amplitude[known] * np.exp(1j * phase[known])
-    tru = truth.values[known]
     inner = np.vdot(tru, rec)
     beta = np.angle(inner) if inner != 0 else 0.0
-    denom = np.linalg.norm(tru)
-    complex_l2 = float(np.linalg.norm(rec * np.exp(-1j * beta) - tru) / denom) \
-        if denom > 0 else np.nan
+    complex_l2 = float(np.linalg.norm(rec * np.exp(-1j * beta) - tru) / denom)
     return ScoreMetrics(phase_rmse=phase_rmse, complex_l2=complex_l2,
-                        unknown_frac=float(unknown_frac))
+                        unknown_frac=float(1.0 - known.mean()))

@@ -11,13 +11,12 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.ndimage import gaussian_filter
 
 import darkfringe as df
 from darkfringe.fileio import _read_pgm_header, _reading
 from darkfringe.forward_model import _unit_window, default_crop_rows
 from darkfringe.path_search import MOVES, random_invalid_maps, transpose_invalid
-from darkfringe.fringe_detect import FringeMaps, default_detect_config
+from darkfringe.fringe_detect import DetectConfig, FringeMaps
 from darkfringe.pipeline import random_quantized_object
 
 
@@ -88,7 +87,7 @@ def _clip_span(a: int, b: int, lo: int, hi: int) -> slice:
     return slice(a - lo, max(b - lo, a - lo))
 
 
-def _reference_band_test(raw, hp, band_rc, flank_a, flank_b, alpha):
+def _reference_band_test(raw, band_rc, flank_a, flank_b, alpha):
     band_vals = raw[band_rc]
     flank_vals = np.concatenate([raw[flank_a].ravel(), raw[flank_b].ravel()])
     if band_vals.size == 0 or flank_vals.size == 0:
@@ -96,25 +95,18 @@ def _reference_band_test(raw, hp, band_rc, flank_a, flank_b, alpha):
     flank_mean = flank_vals.mean()
     if flank_mean <= 0:
         return True, True
-    dark = band_vals.mean() < alpha * flank_mean
-    hp_band = hp[band_rc].mean()
-    hp_flank = np.concatenate([hp[flank_a].ravel(), hp[flank_b].ravel()]).mean()
-    return bool(dark and hp_band > hp_flank + 1e-9 * flank_mean), False
+    return bool(band_vals.mean() < alpha * flank_mean), False
 
 
-def reference_recognize_fringes(img, grid, cfg=None, measurement_index=0) -> FringeMaps:
-    """Boundary-by-boundary band-contrast test on the explicit high-pass image.
+def reference_recognize_fringes(img, grid, cfg=DetectConfig(),
+                                measurement_index=0) -> FringeMaps:
+    """Boundary-by-boundary band-contrast test on the image itself.
 
-    The direct form of ``recognize_fringes``: invert, subtract the
-    nearest-mode Gaussian background, then slice every band and flank
-    rectangle and compare their means one boundary at a time.
+    The direct form of ``recognize_fringes``: slice every band and flank
+    rectangle of the frame and compare their means one boundary at a time.
     """
-    if cfg is None:
-        cfg = default_detect_config(grid.pixels_per_unit)
     ppu, hw, alpha = grid.pixels_per_unit, cfg.band_halfwidth, cfg.fringe_ratio_alpha
     raw = img.values
-    inverted = raw.max() - raw
-    hp = inverted - gaussian_filter(inverted, cfg.highpass_sigma, mode="nearest")
     row_lo, row_hi = grid.crop_rows, grid.crop_rows + grid.height
     width = grid.width
     margin = min(hw + 1, (ppu - 1) // 2)
@@ -135,7 +127,7 @@ def reference_recognize_fringes(img, grid, cfg=None, measurement_index=0) -> Fri
         rows = along(i, row_lo, row_hi)
         for jb in range(grid.s2 - 1):
             row_map[i, jb], zf_row[i, jb] = _reference_band_test(
-                raw, hp, (rows, across((jb + 1) * ppu, 0, width)),
+                raw, (rows, across((jb + 1) * ppu, 0, width)),
                 (rows, flank(jb, 0, width)), (rows, flank(jb + 1, 0, width)), alpha)
 
     col_map = np.zeros((grid.s1 - 1, grid.s2), dtype=bool)
@@ -146,7 +138,7 @@ def reference_recognize_fringes(img, grid, cfg=None, measurement_index=0) -> Fri
         for j in range(grid.s2):
             cols = along(j, 0, width)
             col_map[ib, j], zf_col[ib, j] = _reference_band_test(
-                raw, hp, (band_rows, cols), (fla_rows, cols), (flb_rows, cols), alpha)
+                raw, (band_rows, cols), (fla_rows, cols), (flb_rows, cols), alpha)
 
     diagnostics = {}
     if zf_row.any() or zf_col.any():
@@ -722,7 +714,7 @@ class SimSetup:
         self.model = df.PsfModel("gaussian", radius)
         self.patterns = df.make_patterns(m, s1, s2)
         self.library = df.reference_library(self.patterns)
-        self.detect_cfg = df.DetectConfig(highpass_sigma=ppu / 4)
+        self.detect_cfg = DetectConfig()
 
     def random_object(self, seed):
         return random_quantized_object(self.s1, self.s2, self.m, seed)

@@ -160,11 +160,11 @@ SMALL_RUN = ["--s1", "4", "--s2", "4", "--pixels-per-unit", "8", "--psf-radius",
 @pytest.mark.parametrize("bad", [
     dict(band_halfwidth=4), dict(band_halfwidth=3), dict(crop_rows=6),
     dict(noise_sigma=-0.1), dict(origins=((9, 9),)), dict(origins=()), dict(m=1),
-    dict(noise_sigma=float("nan")), dict(highpass_sigma=float("inf")),
-    dict(psf_radius=float("inf")), dict(psf_radius=1e12), dict(seed=-5),
+    dict(noise_sigma=float("nan")), dict(psf_radius=float("inf")), dict(psf_radius=1e12),
+    dict(seed=-5),
 ], ids=["band-halfwidth-4", "band-halfwidth-3", "crop-rows-6", "noise-sigma",
         "origin-off-grid", "no-origin", "m-1", "noise-sigma-nan",
-        "highpass-sigma-inf", "psf-radius-inf", "psf-radius-1e12", "seed-negative"])
+        "psf-radius-inf", "psf-radius-1e12", "seed-negative"])
 def test_pipeline_bad_run_config_fails_before_any_write(tmp_path, bad):
     outdir = tmp_path / "run"
     with pytest.raises(StageError) as info:
@@ -243,8 +243,6 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
     # bound, so each range check must exclude both
     ["--noise-sigma", "nan"],
     ["--noise-sigma", "inf"],
-    ["--highpass-sigma", "nan"],
-    ["--highpass-sigma", "inf"],
     ["--psf-radius", "nan"],
     ["--psf-radius", "inf"],
     ["--psf-radius", "1e308"],
@@ -257,8 +255,7 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
 ], ids=["quadrature-step", "band-halfwidth", "m", "origins", "noise-sigma",
         "pixels-per-unit", "crop-rows", "band-wider-than-unit",
         "erosion-leaves-no-interior", "crop-leaves-no-interior",
-        "noise-sigma-nan", "noise-sigma-inf", "highpass-sigma-nan",
-        "highpass-sigma-inf", "psf-radius-nan", "psf-radius-inf",
+        "noise-sigma-nan", "noise-sigma-inf", "psf-radius-nan", "psf-radius-inf",
         "psf-table-extent-inf", "psf-radius-1e12", "psf-radius-above-frame",
         "seed-negative"])
 def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
@@ -348,6 +345,32 @@ def test_cli_config_removed_edge_threshold_key(tmp_path):
     config.write_text("edge_threshold_frac=0.2\n")
     assert main(["pipeline", "--config", str(config)]) == 1
     assert main(["pipeline", "--edge-threshold-frac", "0.2"]) == 1
+
+
+def test_cli_removed_highpass_sigma_is_usage_error(tmp_path, capsys):
+    # detection has no high-pass image any more, so its width is no setting:
+    # neither the flag nor the config key runs, and neither writes a file
+    outdir = tmp_path / "run"
+    assert main(["pipeline", "--highpass-sigma", "2", "--outdir", str(outdir)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    config = tmp_path / "old.cfg"
+    config.write_text("highpass_sigma=2\n")
+    assert main(["pipeline", "--config", str(config), "--outdir", str(outdir)]) == 1
+    assert "usage error: unknown config key 'highpass_sigma'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_run_with_no_known_unit_fails_in_metrics(tmp_path, capsys):
+    # noise at twice the peak at 8 px/unit: every unit's amplitude median is
+    # 0, so no unit of the reconstruction is known and the run has no score
+    outdir = tmp_path / "run"
+    assert main(["pipeline", "--s1", "16", "--s2", "16", "--pixels-per-unit", "8",
+                 "--psf-radius", "2", "--noise-sigma", "2", "--seed", "2",
+                 "--origins", "0,0;15,15", "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "error: stage 'metrics' failed: no unit of the reconstruction is known" in err
+    assert not (outdir / "metrics.csv").exists()
+    assert not (outdir / "manifest.json").exists()
 
 
 def test_cli_psf_sweep(tmp_path):

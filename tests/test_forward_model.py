@@ -21,7 +21,7 @@ from darkfringe.forward_model import (_BLOCK_MADDS, PSF_KINDS, STRIP_PIXELS,
                                       gamma_second_derivative,
                                       intensity_profile_1d, quantize_16bit,
                                       row_strips, simulate_measurement_2d)
-from darkfringe.fringe_detect import _grid_windows, default_detect_config
+from darkfringe.fringe_detect import DetectConfig, _grid_windows
 from darkfringe.patterns import make_patterns
 
 from conftest import (THREAD_ORDERS, frame_cases, gamma2_centered_fd,
@@ -661,7 +661,7 @@ def test_field_products_stay_below_the_one_thread_size(kind, units):
         units_of_g = (min((rows.stop - 1) // 32 + 1 + reach, units)
                       - max(rows.start // 32 - reach, 0))
         assert (rows.stop - rows.start) * units_of_g * units < _BLOCK_MADDS
-    left, right, row_axis, col_axis = _grid_windows(grid, default_detect_config(32))
+    left, right, row_axis, col_axis = _grid_windows(grid, DetectConfig())
     for rows, cols, block, chunks in left:
         assert block.shape == (len(cols), rows.stop - rows.start)
         assert [i for chunk in chunks for i in range(grid.width)[chunk]] == \
@@ -671,9 +671,7 @@ def test_field_products_stay_below_the_one_thread_size(kind, units):
     for pieces, rows in ((pieces, size),
                          (right, frame_strips(grid.height, grid.width)[1]),
                          (row_axis[2], frame_strips(units, grid.width)[1]),
-                         (row_axis[3], frame_strips(units, grid.width)[1]),
-                         (col_axis[2], frame_strips(units, grid.height)[1]),
-                         (col_axis[3], frame_strips(units, grid.height)[1])):
+                         (col_axis[2], frame_strips(units, grid.height)[1])):
         for cols, lo, hi, block in pieces:
             assert rows * (hi - lo) * block.shape[1] < _BLOCK_MADDS
 

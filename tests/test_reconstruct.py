@@ -370,6 +370,30 @@ def test_score_counts_unknown_units():
     assert m.phase_rmse == 0.0
 
 
+def test_score_is_plain_floats():
+    truth = ComplexField(np.ones((4, 4), complex))
+    phase = np.zeros((4, 4))
+    phase[1:, :] = np.nan
+    m = compose_and_score(phase, np.ones((4, 4)), truth)
+    assert [type(v) for v in (m.phase_rmse, m.complex_l2, m.unknown_frac)] == [float] * 3
+    assert m.unknown_frac == 0.75
+
+
+def test_score_without_a_known_unit_raises():
+    truth = ComplexField(np.ones((3, 3), complex))
+    with pytest.raises(ValueError, match="no unit of the reconstruction is known"):
+        compose_and_score(np.full((3, 3), np.nan), np.zeros((3, 3)), truth)
+
+
+def test_score_with_zero_truth_on_every_known_unit_raises():
+    values = np.ones((3, 3), complex)
+    values[0, :2] = 0.0
+    phase = np.full((3, 3), np.nan)
+    phase[0, :2] = 0.0
+    with pytest.raises(ValueError, match="the truth is zero on all 2 known units"):
+        compose_and_score(phase, np.ones((3, 3)), ComplexField(values))
+
+
 def test_reconstruct_stores_unreachable_unit_as_zero(tmp_path):
     # unit (0, 2) is walled off on both of its edges: the origin's plan
     # leaves it unreachable, and reconstruction.cf32 holds exactly 0 there
