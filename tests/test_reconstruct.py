@@ -370,15 +370,6 @@ def test_score_counts_unknown_units():
     assert m.phase_rmse == 0.0
 
 
-def test_score_is_plain_floats():
-    truth = ComplexField(np.ones((4, 4), complex))
-    phase = np.zeros((4, 4))
-    phase[1:, :] = np.nan
-    m = compose_and_score(phase, np.ones((4, 4)), truth)
-    assert [type(v) for v in (m.phase_rmse, m.complex_l2, m.unknown_frac)] == [float] * 3
-    assert m.unknown_frac == 0.75
-
-
 def test_score_without_a_known_unit_raises():
     truth = ComplexField(np.ones((3, 3), complex))
     with pytest.raises(ValueError, match="no unit of the reconstruction is known"):
