@@ -31,10 +31,7 @@ build them once. A measurement's 16-bit levels enter as floats one row strip
 at a time. B's rows do not depend on where a strip ends; A's sums do, but the
 strip edges depend only on the frame's shape. Every decision compares two
 means of the same frame, so the frame's scale never enters. On a 2-core Xeon
-host a 2048^2 frame takes 7-11 ms and a 4096^2 frame 42-61 ms, against
-16-27 ms and 84-138 ms when a second test on a Gaussian high-passed image
-was ANDed onto the band test (it changed no decision of the benchmark's
-runs, and the few it did change elsewhere were true fringes it vetoed).
+host a 2048^2 frame takes 7-11 ms and a 4096^2 frame 42-61 ms.
 """
 
 from __future__ import annotations
@@ -180,13 +177,11 @@ def _grid_windows(grid: GridSpec, cfg: DetectConfig) -> tuple:
       products A R_rest and B^T L_rest.
 
     At 64^2 units of 32 px, a strip of the frame pass runs 8 pieces of B,
-    16K multiply-adds per pixel row, and 1-2 column chunks of A, about 2K;
-    with the high-pass windows beside them they ran 14 pieces and 25.6K,
-    and 3-5 chunks and 8.1K. The band and flank products add about 7% to
-    the frame pass's multiply-adds. Building the pieces took 24-35 ms and
-    peaked at 3.8 MB of traced allocations at 64^2 (150 ms and 15.8 MB with
-    the high-pass windows). They are built one axis at a time, so only one
-    axis' dense windows are alive at once.
+    16K multiply-adds per pixel row, and 1-2 column chunks of A, about 2K.
+    The band and flank products add about 7% to the frame pass's
+    multiply-adds. Building the pieces took 24-35 ms and peaked at 3.8 MB of
+    traced allocations at 64^2. They are built one axis at a time, so only
+    one axis' dense windows are alive at once.
     """
     ppu, height, width = grid.pixels_per_unit, grid.height, grid.width
     strips, rows = frame_strips(height, width)
