@@ -19,13 +19,16 @@ two streams spawned from the frame's seed, the first for the top half of
 the uncropped frame's rows, the second for the rest. Its tail is cut at
 sqrt(48 ln 2) ~ 5.77, and its bytes depend on the SIMD target numpy's
 float32 log, sqrt, cos and sin run on, as the BLAS products' do on the BLAS
-kernel. A run seeds frame j with the pair (run seed, j).
+kernel. A run seeds frame j with the pair (run seed, j). The simulation is
+single precision from the field to the frame: F is complex64 and the frame
+float32 (4 B per pixel), whose rounding (~6e-8 of a value) lies far below
+one readout level (1/65535 of the peak).
 The camera reads it out once, as 16-bit levels rint(value * scale) with
 scale = 65535 / peak (:func:`quantize_16bit`); the levels and their scale are
 the measurement every later stage computes from and the PGM file stores. The
 whole uncropped frame is simulated, and every frame-sized pass (F, |F|^2 and
 its max, the readout) runs over row strips of about STRIP_PIXELS pixels
-(:func:`frame_strips`), the noise and clip over flat cuts of as many; a
+(:func:`frame_strips`), the noise and clip over flat cuts of 4/5 as many; a
 slice crops the frame to the grid. Every frame-sized pass runs on two
 threads through :func:`_on_two_threads`.
 
@@ -35,7 +38,7 @@ both in pieces that hold every nonzero of their columns, each small enough
 for BLAS to run it on the thread that calls it. The tabulated primitive
 saturates in float, so each PSF window is exactly zero beyond a few units of
 its own (its reach); a frame is bit for bit the whole-frame product's, from
-windows cached per PSF and grid.
+complex64 windows cached per PSF and grid.
 """
 
 from __future__ import annotations
@@ -192,9 +195,10 @@ class IntensityImage:
     """One camera frame sampled at pixel centers.
 
     A measurement holds the camera's 16-bit levels, with intensity = level /
-    scale. The forward model's output before readout holds nonnegative float
-    intensities, with scale 1. Which units the pixels belong to is the
-    grid's to say (:class:`GridSpec`), not the frame's.
+    scale. The forward model's output before readout holds nonnegative
+    float32 intensities, with scale 1. Levels and float32 arrays are kept as
+    they are; any other array is taken as float64. Which units the pixels
+    belong to is the grid's to say (:class:`GridSpec`), not the frame's.
     """
 
     values: np.ndarray
@@ -202,7 +206,8 @@ class IntensityImage:
 
     def __post_init__(self):
         values = np.asarray(self.values)
-        self.values = values if is_levels(values) else np.asarray(values, dtype=float)
+        kept = is_levels(values) or values.dtype == np.float32
+        self.values = values if kept else np.asarray(values, dtype=float)
         if self.values.ndim != 2 or self.values.size < 1:
             raise ValueError("IntensityImage requires a non-empty 2D array")
         # levels are nonnegative by type; for floats one reduction, no
@@ -256,13 +261,17 @@ class GridSpec:
                              f"{(self.height, self.width)}")
 
 
-# pixels per row strip of a frame-sized pass: a float64 strip (512 KB) stays
-# in a core's L2 cache and is small next to any frame worth streaming
+# pixels per row strip of a frame-sized pass: a complex64 field strip or a
+# float64 readout strip (512 KB) stays in a core's L2 cache and is small next
+# to any frame worth streaming
 STRIP_PIXELS = 1 << 16
 # multiply-adds (rows x K x N) per banded product: OpenBLAS 0.3.31, as numpy
 # 2.4.6 ships it, runs products below this on the calling thread. 64 x 8 x 128
-# complex and larger woke a second thread, which then spun for 100-130 ms of
-# CPU after every call and slowed the noise draws that follow on a 2-core host.
+# complex128 and larger woke a second thread, which then spun for 100-130 ms
+# of CPU after every call and slowed the noise draws that follow on a 2-core
+# host. complex64 has the same limit: on a 2-core Xeon, 64 x 64 x 16 and
+# 64 x 16 x 64 (65,536) ran at CPU/wall 1.98, 64 x 16 x 63 (64,512) and
+# 32 x 160 x 12 (61,440) at 1.00.
 _BLOCK_MADDS = 1 << 16
 # the angle factor of a float32 Box-Muller pair
 _TWO_PI = np.float32(2.0 * np.pi)
@@ -471,15 +480,17 @@ def _reach(window: np.ndarray, ppu: int) -> int:
 
 @lru_cache(maxsize=4)
 def _field_windows(model: PsfModel, grid: GridSpec, rows: int) -> tuple:
-    """Read-only Wy, its reach and the :func:`banded` pieces of Wx^T of the
-    uncropped frame, for row strips of at most `rows` rows (the grid's)."""
+    """Read-only complex64 Wy, its reach and the :func:`banded` pieces of
+    the complex64 Wx^T of the uncropped frame, for row strips of at most
+    `rows` rows (the grid's). The reach and the pieces are those of the
+    complex64 windows, whose zeros are the ones the products leave out."""
     ppu, s1, s2 = grid.pixels_per_unit, grid.s1, grid.s2
-    wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1)
+    wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).astype(np.complex64)
     wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
     wy.flags.writeable = False
     # a one-column G is a matrix-vector product, whose sums group each term
     # by its place in the whole row of Wy: it takes every unit
-    return wy, _reach(wy, ppu) if s2 > 1 else s1, banded(wx.T.astype(complex), rows)
+    return wy, _reach(wy, ppu) if s2 > 1 else s1, banded(wx.T.astype(np.complex64), rows)
 
 
 def _on_two_threads(worker: ThreadPoolExecutor, body, items, scratch, *args) -> list:
@@ -508,8 +519,9 @@ def _on_two_threads(worker: ThreadPoolExecutor, body, items, scratch, *args) -> 
 
 def _power(rows: slice, field: np.ndarray, source: np.ndarray, wy: np.ndarray,
            reach: int, ppu: int, pieces: tuple, frame: np.ndarray) -> float:
-    """|F|^2 of one row strip into its rows of `frame`, its F through the
-    thread's complex strip buffer `field`; returns the strip's max."""
+    """|F|^2 of one row strip into its float32 rows of `frame`, its F
+    through the thread's complex64 strip buffer `field`; returns the strip's
+    max."""
     power = frame[rows]
     lo = max(rows.start // ppu - reach, 0)
     hi = min((rows.stop - 1) // ppu + 1 + reach, len(source))
@@ -519,31 +531,29 @@ def _power(rows: slice, field: np.ndarray, source: np.ndarray, wy: np.ndarray,
     return float(power.max())
 
 
-def _add_noise(cut: tuple, scratch: tuple, starts: list, scale: float) -> None:
-    """Add scale times standard normal values to one noise cut, then clip at
-    zero. A cut is (k, lo, part): the flat samples `part` of noise half k
-    from offset lo, which is even, as is part's length unless it ends the
-    half. `scratch` is this thread's complex strip buffer and generator. The
-    generator seeks: it is set to stream k's state `starts[k]` and advanced
-    by lo // 2 outputs of 64 bits, two float32 uniforms each (advance drops
-    any buffered half output), so the cut draws what one in-order draw of
-    the whole half draws at lo. In the buffer (16 B per pixel), the cut's
-    uniforms, turned into z in place, take the upper half's float32 words,
-    and its scaled noise the lower half's float64 values, where the
-    transform's scratch lies until then."""
+def _add_noise(cut: tuple, scratch: tuple, starts: list, scale: np.float32) -> None:
+    """Add scale times standard normal values to one float32 noise cut, then
+    clip at zero, all in float32. A cut is (k, lo, part): the flat samples
+    `part` of noise half k from offset lo, which is even, as is part's
+    length unless it ends the half. `scratch` is this thread's complex64
+    strip buffer and generator. The generator seeks: it is set to stream k's
+    state `starts[k]` and advanced by lo // 2 outputs of 64 bits, two
+    float32 uniforms each (advance drops any buffered half output), so the
+    cut draws what one in-order draw of the whole half draws at lo. The
+    buffer holds two float32 words per pixel; a pair takes five of them: its
+    two uniforms, turned into z and scaled in place, from the front, and its
+    three words of the transform's scratch behind all the uniforms. So a cut
+    holds at most 2/5 as many pairs as the buffer holds words."""
     k, lo, part = cut
     buffer, rng = scratch
     rng.bit_generator.state = starts[k]
     rng.bit_generator.advance(lo // 2)
     words = buffer.reshape(-1).view(np.float32)
-    lower, upper = words[:len(words) // 2], words[len(words) // 2:]
     # an odd last cut draws a whole pair and drops its last value
     pairs = (len(part) + 1) // 2
-    uniforms = upper[:2 * pairs]
+    uniforms = words[:2 * pairs]
     rng.random(out=uniforms, dtype=np.float32)
-    normal = _box_muller(uniforms, lower[:3 * pairs].reshape(3, pairs))
-    noise = lower.view(float)[:len(part)]
-    np.copyto(noise, normal[:len(part)])
+    noise = _box_muller(uniforms, words[2 * pairs:5 * pairs].reshape(3, pairs))[:len(part)]
     noise *= scale
     part += noise
     np.clip(part, 0.0, None, out=part)
@@ -586,10 +596,13 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     at most sqrt(48 ln 2) ~ 5.77; a half of odd size drops its last value.
     z is float32, and its last bits depend on the SIMD target numpy's
     float32 log, sqrt, cos and sin run on, as the field's do on the BLAS
-    kernel; the scale, add and clip are float64. The halves and pairs are
-    fixed by the frame, not by the strips, so no frame depends on where
-    strip edges fall; the noisy frames differ in bytes from those of
-    versions that drew numpy's float64 standard normals.
+    kernel. The source, Wy, Wx^T and F are complex64 and the frame float32;
+    the noise scale, float32(noise_sigma * max|F|^2), the add and the clip
+    are float32. The halves and pairs are fixed by the frame, not by the
+    strips, so no frame depends on where strip edges fall. The frames differ
+    in bytes from those of versions that formed F in complex128 and held
+    the frame in float64 (a noiseless level by at most 1), and the noisy
+    ones also from those that drew numpy's float64 standard normals.
 
     Both passes run on two threads (:func:`_on_two_threads`). The |F|^2
     pass takes the row strips (:func:`frame_strips`): a strip's rows of G
@@ -597,15 +610,15 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     banded product by the pieces of Wx^T (:func:`banded_times`;
     :func:`_field_windows`, cached per PSF and grid). |F|^2 goes straight
     into the frame, whose max is the largest strip max. The noise pass cuts
-    each noise half into flat ranges of as many pixels as a thread's strip
-    buffer holds, rounded down to even, so a pair never spans two cuts, and
-    each cut seeks its offset in its half's stream (:func:`_add_noise`). The
-    caller allocates the frame and, per thread, one complex strip buffer,
-    which also holds the thread's uniforms, transform and scaled noise, and
-    one generator. The frame is bit for bit that of the whole-frame product:
-    the terms left out are exact zeros, and the complex product is kept
-    because two real products for Re F and Im F can differ from it in the
-    last bit.
+    each noise half into flat ranges of an even number of pixels, 4/5 of as
+    many as a thread's strip buffer holds, so a pair never spans two cuts,
+    and each cut seeks its offset in its half's stream (:func:`_add_noise`).
+    The caller allocates the frame and, per thread, one complex64 strip
+    buffer, which also holds the thread's uniforms, transform and scaled
+    noise, and one generator. The frame is bit for bit that of the
+    whole-frame complex64 product: the terms left out are exact zeros, and
+    the complex product is kept because two real products for Re F and Im F
+    can differ from it in the last bit.
     """
     if obj.shape != (grid.s1, grid.s2):
         raise ValueError(f"object shape {obj.shape} does not match grid "
@@ -624,15 +637,16 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     strips, size = frame_strips(height, width)
     wy, reach, pieces = _field_windows(model, grid, size)
     windows = (wy, reach, ppu, pieces)
-    source = obj.values * pattern.values
-    frame = np.empty((height, width))
-    # two rows at least, so that a one-pixel frame's buffer holds a noise pair
-    buffers = np.empty((2, max(size, 2), width), dtype=complex)
+    source = (obj.values * pattern.values).astype(np.complex64)
+    frame = np.empty((height, width), dtype=np.float32)
+    # three rows at least, so that a one-pixel-wide frame's buffer holds a
+    # noise pair and its scratch (five float32 words)
+    buffers = np.empty((2, max(size, 3), width), dtype=np.complex64)
     with ThreadPoolExecutor(max_workers=1) as worker:
         peak = max(_on_two_threads(worker, _power, strips, buffers, source, *windows, frame))
         if noise_sigma > 0:
-            # cuts of as many pixels as a thread's buffer holds, rounded down to even
-            flat, half, cut = frame.reshape(-1), height // 2 * width, buffers[0].size // 2 * 2
+            # even cuts of 2/5 as many pairs as a thread's buffer holds words
+            flat, half, cut = frame.reshape(-1), height // 2 * width, buffers[0].size * 2 // 5 * 2
             cuts = [(k, lo, view[lo:lo + cut])
                     for k, view in enumerate((flat[:half], flat[half:]))
                     for lo in range(0, len(view), cut)]
@@ -640,30 +654,34 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
             rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
             starts = [rng.bit_generator.state for rng in rngs]
             _on_two_threads(worker, _add_noise, cuts, list(zip(buffers, rngs)),
-                            starts, noise_sigma * peak)
+                            starts, np.float32(noise_sigma * peak))
     return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows])
 
 
 def _read_out(rows: slice, buffer: np.ndarray, vals: np.ndarray, scale: float,
               levels: np.ndarray) -> None:
-    """rint(value * scale) of one row strip, through this thread's float
-    strip `buffer`, cast into the strip's rows of `levels`."""
+    """rint(value * scale) of one row strip, in float64 through this
+    thread's float64 strip `buffer`, cast into the strip's rows of
+    `levels`."""
     scaled = buffer[:rows.stop - rows.start]
-    np.multiply(vals[rows], scale, out=scaled)
+    # float64 by its dtype: a float32 frame times a Python float is float32
+    np.multiply(vals[rows], scale, out=scaled, dtype=float)
     np.rint(scaled, out=scaled)
     np.copyto(levels[rows], scaled, casting="unsafe")
 
 
 def quantize_16bit(img: IntensityImage) -> IntensityImage:
-    """The camera's 16-bit readout of a float frame.
+    """The camera's 16-bit readout of a float frame (float32 as simulated,
+    or float64).
 
-    Levels are rint(value * scale), with scale = 65535 / peak (1 for an
-    all-zero frame), cast to big-endian 16-bit words. Both passes, the peak
-    and the scaled rint and cast, run over the row strips
-    (:func:`frame_strips`) on two threads (:func:`_on_two_threads`); each
-    thread scales its strips through its own float strip buffer, which the
-    calling thread allocates along with the levels, so the readout holds
-    the levels and nothing else frame-sized.
+    Levels are rint(value * scale), the product taken in float64, with
+    scale = 65535 / peak (1 for an all-zero frame), cast to big-endian
+    16-bit words. Both passes, the peak and the scaled rint and cast, run
+    over the row strips (:func:`frame_strips`) on two threads
+    (:func:`_on_two_threads`); each thread scales its strips through its
+    own float64 strip buffer, which the calling thread allocates along with
+    the levels, so the readout holds the levels and nothing else
+    frame-sized.
     """
     vals = img.values
     if is_levels(vals):

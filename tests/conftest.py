@@ -336,17 +336,19 @@ def reference_standard_normal(rng, n: int) -> np.ndarray:
 
 def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
                                       seed, streams=None) -> df.IntensityImage:
-    """|F|^2 as one frame, plus sigma * max times standard normal noise,
-    clipped, then cropped. The noise is drawn in two halves of the uncropped
-    rows, the top H // 2 rows from the first of `streams` and the rest from
-    the second, each row-major in one call (:func:`reference_standard_normal`);
-    `streams` defaults to SeedSequence(seed).spawn(2)."""
+    """|F|^2 as one complex64 product and float32 frame, plus sigma * max
+    times standard normal noise, clipped, then cropped, all in float32. The
+    noise is drawn in two halves of the uncropped rows, the top H // 2 rows
+    from the first of `streams` and the rest from the second, each row-major
+    in one call (:func:`reference_standard_normal`); `streams` defaults to
+    SeedSequence(seed).spawn(2)."""
     s1, s2 = obj.shape
     ppu = grid.pixels_per_unit
-    source = obj.values * pattern.values
-    wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1)
+    source = (obj.values * pattern.values).astype(np.complex64)
+    wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).astype(np.complex64)
     wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
-    intensity = np.abs(wy @ source @ wx.T) ** 2
+    wx_t = np.ascontiguousarray(wx.T.astype(np.complex64))
+    intensity = np.abs(wy @ source @ wx_t) ** 2
     if noise_sigma > 0:
         height, width = intensity.shape
         streams = np.random.SeedSequence(seed).spawn(2) if streams is None else streams
@@ -354,17 +356,19 @@ def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
                                                       rows * width)
                             for stream, rows in zip(streams, (height // 2,
                                                               height - height // 2))])
-        noise = z.astype(float).reshape(height, width) * (noise_sigma * intensity.max())
-        intensity = np.clip(intensity + noise, 0.0, None)
+        scale = np.float32(noise_sigma * float(intensity.max()))
+        intensity = np.clip(intensity + z.reshape(height, width) * scale, 0.0, None)
     crop = grid.crop_rows
     return df.IntensityImage(intensity[crop:intensity.shape[0] - crop])
 
 
 def reference_write_pgm16(path, img) -> None:
+    """The whole frame's levels, its values times the scale in float64 (a
+    float32 frame times a Python float would be float32), in a PGM file."""
     vals = img.values
     peak = float(vals.max())
     scale = 65535.0 / peak if peak > 0 else 1.0
-    data = np.round(vals * scale).astype(">u2")
+    data = np.round(vals.astype(float) * scale).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
         fh.write(f"# scale={scale!r}\n".encode())
@@ -608,7 +612,7 @@ def write_measurements(directory, frames) -> list:
 def reference_quantize_16bit(img):
     """The 16-bit readout on one thread: the whole frame's max, then
     rint(value * scale) cast to big-endian 16-bit words, row strip by row
-    strip through one float strip."""
+    strip through one float64 strip, in float64."""
     vals = img.values
     peak = float(vals.max())
     scale = 65535.0 / peak if peak > 0 else 1.0
@@ -618,7 +622,7 @@ def reference_quantize_16bit(img):
     levels = np.empty((height, width), dtype=df.forward_model.LEVELS)
     for rows in strips:
         scaled = buffer[:rows.stop - rows.start]
-        np.multiply(vals[rows], scale, out=scaled)
+        np.multiply(vals[rows], scale, out=scaled, dtype=float)
         np.rint(scaled, out=scaled)
         np.copyto(levels[rows], scaled, casting="unsafe")
     return df.IntensityImage(levels, scale)

@@ -519,6 +519,7 @@ READOUT_FRAMES = {
     "one-row": np.random.default_rng(1).random((1, 3000)) * 7.0,
     "all-zero": np.zeros((300, 7)),
     "many-strips": np.random.default_rng(2).random((257, 40)),
+    "float32": np.random.default_rng(4).random((257, 40), dtype=np.float32),
 }
 
 
@@ -570,6 +571,43 @@ def test_concurrent_readouts_match_the_reference():
     finally:
         sys.setswitchinterval(interval)
     assert [(f.scale, f.values.tobytes()) for f in got] == [(want.scale, want.values.tobytes())] * 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_cases(rows=(1, 8), cols=(1, 8)))
+def test_single_precision_levels_are_within_one_of_a_float64_readout(case):
+    # F in complex64 and the frame in float32 round ~6e-8 of a value, far
+    # below one readout level (1/65535 of the peak): for each PSF kind, every
+    # level of a noiseless frame is within 1 of the levels of |F|^2 formed in
+    # complex128 and float64 as one whole frame, read out in float64
+    obj, pattern, model, grid, _, _ = case
+    ppu, crop = grid.pixels_per_unit, grid.crop_rows
+    for kind in PSF_KINDS:
+        psf = PsfModel(kind, model.radius)
+        got = quantize_16bit(simulate_measurement_2d(obj, pattern, psf, grid, 0.0, seed=0))
+        wy = _unit_window(psf, np.arange(grid.s1 * ppu) + 0.5, ppu, grid.s1)
+        wx = _unit_window(psf, np.arange(grid.s2 * ppu) + 0.5, ppu, grid.s2)
+        power = np.abs(wy @ (obj.values * pattern.values) @ wx.T)[crop:len(wy) - crop] ** 2
+        peak = power.max()
+        want = np.rint(power * (65535.0 / peak if peak > 0 else 1.0))
+        assert np.abs(got.values.astype(float) - want).max() <= 1
+
+
+def test_simulated_frames_are_float32_and_kept_as_they_are():
+    # simulation returns a float32 frame, which IntensityImage keeps without
+    # a copy; the readout still takes a float64 frame, and reads the same
+    # values as the same levels, its product being float64 either way
+    obj, pattern, model, grid, noise, seed = _grid_case(3, 7, 8, PsfModel("gaussian", 2.0))
+    for sigma in (0.0, noise):
+        img = simulate_measurement_2d(obj, pattern, model, grid, sigma, seed)
+        assert img.values.dtype == np.float32
+        assert np.shares_memory(IntensityImage(img.values).values, img.values)
+        wide = IntensityImage(img.values.astype(float))
+        assert wide.values.dtype == np.float64
+        want = quantize_16bit(img)
+        got = quantize_16bit(wide)
+        assert got.scale == want.scale
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("kind, reach", [("gaussian", 2), ("exponential", 5), ("box", 1)])
@@ -637,13 +675,16 @@ def test_banded_pieces_hold_every_nonzero_once(case):
 def test_field_windows_cover_every_nonzero(kind, ppu, r_per_unit, s1, s2, rows):
     model = PsfModel(kind, r_per_unit * ppu)
     wy, reach, pieces = _field_windows(model, GridSpec(s1, s2, ppu), rows)
-    assert not wy.flags.writeable
-    assert wy.tobytes() == _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).tobytes()
+    # both windows are cached as complex64, the dtype of the field products
+    assert not wy.flags.writeable and wy.dtype == np.complex64
+    want = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).astype(np.complex64)
+    assert wy.tobytes() == want.tobytes()
     pixel, unit = np.nonzero(wy)
     assert np.all(np.abs(unit - pixel // ppu) <= reach)
-    # the pieces are banded's pieces of the complex Wx^T
+    # the pieces are banded's pieces of the complex64 Wx^T
     wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
-    check_banded_pieces(wx.T.astype(complex), rows, pieces)
+    assert all(block.dtype == np.complex64 for *_, block in pieces)
+    check_banded_pieces(wx.T.astype(np.complex64), rows, pieces)
 
 
 @pytest.mark.parametrize("units", [32, 64, 128])
@@ -677,8 +718,8 @@ def test_field_products_stay_below_the_one_thread_size(kind, units):
 
 
 def test_simulate_holds_only_the_field_and_the_frame():
-    # 16 x 16 units at 64 px: the complex field (16 B/px) and the frame
-    # (8 B/px) are the only frame-sized arrays of a call
+    # 16 x 16 units at 64 px: the complex64 field (8 B/px) and the float32
+    # frame (4 B/px) are the only frame-sized arrays of a call
     rng = np.random.default_rng(0)
     obj = ComplexField(np.exp(2j * np.pi * rng.integers(0, 4, (16, 16)) / 4))
     pattern = ComplexField(np.ones((16, 16), dtype=complex))
@@ -692,12 +733,13 @@ def test_simulate_holds_only_the_field_and_the_frame():
         tracemalloc.stop()
     pixels = (16 * 64) ** 2
     assert img.values.shape[1] == 16 * 64
-    assert peak <= 1.1 * (16 + 8) * pixels
+    assert peak <= 1.1 * (8 + 4) * pixels
 
 
 def test_simulate_holds_the_frame_and_two_field_strips():
     # the field is built one row strip at a time: no frame-sized complex
-    # array, only the frame (8 B/px) and at most two complex strips
+    # array, only the float32 frame (4 B/px) and at most two complex64
+    # strips (8 B/px)
     rng = np.random.default_rng(0)
     obj = ComplexField(np.exp(2j * np.pi * rng.integers(0, 4, (16, 16)) / 4))
     pattern = ComplexField(np.ones((16, 16), dtype=complex))
@@ -711,7 +753,7 @@ def test_simulate_holds_the_frame_and_two_field_strips():
         tracemalloc.stop()
     pixels = (16 * 64) ** 2
     assert img.values.shape[1] == 16 * 64
-    assert peak <= 1.1 * 8 * pixels + 2 * 16 * STRIP_PIXELS
+    assert peak <= 1.1 * 4 * pixels + 2 * 8 * STRIP_PIXELS
 
 
 @given(st.integers(1, 600), st.integers(0, 300))
