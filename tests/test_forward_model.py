@@ -449,6 +449,7 @@ def _grid_case(s1, s2, ppu, model, crop=None):
 @example(_grid_case(1, 9, 3, PsfModel("box", 1.5), crop=0))          # 1 and 2
 @example(_grid_case(3, 20, 5, PsfModel("gaussian", 2.0)))            # split at row 7 of unit 1
 @example(_grid_case(3, 7, 7, PsfModel("gaussian", 2.0)))             # odd halves, odd buffer
+@example(_grid_case(2, 1, 1, PsfModel("box", 0.5), crop=0))          # one pixel wide: 3-row buffer
 def test_banded_field_matches_full_frame_reference_on_wide_and_narrow_grids(case):
     # wide grids cross many column blocks per strip, narrow ones fit in one:
     # the banded products give the whole-frame product's frame bit for bit
