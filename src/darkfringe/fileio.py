@@ -25,7 +25,7 @@ import os
 import numpy as np
 
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from .forward_model import LEVELS, ComplexField, IntensityImage, is_levels
+from .forward_model import LEVELS, ComplexField, IntensityImage, frame_strips, is_levels
 from .fringe_detect import FringeMaps
 from .path_search import MOVES, BlockingStats, PathPlan
 from .patterns import ReferenceLibrary
@@ -45,19 +45,49 @@ def _reading(path):
 # PGM
 
 
+# buffers per os.writev call: IOV_MAX on Linux and macOS
+_IOV_MAX = 1024
+
+
 def write_pgm16(path, img: IntensityImage) -> None:
     """16-bit P5 of a frame's levels, with its scale (level / intensity) in a
     '# scale=<float>' comment. A frame that is not 16-bit levels is refused:
-    quantize it first."""
-    if not is_levels(img.values):
+    quantize it first.
+
+    The levels are written from their own memory, whatever the stride
+    between their rows (the readout's levels lie over the first half of
+    each float32 row): row strip by row strip (:func:`frame_strips`, at most
+    _IOV_MAX rows), each by os.writev of its rows. Only levels that are not
+    big-endian words with contiguous rows are converted, a strip at a time.
+    """
+    values = img.values
+    if not is_levels(values):
         raise ValueError(f"16-bit PGM {str(path)!r} needs 16-bit levels, not a "
-                         f"{img.values.dtype} frame")
-    height, width = img.values.shape
+                         f"{values.dtype} frame")
+    height, width = values.shape
+    rows = min(frame_strips(height, width)[1], _IOV_MAX)
     with open(path, "wb") as fh:
-        fh.write(b"P5\n")
-        fh.write(f"# scale={img.scale!r}\n".encode())
-        fh.write(f"{width} {height}\n65535\n".encode())
-        fh.write(np.ascontiguousarray(img.values, dtype=LEVELS))
+        fh.write(f"P5\n# scale={img.scale!r}\n{width} {height}\n65535\n".encode())
+        fh.flush()
+        for top in range(0, height, rows):
+            strip = values[top:top + rows]
+            if strip.dtype != LEVELS or strip.strides[1] != LEVELS.itemsize:
+                strip = strip.astype(LEVELS)
+            _writev_all(fh.fileno(), list(strip.view(np.uint8)))
+
+
+def _writev_all(fd: int, buffers: list) -> None:
+    """Write the 1D byte arrays `buffers` in order by os.writev, going on
+    from where a short write stopped."""
+    while buffers:
+        written = os.writev(fd, buffers)
+        done = 0
+        while done < len(buffers) and written >= buffers[done].nbytes:
+            written -= buffers[done].nbytes
+            done += 1
+        del buffers[:done]
+        if buffers:
+            buffers[0] = buffers[0][written:]
 
 
 def _check_payload(fh, path, nbytes: int, kind: str) -> None:

@@ -637,7 +637,11 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     strips, size = frame_strips(height, width)
     wy, reach, pieces = _field_windows(model, grid, size)
     windows = (wy, reach, ppu, pieces)
-    source = (obj.values * pattern.values).astype(np.complex64)
+    product = obj.values * pattern.values
+    # 2^k brings the peak amplitude into [0.5, 1), exactly (ldexp of the
+    # real and imaginary parts), so that no |F|^2 leaves float32's range
+    k = -np.frexp(np.abs(product).max())[1]
+    source = np.ldexp(product.view(float), k).view(complex).astype(np.complex64)
     frame = np.empty((height, width), dtype=np.float32)
     # three rows at least, so that a one-pixel-wide frame's buffer holds a
     # noise pair and its scratch (five float32 words)
@@ -655,14 +659,16 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
             starts = [rng.bit_generator.state for rng in rngs]
             _on_two_threads(worker, _add_noise, cuts, list(zip(buffers, rngs)),
                             starts, np.float32(noise_sigma * peak))
-    return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows])
+    return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows],
+                          scale=float(np.ldexp(1.0, 2 * k)))
 
 
 def _read_out(rows: slice, buffer: np.ndarray, vals: np.ndarray, scale: float,
               levels: np.ndarray) -> None:
     """rint(value * scale) of one row strip, in float64 through this
-    thread's float64 strip `buffer`, cast into the strip's rows of
-    `levels`."""
+    thread's float64 strip `buffer`, cast into the strip's rows of `levels`,
+    which may lie over the strip's own rows of `vals`: the strip is read
+    whole into the buffer before any of its levels is written."""
     scaled = buffer[:rows.stop - rows.start]
     # float64 by its dtype: a float32 frame times a Python float is float32
     np.multiply(vals[rows], scale, out=scaled, dtype=float)
@@ -672,27 +678,34 @@ def _read_out(rows: slice, buffer: np.ndarray, vals: np.ndarray, scale: float,
 
 def quantize_16bit(img: IntensityImage) -> IntensityImage:
     """The camera's 16-bit readout of a float frame (float32 as simulated,
-    or float64).
+    or float64), in place: the frame is consumed.
 
-    Levels are rint(value * scale), the product taken in float64, with
-    scale = 65535 / peak (1 for an all-zero frame), cast to big-endian
-    16-bit words. Both passes, the peak and the scaled rint and cast, run
-    over the row strips (:func:`frame_strips`) on two threads
-    (:func:`_on_two_threads`); each thread scales its strips through its
-    own float64 strip buffer, which the calling thread allocates along with
-    the levels, so the readout holds the levels and nothing else
-    frame-sized.
+    Levels are rint(value * s), the product taken in float64, with s = 65535
+    / peak (1 for an all-zero frame), cast to big-endian 16-bit words; their
+    scale is s times the frame's own scale, so level / scale is still value /
+    img.scale. Each row's levels are written over the first 2 * width bytes
+    of that row's own memory, so the returned levels share the frame's
+    memory (and keep it alive) and its float values are gone; no levels-sized
+    array is allocated. A frame whose rows are not contiguous, or that is
+    read-only, is copied first. Both passes, the peak and the scaled rint
+    and cast, run over the row strips (:func:`frame_strips`) on two threads
+    (:func:`_on_two_threads`), the peak pass ending before the readout pass
+    starts; each thread scales its strips through its own float64 strip
+    buffer, which the calling thread allocates, and writes a strip's levels
+    only over that strip's rows, which no other strip reads.
     """
     vals = img.values
     if is_levels(vals):
         raise ValueError("frame is already 16-bit levels")
+    if vals.strides[1] != vals.itemsize or not vals.flags.writeable:
+        vals = vals.copy()
     height, width = vals.shape
     strips, size = frame_strips(height, width)
     buffers = np.empty((2, size, width))
-    levels = np.empty((height, width), dtype=LEVELS)
+    levels = vals.view(LEVELS)[:, :width]
     with ThreadPoolExecutor(max_workers=1) as worker:
         peak = max(_on_two_threads(worker, lambda rows, _: float(vals[rows].max()),
                                    strips, buffers))
         scale = 65535.0 / peak if peak > 0 else 1.0
         _on_two_threads(worker, _read_out, strips, buffers, vals, scale, levels)
-    return IntensityImage(levels, scale)
+    return IntensityImage(levels, scale * img.scale)

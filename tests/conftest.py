@@ -338,13 +338,17 @@ def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
                                       seed, streams=None) -> df.IntensityImage:
     """|F|^2 as one complex64 product and float32 frame, plus sigma * max
     times standard normal noise, clipped, then cropped, all in float32. The
-    noise is drawn in two halves of the uncropped rows, the top H // 2 rows
-    from the first of `streams` and the rest from the second, each row-major
-    in one call (:func:`reference_standard_normal`); `streams` defaults to
+    source is first multiplied by the power of two 2^k that brings its peak
+    amplitude into [0.5, 1), and the frame's scale is 2^(2k). The noise is
+    drawn in two halves of the uncropped rows, the top H // 2 rows from the
+    first of `streams` and the rest from the second, each row-major in one
+    call (:func:`reference_standard_normal`); `streams` defaults to
     SeedSequence(seed).spawn(2)."""
     s1, s2 = obj.shape
     ppu = grid.pixels_per_unit
-    source = (obj.values * pattern.values).astype(np.complex64)
+    product = obj.values * pattern.values
+    k = -int(np.frexp(np.abs(product).max())[1])
+    source = (product * 2.0 ** k).astype(np.complex64)
     wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).astype(np.complex64)
     wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
     wx_t = np.ascontiguousarray(wx.T.astype(np.complex64))
@@ -359,19 +363,20 @@ def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
         scale = np.float32(noise_sigma * float(intensity.max()))
         intensity = np.clip(intensity + z.reshape(height, width) * scale, 0.0, None)
     crop = grid.crop_rows
-    return df.IntensityImage(intensity[crop:intensity.shape[0] - crop])
+    return df.IntensityImage(intensity[crop:intensity.shape[0] - crop], 4.0 ** k)
 
 
 def reference_write_pgm16(path, img) -> None:
-    """The whole frame's levels, its values times the scale in float64 (a
-    float32 frame times a Python float would be float32), in a PGM file."""
+    """The whole frame's levels, its values times 65535 / peak in float64 (a
+    float32 frame times a Python float would be float32), in a PGM file
+    whose scale is that factor times the frame's own."""
     vals = img.values
     peak = float(vals.max())
     scale = 65535.0 / peak if peak > 0 else 1.0
     data = np.round(vals.astype(float) * scale).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
-        fh.write(f"# scale={scale!r}\n".encode())
+        fh.write(f"# scale={scale * img.scale!r}\n".encode())
         fh.write(f"{data.shape[1]} {data.shape[0]}\n65535\n".encode())
         fh.write(data.tobytes())
 
@@ -610,9 +615,10 @@ def write_measurements(directory, frames) -> list:
 
 
 def reference_quantize_16bit(img):
-    """The 16-bit readout on one thread: the whole frame's max, then
-    rint(value * scale) cast to big-endian 16-bit words, row strip by row
-    strip through one float64 strip, in float64."""
+    """The 16-bit readout on one thread into a new array: the whole frame's
+    max, then rint(value * s) with s = 65535 / max cast to big-endian 16-bit
+    words, row strip by row strip through one float64 strip, in float64; the
+    levels' scale is s times the frame's."""
     vals = img.values
     peak = float(vals.max())
     scale = 65535.0 / peak if peak > 0 else 1.0
@@ -625,7 +631,7 @@ def reference_quantize_16bit(img):
         np.multiply(vals[rows], scale, out=scaled, dtype=float)
         np.rint(scaled, out=scaled)
         np.copyto(levels[rows], scaled, casting="unsafe")
-    return df.IntensityImage(levels, scale)
+    return df.IntensityImage(levels, scale * img.scale)
 
 
 class OneThreadPool:

@@ -128,6 +128,51 @@ def test_pipeline_frames_are_16_bit_levels(tmp_path, monkeypatch):
         assert back.values.tobytes() == frame.values.tobytes()
 
 
+def test_simulate_and_detect_hold_one_float_frame(tmp_path):
+    # a 512 x 512 px frame (16 x 16 units at 32 px): simulate reads it out
+    # over its own float32 rows and writes it, and detect reads those
+    # levels, so the two stages hold at most the float32 frame (4 B/px), two
+    # strip buffers (complex64 field strips, then float64 readout strips)
+    # and detection's sums, plus the worker thread's objects (~10 KB); a
+    # levels array of its own (2 B/px, 512 KB) would not fit
+    cfg = RunConfig(s1=16, s2=16, noise_sigma=0.01, outdir=str(tmp_path))
+    obj = random_quantized_object(16, 16, 4, 0)
+    pattern = make_patterns(4, 16, 16).patterns[0]
+
+    def save(name, writer, *args):
+        writer(tmp_path / name, *args)
+
+    def both():
+        pipeline.detect(cfg, pipeline.simulate(cfg, obj, pattern, 1, save), 1, save)
+
+    both()   # builds the cached windows of both stages
+    tracemalloc.start()
+    try:
+        both()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = cfg.grid()
+    sums = 8 * (grid.s1 * grid.width + grid.height * grid.s2)
+    assert peak <= 4 * 512 * 512 + 2 * 8 * forward_model.STRIP_PIXELS + sums + 32768
+
+
+@pytest.mark.parametrize("noise", ["0", "0.01"])
+@pytest.mark.parametrize("amplitude", [1e20, 1e-30])
+def test_cli_pipeline_reconstructs_any_float32_amplitude(tmp_path, amplitude, noise):
+    # |F|^2 of these objects (~1e40 and ~1e-60) lies outside float32's
+    # range: simulation brings the source to a peak amplitude in [0.5, 1)
+    # by a power of two, which the frame's scale undoes, so the run exits 0
+    # and retrieves the phase
+    obj_path = tmp_path / "obj.cf32"
+    fio.write_complex_field(obj_path, ComplexField(
+        amplitude * random_quantized_object(4, 4, 4, 0).values))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--s1", "4", "--s2", "4", "--noise-sigma", noise,
+                 "--object-file", str(obj_path), "--outdir", str(out)]) == 0
+    assert _metrics_row(out / "metrics.csv")["phase_rmse"] <= 1e-12
+
+
 def test_runs_draw_no_frame_noise_of_another_run():
     # frame j draws its noise from the pair (run seed, j): frame 2 of run
     # seed 1 and frame 1 of run seed 2, whose seed + j is the same, draw

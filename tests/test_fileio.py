@@ -1,4 +1,5 @@
 import math
+import os
 import tempfile
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import darkfringe.fileio as fio
 from darkfringe.boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from darkfringe.forward_model import (STRIP_PIXELS, ComplexField, IntensityImage,
+from darkfringe.forward_model import (LEVELS, STRIP_PIXELS, ComplexField, IntensityImage,
                                       quantize_16bit, simulate_measurement_2d)
 from darkfringe.fringe_detect import FringeMaps
 from darkfringe.path_search import (BlockingStats, plan_paths, plan_with_retry,
@@ -29,7 +30,7 @@ from conftest import (frame_cases, planner_cases, reference_read_bool_grid_csv,
 def test_pgm16_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     img = IntensityImage(rng.random((20, 30)) * 1234.5)
-    frame = quantize_16bit(img)
+    frame = quantize_16bit(IntensityImage(img.values.copy()))   # it consumes its frame
     path = tmp_path / "img.pgm"
     fio.write_pgm16(path, frame)
     back = fio.read_pgm16(path)
@@ -47,7 +48,7 @@ def test_pgm16_round_trip(tmp_path):
 def test_pgm16_matches_full_frame_reference(case):
     # strip-wise quantization gives the file bytes of the whole-frame
     # expressions, and the levels read back divided by their scale are the
-    # whole-frame reader's values
+    # whole-frame reader's values (each readout consumes its own copy)
     obj, pattern, model, grid, noise, seed = case
     img = simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
     with tempfile.TemporaryDirectory() as tmp:
@@ -56,7 +57,8 @@ def test_pgm16_matches_full_frame_reference(case):
         expected = reference_read_pgm16(want)
         for strips in strip_sizes():
             with strips:
-                fio.write_pgm16(got, quantize_16bit(img))
+                fio.write_pgm16(got, quantize_16bit(IntensityImage(img.values.copy(),
+                                                                   img.scale)))
             assert got.read_bytes() == want.read_bytes()
             back = fio.read_pgm16(got)
             assert (back.values / back.scale).tobytes() == expected.values.tobytes()
@@ -64,7 +66,7 @@ def test_pgm16_matches_full_frame_reference(case):
 
 def test_pgm16_zero_frame_matches_reference(tmp_path):
     img = IntensityImage(np.zeros((300, 7)))
-    fio.write_pgm16(tmp_path / "got.pgm", quantize_16bit(img))
+    fio.write_pgm16(tmp_path / "got.pgm", quantize_16bit(IntensityImage(img.values.copy())))
     reference_write_pgm16(tmp_path / "want.pgm", img)
     assert (tmp_path / "got.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
     back = fio.read_pgm16(tmp_path / "got.pgm")
@@ -73,10 +75,11 @@ def test_pgm16_zero_frame_matches_reference(tmp_path):
 
 
 def test_write_pgm16_streams_in_strips(tmp_path):
-    # a 1024 x 1024 frame is 16 strips; the readout allocates the 2 B/px
-    # levels and one float64 strip for each of its two threads (plus the
-    # worker thread's own objects, about 10 KB), never a scaled or rounded
-    # frame, and the writer writes the levels without copying them
+    # a 1024 x 1024 frame is 16 strips; the readout allocates one float64
+    # strip for each of its two threads (plus the worker thread's own
+    # objects, about 10 KB), never levels (they lie over the frame's own
+    # rows) or a scaled or rounded frame, and the writer writes the levels,
+    # every other 2 KB of the frame, without copying them
     img = IntensityImage(np.random.default_rng(0).random((1024, 1024)))
     tracemalloc.start()
     try:
@@ -88,8 +91,48 @@ def test_write_pgm16_streams_in_strips(tmp_path):
         write_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert quantize_peak <= 2 * img.values.size + 2 * 8 * STRIP_PIXELS + 16384
+    assert quantize_peak <= 2 * 8 * STRIP_PIXELS + 16384
     assert write_peak <= 8 * STRIP_PIXELS // 8
+
+
+def _pgm16_bytes(levels, scale):
+    """A 16-bit PGM file of the levels, as one bytes object."""
+    height, width = levels.shape
+    return (f"P5\n# scale={scale!r}\n{width} {height}\n65535\n".encode()
+            + levels.astype(">u2").tobytes())
+
+
+def test_write_pgm16_writes_any_levels_layout_alike(tmp_path):
+    # contiguous big-endian levels, the readout's levels over float32 rows,
+    # native-endian words and levels whose rows are not contiguous all
+    # write the bytes of the contiguous big-endian levels
+    levels = np.random.default_rng(1).integers(0, 65536, (70, 33)).astype(LEVELS)
+    over_rows = np.zeros((70, 33), dtype=np.float32).view(LEVELS)[:, :33]
+    over_rows[:] = levels
+    wide = np.zeros((70, 66), dtype=LEVELS)
+    wide[:, ::2] = levels
+    fio.write_pgm16(tmp_path / "want.pgm", IntensityImage(levels, 3.5))
+    want = (tmp_path / "want.pgm").read_bytes()
+    assert want == _pgm16_bytes(levels, 3.5)
+    for strips in strip_sizes():
+        for values in (over_rows, levels.astype("<u2"), wide[:, ::2]):
+            with strips:
+                fio.write_pgm16(tmp_path / "got.pgm", IntensityImage(values, 3.5))
+            assert (tmp_path / "got.pgm").read_bytes() == want
+
+
+def test_write_pgm16_goes_on_after_a_short_write(tmp_path, monkeypatch):
+    # os.writev may write less than it is given: the writer goes on from
+    # the byte where it stopped, within a row or between rows
+    levels = np.random.default_rng(2).integers(0, 65536, (9, 5)).astype(LEVELS)
+    writev = os.writev
+
+    def short(fd, buffers):
+        return writev(fd, [bytes(b"".join(map(bytes, buffers))[:7])])
+
+    monkeypatch.setattr(fio.os, "writev", short)
+    fio.write_pgm16(tmp_path / "got.pgm", IntensityImage(levels, 2.0))
+    assert (tmp_path / "got.pgm").read_bytes() == _pgm16_bytes(levels, 2.0)
 
 
 def test_write_pgm16_rejects_a_float_frame(tmp_path):

@@ -529,8 +529,9 @@ READOUT_FRAMES = {
 def test_readout_does_not_depend_on_which_thread_takes_a_strip(frame, pool):
     # one row (one strip), an all-zero frame (scale 1) and many strips: with
     # two threads, or one side taking every strip of both passes, the levels
-    # and scale are the one-thread readout's
-    img = IntensityImage(frame)
+    # and scale are the one-thread readout's; the readout consumes its
+    # frame, so each call reads out its own copy of the shared one
+    img = IntensityImage(frame.copy())
     want = reference_quantize_16bit(img)
     with strip_sizes()[1], thread_order(forward_model, pool):
         got = quantize_16bit(img)
@@ -561,17 +562,80 @@ def test_concurrent_readouts_match_the_reference():
     # four callers at once, each with its own worker thread, more threads
     # than cores and a short switch interval: every readout is still the
     # one-thread readout, so no call writes into another's levels or strips
+    # (each reads out its own copy of the frame, which the readout consumes)
     img = IntensityImage(np.random.default_rng(3).random((120, 90)) * 5.0)
     want = reference_quantize_16bit(img)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with strip_sizes()[1], ThreadPoolExecutor(max_workers=4) as pool:
-            frames = [pool.submit(quantize_16bit, img) for _ in range(16)]
+            frames = [pool.submit(quantize_16bit, IntensityImage(img.values.copy()))
+                      for _ in range(16)]
             got = [frame.result(timeout=60) for frame in frames]
     finally:
         sys.setswitchinterval(interval)
     assert [(f.scale, f.values.tobytes()) for f in got] == [(want.scale, want.values.tobytes())] * 16
+
+
+_BACKING = np.random.default_rng(5).random((40, 61)) * 3.0
+# each builds a new frame, which a readout may consume
+IN_PLACE_FRAMES = {
+    "float32": lambda: _BACKING[:, :60].astype(np.float32),
+    "float64": lambda: _BACKING.copy(),
+    "cropped": lambda: _BACKING.astype(np.float32)[3:37, 2:59],
+    "odd-width": lambda: _BACKING[:, :7].astype(np.float32),
+    "one-row": lambda: _BACKING[:1].astype(np.float32),
+}
+
+
+@pytest.mark.parametrize("make", IN_PLACE_FRAMES.values(), ids=IN_PLACE_FRAMES)
+@pytest.mark.parametrize("strips", [0, 1], ids=["strips", "small-strips"])
+def test_readout_writes_each_rows_levels_over_that_row(make, strips):
+    # the levels of each row lie over the first 2 * width bytes of that
+    # row's own floats, so they share the frame's memory and no levels-sized
+    # array is allocated; they are the levels and scale of a readout of a
+    # copy into a new array, for float32 and float64 frames, a cropped view
+    # (rows apart by more than their width), an odd width and one row
+    img = IntensityImage(make(), scale=0.25)
+    want = reference_quantize_16bit(IntensityImage(make(), scale=0.25))
+    with strip_sizes()[strips]:
+        got = quantize_16bit(img)
+    assert np.shares_memory(got.values, img.values)
+    assert got.values.ctypes.data == img.values.ctypes.data
+    assert got.values.strides[0] == img.values.strides[0]
+    assert got.scale == want.scale
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda f: f[:, ::2], lambda f: f.T,
+                                  lambda f: np.frombuffer(f.tobytes(), f.dtype).reshape(f.shape)],
+                         ids=["strided-rows", "transposed", "read-only"])
+def test_readout_copies_a_frame_it_cannot_write_over(make):
+    # a frame whose rows are not contiguous in memory, or that is read-only,
+    # is copied first: it reads out as its copy does and is left as it was
+    frame = make(np.random.default_rng(6).random((30, 40), dtype=np.float32))
+    kept = frame.copy()
+    got = quantize_16bit(IntensityImage(frame))
+    want = reference_quantize_16bit(IntensityImage(kept.copy()))
+    assert not np.shares_memory(got.values, frame)
+    assert np.array_equal(frame, kept)
+    assert got.scale == want.scale
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("k", [-100, -60, 40, 100])
+def test_an_object_scaled_by_a_power_of_two_changes_only_the_scale(k):
+    # the source is brought to a peak amplitude in [0.5, 1) by an exact power
+    # of two, which the frame's scale undoes: amplitudes whose |F|^2 lies far
+    # outside float32's range (2^+-200) read out as the same levels, noisy
+    # or not, with the scale divided by 2^(2k) exactly
+    obj, pattern, model, grid, noise, seed = _grid_case(3, 7, 8, PsfModel("gaussian", 2.0))
+    far = ComplexField(obj.values * 2.0 ** k)
+    for sigma in (0.0, noise):
+        want = quantize_16bit(simulate_measurement_2d(obj, pattern, model, grid, sigma, seed))
+        got = quantize_16bit(simulate_measurement_2d(far, pattern, model, grid, sigma, seed))
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.scale == want.scale * 2.0 ** (-2 * k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -603,7 +667,7 @@ def test_simulated_frames_are_float32_and_kept_as_they_are():
         img = simulate_measurement_2d(obj, pattern, model, grid, sigma, seed)
         assert img.values.dtype == np.float32
         assert np.shares_memory(IntensityImage(img.values).values, img.values)
-        wide = IntensityImage(img.values.astype(float))
+        wide = IntensityImage(img.values.astype(float), img.scale)
         assert wide.values.dtype == np.float64
         want = quantize_16bit(img)
         got = quantize_16bit(wide)
