@@ -4,8 +4,9 @@ Images travel as binary PGM (P5): 16-bit big-endian for measurement frames,
 8-bit for patterns and diagnostic stages. A measurement already is the
 camera's 16-bit levels plus their scale (forward_model.quantize_16bit), so
 the 16-bit writer writes the header, the scale in a '# scale=<float>'
-comment and the level buffer as it is, and the reader returns the file's
-levels and scale without converting them. Everything tabular is plain CSV
+comment and the levels straight from their memory, whatever the stride
+between their rows, and the reader returns the file's levels and scale
+without converting them. Everything tabular is plain CSV
 with a fixed header; a path plan is one `row,col,move` line per unit. The
 writers of 0/1 grids, edge ratios and path plans format whole columns (a 0/1
 grid is one byte block), and the 0/1 grid, edge-ratio and path-plan readers

@@ -22,10 +22,15 @@ float32 log, sqrt, cos and sin run on, as the BLAS products' do on the BLAS
 kernel. A run seeds frame j with the pair (run seed, j). The simulation is
 single precision from the field to the frame: F is complex64 and the frame
 float32 (4 B per pixel), whose rounding (~6e-8 of a value) lies far below
-one readout level (1/65535 of the peak).
-The camera reads it out once, as 16-bit levels rint(value * scale) with
-scale = 65535 / peak (:func:`quantize_16bit`); the levels and their scale are
-the measurement every later stage computes from and the PGM file stores. The
+one readout level (1/65535 of the peak). The source is first scaled by the
+power of two that brings its peak amplitude into [0.5, 1), and the frame's
+scale undoes it exactly, so an object of any amplitude float32 holds gives
+a frame in float32's range.
+The camera reads it out once, in place, as 16-bit levels rint(value * s)
+with s = 65535 / peak (:func:`quantize_16bit`), each row's levels written
+over that row's own floats, so a readout allocates no second frame; the
+levels and their scale are the measurement every later stage computes from
+and the PGM file stores. The
 whole uncropped frame is simulated, and every frame-sized pass (F, |F|^2 and
 its max, the readout) runs over row strips of about STRIP_PIXELS pixels
 (:func:`frame_strips`), the noise and clip over flat cuts of 4/5 as many; a
@@ -196,9 +201,10 @@ class IntensityImage:
 
     A measurement holds the camera's 16-bit levels, with intensity = level /
     scale. The forward model's output before readout holds nonnegative
-    float32 intensities, with scale 1. Levels and float32 arrays are kept as
-    they are; any other array is taken as float64. Which units the pixels
-    belong to is the grid's to say (:class:`GridSpec`), not the frame's.
+    float32 values, with intensity = value / scale (a power of two). Levels
+    and float32 arrays are kept as they are; any other array is taken as
+    float64. Which units the pixels belong to is the grid's to say
+    (:class:`GridSpec`), not the frame's.
     """
 
     values: np.ndarray
@@ -582,7 +588,11 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
                             seed: int | tuple[int, ...]) -> IntensityImage:
     """Simulate one camera frame of the object seen through a phase pattern.
 
-    The source field is the per-unit product object * pattern. With the
+    The source field is the per-unit product object * pattern, times the
+    power of two 2^k that brings its peak amplitude into [0.5, 1) (k = 0 for
+    a zero source); the frame's scale is 2^(2k), so intensity = value /
+    scale, and levels and scale of a readout do not depend on k unless
+    float32 would overflow or underflow without it. With the
     separable kernel p(x)p(y), each unit's contribution factorizes into a
     product of primitive differences along x and y, so the whole field F is a
     pair of matrix products, F = G Wx^T with G = Wy source (H x s2). The

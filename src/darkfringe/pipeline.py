@@ -7,11 +7,13 @@ stage is one function here (write_patterns, load_object, simulate, detect,
 mark_invalid, plan, reconstruct, score). It takes the run config, its inputs
 and a callback save(name, writer, *args) that writes one artifact into the
 output directory, and returns its outputs; stage() runs it and names the
-stage in any failure. simulate makes one measurement. run_pipeline streams
-each one through simulate and detect, writing its PGM file, and drops its
-levels before the next is simulated, so a run holds one measurement at a
-time whatever m is; the reconstruct stage reads the amplitudes back from
-the measurement PGM files in bands. The CLI stage subcommands read their
+stage in any failure. simulate makes one measurement, read out in place:
+its 16-bit levels lie over its own float32 frame, so no second frame is
+allocated. run_pipeline streams each one through simulate and detect,
+writing its PGM file, and drops its levels (and so the frame's memory)
+before the next is simulated, so a run holds one frame at a time whatever
+m is; the reconstruct stage reads the amplitudes back from the measurement
+PGM files in bands. The CLI stage subcommands read their
 inputs back from the output directory and call the same functions (the
 simulate subcommand loops over the frames). The data are the same either
 way: a measurement is its 16-bit levels and scale, in memory as in its PGM
@@ -193,10 +195,11 @@ def load_object(cfg: RunConfig, save) -> ComplexField:
 
 def simulate(cfg: RunConfig, obj: ComplexField, pattern: ComplexField, j: int,
              save) -> IntensityImage:
-    """Measurement j, of the object seen through its pattern, read out as
-    soon as it is simulated, so no float frame outlives its readout: its
-    16-bit levels and scale are what the later stages compute from and what
-    measurement_j<j>.pgm holds. Its noise seed is the pair (run seed, j),
+    """Measurement j, of the object seen through its pattern, read out in
+    place as soon as it is simulated, so no float value outlives its
+    readout: its 16-bit levels, over the float frame's memory, and its scale
+    are what the later stages compute from and what measurement_j<j>.pgm
+    holds. Its noise seed is the pair (run seed, j),
     so no frame of one run draws the noise of a frame of another."""
     image = quantize_16bit(simulate_measurement_2d(obj, pattern, cfg.psf(), cfg.grid(),
                                                    cfg.noise_sigma, seed=(cfg.seed, j)))

@@ -99,8 +99,8 @@ def test_pipeline_rejects_an_all_zero_object(tmp_path):
 
 def test_pipeline_frames_are_16_bit_levels(tmp_path, monkeypatch):
     # each frame is read out before the next is simulated, so no float frame
-    # outlives its readout; what the later stages get is the 2 B/px levels
-    # and the scale the PGM file holds
+    # outlives its readout; what the later stages get is the 16-bit levels,
+    # read out over the frame's own memory, and the scale the PGM file holds
     floats = []
 
     def simulate_one(*args, **kwargs):
