@@ -6,8 +6,10 @@ from --outdir and runs the same stage function as `pipeline` on the same
 data (the 16-bit measurement frames, the path plans `paths` wrote), so both
 write the same files; `simulate` writes object.cf32 too, which `metrics
 --truth` reads, and `mark-invalid` refuses a fringe map whose kind=/j= header
-is not the one its file name says. A --config file of key=value lines seeds the
-options; explicit flags override it. A configuration that RunConfig.check
+is not the one its file name says. Each stage checks every frame, 0/1 grid
+and plan it reads against the --s1 x --s2 grid, so another grid's artifacts
+fail the stage, naming the file and both shapes. A --config file of
+key=value lines seeds the options; explicit flags override it. A configuration that RunConfig.check
 rejects, and an argument that a study tool rejects, is a usage error; the
 CLI's own rule is only --j's range 1..m. Exit status: 0 on success, 1 on
 usage errors, 2 when a stage fails, with the stage named on stderr.
@@ -26,9 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, pipeline
-from .forward_model import PSF_KINDS, fringe_radius_sweep
+from .boundary_logic import InvalidBoundaryMaps
+from .forward_model import PSF_KINDS, IntensityImage, fringe_radius_sweep
 from .fringe_detect import FringeMaps
-from .path_search import blocking_montecarlo
+from .path_search import PathPlan, blocking_montecarlo
 from .patterns import make_patterns
 from .pipeline import RunConfig, run_pipeline, stage
 
@@ -162,13 +165,41 @@ def _run_stage(args, cfg: RunConfig) -> str:
     def save(name: str, writer, *data) -> None:
         writer(outdir / name, *data)
 
+    def fitted(path, values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+        """`values`, read from `path`, if they have the `shape` this run's
+        grid needs, else an error naming the file and both shapes. A 0/1
+        grid of no rows is written as an empty file, read as shape (0,)."""
+        if values.shape == (0,) and shape[0] == 0:
+            values = values.reshape(shape)
+        if values.shape != shape:
+            raise ValueError(f"{str(path)!r} holds shape {values.shape}, but the "
+                             f"{cfg.s1} x {cfg.s2} grid needs {shape}")
+        return values
+
+    edges = {"row": (cfg.s1, cfg.s2 - 1), "col": (cfg.s1 - 1, cfg.s2)}
+
     def fringe_map(j: int, kind: str) -> np.ndarray:
         path = outdir / f"fringes_{kind}_j{j}.csv"
         found_kind, found_j, grid = fileio.read_fringe_maps_csv(path)
         if (found_kind, found_j) != (kind, j):
             raise ValueError(f"fringe map {str(path)!r} holds kind={found_kind},"
                              f"j={found_j}, expected kind={kind},j={j}")
-        return grid
+        return fitted(path, grid, edges[kind])
+
+    def matrix(name: str, kind: str) -> np.ndarray:
+        path = outdir / name
+        return fitted(path, fileio.read_bool_grid_csv(path), edges[kind])
+
+    def frame(path) -> IntensityImage:
+        image = fileio.read_pgm16(path)
+        fitted(path, image.values, (cfg.grid().height, cfg.grid().width))
+        return image
+
+    def plan(k: int, origin: tuple[int, int]) -> PathPlan:
+        path = outdir / f"path_plan_origin{k}.csv"
+        plan = fileio.read_path_plan_csv(path, origin)
+        fitted(path, plan.parent, (cfg.s1, cfg.s2))
+        return plan
 
     def fringe_maps(j: int) -> FringeMaps:
         return FringeMaps(row_map=fringe_map(j, "row"), col_map=fringe_map(j, "col"),
@@ -185,7 +216,7 @@ def _run_stage(args, cfg: RunConfig) -> str:
         return f"wrote {cfg.m} measurements to {outdir}"
     if command == "detect":
         image = args.image or outdir / f"measurement_j{args.j}.pgm"
-        stage("detect", lambda: pipeline.detect(cfg, fileio.read_pgm16(image), args.j, save))
+        stage("detect", lambda: pipeline.detect(cfg, frame(image), args.j, save))
         return f"wrote fringe maps for measurement {args.j} to {outdir}"
     if command == "mark-invalid":
         invalid, _ = stage("mark-invalid", lambda: pipeline.mark_invalid(
@@ -193,15 +224,14 @@ def _run_stage(args, cfg: RunConfig) -> str:
             fileio.read_reference_library_csv(outdir / "reference_library.csv"), save))
         return f"{int(invalid.matrix_a.sum() + invalid.matrix_b.sum())} invalid boundaries"
     if command == "paths":
-        plans = stage("paths", lambda: pipeline.plan(cfg, fileio.read_invalid_maps(
-            outdir / "matrix_a.csv", outdir / "matrix_b.csv"), save))
+        plans = stage("paths", lambda: pipeline.plan(cfg, InvalidBoundaryMaps(
+            matrix("matrix_a.csv", "row"), matrix("matrix_b.csv", "col")), save))
         return "\n".join(f"origin {origin}: {int((~p.reachable_mask()).sum())} "
                          "unreachable units" for origin, p in zip(cfg.origins, plans))
     if command == "reconstruct":
         rec = stage("reconstruct", lambda: pipeline.reconstruct(
             cfg, fileio.read_edge_ratios_csv(outdir / "edge_ratios.csv", cfg.s1, cfg.s2),
-            [fileio.read_path_plan_csv(outdir / f"path_plan_origin{k}.csv", origin)
-             for k, origin in enumerate(cfg.origins, start=1)],
+            [plan(k, origin) for k, origin in enumerate(cfg.origins, start=1)],
             [outdir / f"measurement_j{j}.pgm" for j in indices],
             save))
         unknown = int(np.count_nonzero(rec.values == 0))

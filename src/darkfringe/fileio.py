@@ -6,14 +6,15 @@ camera's 16-bit levels plus their scale (forward_model.quantize_16bit), so
 the 16-bit writer writes the header, the scale in a '# scale=<float>'
 comment and the levels straight from their memory, whatever the stride
 between their rows, and the reader returns the file's levels and scale
-without converting them. Everything tabular is plain CSV
-with a fixed header; a path plan is one `row,col,move` line per unit. The
-writers of 0/1 grids, edge ratios and path plans format whole columns (a 0/1
-grid is one byte block), and the 0/1 grid, edge-ratio and path-plan readers
-parse all rows first and check them as arrays, naming the first bad line.
-Complex fields use a one-line ASCII header followed by row-major interleaved
-(real, imag) little-endian float32. Readers decode text inside `_reading`, so bytes
-that are not UTF-8 are a format error naming the file.
+without converting them. Everything tabular is plain CSV; a path plan is
+one `row,col,move` line per unit. Each CSV reader reads the whole file,
+then accepts only its writer's layout: the writer's header line, then the
+writer's lines in the writer's order, each holding the texts the writer
+writes there. The first line that does not is a format error naming the
+file and line. Complex fields use a one-line ASCII header followed by
+row-major interleaved (real, imag) little-endian float32. Readers decode
+text inside `_reading`, so bytes that are not UTF-8 are a format error
+naming the file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import contextlib
 import csv
 import itertools
 import os
+import re
 
 import numpy as np
 
@@ -217,6 +219,31 @@ def _write_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _csv_rows(path) -> list[list[str]]:
+    """Every row of the CSV file `path`, all read inside `_reading`, so a
+    byte that does not decode or a line csv cannot split anywhere in the
+    file is a format error naming it."""
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _bad_row(what: str, path, row: int, why: str) -> ValueError:
+    """A format error naming the file and the line on which its row `row`
+    (0 for the first) starts, found by reading the file again up to it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(itertools.islice(reader, row, row), None)
+        return ValueError(f"bad {what} {str(path)!r} line {reader.line_num + 1}: {why}")
+
+
+def _check_header(rows: list[list[str]], path, what: str, header: list[str]) -> None:
+    """A format error naming the file unless its first line is `header`."""
+    found = rows[0] if rows else []
+    if found != header:
+        raise _bad_row(what, path, 0, f"header {','.join(found)!r} is not "
+                                      f"{','.join(header)!r}")
+
+
 def write_sweep_csv(path, rows) -> None:
     _write_rows(path, ["delta_phi", "radius", "relative_intensity"],
                 [(repr(a), repr(b), repr(c)) for a, b, c in rows])
@@ -243,61 +270,34 @@ def write_fringe_maps_csv(path, maps: FringeMaps, kind: str) -> None:
         fh.write(_bool_grid_bytes(grid))
 
 
-# the flag of each text a 0/1 grid writes
-_FLAGS = {"0": 0, "1": 1}
-
-
-def _read_bool_rows(fh, path, lines_before: int = 0) -> np.ndarray:
-    """A CSV grid of 0/1 rows of one length, or a format error naming the
-    file (and the line of a bad value, `lines_before` header lines counted).
-
-    All rows are parsed first and checked as arrays. A value other than the
-    text 0 or 1 is read by int(), as " 1" or "+0" are; the error names the
-    first bad row by the first rule it breaks: the first row's length, a
-    value int() cannot read, a value other than 0 or 1.
-    """
-    rows, lines, unread = _read_rows(csv.reader(fh))
-    n = len(rows)
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
-    texts = list(itertools.chain.from_iterable(rows))
-    flags = np.fromiter(map(_FLAGS.get, texts, itertools.repeat(-1)), dtype=np.int8,
-                        count=len(texts))
-    for i in np.flatnonzero(flags < 0).tolist():
-        with contextlib.suppress(ValueError):
-            if (value := int(texts[i])) in (0, 1):
-                flags[i] = value
-    bad = lengths != lengths[:1]
-    bad[np.repeat(np.arange(n), lengths)[flags < 0]] = True
-    if bad.any():
-        i = int(bad.argmax())
-        if lengths[i] != lengths[0]:
-            raise ValueError(f"ragged grid in {str(path)!r}: row {i + 1} has "
-                             f"{lengths[i]} fields, row 1 has {lengths[0]}")
-        line = lines_before + lines[i]
-        try:
-            list(map(int, rows[i]))
-        except ValueError as exc:
-            raise ValueError(f"bad grid value in {str(path)!r} line {line}: {exc}") from exc
-        raise ValueError(f"bad grid value in {str(path)!r} line {line}: "
-                         f"{rows[i]!r} (expected 0 or 1)")
-    if unread:
-        raise unread
-    return flags.astype(bool).reshape(n, -1) if n else np.zeros(0, dtype=bool)
+def _bool_grid(rows: list[list[str]], path, first: int = 0) -> np.ndarray:
+    """The grid of 0/1 rows as the writer writes them from the file's row
+    `first` on: rows of one length, every field the text 0 or 1. Anything
+    else is a format error naming the file and the first bad row's line. No
+    rows read as an empty 1D grid."""
+    rows = rows[first:]
+    for i, fields in enumerate(rows):
+        if len(fields) != len(rows[0]):
+            raise _bad_row("0/1 grid", path, first + i, f"row {i + 1} has {len(fields)} "
+                                                        f"fields, row 1 has {len(rows[0])}")
+        if not {"0", "1"}.issuperset(fields):
+            raise _bad_row("0/1 grid", path, first + i, f"{fields!r} (expected 0 or 1)")
+    if not rows:
+        return np.zeros(0, dtype=bool)
+    digits = "".join(itertools.chain.from_iterable(rows)).encode()
+    return (np.frombuffer(digits, dtype=np.uint8) == ord("1")).reshape(len(rows), -1)
 
 
 def read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        try:
-            parts = dict(item.split("=") for item in header.split(","))
-            kind, j = parts["kind"], int(parts["j"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad fringe map header in {str(path)!r}: "
-                             f"{header!r} (expected kind=row|col,j=<index>)") from exc
-        if kind not in ("row", "col"):
-            raise ValueError(f"bad fringe map kind {kind!r} in {str(path)!r}")
-        grid = _read_bool_rows(fh, path, lines_before=1)
-    return kind, j, grid
+    """The kind, measurement index and grid of a fringe map file: the line
+    `kind=row|col,j=<index>` as the writer writes it, then a 0/1 grid."""
+    rows = _csv_rows(path)
+    header = ",".join(rows[0]) if rows else ""
+    found = re.fullmatch(r"kind=(row|col),j=(0|-?[1-9][0-9]*)", header)
+    if found is None:
+        raise ValueError(f"bad fringe map header in {str(path)!r}: "
+                         f"{header!r} (expected kind=row|col,j=<index>)")
+    return found[1], int(found[2]), _bool_grid(rows, path, first=1)
 
 
 def write_bool_grid_csv(path, grid: np.ndarray) -> None:
@@ -306,8 +306,7 @@ def write_bool_grid_csv(path, grid: np.ndarray) -> None:
 
 
 def read_bool_grid_csv(path) -> np.ndarray:
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        return _read_bool_rows(fh, path)
+    return _bool_grid(_csv_rows(path), path)
 
 
 def write_invalid_maps(path_a, path_b, invalid: InvalidBoundaryMaps) -> None:
@@ -336,119 +335,47 @@ def write_edge_ratios_csv(path, ratios: EdgeRatios) -> None:
     _write_rows(path, _EDGE_RATIO_FIELDS, rows)
 
 
-def _read_rows(reader) -> tuple[list[list[str]], list[int], Exception | None]:
-    """The rows a csv reader yields and the line each ends on, up to the first
-    line that does not decode or split; that error is returned, to be raised
-    only if no row before it is bad, as a reader checking row by row would."""
-    rows, lines = [], []
+def _edge_line_ok(fields: list[str], key: tuple[str, str, str]) -> bool:
+    """Whether a line holds the edge `key` (its kind, row and col texts as
+    the writer writes them), two parts float() parses and a valid flag 0 or 1."""
     try:
-        for fields in reader:
-            rows.append(fields)
-            lines.append(reader.line_num)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        return rows, lines, exc
-    return rows, lines, None
-
-
-def _parsed(texts, cast) -> tuple[list, np.ndarray]:
-    """`cast` of each text, and where it parsed; a text that does not parse,
-    or a missing field (None), reads as 0."""
-    try:
-        return list(map(cast, texts)), np.ones(len(texts), dtype=bool)
-    except (TypeError, ValueError):
-        pass
-    values, ok = [], []
-    for text in texts:
-        try:
-            values.append(cast(text))
-            ok.append(True)
-        except (TypeError, ValueError):
-            values.append(0)
-            ok.append(False)
-    return values, np.array(ok, dtype=bool)
-
-
-def _ints(values: list) -> np.ndarray:
-    """Python ints as an array, exactly: of object dtype when one exceeds int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _first_index(keys: list) -> np.ndarray:
-    """For each key, the index of its first occurrence in `keys`."""
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    return np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=len(keys))
-
-
-def _dict_row(header: list[str], fields: list[str]) -> dict:
-    """A row as csv.DictReader maps it: fields beyond the header in a list
-    under None, header names beyond the fields to None."""
-    row = dict(zip(header, fields))
-    if len(fields) > len(header):
-        row[None] = fields[len(header):]
-    for name in header[len(fields):]:
-        row[name] = None
-    return row
+        float(fields[3]), float(fields[4])
+    except (IndexError, ValueError):
+        return False
+    return len(fields) == 6 and tuple(fields[:3]) == key and fields[5] in ("0", "1")
 
 
 def read_edge_ratios_csv(path, s1: int, s2: int) -> EdgeRatios:
-    """Edge ratios of an s1 x s2 grid. A row that does not parse, has extra
-    fields, whose kind is not h or v, whose edge is off the grid or listed
-    before, or whose valid flag is not 0 or 1 is a format error naming the
-    file and line; so is a file that does not list every edge of the grid
-    (as one of another grid does), naming the file and both edge counts.
-
-    The header names the columns, in any order, and blank lines are skipped,
-    as csv.DictReader reads them. All rows are parsed as columns and checked
-    as arrays; the error names the first bad row and lists its fields.
-    """
-    grids = {"h": np.full((s1, s2 - 1), complex(np.nan, np.nan)),
-             "v": np.full((s1 - 1, s2), complex(np.nan, np.nan))}
-    with _reading(path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows, lines, unread = _read_rows(reader)
-        lines = [line for fields, line in zip(rows, lines) if fields]
-        rows = [fields for fields in rows if fields]
-        n, width = len(rows), len(header)
-        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=n)
-        padded = rows
-        if (lengths != width).any():
-            padded = [fields[:width] + [None] * (width - len(fields)) for fields in rows]
-        columns = dict(zip(header, zip(*padded)))     # a repeated name: its last column
-        column = {name: columns.get(name, (None,) * n) for name in _EDGE_RATIO_FIELDS}
-        kinds = np.array(column["kind"], dtype=object)
-        is_h = kinds == "h"
-        (r, r_ok), (c, c_ok), (valid, valid_ok) = (_parsed(column[name], int)
-                                                   for name in ("row", "col", "valid"))
-        (re, re_ok), (im, im_ok) = (_parsed(column[name], float)
-                                    for name in ("ratio_real", "ratio_imag"))
-        r_arr, c_arr, valid_arr = _ints(r), _ints(c), _ints(valid)
-        ok = ((lengths <= width) & (is_h | (kinds == "v"))
-              & r_ok & c_ok & valid_ok & re_ok & im_ok
-              & ((valid_arr == 0) | (valid_arr == 1))
-              & (r_arr >= 0) & (r_arr < np.where(is_h, s1, s1 - 1))
-              & (c_arr >= 0) & (c_arr < np.where(is_h, s2 - 1, s2))
-              & (_first_index(list(zip(column["kind"], r, c))) == np.arange(n)))
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise ValueError(f"bad edge ratio row in {str(path)!r} line {lines[i]}: "
-                             f"{list(_dict_row(header, rows[i]).values())!r}")
-        if unread:
-            raise unread
-    edges = s1 * (s2 - 1) + (s1 - 1) * s2
-    if n != edges:
-        raise ValueError(f"edge ratios file {str(path)!r} lists {n} edges, but a "
-                         f"{s1} x {s2} grid has {edges}")
-    value = np.empty(n, dtype=complex)
-    value.real, value.imag = re, im
-    for kind, rows_of_kind in (("h", is_h), ("v", ~is_h)):
-        sel = rows_of_kind & (valid_arr == 1)
-        grids[kind][r_arr[sel], c_arr[sel]] = value[sel]
-    return EdgeRatios(horizontal=grids["h"], vertical=grids["v"])
+    """Edge ratios of an s1 x s2 grid, in the writer's layout: its header,
+    then one line per edge (:func:`_edge_line_ok`), the horizontal grid
+    row-major and then the vertical one, checked column by column. A file
+    whose lines all hold their edges but that ends early or runs long (as
+    one of another grid may) is a format error naming both edge counts."""
+    rows = _csv_rows(path)
+    _check_header(rows, path, "edge ratios file", _EDGE_RATIO_FIELDS)
+    keys = [*itertools.product("h", map(str, range(s1)), map(str, range(s2 - 1))),
+            *itertools.product("v", map(str, range(s1 - 1)), map(str, range(s2)))]
+    body = rows[1:len(keys) + 1]
+    try:
+        if not {6}.issuperset(map(len, body)):
+            raise ValueError
+        kind, row, col, real, imag, valid = zip(*body) if body else [()] * 6
+        if list(zip(kind, row, col)) != keys[:len(body)] or not {"0", "1"}.issuperset(valid):
+            raise ValueError
+        value = np.empty(len(body), dtype=complex)
+        value.real, value.imag = list(map(float, real)), list(map(float, imag))
+    except ValueError:
+        i = next(i for i, fields in enumerate(body) if not _edge_line_ok(fields, keys[i]))
+        raise _bad_row("edge ratios file", path, i + 1,
+                       f"{body[i]!r} (expected {','.join(keys[i])},<ratio_real>,"
+                       "<ratio_imag>,0|1)") from None
+    if len(rows) - 1 != len(keys):
+        raise ValueError(f"edge ratios file {str(path)!r} lists {len(rows) - 1} edges, but "
+                         f"a {s1} x {s2} grid has {len(keys)}")
+    value[np.array(valid) != "1"] = complex(np.nan, np.nan)
+    split = s1 * (s2 - 1)
+    return EdgeRatios(horizontal=value[:split].reshape(s1, s2 - 1),
+                      vertical=value[split:].reshape(s1 - 1, s2))
 
 
 def write_path_plan_csv(path, plan: PathPlan) -> None:
@@ -460,95 +387,69 @@ def write_path_plan_csv(path, plan: PathPlan) -> None:
 
 
 def read_path_plan_csv(path, origin: tuple[int, int]) -> PathPlan:
-    """Plan tree from a `row,col,move` CSV listing each unit of its grid once.
-
-    A move (U, D, L or R) enters the unit from its parent, which must lie on
-    the grid; only the origin has the empty move; X marks an UNREACHABLE
-    unit. Every parent chain must reach the origin, not an X unit or a cycle.
-    Anything else is a format error naming the file and line. All rows are
-    parsed as columns and checked as arrays; a bad row is reported by the
-    first of these rules, in the order listed, that it breaks.
-    """
-    def bad(line: int, why: str) -> ValueError:
-        return ValueError(f"bad path plan {str(path)!r} line {line}: {why}")
+    """Plan tree from the writer's layout: the header `row,col,move`, then
+    one `row,col,move` line per unit, row-major, the last line naming the
+    grid's last unit. A move (U, D, L or R) enters the unit from its parent,
+    which must lie on the grid; only the origin has the empty move; X marks
+    an UNREACHABLE unit. Every parent chain must reach the origin, not an X
+    unit or a cycle. A line that breaks a rule is a format error naming the
+    file, the line and the first rule it breaks in the order checked; so is
+    a file that ends early or runs long, naming both unit counts."""
+    def bad(row: int, why: str) -> ValueError:
+        return _bad_row("path plan", path, row, why)
 
     origin = (int(origin[0]), int(origin[1]))
-    with _reading(path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header != ["row", "col", "move"]:
-                raise bad(1, f"header {','.join(header)!r} is not 'row,col,move'")
-            rows, lines, unread = _read_rows(reader)
-        n = len(rows)
-        three = np.fromiter(map(len, rows), dtype=np.intp, count=n) == 3
-        if not three.all():
-            rows = [fields if len(fields) == 3 else ["", "", ""] for fields in rows]
-        rs, cs, moves = zip(*rows) if n else ((), (), ())
-        (r, r_ok), (c, c_ok) = _parsed(rs, int), _parsed(cs, int)
-        r_arr, c_arr, mv = _ints(r), _ints(c), np.array(moves, dtype=object)
-        at_origin = (r_arr == origin[0]) & (c_arr == origin[1])
-        empty, unreachable = mv == "", mv == "X"
-        entering = {move: mv == move for move in MOVES}
-        entered = np.logical_or.reduce(list(entering.values()))
-        first = _first_index(list(zip(r, c)))
-        fails = np.array([
-            ~(three & r_ok & c_ok & (r_arr >= 0) & (c_arr >= 0)),
-            ~(empty | unreachable | entered),
-            at_origin & ~empty,
-            empty & ~at_origin,
-            first != np.arange(n),
-        ])
-        if fails.any():
-            i = int(fails.any(axis=0).argmax())
-            unit, move = (r[i], c[i]), moves[i]
-            raise bad(lines[i], (
-                "expected a non-negative integer row and col and a move",
-                f"move {move!r} is not one of U, D, L, R, X or empty",
-                f"the origin {origin} needs the empty move, not {move!r}",
-                f"unit {unit} has the empty move, which only the origin {origin} may have",
-                f"unit {unit} is listed twice, first on line {lines[first[i]]}",
-            )[int(fails[:, i].argmax())])
-        if unread:
-            raise unread
-    s1, s2 = 1 + max([origin[0], *r]), 1 + max([origin[1], *c])
+    rows = _csv_rows(path)
+    _check_header(rows, path, "path plan", ["row", "col", "move"])
+    n, last = len(rows) - 1, rows[-1]
+    if not n:
+        raise bad(1, "no unit is listed")
+    if len(last) != 3 or not all(re.fullmatch(r"0|[1-9][0-9]*", text) for text in last[:2]):
+        raise bad(n, f"expected a non-negative integer row and col and a move, found {last!r}")
+    s1, s2 = int(last[0]) + 1, int(last[1]) + 1
+    if not (0 <= origin[0] < s1 and 0 <= origin[1] < s2):
+        raise bad(n, f"the origin {origin} is off the {s1} x {s2} grid whose last unit "
+                     "this line names")
+    for i, fields in enumerate(rows[1:s1 * s2 + 1]):
+        unit = divmod(i, s2)
+        if fields[:2] != [str(unit[0]), str(unit[1])] or len(fields) != 3:
+            raise bad(i + 1, f"expected row,col,move of unit {unit}, found {fields!r}")
+        move = fields[2]
+        if move not in MOVES and move not in ("", "X"):
+            raise bad(i + 1, f"move {move!r} is not one of U, D, L, R, X or empty")
+        if unit == origin and move != "":
+            raise bad(i + 1, f"the origin {origin} needs the empty move, not {move!r}")
+        if move == "" and unit != origin:
+            raise bad(i + 1, f"unit {unit} has the empty move, which only the origin "
+                             f"{origin} may have")
+        if move in MOVES:
+            up = (unit[0] - MOVES[move][0], unit[1] - MOVES[move][1])
+            if not (0 <= up[0] < s1 and 0 <= up[1] < s2):
+                raise bad(i + 1, f"move {move!r} enters unit {unit} from {up}, off the "
+                                 f"{s1} x {s2} grid")
     if n != s1 * s2:
-        listed = set(zip(r, c))
-        missing = next((rr, cc) for rr in range(s1) for cc in range(s2)
-                       if (rr, cc) not in listed)
-        raise bad(reader.line_num, f"unit {missing} of the {s1} x {s2} grid is not listed")
-    # every unit is listed once, so the rows and cols fit the grid
-    dr, dc = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-    for move, step in MOVES.items():
-        dr[entering[move]], dc[entering[move]] = step
-    pr, pc = r_arr - dr, c_arr - dc
-    off = entered & ~((pr >= 0) & (pr < s1) & (pc >= 0) & (pc < s2))
-    if off.any():
-        i = int(off.argmax())
-        raise bad(lines[i], f"move {moves[i]!r} enters unit {(r[i], c[i])} from "
-                            f"{(int(pr[i]), int(pc[i]))}, off the {s1} x {s2} grid")
-    flat = r_arr * s2 + c_arr
-    parent = np.full(s1 * s2, -1, dtype=np.intp)
-    parent[flat[entered]] = (pr * s2 + pc)[entered]
-    parent = parent.reshape(s1, s2)
-    marked_x = np.zeros(s1 * s2, dtype=bool)
-    marked_x[flat[unreachable]] = True
-    line_of = np.empty(s1 * s2, dtype=np.intp)
-    line_of[flat] = lines
+        raise bad(n, f"the file lists {n} units, but the {s1} x {s2} grid whose last "
+                     f"unit this line names has {s1 * s2}")
+    move = np.array([fields[2] for fields in rows[1:]]).reshape(s1, s2)
+    step = np.zeros((2, s1, s2), dtype=np.intp)
+    for name, (dr, dc) in MOVES.items():
+        step[:, move == name] = [[dr], [dc]]
+    pr, pc = np.indices((s1, s2)) - step
+    parent = np.where(step.any(axis=0), pr * s2 + pc, -1)
     plan = PathPlan(origin=origin, parent=parent,
-                    provenance=np.where(marked_x, None, "file").reshape(s1, s2).tolist())
+                    provenance=np.where(move == "X", None, "file").tolist())
     # every chain reaches the origin exactly when each unit follows its parent
     order = plan.order()
     rank = np.full(s1 * s2, s1 * s2)
     rank[order] = np.arange(order.size)
     late = order[1:][rank[parent.flat[order[1:]]] > rank[order[1:]]]
     if late.size:
-        u = int(late[line_of[late].argmin()])
+        u = int(late.min())       # the first in line order
         up = int(parent.flat[u])
         why = (f"hangs under the unreachable unit {divmod(up, s2)}"
                if rank[up] == s1 * s2 else "runs into a cycle")
-        raise bad(int(line_of[u]), f"the parent chain of unit {divmod(u, s2)} {why} "
-                                   f"instead of reaching the origin {origin}")
+        raise bad(u + 1, f"the parent chain of unit {divmod(u, s2)} {why} "
+                         f"instead of reaching the origin {origin}")
     return plan
 
 
@@ -565,23 +466,21 @@ def write_reference_library_csv(path, lib: ReferenceLibrary) -> None:
 
 
 def read_reference_library_csv(path) -> ReferenceLibrary:
-    """One ratio per measurement index j, the k-th row holding j = k, as
-    the writer lists them; a row that does not parse or holds another j
-    (0, a gap, a repeat) is a format error naming the file and line."""
+    """One ratio per measurement index j, in the writer's layout: the header
+    `j,ratio_real,ratio_imag`, then the k-th line holding j = k as the
+    writer writes it and two parts float() parses. Anything else (0, a gap,
+    a repeat) is a format error naming the file and line."""
+    rows = _csv_rows(path)
+    _check_header(rows, path, "reference library", ["j", "ratio_real", "ratio_imag"])
     ratios = {}
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                j = int(row["j"])
-                value = complex(float(row["ratio_real"]), float(row["ratio_imag"]))
-            except (KeyError, TypeError, ValueError):
-                j = None
-            if j != len(ratios) + 1:
-                raise ValueError(f"bad reference library row in {str(path)!r} line "
-                                 f"{reader.line_num}: {list(row.values())!r} (expected "
-                                 f"j={len(ratios) + 1})")
-            ratios[j] = value
+    for j, fields in enumerate(rows[1:], start=1):
+        try:
+            if len(fields) != 3 or fields[0] != str(j):
+                raise ValueError
+            ratios[j] = complex(float(fields[1]), float(fields[2]))
+        except ValueError:
+            raise _bad_row("reference library", path, j,
+                           f"{fields!r} (expected j={j},<ratio_real>,<ratio_imag>)") from None
     return ReferenceLibrary(ratios)
 
 

@@ -417,43 +417,59 @@ def reference_write_bool_grid_csv(path, grid: np.ndarray) -> None:
         csv.writer(fh).writerows(np.asarray(grid, dtype=int).tolist())
 
 
-def reference_read_bool_rows(fh, path, lines_before: int = 0) -> np.ndarray:
-    reader = csv.reader(fh)
+def _reference_rows(path) -> list[tuple[int, list[str]]]:
+    """Each row of a CSV file with the line it starts on, the whole file
+    read before any row is checked."""
+    rows = []
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        start = 1
+        for fields in reader:
+            rows.append((start, fields))
+            start = reader.line_num + 1
+    return rows
+
+
+def _reference_bad_line(what, path, line, why) -> ValueError:
+    return ValueError(f"bad {what} {str(path)!r} line {line}: {why}")
+
+
+def _reference_check_header(rows, path, what, header) -> None:
+    found = rows[0][1] if rows else []
+    if found != header:
+        raise _reference_bad_line(what, path, 1, f"header {','.join(found)!r} is not "
+                                                 f"{','.join(header)!r}")
+
+
+def reference_read_bool_rows(rows, path) -> np.ndarray:
     grid = []
-    for row in reader:
-        if grid and len(row) != len(grid[0]):
-            raise ValueError(f"ragged grid in {str(path)!r}: row {len(grid) + 1} has "
-                             f"{len(row)} fields, row 1 has {len(grid[0])}")
-        line = lines_before + reader.line_num
-        try:
-            flags = [int(v) for v in row]
-        except ValueError as exc:
-            raise ValueError(f"bad grid value in {str(path)!r} line {line}: {exc}") from exc
-        if not set(flags) <= {0, 1}:
-            raise ValueError(f"bad grid value in {str(path)!r} line {line}: "
-                             f"{row!r} (expected 0 or 1)")
-        grid.append(flags)
+    for line, fields in rows:
+        if grid and len(fields) != len(grid[0]):
+            raise _reference_bad_line("0/1 grid", path, line,
+                                      f"row {len(grid) + 1} has {len(fields)} fields, "
+                                      f"row 1 has {len(grid[0])}")
+        if any(text not in ("0", "1") for text in fields):
+            raise _reference_bad_line("0/1 grid", path, line, f"{fields!r} (expected 0 or 1)")
+        grid.append([text == "1" for text in fields])
     return np.array(grid, dtype=bool)
 
 
 def reference_read_fringe_maps_csv(path) -> tuple[str, int, np.ndarray]:
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        try:
-            parts = dict(item.split("=") for item in header.split(","))
-            kind, j = parts["kind"], int(parts["j"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad fringe map header in {str(path)!r}: "
-                             f"{header!r} (expected kind=row|col,j=<index>)") from exc
-        if kind not in ("row", "col"):
-            raise ValueError(f"bad fringe map kind {kind!r} in {str(path)!r}")
-        grid = reference_read_bool_rows(fh, path, lines_before=1)
-    return kind, j, grid
+    rows = _reference_rows(path)
+    header = ",".join(rows[0][1]) if rows else ""
+    kind, _, j = header.partition(",j=")
+    try:
+        ok = kind in ("kind=row", "kind=col") and str(int(j)) == j
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"bad fringe map header in {str(path)!r}: "
+                         f"{header!r} (expected kind=row|col,j=<index>)")
+    return kind[len("kind="):], int(j), reference_read_bool_rows(rows[1:], path)
 
 
 def reference_read_bool_grid_csv(path) -> np.ndarray:
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        return reference_read_bool_rows(fh, path)
+    return reference_read_bool_rows(_reference_rows(path), path)
 
 
 def reference_write_edge_ratios_csv(path, ratios: df.EdgeRatios) -> None:
@@ -472,29 +488,26 @@ def reference_write_edge_ratios_csv(path, ratios: df.EdgeRatios) -> None:
 def reference_read_edge_ratios_csv(path, s1: int, s2: int) -> df.EdgeRatios:
     grids = {"h": np.full((s1, s2 - 1), complex(np.nan, np.nan)),
              "v": np.full((s1 - 1, s2), complex(np.nan, np.nan))}
-    seen = set()
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                kind = row["kind"]
-                grid = grids[kind]
-                r, c, valid = int(row["row"]), int(row["col"]), int(row["valid"])
-                value = complex(float(row["ratio_real"]), float(row["ratio_imag"]))
-                ok = (None not in row and valid in (0, 1) and (kind, r, c) not in seen
-                      and 0 <= r < grid.shape[0] and 0 <= c < grid.shape[1])
-            except (KeyError, TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ValueError(f"bad edge ratio row in {str(path)!r} line "
-                                 f"{reader.line_num}: {list(row.values())!r}")
-            seen.add((kind, r, c))
-            if valid:
-                grid[r, c] = value
-    edges = s1 * (s2 - 1) + (s1 - 1) * s2
-    if len(seen) != edges:
-        raise ValueError(f"edge ratios file {str(path)!r} lists {len(seen)} edges, but a "
-                         f"{s1} x {s2} grid has {edges}")
+    rows = _reference_rows(path)
+    _reference_check_header(rows, path, "edge ratios file",
+                            ["kind", "row", "col", "ratio_real", "ratio_imag", "valid"])
+    edges = [(kind, r, c) for kind, grid in grids.items() for r, c in np.ndindex(grid.shape)]
+    for (line, fields), (kind, r, c) in zip(rows[1:], edges):
+        try:
+            value = complex(float(fields[3]), float(fields[4]))
+            ok = (len(fields) == 6 and fields[:3] == [kind, str(r), str(c)]
+                  and fields[5] in ("0", "1"))
+        except (IndexError, ValueError):
+            ok = False
+        if not ok:
+            raise _reference_bad_line("edge ratios file", path, line,
+                                      f"{fields!r} (expected {kind},{r},{c},<ratio_real>,"
+                                      "<ratio_imag>,0|1)")
+        if fields[5] == "1":
+            grids[kind][r, c] = value
+    if len(rows) - 1 != len(edges):
+        raise ValueError(f"edge ratios file {str(path)!r} lists {len(rows) - 1} edges, but a "
+                         f"{s1} x {s2} grid has {len(edges)}")
     return df.EdgeRatios(horizontal=grids["h"], vertical=grids["v"])
 
 
@@ -507,49 +520,54 @@ def reference_write_path_plan_csv(path, plan: df.PathPlan) -> None:
 
 def reference_read_path_plan_csv(path, origin: tuple[int, int]) -> df.PathPlan:
     def bad(line: int, why: str) -> ValueError:
-        return ValueError(f"bad path plan {str(path)!r} line {line}: {why}")
+        return _reference_bad_line("path plan", path, line, why)
 
     origin = (int(origin[0]), int(origin[1]))
-    units: dict[tuple[int, int], tuple[int, str]] = {}
-    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header != ["row", "col", "move"]:
-            raise bad(1, f"header {','.join(header)!r} is not 'row,col,move'")
-        for fields in reader:
-            line = reader.line_num
-            try:
-                r, c, mv = int(fields[0]), int(fields[1]), fields[2]
-                ok = len(fields) == 3 and r >= 0 and c >= 0
-            except (IndexError, ValueError):
-                ok = False
-            if not ok:
-                raise bad(line, "expected a non-negative integer row and col and a move")
-            if mv not in MOVES and mv not in ("", "X"):
-                raise bad(line, f"move {mv!r} is not one of U, D, L, R, X or empty")
-            if (r, c) == origin and mv != "":
-                raise bad(line, f"the origin {origin} needs the empty move, not {mv!r}")
-            if mv == "" and (r, c) != origin:
-                raise bad(line, f"unit {(r, c)} has the empty move, which only "
-                                f"the origin {origin} may have")
-            if (r, c) in units:
-                raise bad(line, f"unit {(r, c)} is listed twice, first on "
-                                f"line {units[(r, c)][0]}")
-            units[(r, c)] = (line, mv)
-    s1, s2 = (1 + max(unit[k] for unit in [origin, *units]) for k in (0, 1))
-    if len(units) != s1 * s2:
-        missing = next((r, c) for r in range(s1) for c in range(s2) if (r, c) not in units)
-        raise bad(reader.line_num, f"unit {missing} of the {s1} x {s2} grid is not listed")
-    parent = np.full((s1, s2), -1, dtype=np.intp)
-    for (r, c), (line, mv) in units.items():
+    rows = _reference_rows(path)
+    _reference_check_header(rows, path, "path plan", ["row", "col", "move"])
+    units = rows[1:]
+    if not units:
+        raise bad(2, "no unit is listed")
+    last_line, last = units[-1]
+    try:
+        ok = len(last) == 3 and all(str(int(t)) == t and t[0] != "-" for t in last[:2])
+    except ValueError:
+        ok = False
+    if not ok:
+        raise bad(last_line, f"expected a non-negative integer row and col and a move, "
+                             f"found {last!r}")
+    s1, s2 = int(last[0]) + 1, int(last[1]) + 1
+    if not (0 <= origin[0] < s1 and 0 <= origin[1] < s2):
+        raise bad(last_line, f"the origin {origin} is off the {s1} x {s2} grid whose last "
+                             "unit this line names")
+    parents, marked_x = {}, set()
+    for i, (line, fields) in enumerate(units[:s1 * s2]):
+        r, c = divmod(i, s2)
+        if len(fields) != 3 or fields[:2] != [str(r), str(c)]:
+            raise bad(line, f"expected row,col,move of unit {(r, c)}, found {fields!r}")
+        mv = fields[2]
+        if mv not in MOVES and mv not in ("", "X"):
+            raise bad(line, f"move {mv!r} is not one of U, D, L, R, X or empty")
+        if (r, c) == origin and mv != "":
+            raise bad(line, f"the origin {origin} needs the empty move, not {mv!r}")
+        if mv == "" and (r, c) != origin:
+            raise bad(line, f"unit {(r, c)} has the empty move, which only "
+                            f"the origin {origin} may have")
         if mv in MOVES:
             pr, pc = r - MOVES[mv][0], c - MOVES[mv][1]
             if not (0 <= pr < s1 and 0 <= pc < s2):
                 raise bad(line, f"move {mv!r} enters unit {(r, c)} from {(pr, pc)}, "
                                 f"off the {s1} x {s2} grid")
-            parent[r, c] = pr * s2 + pc
-    prov = [[None if units[(r, c)][1] == "X" else "file" for c in range(s2)]
-            for r in range(s1)]
+            parents[(r, c)] = pr * s2 + pc
+        if mv == "X":
+            marked_x.add((r, c))
+    if len(units) != s1 * s2:
+        raise bad(last_line, f"the file lists {len(units)} units, but the {s1} x {s2} grid "
+                             f"whose last unit this line names has {s1 * s2}")
+    parent = np.full((s1, s2), -1, dtype=np.intp)
+    for unit, up in parents.items():
+        parent[unit] = up
+    prov = [[None if (r, c) in marked_x else "file" for c in range(s2)] for r in range(s1)]
     plan = df.PathPlan(origin=origin, parent=parent, provenance=prov)
     # every chain reaches the origin exactly when each unit follows its parent
     order = plan.order()
@@ -557,7 +575,7 @@ def reference_read_path_plan_csv(path, origin: tuple[int, int]) -> df.PathPlan:
     rank[order] = np.arange(order.size)
     late = order[1:][rank[parent.flat[order[1:]]] > rank[order[1:]]]
     if late.size:
-        line, u = min((units[divmod(u, s2)][0], u) for u in late.tolist())
+        line, u = min((units[u][0], u) for u in late.tolist())
         up = int(parent.flat[u])
         why = (f"hangs under the unreachable unit {divmod(up, s2)}"
                if rank[up] == s1 * s2 else "runs into a cycle")

@@ -590,6 +590,35 @@ def _plan_from_another_grid(tmp_path):
     return argv
 
 
+def _run_3x3_stages(outdir, *commands):
+    for argv in commands:
+        assert main([*argv, "--outdir", str(outdir), *SMALL_RUN, "--s1", "3", "--s2", "3"]) == 0
+
+
+def _maps_of_another_grid(tmp_path):
+    _run_3x3_stages(tmp_path, ["patterns"], ["simulate"],
+                    *(["detect", "--j", j] for j in "1234"))
+    return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
+
+
+def _matrices_of_another_grid(tmp_path):
+    _run_3x3_stages(tmp_path, ["patterns"], ["simulate"],
+                    *(["detect", "--j", j] for j in "1234"), ["mark-invalid"])
+    return ["paths", "--outdir", str(tmp_path), *SMALL_RUN]
+
+
+def _empty_matrix(tmp_path):
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"), ["mark-invalid"])
+    (tmp_path / "matrix_a.csv").write_bytes(b"")
+    return ["paths", "--outdir", str(tmp_path), *SMALL_RUN]
+
+
+def _frame_of_another_grid(tmp_path):
+    _run_3x3_stages(tmp_path, ["simulate"])
+    return ["detect", "--outdir", str(tmp_path), *SMALL_RUN, "--j", "1"]
+
+
 def _zero_object(tmp_path):
     fio.write_complex_field(tmp_path / "zero.cf32", ComplexField(np.zeros((4, 4), complex)))
     return ["simulate", "--outdir", str(tmp_path), *SMALL_RUN,
@@ -602,19 +631,30 @@ def _zero_object(tmp_path):
     ("detect", _bad_scale_frame, "bad scale '0' in PGM '.*frame.pgm'"),
     ("reconstruct", lambda tmp: ["reconstruct", "--outdir", str(tmp)], ""),
     ("reconstruct", _missing_plan, "path_plan_origin1.csv"),
+    ("detect", _frame_of_another_grid,
+     r"measurement_j1\.pgm' holds shape \(22, 24\), but the 4 x 4 grid needs \(30, 32\)"),
+    # a 4 x 4 run's file ends its horizontal edges where a 5 x 4 one goes on
     ("reconstruct", _edge_ratios_of_another_grid,
-     r"edge_ratios\.csv' lists 24 edges, but a 5 x 4 grid has 31"),
+     r"edge_ratios\.csv' line 14: \['v', '0', '0', .*\(expected h,4,0,"),
     ("reconstruct", _plan_from_another_grid,
-     r"the plan from origin \(0, 0\) is for a \(4, 4\) grid, but the edge ratios are for \(5, 4\)"),
+     r"path_plan_origin1\.csv' holds shape \(4, 4\), but the 5 x 4 grid needs \(5, 4\)"),
     ("mark-invalid", _misfiled_fringe_map,
      "fringes_row_j1.csv' holds kind=row,j=3, expected kind=row,j=1"),
     ("mark-invalid", _library_j0, r"reference_library\.csv' line 2: .*expected j=1"),
+    ("mark-invalid", _maps_of_another_grid,
+     r"fringes_row_j1\.csv' holds shape \(3, 2\), but the 4 x 4 grid needs \(4, 3\)"),
+    ("paths", _matrices_of_another_grid,
+     r"matrix_a\.csv' holds shape \(3, 2\), but the 4 x 4 grid needs \(4, 3\)"),
+    ("paths", _empty_matrix,
+     r"matrix_a\.csv' holds shape \(0,\), but the 4 x 4 grid needs \(4, 3\)"),
     ("object", _zero_object, "zero.cf32' is zero everywhere"),
     ("metrics", _wrong_shape_metrics, ""),
 ], ids=["detect-missing-image", "detect-bad-scale", "reconstruct-empty-dir",
-        "reconstruct-missing-plan", "reconstruct-edge-ratios-of-another-grid",
-        "reconstruct-plan-from-another-grid",
+        "reconstruct-missing-plan", "detect-frame-of-another-grid",
+        "reconstruct-edge-ratios-of-another-grid", "reconstruct-plan-from-another-grid",
         "mark-invalid-misfiled-map", "mark-invalid-library-j0",
+        "mark-invalid-maps-of-another-grid", "paths-matrices-of-another-grid",
+        "paths-empty-matrix",
         "simulate-zero-object", "metrics-wrong-shape"])
 def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv, why):
     argv = argv(tmp_path)
@@ -708,6 +748,21 @@ def test_cli_stage_sequence_writes_the_pipeline_files(tmp_path):
         assert names == {p.name for p in piped.iterdir()} - {"manifest.json"}
         for name in sorted(names):
             assert (stages / name).read_bytes() == (piped / name).read_bytes(), (m, name)
+
+
+@pytest.mark.parametrize("s1, s2", [(1, 5), (5, 1)])
+def test_cli_stages_read_back_the_grids_of_a_one_row_or_one_column_run(tmp_path, s1, s2):
+    # a grid of no rows (the vertical edges of one row of units) is written
+    # as an empty file; the stages read it back as that grid
+    run = ["--s1", str(s1), "--s2", str(s2), "--pixels-per-unit", "8", "--psf-radius", "2",
+           "--origins", "0,0"]
+    stages, piped = tmp_path / "stages", tmp_path / "pipeline"
+    for argv in (["patterns"], ["simulate"], *(["detect", "--j", j] for j in "1234"),
+                 ["mark-invalid"], ["paths"], ["reconstruct"]):
+        assert main([*argv, "--outdir", str(stages), *run]) == 0, argv
+    assert main(["pipeline", "--outdir", str(piped), *run]) == 0
+    for path in stages.iterdir():
+        assert path.read_bytes() == (piped / path.name).read_bytes(), path.name
 
 
 def test_cli_builds_its_parser_once(tmp_path, monkeypatch):
