@@ -176,7 +176,7 @@ def _run_stage(args, cfg: RunConfig) -> str:
                              f"{cfg.s1} x {cfg.s2} grid needs {shape}")
         return values
 
-    edges = {"row": (cfg.s1, cfg.s2 - 1), "col": (cfg.s1 - 1, cfg.s2)}
+    shapes = {"row": (cfg.s1, cfg.s2 - 1), "col": (cfg.s1 - 1, cfg.s2)}
 
     def fringe_map(j: int, kind: str) -> np.ndarray:
         path = outdir / f"fringes_{kind}_j{j}.csv"
@@ -184,11 +184,11 @@ def _run_stage(args, cfg: RunConfig) -> str:
         if (found_kind, found_j) != (kind, j):
             raise ValueError(f"fringe map {str(path)!r} holds kind={found_kind},"
                              f"j={found_j}, expected kind={kind},j={j}")
-        return fitted(path, grid, edges[kind])
+        return fitted(path, grid, shapes[kind])
 
     def matrix(name: str, kind: str) -> np.ndarray:
         path = outdir / name
-        return fitted(path, fileio.read_bool_grid_csv(path), edges[kind])
+        return fitted(path, fileio.read_bool_grid_csv(path), shapes[kind])
 
     def frame(path) -> IntensityImage:
         image = fileio.read_pgm16(path)
