@@ -9,10 +9,11 @@ write the same files; `simulate` writes object.cf32 too, which `metrics
 is not the one its file name says. Each stage checks every frame, 0/1 grid
 and plan it reads against the --s1 x --s2 grid, so another grid's artifacts
 fail the stage, naming the file and both shapes. A --config file of
-key=value lines seeds the options; explicit flags override it. A configuration that RunConfig.check
-rejects, and an argument that a study tool rejects, is a usage error; the
-CLI's own rule is only --j's range 1..m. Exit status: 0 on success, 1 on
-usage errors, 2 when a stage fails, with the stage named on stderr.
+key=value lines seeds the options; explicit flags override it. A
+configuration that RunConfig.check rejects, and an argument that a study
+tool rejects, is a usage error; the CLI's own rule is only --j's range 1..m.
+Exit status: 0 on success, 1 on usage errors, 2 when a stage fails, with the
+stage named on stderr.
 
 A process builds the parser once (`build_parser` is cached), and every `main`
 call parses its argv with it; no call changes the parser or its defaults.

@@ -389,9 +389,10 @@ def reference_read_pgm16(path) -> df.IntensityImage:
     return df.IntensityImage(raw.reshape(height, width).astype(float) / scale)
 
 
-# The CSV writers and readers as they were written one element at a time:
-# the package's array versions must write the same bytes and read the same
-# grids and plans, and raise the same message for the same malformed file.
+# The CSV writers one element at a time, and the readers checking one row
+# at a time against what the writer writes there: the package's versions
+# must write the same bytes and read the same grids and plans, and raise the
+# same message for the same malformed file.
 
 
 def _reference_write_rows(path, header: list[str], rows) -> None:

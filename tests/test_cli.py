@@ -548,9 +548,9 @@ def _bad_scale_frame(tmp_path):
     return ["detect", "--outdir", str(tmp_path), "--image", str(path)]
 
 
-def _run_stages(outdir, *commands):
+def _run_stages(outdir, *commands, grid=()):
     for argv in commands:
-        assert main([*argv, "--outdir", str(outdir), *SMALL_RUN]) == 0, argv
+        assert main([*argv, "--outdir", str(outdir), *SMALL_RUN, *grid]) == 0, argv
 
 
 def _missing_plan(tmp_path):
@@ -590,20 +590,18 @@ def _plan_from_another_grid(tmp_path):
     return argv
 
 
-def _run_3x3_stages(outdir, *commands):
-    for argv in commands:
-        assert main([*argv, "--outdir", str(outdir), *SMALL_RUN, "--s1", "3", "--s2", "3"]) == 0
+THREE_BY_THREE = ("--s1", "3", "--s2", "3")
 
 
 def _maps_of_another_grid(tmp_path):
-    _run_3x3_stages(tmp_path, ["patterns"], ["simulate"],
-                    *(["detect", "--j", j] for j in "1234"))
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"), grid=THREE_BY_THREE)
     return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
 
 
 def _matrices_of_another_grid(tmp_path):
-    _run_3x3_stages(tmp_path, ["patterns"], ["simulate"],
-                    *(["detect", "--j", j] for j in "1234"), ["mark-invalid"])
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"), ["mark-invalid"], grid=THREE_BY_THREE)
     return ["paths", "--outdir", str(tmp_path), *SMALL_RUN]
 
 
@@ -615,7 +613,7 @@ def _empty_matrix(tmp_path):
 
 
 def _frame_of_another_grid(tmp_path):
-    _run_3x3_stages(tmp_path, ["simulate"])
+    _run_stages(tmp_path, ["simulate"], grid=THREE_BY_THREE)
     return ["detect", "--outdir", str(tmp_path), *SMALL_RUN, "--j", "1"]
 
 

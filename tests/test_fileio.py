@@ -333,6 +333,9 @@ def _without(cell):
                  r"\(0, 0\), found \['0', '1', 'R'\]", id="origin-not-listed"),
     (dict(extra="-1,0,X\n"), r"line 6: expected a non-negative integer row and col"),
     (dict(extra="2,0\n"), r"line 6: expected a non-negative integer row and col"),
+    pytest.param(dict(cells={(0, 0): "", (1, 0): "D", (0, 1): "R", (1, 1): "R"}),
+                 r"line 3: expected row,col,move of unit \(0, 1\), found \['1', '0', 'D'\]",
+                 id="out-of-order"),
 ])
 def test_path_plan_reader_rejects_malformed(tmp_path, changed, match):
     with pytest.raises(ValueError, match=r"plan\.csv.* " + match):
@@ -375,7 +378,8 @@ def test_fringe_maps_csv_ragged_names_file(tmp_path):
         fio.read_fringe_maps_csv(path)
 
 
-@pytest.mark.parametrize("header", ["kind=row;j=1", "j=1", "kind=row,j=x", "kind=diag,j=1"])
+@pytest.mark.parametrize("header", ["kind=row;j=1", "j=1", "kind=row,j=x", "kind=diag,j=1",
+                                    "kind=row,j=+1"])
 def test_fringe_maps_csv_bad_header_names_file(tmp_path, header):
     path = tmp_path / "fringes_row_j1.csv"
     path.write_text(header + "\n1,0\n")
@@ -394,7 +398,11 @@ def test_bool_grid_csv_ragged_names_file(tmp_path):
     ("1,2\n-5,0\n", 1),
     ("1,0\n0,-1\n", 2),
     ("0,1\n1,0\n0,7\n", 3),
-], ids=["two", "minus-one", "seven"])
+    # texts int() reads as 0 or 1, which the writer never writes
+    ("0, 1\n1,0\n", 1),
+    ("0,1\n+0,1\n", 2),
+    ("0_0,1\n", 1),
+], ids=["two", "minus-one", "seven", "space-one", "plus-zero", "zero-underscore-zero"])
 def test_bool_grid_csv_rejects_values_other_than_0_and_1(tmp_path, text, line):
     path = tmp_path / "matrix_a.csv"
     path.write_text(text)
@@ -525,8 +533,12 @@ EDGE_RATIOS_HEADER = "kind,row,col,ratio_real,ratio_imag,valid\n"
     "h,zero,0,1.0,0.0,1",
     "h,0,0,one,0.0,1",
     "h,0,0,1.0,0.0,2",
+    "h,+0,1,1.0,0.0,1",          # int() reads +0, but the writer writes 0
+    "",                          # a blank line
+    "h,1,0,1.0,0.0,1",           # the edge after the next one
 ], ids=["negative-row", "col-off-grid", "row-off-grid", "kind", "short",
-        "row-not-int", "ratio-not-float", "valid-not-0-1"])
+        "row-not-int", "ratio-not-float", "valid-not-0-1", "plus-zero-row", "blank-line",
+        "out-of-order"])
 def test_edge_ratios_reader_rejects_malformed(tmp_path, row):
     path = tmp_path / "ratios.csv"
     path.write_text(EDGE_RATIOS_HEADER + "h,0,0,1.0,0.0,1\n" + row + "\n")
@@ -546,42 +558,38 @@ def test_edge_ratios_reader_rejects_repeats_and_extra_fields(tmp_path, row):
         fio.read_edge_ratios_csv(path, 2, 3)
 
 
-def _edge_ratios_4x4(path, dropped=0):
-    """The edge ratios file of a 4 x 4 grid, its last `dropped` lines cut off."""
-    fio.write_edge_ratios_csv(path, EdgeRatios(horizontal=np.ones((4, 3), complex),
-                                               vertical=np.ones((3, 4), complex)))
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:len(lines) - dropped]))
+# a 4 x 4 run's file read at another grid fails at its first line that is
+# not that grid's writer's; a file whose lines all are fails on the counts
+OTHER_GRID_LINE = {
+    # the 4 x 3 horizontal grid ends where a 5 x 3 one goes on
+    (5, 4): r"line 14: \['v', '0', '0', '1\.0', '0\.0', '1'\] \(expected h,4,0,",
+    # a row of 3 horizontal edges where a 4 x 5 grid has 4
+    (4, 5): r"line 5: \['h', '1', '0', '1\.0', '0\.0', '1'\] \(expected h,0,3,",
+}
 
 
 @pytest.mark.parametrize("s1, s2, dropped, found, expected", [
+    (5, 4, 0, 24, 31),           # a 4 x 4 run's file read at 5 x 4
+    (4, 5, 0, 24, 31),
     (4, 4, 1, 23, 24),           # its own grid, the last edge's line missing
 ])
 def test_edge_ratios_reader_rejects_a_file_that_lacks_an_edge(tmp_path, s1, s2, dropped,
                                                               found, expected):
     path = tmp_path / "ratios.csv"
-    _edge_ratios_4x4(path, dropped)
-    with pytest.raises(ValueError, match=rf"ratios\.csv' lists {found} edges, but a "
-                                         rf"{s1} x {s2} grid has {expected}"):
-        fio.read_edge_ratios_csv(path, s1, s2)
-
-
-@pytest.mark.parametrize("s1, s2, why", [
-    # the 4 x 3 horizontal grid ends where a 5 x 3 one goes on
-    (5, 4, r"line 14: \['v', '0', '0', '1\.0', '0\.0', '1'\] \(expected h,4,0,"),
-    # a row of 3 horizontal edges where a 4 x 5 grid has 4
-    (4, 5, r"line 5: \['h', '1', '0', '1\.0', '0\.0', '1'\] \(expected h,0,3,"),
-], ids=["4x4-read-at-5x4", "4x4-read-at-4x5"])
-def test_edge_ratios_reader_names_the_first_edge_of_another_grid(tmp_path, s1, s2, why):
-    path = tmp_path / "ratios.csv"
-    _edge_ratios_4x4(path)
-    with pytest.raises(ValueError, match=r"bad edge ratios file '.*ratios\.csv' " + why):
+    fio.write_edge_ratios_csv(path, EdgeRatios(horizontal=np.ones((4, 3), complex),
+                                               vertical=np.ones((3, 4), complex)))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:len(lines) - dropped]))
+    why = OTHER_GRID_LINE.get((s1, s2), rf"lists {found} edges, but a {s1} x {s2} grid "
+                                        rf"has {expected}")
+    with pytest.raises(ValueError, match=r"ratios\.csv' " + why):
         fio.read_edge_ratios_csv(path, s1, s2)
 
 
 @pytest.mark.parametrize("row", ["2,1.0", "two,1.0,0.0", "1,-1.0,0.0", "0,-1.0,0.0",
-                                 "3,-1.0,0.0"],
-                         ids=["short", "j-not-int", "repeated-j", "j-zero", "j-gap"])
+                                 "3,-1.0,0.0", "", "2,-1.0,0.0,x"],
+                         ids=["short", "j-not-int", "repeated-j", "j-zero", "j-gap",
+                              "blank-line", "extra-field"])
 def test_reference_library_reader_rejects_malformed(tmp_path, row):
     path = tmp_path / "lib.csv"
     path.write_text("j,ratio_real,ratio_imag\n1,0.0,1.0\n" + row + "\n")
@@ -589,50 +597,22 @@ def test_reference_library_reader_rejects_malformed(tmp_path, row):
         fio.read_reference_library_csv(path)
 
 
-def _edges(s1, s2):
-    return lambda path: fio.read_edge_ratios_csv(path, s1, s2)
-
-
-EDGE_HEADER = EDGE_RATIOS_HEADER.encode()
-LIBRARY_HEADER = b"j,ratio_real,ratio_imag\r\n"
-
-
-# layouts no writer writes, each of which the readers used to accept
+# header layouts no writer writes, and a row index int() reads, each of
+# which the readers used to accept
 @pytest.mark.parametrize("reader, content, why", [
-    (_edges(1, 2), b"row,kind,col,ratio_imag,ratio_real,valid\r\n0,h,0,0.0,1.0,1\r\n",
+    (lambda path: fio.read_edge_ratios_csv(path, 1, 2),
+     b"row,kind,col,ratio_imag,ratio_real,valid\r\n0,h,0,0.0,1.0,1\r\n",
      r"line 1: header 'row,kind,col,ratio_imag,ratio_real,valid' is not 'kind,row,col,"),
-    (_edges(1, 2), EDGE_HEADER + b"\r\nh,0,0,1.0,0.0,1\r\n",
-     r"line 2: \[\] \(expected h,0,0,"),
-    (_edges(2, 2), EDGE_HEADER + b"h,1,0,1.0,0.0,1\r\nh,0,0,1.0,0.0,1\r\n"
-                   b"v,0,0,1.0,0.0,1\r\nv,0,1,1.0,0.0,1\r\n",
-     r"line 2: \['h', '1', '0', .*\(expected h,0,0,"),
-    (_edges(1, 2), EDGE_HEADER[:-1] + b",note\r\nh,0,0,1.0,0.0,1,x\r\n",
+    (lambda path: fio.read_edge_ratios_csv(path, 1, 2),
+     EDGE_RATIOS_HEADER.encode()[:-1] + b",note\r\nh,0,0,1.0,0.0,1,x\r\n",
      r"line 1: header '.*,valid,note' is not "),
-    (_edges(1, 2), EDGE_HEADER + b"h,+0,0,1.0,0.0,1\r\n",
-     r"line 2: \['h', '\+0', '0', .*\(expected h,0,0,"),
     (lambda path: fio.read_path_plan_csv(path, (0, 0)),
      b"row,col,move\r\n+0,0,\r\n0,1,R\r\n",
      r"line 2: expected row,col,move of unit \(0, 0\), found \['\+0', '0', ''\]"),
-    (lambda path: fio.read_path_plan_csv(path, (0, 0)),
-     b"row,col,move\r\n0,0,\r\n1,0,D\r\n0,1,R\r\n1,1,R\r\n",
-     r"line 3: expected row,col,move of unit \(0, 1\), found \['1', '0', 'D'\]"),
-    (fio.read_bool_grid_csv, b"0, 1\r\n1,0\r\n", r"line 1: \['0', ' 1'\] \(expected 0 or 1\)"),
-    (fio.read_bool_grid_csv, b"0,1\r\n+0,1\r\n", r"line 2: \['\+0', '1'\] \(expected 0 or 1\)"),
-    (fio.read_bool_grid_csv, b"0_0,1\r\n", r"line 1: \['0_0', '1'\] \(expected 0 or 1\)"),
-    (fio.read_fringe_maps_csv, b"kind=row,j=1\n0, 1\r\n",
-     r"line 2: \['0', ' 1'\] \(expected 0 or 1\)"),
-    (fio.read_fringe_maps_csv, b"kind=row,j=+1\n0,1\r\n", r"'kind=row,j=\+1' \(expected "),
     (fio.read_reference_library_csv, b"j,ratio_imag,ratio_real\r\n1,1.0,0.0\r\n",
      r"line 1: header 'j,ratio_imag,ratio_real' is not 'j,ratio_real,ratio_imag'"),
-    (fio.read_reference_library_csv, LIBRARY_HEADER + b"\r\n1,0.0,1.0\r\n",
-     r"line 2: \[\] \(expected j=1,"),
-    (fio.read_reference_library_csv, LIBRARY_HEADER + b"1,0.0,1.0,x\r\n",
-     r"line 2: \['1', '0\.0', '1\.0', 'x'\] \(expected j=1,"),
-], ids=["edges-reordered-columns", "edges-blank-line", "edges-out-of-order",
-        "edges-extra-column", "edges-plus-zero-row", "plan-plus-zero-row",
-        "plan-out-of-order", "grid-space-one", "grid-plus-zero", "grid-zero-underscore-zero",
-        "fringe-space-one", "fringe-plus-one-index", "library-reordered-header",
-        "library-blank-line", "library-extra-field"])
+], ids=["edges-reordered-columns", "edges-extra-column", "plan-plus-zero-row",
+        "library-reordered-header"])
 def test_csv_readers_accept_only_the_writers_layout(tmp_path, reader, content, why):
     path = tmp_path / "odd.csv"
     path.write_bytes(content)
