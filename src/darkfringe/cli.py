@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fileio, pipeline
 from .boundary_logic import InvalidBoundaryMaps
-from .forward_model import PSF_KINDS, IntensityImage, fringe_radius_sweep
+from .forward_model import PSF_KINDS, ComplexField, IntensityImage, fringe_radius_sweep
 from .fringe_detect import FringeMaps
 from .path_search import PathPlan, blocking_montecarlo
 from .patterns import make_patterns
@@ -238,9 +238,14 @@ def _run_stage(args, cfg: RunConfig) -> str:
         unknown = int(np.count_nonzero(rec.values == 0))
         return f"wrote reconstruction.cf32 ({unknown} unknown units)"
 
-    metrics = stage("metrics", lambda: pipeline.score(
-        cfg, fileio.read_complex_field(args.reconstruction),
-        fileio.read_complex_field(args.truth), save))
+    def fields() -> tuple[ComplexField, ComplexField]:
+        rec, truth = map(fileio.read_complex_field, (args.reconstruction, args.truth))
+        if rec.shape != truth.shape:
+            raise ValueError(f"{args.reconstruction!r} holds shape {rec.shape}, but "
+                             f"{args.truth!r} holds shape {truth.shape}")
+        return rec, truth
+
+    metrics = stage("metrics", lambda: pipeline.score(cfg, *fields(), save))
     return (f"phase_rmse={metrics.phase_rmse!r} complex_l2={metrics.complex_l2!r} "
             f"unknown_frac={metrics.unknown_frac!r}")
 

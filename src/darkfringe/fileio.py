@@ -2,12 +2,12 @@
 
 Images travel as binary PGM (P5): 16-bit big-endian for measurement frames,
 8-bit for patterns and diagnostic stages. A measurement already is the
-camera's 16-bit levels plus their scale (forward_model.quantize_16bit), so
-the 16-bit writer writes the header, the scale in a '# scale=<float>'
-comment and the levels straight from their memory, whatever the stride
-between their rows, and the reader returns the file's levels and scale
-without converting them. Everything tabular is plain CSV; a path plan is
-one `row,col,move` line per unit. Each CSV reader reads the whole file,
+camera's 16-bit levels, contiguous big-endian words as the file stores
+them, plus their scale (forward_model.quantize_16bit), so the 16-bit writer
+writes the header, the scale in a '# scale=<float>' comment and the levels
+by one write, and the reader returns the file's levels and scale without
+converting them. Everything tabular is plain CSV; a path plan is one
+`row,col,move` line per unit. Each CSV reader reads the whole file,
 then accepts only its writer's layout: the writer's header line, then the
 writer's lines in the writer's order, each holding the texts the writer
 writes there. The first line that does not is a format error naming the
@@ -28,7 +28,7 @@ import re
 import numpy as np
 
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from .forward_model import LEVELS, ComplexField, IntensityImage, frame_strips, is_levels
+from .forward_model import LEVELS, ComplexField, IntensityImage, is_levels
 from .fringe_detect import FringeMaps
 from .path_search import MOVES, BlockingStats, PathPlan
 from .patterns import ReferenceLibrary
@@ -48,49 +48,23 @@ def _reading(path):
 # PGM
 
 
-# buffers per os.writev call: IOV_MAX on Linux and macOS
-_IOV_MAX = 1024
-
-
 def write_pgm16(path, img: IntensityImage) -> None:
     """16-bit P5 of a frame's levels, with its scale (level / intensity) in a
     '# scale=<float>' comment. A frame that is not 16-bit levels is refused:
     quantize it first.
 
-    The levels are written from their own memory, whatever the stride
-    between their rows (the readout's levels lie over the first half of
-    each float32 row): row strip by row strip (:func:`frame_strips`, at most
-    _IOV_MAX rows), each by os.writev of its rows. Only levels that are not
-    big-endian words with contiguous rows are converted, a strip at a time.
+    The levels are written by one write from their own memory: a readout's
+    and read_pgm16's are contiguous big-endian words. Any other layout is
+    converted once.
     """
     values = img.values
     if not is_levels(values):
         raise ValueError(f"16-bit PGM {str(path)!r} needs 16-bit levels, not a "
                          f"{values.dtype} frame")
     height, width = values.shape
-    rows = min(frame_strips(height, width)[1], _IOV_MAX)
     with open(path, "wb") as fh:
         fh.write(f"P5\n# scale={img.scale!r}\n{width} {height}\n65535\n".encode())
-        fh.flush()
-        for top in range(0, height, rows):
-            strip = values[top:top + rows]
-            if strip.dtype != LEVELS or strip.strides[1] != LEVELS.itemsize:
-                strip = strip.astype(LEVELS)
-            _writev_all(fh.fileno(), list(strip.view(np.uint8)))
-
-
-def _writev_all(fd: int, buffers: list) -> None:
-    """Write the 1D byte arrays `buffers` in order by os.writev, going on
-    from where a short write stopped."""
-    while buffers:
-        written = os.writev(fd, buffers)
-        done = 0
-        while done < len(buffers) and written >= buffers[done].nbytes:
-            written -= buffers[done].nbytes
-            done += 1
-        del buffers[:done]
-        if buffers:
-            buffers[0] = buffers[0][written:]
+        fh.write(np.ascontiguousarray(values, dtype=LEVELS))
 
 
 def _check_payload(fh, path, nbytes: int, kind: str) -> None:

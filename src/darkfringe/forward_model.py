@@ -28,9 +28,9 @@ scale undoes it exactly, so an object of any amplitude float32 holds gives
 a frame in float32's range.
 The camera reads it out once, in place, as 16-bit levels rint(value * s)
 with s = 65535 / peak (:func:`quantize_16bit`), each row's levels written
-over that row's own floats, so a readout allocates no second frame; the
-levels and their scale are the measurement every later stage computes from
-and the PGM file stores. The
+over that row's own floats, then packed, so a readout allocates no second
+frame; the packed levels and their scale are the measurement every later
+stage computes from, laid out as the PGM file stores them. The
 whole uncropped frame is simulated, and every frame-sized pass (F, |F|^2 and
 its max, the readout) runs over row strips of about STRIP_PIXELS pixels
 (:func:`frame_strips`), the noise and clip over flat cuts of 4/5 as many; a
@@ -59,6 +59,8 @@ PSF_KINDS = ("box", "exponential", "gaussian")
 
 # table reach in units of the kernel radius; tails beyond are clamped
 _EXTENT_RADII = 20.0
+# most entries of a primitive table: 128 MB per float64 array
+_TABLE_ENTRIES = 1 << 24
 
 
 def _kernel_profile(kind: str, radius: float, x: np.ndarray) -> np.ndarray:
@@ -87,7 +89,8 @@ class PsfModel:
     extent : float, optional
         Half-reach of the primitive table. Defaults to 20 r; P is clamped to
         its end value beyond, which is exact for the box kernel and loses
-        only the (negligible) tail mass for the other two.
+        only the (negligible) tail mass for the other two. A table of more
+        than _TABLE_ENTRIES entries is refused before it is allocated.
 
     Two models are equal when their (kind, radius, step, extent) are, which
     fixes the table, so separately built models share cached windows.
@@ -108,8 +111,11 @@ class PsfModel:
         self.extent = float(extent) if extent is not None else _EXTENT_RADII * self.radius
         if not 0 < self.extent < np.inf:
             raise ValueError("table extent must be positive and finite")
-        n = int(np.ceil(self.extent / self.step)) + 1
-        self._xs = np.arange(n) * self.step
+        n = np.ceil(self.extent / self.step) + 1
+        if n > _TABLE_ENTRIES:
+            raise ValueError(f"primitive table of step {self.step!r} over extent "
+                             f"{self.extent!r} needs {n:.0f} entries, over {_TABLE_ENTRIES}")
+        self._xs = np.arange(int(n)) * self.step
         ps = _kernel_profile(kind, self.radius, self._xs)
         # P(0) = 0 by construction; odd extension P(-x) = -P(x) is applied at
         # evaluation time, which keeps the antisymmetry exact in floats.
@@ -693,21 +699,24 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
     Levels are rint(value * s), the product taken in float64, with s = 65535
     / peak (1 for an all-zero frame), cast to big-endian 16-bit words; their
     scale is s times the frame's own scale, so level / scale is still value /
-    img.scale. Each row's levels are written over the first 2 * width bytes
-    of that row's own memory, so the returned levels share the frame's
-    memory (and keep it alive) and its float values are gone; no levels-sized
-    array is allocated. A frame whose rows are not contiguous, or that is
-    read-only, is copied first. Both passes, the peak and the scaled rint
-    and cast, run over the row strips (:func:`frame_strips`) on two threads
-    (:func:`_on_two_threads`), the peak pass ending before the readout pass
-    starts; each thread scales its strips through its own float64 strip
-    buffer, which the calling thread allocates, and writes a strip's levels
-    only over that strip's rows, which no other strip reads.
+    img.scale. The levels are contiguous big-endian words from the frame's
+    first byte, as a PGM file and read_pgm16 hold them: they share the
+    frame's memory (and keep it alive), its float values are gone, and no
+    levels-sized array is allocated. A frame that is not C-contiguous, or
+    that is read-only, is copied first. Both passes, the peak and the scaled
+    rint and cast, run over the row strips (:func:`frame_strips`) on two
+    threads (:func:`_on_two_threads`), the peak pass ending before the
+    readout pass starts; each thread scales its strips through its own
+    float64 strip buffer, which the calling thread allocates, and writes a
+    strip's levels over the first 2 * width bytes of its own rows, which no
+    other strip reads. Then rows [a, 2a) move to their packed place for a =
+    1, 2, 4, ..., each over rows already moved and ending before its source
+    starts: log2(height) slice copies, nothing allocated.
     """
     vals = img.values
     if is_levels(vals):
         raise ValueError("frame is already 16-bit levels")
-    if vals.strides[1] != vals.itemsize or not vals.flags.writeable:
+    if not (vals.flags.c_contiguous and vals.flags.writeable):
         vals = vals.copy()
     height, width = vals.shape
     strips, size = frame_strips(height, width)
@@ -718,4 +727,9 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
                                    strips, buffers))
         scale = 65535.0 / peak if peak > 0 else 1.0
         _on_two_threads(worker, _read_out, strips, buffers, vals, scale, levels)
-    return IntensityImage(levels, scale * img.scale)
+    packed = vals.reshape(-1).view(LEVELS)[:height * width].reshape(height, width)
+    a = 1
+    while a < height:
+        packed[a:2 * a] = levels[a:2 * a]
+        a *= 2
+    return IntensityImage(packed, scale * img.scale)

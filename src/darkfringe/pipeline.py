@@ -8,8 +8,9 @@ mark_invalid, plan, reconstruct, score). It takes the run config, its inputs
 and a callback save(name, writer, *args) that writes one artifact into the
 output directory, and returns its outputs; stage() runs it and names the
 stage in any failure. simulate makes one measurement, read out in place:
-its 16-bit levels lie over its own float32 frame, so no second frame is
-allocated. run_pipeline streams each one through simulate and detect,
+its 16-bit levels are packed into its own float32 frame's memory, laid out
+as the PGM file stores them, so no second frame is allocated and the file
+is written by one write. run_pipeline streams each one through simulate and detect,
 writing its PGM file, and drops its levels (and so the frame's memory)
 before the next is simulated, so a run holds one frame at a time whatever
 m is; the reconstruct stage reads the amplitudes back from the measurement

@@ -297,12 +297,14 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
     SMALL_RUN[:-1] + ["33"],
     # no SeedSequence takes a negative seed
     SMALL_RUN + ["--seed", "-5"],
+    # a primitive table of 1.6e11 entries is refused before it is allocated
+    ["--s1", "2", "--s2", "2", "--quadrature-step", "1e-9"],
 ], ids=["quadrature-step", "band-halfwidth", "m", "origins", "noise-sigma",
         "pixels-per-unit", "crop-rows", "band-wider-than-unit",
         "erosion-leaves-no-interior", "crop-leaves-no-interior",
         "noise-sigma-nan", "noise-sigma-inf", "psf-radius-nan", "psf-radius-inf",
         "psf-table-extent-inf", "psf-radius-1e12", "psf-radius-above-frame",
-        "seed-negative"])
+        "seed-negative", "psf-table-too-large"])
 def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
     outdir = tmp_path / "run"
     assert main(["pipeline", "--outdir", str(outdir)] + flags) == 1
@@ -436,8 +438,10 @@ def test_cli_psf_sweep(tmp_path):
     (["montecarlo-blocking", "--sigmas", "0.1,-0.1"], "sigma must be in [0, 1], got -0.1"),
     (["montecarlo-blocking", "--sigmas", "nan"], "sigma must be in [0, 1], got nan"),
     (["montecarlo-blocking", "--sigmas", ""], "need at least one sigma"),
+    (["psf-sweep", "--unit-len", "1000000000"],
+     "primitive table of step 0.05 over extent 9000000000.0 needs 180000000001 entries"),
 ], ids=["trials-50", "radius-0", "unit-len-0", "sigma-1.5", "sigma-negative", "sigma-nan",
-        "sigmas-empty"])
+        "sigmas-empty", "unit-len-table-too-large"])
 def test_cli_study_tool_bad_argument_is_usage_error(tmp_path, capsys, argv, why):
     out = tmp_path / "study.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -647,13 +651,15 @@ def _zero_object(tmp_path):
      r"matrix_a\.csv' holds shape \(0,\), but the 4 x 4 grid needs \(4, 3\)"),
     ("object", _zero_object, "zero.cf32' is zero everywhere"),
     ("metrics", _wrong_shape_metrics, ""),
+    ("metrics", _wrong_shape_metrics,
+     r"rec\.cf32' holds shape \(4, 4\), but '.*truth\.cf32' holds shape \(3, 3\)"),
 ], ids=["detect-missing-image", "detect-bad-scale", "reconstruct-empty-dir",
         "reconstruct-missing-plan", "detect-frame-of-another-grid",
         "reconstruct-edge-ratios-of-another-grid", "reconstruct-plan-from-another-grid",
         "mark-invalid-misfiled-map", "mark-invalid-library-j0",
         "mark-invalid-maps-of-another-grid", "paths-matrices-of-another-grid",
         "paths-empty-matrix",
-        "simulate-zero-object", "metrics-wrong-shape"])
+        "simulate-zero-object", "metrics-wrong-shape", "metrics-names-both-files"])
 def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv, why):
     argv = argv(tmp_path)
     capsys.readouterr()

@@ -1,5 +1,4 @@
 import math
-import os
 import tempfile
 import threading
 import tracemalloc
@@ -119,25 +118,6 @@ def test_write_pgm16_writes_any_levels_layout_alike(tmp_path):
             with strips:
                 fio.write_pgm16(tmp_path / "got.pgm", IntensityImage(values, 3.5))
             assert (tmp_path / "got.pgm").read_bytes() == want
-
-
-def test_write_pgm16_goes_on_after_a_short_write(tmp_path, monkeypatch):
-    # os.writev may write less than it is given: the writer goes on from
-    # the byte where it stopped, within a row or between rows
-    levels = np.random.default_rng(2).integers(0, 65536, (9, 5)).astype(LEVELS)
-    want = _pgm16_bytes(levels, 2.0)
-    writev = os.writev
-    calls = []
-
-    def short(fd, buffers):
-        # a writer that does not go on rewrites bytes: stop it, not the disk
-        calls.append(fd)
-        assert len(calls) <= len(want), "the writer does not get to the end"
-        return writev(fd, [b"".join(map(bytes, buffers))[:7]])
-
-    monkeypatch.setattr(fio.os, "writev", short)
-    fio.write_pgm16(tmp_path / "got.pgm", IntensityImage(levels, 2.0))
-    assert (tmp_path / "got.pgm").read_bytes() == want
 
 
 def test_write_pgm16_rejects_a_float_frame(tmp_path):

@@ -582,7 +582,7 @@ _BACKING = np.random.default_rng(5).random((40, 61)) * 3.0
 IN_PLACE_FRAMES = {
     "float32": lambda: _BACKING[:, :60].astype(np.float32),
     "float64": lambda: _BACKING.copy(),
-    "cropped": lambda: _BACKING.astype(np.float32)[3:37, 2:59],
+    "cropped": lambda: _BACKING.astype(np.float32)[3:37],
     "odd-width": lambda: _BACKING[:, :7].astype(np.float32),
     "one-row": lambda: _BACKING[:1].astype(np.float32),
 }
@@ -591,28 +591,31 @@ IN_PLACE_FRAMES = {
 @pytest.mark.parametrize("make", IN_PLACE_FRAMES.values(), ids=IN_PLACE_FRAMES)
 @pytest.mark.parametrize("strips", [0, 1], ids=["strips", "small-strips"])
 def test_readout_writes_each_rows_levels_over_that_row(make, strips):
-    # the levels of each row lie over the first 2 * width bytes of that
-    # row's own floats, so they share the frame's memory and no levels-sized
-    # array is allocated; they are the levels and scale of a readout of a
-    # copy into a new array, for float32 and float64 frames, a cropped view
-    # (rows apart by more than their width), an odd width and one row
+    # each row's levels are read out over that row's own floats and then
+    # packed: the levels are C-contiguous from the frame's first byte, so
+    # they share the frame's memory and no levels-sized array is allocated;
+    # they are the levels and scale of a readout of a copy into a new array,
+    # for float32 and float64 frames, a row-cropped view, an odd width and
+    # one row
     img = IntensityImage(make(), scale=0.25)
     want = reference_quantize_16bit(IntensityImage(make(), scale=0.25))
     with strip_sizes()[strips]:
         got = quantize_16bit(img)
     assert np.shares_memory(got.values, img.values)
     assert got.values.ctypes.data == img.values.ctypes.data
-    assert got.values.strides[0] == img.values.strides[0]
+    assert got.values.flags.c_contiguous
     assert got.scale == want.scale
     assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("make", [lambda f: f[:, ::2], lambda f: f.T,
-                                  lambda f: np.frombuffer(f.tobytes(), f.dtype).reshape(f.shape)],
-                         ids=["strided-rows", "transposed", "read-only"])
+                                  lambda f: np.frombuffer(f.tobytes(), f.dtype).reshape(f.shape),
+                                  lambda f: f[:, 3:37]],
+                         ids=["strided-rows", "transposed", "read-only", "column-cropped"])
 def test_readout_copies_a_frame_it_cannot_write_over(make):
-    # a frame whose rows are not contiguous in memory, or that is read-only,
-    # is copied first: it reads out as its copy does and is left as it was
+    # a frame that is not C-contiguous (its rows apart by more than their
+    # width, too), or that is read-only, is copied first: it reads out as
+    # its copy does and is left as it was
     frame = make(np.random.default_rng(6).random((30, 40), dtype=np.float32))
     kept = frame.copy()
     got = quantize_16bit(IntensityImage(frame))
