@@ -10,11 +10,11 @@ output directory, and returns its outputs; stage() runs it and names the
 stage in any failure. simulate makes one measurement, read out in place:
 its 16-bit levels are packed into its own float32 frame's memory, laid out
 as the PGM file stores them, so no second frame is allocated and the file
-is written by one write. run_pipeline streams each one through simulate and detect,
-writing its PGM file, and drops its levels (and so the frame's memory)
-before the next is simulated, so a run holds one frame at a time whatever
-m is; the reconstruct stage reads the amplitudes back from the measurement
-PGM files in bands. The CLI stage subcommands read their
+is written by one write. run_pipeline streams each one through simulate
+and detect, writing its PGM file, and drops its levels (and so the frame's
+memory) before the next is simulated, so a run holds one frame at a time
+whatever m is; the reconstruct stage reads the amplitudes back from the
+measurement PGM files in bands. The CLI stage subcommands read their
 inputs back from the output directory and call the same functions (the
 simulate subcommand loops over the frames). The data are the same either
 way: a measurement is its 16-bit levels and scale, in memory as in its PGM

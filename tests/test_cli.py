@@ -130,7 +130,7 @@ def test_pipeline_frames_are_16_bit_levels(tmp_path, monkeypatch):
 
 def test_simulate_and_detect_hold_one_float_frame(tmp_path):
     # a 512 x 512 px frame (16 x 16 units at 32 px): simulate reads it out
-    # over its own float32 rows and writes it, and detect reads those
+    # into its own float32 memory and writes it, and detect reads those
     # levels, so the two stages hold at most the float32 frame (4 B/px), two
     # strip buffers (complex64 field strips, then float64 readout strips)
     # and detection's sums, plus the worker thread's objects (~10 KB); a

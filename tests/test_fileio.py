@@ -76,9 +76,9 @@ def test_pgm16_zero_frame_matches_reference(tmp_path):
 def test_write_pgm16_streams_in_strips(tmp_path):
     # a 1024 x 1024 frame is 16 strips; the readout allocates one float64
     # strip for each of its two threads (plus the worker thread's own
-    # objects, about 10 KB), never levels (they lie over the frame's own
-    # rows) or a scaled or rounded frame, and the writer writes the levels,
-    # every other 2 KB of the frame, without copying them
+    # objects, about 10 KB), never levels (they are packed into the frame's
+    # own memory) or a scaled or rounded frame, and the writer writes the
+    # levels, the frame's first 2 MB, without copying them
     img = IntensityImage(np.random.default_rng(0).random((1024, 1024)))
     tracemalloc.start()
     try:
