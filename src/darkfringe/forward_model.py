@@ -37,13 +37,14 @@ its max, the readout) runs over row strips of about STRIP_PIXELS pixels
 slice crops the frame to the grid. Every frame-sized pass runs on two
 threads through :func:`_on_two_threads`.
 
-F = Wy source Wx^T, like detection's L^T frame R, is a product with banded
-window matrices: one routine (:func:`banded`, :func:`banded_times`) takes
-both in pieces that hold every nonzero of their columns, each small enough
-for BLAS to run it on the thread that calls it. The tabulated primitive
-saturates in float, so each PSF window is exactly zero beyond a few units of
-its own (its reach); a frame is bit for bit the whole-frame product's, from
-complex64 windows cached per PSF and grid.
+F = Wy source Wx^T, like detection's B = frame R_along, is a product with a
+banded window matrix: one routine (:func:`banded`, :func:`_banded_strip`)
+takes both in pieces of consecutive columns that hold every nonzero of
+their columns, each small enough for BLAS to run it on the thread that
+calls it. The tabulated primitive saturates in float, so each PSF window is
+exactly zero beyond a few units of its own (its reach); a frame is bit for
+bit the whole-frame product's, from complex64 windows cached per PSF and
+grid.
 """
 
 from __future__ import annotations
@@ -312,33 +313,35 @@ def frame_strips(height: int, width: int) -> tuple[list[slice], int]:
 
 def banded(windows: np.ndarray, rows: int) -> tuple:
     """Read-only (columns, lo, hi, block) pieces of a window matrix for
-    products of `rows` rows by it (:func:`banded_times`): block =
-    windows[lo:hi, columns] holds every nonzero of its columns.
+    products of `rows` rows by it (:func:`_banded_strip`): columns is a
+    slice, and block = windows[lo:hi, columns] holds every nonzero of its
+    columns.
 
-    Columns are taken in order of their first nonzero, in runs of at least
-    two (a one-column product is a matrix-vector product, whose sums may
-    differ), each the widest whose rows x (hi - lo) x columns stays below
+    The columns' first nonzero rows must be in order, as they are in every
+    window matrix here: a unit's or a pixel's band starts no earlier than
+    the one before it. Columns are taken in runs of at least two (a
+    one-column product is a matrix-vector product, whose sums may differ),
+    each the widest whose rows x (hi - lo) x columns stays below
     _BLOCK_MADDS where two columns do; a column left over joins the run
     before it. A one-row product is a vector-matrix product, whose sums group
     terms by their place in the whole column, so it takes the whole matrix.
     """
     nonzero = windows != 0
-    used = np.flatnonzero(nonzero.any(axis=0))
     lo = np.argmax(nonzero, axis=0)
     hi = len(windows) - np.argmax(nonzero[::-1], axis=0)
-    order = used[np.argsort(lo[used], kind="stable")]
+    k = windows.shape[1]
     runs = [(slice(None), 0, len(windows))] if rows == 1 else []
-    while rows > 1 and len(order):
+    start = 0
+    while rows > 1 and start < k:
         # lo is sorted, so a run spans from its first lo to the running max of hi
-        madds = (rows * (np.maximum.accumulate(hi[order]) - lo[order[0]])
-                 * np.arange(1, len(order) + 1))
+        madds = (rows * (np.maximum.accumulate(hi[start:]) - lo[start])
+                 * np.arange(1, k - start + 1))
         width = max(int(np.count_nonzero(madds < _BLOCK_MADDS)), 2)
-        if len(order) == width + 1:
+        if k - start == width + 1:
             width += 1 if width == 2 else -1
-        cols, order = order[:width], order[width:]
-        if (np.diff(cols) == 1).all():
-            cols = slice(int(cols[0]), int(cols[-1]) + 1)
+        cols = slice(start, min(start + width, k))
         runs.append((cols, int(lo[cols].min()), int(hi[cols].max())))
+        start = cols.stop
     pieces = []
     for cols, start, stop in runs:
         block = np.ascontiguousarray(windows[start:stop, cols])
@@ -347,27 +350,11 @@ def banded(windows: np.ndarray, rows: int) -> tuple:
     return tuple(pieces)
 
 
-def banded_times(a: np.ndarray, pieces: tuple, out: np.ndarray) -> np.ndarray:
-    """out = a @ windows for the :func:`banded` pieces of the windows, over
-    the :func:`frame_strips` of `a`, each copied into a buffer of out's
-    dtype; columns that no piece holds are left as they are."""
-    strips, size = frame_strips(*a.shape)
-    buffer = np.empty((size, a.shape[1]), dtype=out.dtype)
-    for rows in strips:
-        part = buffer[:rows.stop - rows.start]
-        np.copyto(part, a[rows])
-        _banded_strip(part, pieces, out[rows])
-    return out
-
-
 def _banded_strip(part: np.ndarray, pieces: tuple, out: np.ndarray) -> np.ndarray:
-    """out = part @ windows for one strip, `part` already of out's dtype: the
-    body of :func:`banded_times`, which simulation's worker thread calls too."""
+    """out = part @ windows for one strip by the :func:`banded` pieces of the
+    windows, `part` already of out's dtype."""
     for cols, lo, hi, block in pieces:
-        if isinstance(cols, slice):
-            np.matmul(part[:, lo:hi], block, out=out[:, cols])
-        else:
-            out[:, cols] = part[:, lo:hi] @ block
+        np.matmul(part[:, lo:hi], block, out=out[:, cols])
     return out
 
 
@@ -623,7 +610,7 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     Both passes run on two threads (:func:`_on_two_threads`). The |F|^2
     pass takes the row strips (:func:`frame_strips`): a strip's rows of G
     take only the units within Wy's reach of the strip, and its F is their
-    banded product by the pieces of Wx^T (:func:`banded_times`;
+    banded product by the pieces of Wx^T (:func:`_banded_strip`;
     :func:`_field_windows`, cached per PSF and grid). |F|^2 goes straight
     into the frame, whose max is the largest strip max. The noise pass cuts
     each noise half into flat ranges of an even number of pixels, 4/5 of as

@@ -22,7 +22,9 @@ file, and the plans the reconstruction follows are the ones the plan stage
 wrote, so both callers write the same files. Every artifact is written in
 its module's file format, and run_pipeline's manifest records the
 configuration echo, the final metrics and a sha256 checksum of every file
-written, so identical (config, seed) runs can be compared byte for byte.
+written, so identical (config, seed) runs can be compared byte for byte; a
+run that fails after its config is checked records the failed stage in
+place of the metrics.
 Files are hashed on one background thread as they are written, in
 fixed-size chunks, while the next stages run.
 """
@@ -265,15 +267,27 @@ def score(cfg: RunConfig, rec: ComplexField, obj: ComplexField, save) -> ScoreMe
     return metrics
 
 
+def _write_manifest(outdir: Path, cfg: RunConfig, digests: dict, **outcome) -> dict:
+    """Write manifest.json: the config echo, the run's outcome and the sha256
+    of every file saved, waiting for the hashes still queued."""
+    manifest = {"config": cfg.echo(), **outcome,
+                "files": {p.name: digests[p].result() for p in sorted(digests)}}
+    (outdir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest
+
+
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute the full chain and write all artifacts plus a manifest.
 
-    Returns the manifest dictionary. A configuration that RunConfig.check
+    Returns the manifest dictionary: the config echo, the metrics and the
+    sha256 of every file written. A configuration that RunConfig.check
     rejects raises StageError 'config' before any file is written; any other
-    stage failure raises StageError naming the stage. Each file is hashed on
-    one background thread as soon as it is written; that thread runs only
-    file reads and hashlib, and it is joined on every exit, a failed run
-    dropping the hashes still queued.
+    stage failure raises StageError naming the stage, after writing a
+    manifest of the config echo, the `failed_stage` and the sha256 of every
+    file whose save finished. Each file is hashed on one background thread
+    as soon as it is written; that thread runs only file reads and hashlib,
+    and it is joined on every exit.
     """
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -299,17 +313,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
         frames = [outdir / f"measurement_j{j}.pgm" for j in range(1, cfg.m + 1)]
         rec = stage("reconstruct", reconstruct, cfg, ratios, plans, frames, save)
         metrics = stage("metrics", score, cfg, rec, obj, save)
-        files = {p.name: digests[p].result() for p in sorted(digests)}
+        return _write_manifest(outdir, cfg, digests,
+                               metrics={"phase_rmse": metrics.phase_rmse,
+                                        "complex_l2": metrics.complex_l2,
+                                        "unknown_frac": metrics.unknown_frac})
+    except StageError as exc:
+        if exc.stage != "config":
+            _write_manifest(outdir, cfg, digests, failed_stage=exc.stage)
+        raise
     finally:
         hasher.shutdown(cancel_futures=True)
-
-    manifest = {
-        "config": cfg.echo(),
-        "metrics": {"phase_rmse": metrics.phase_rmse,
-                    "complex_l2": metrics.complex_l2,
-                    "unknown_frac": metrics.unknown_frac},
-        "files": files,
-    }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 import shutil
 import tempfile
@@ -417,7 +419,16 @@ def test_cli_run_with_no_known_unit_fails_in_metrics(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: stage 'metrics' failed: no unit of the reconstruction is known" in err
     assert not (outdir / "metrics.csv").exists()
-    assert not (outdir / "manifest.json").exists()
+    # the manifest of a failed run: the config, the stage that failed and
+    # the hash of every file on disk, and no metrics
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert set(manifest) == {"config", "failed_stage", "files"}
+    assert manifest["failed_stage"] == "metrics"
+    assert manifest["config"]["seed"] == 2
+    on_disk = sorted(p.name for p in outdir.iterdir() if p.name != "manifest.json")
+    assert sorted(manifest["files"]) == on_disk and len(on_disk) == 24
+    for name in on_disk:
+        assert manifest["files"][name] == hashlib.sha256((outdir / name).read_bytes()).hexdigest()
 
 
 def test_cli_psf_sweep(tmp_path):

@@ -698,6 +698,7 @@ def check_banded_pieces(windows, rows, pieces):
         return
     seen = []
     for index, (cols, lo, hi, block) in enumerate(pieces):
+        assert isinstance(cols, slice)
         cols = np.arange(k)[cols]
         seen.extend(cols.tolist())
         assert not block.flags.writeable and block.flags.c_contiguous
@@ -715,18 +716,16 @@ def check_banded_pieces(windows, rows, pieces):
 
 @st.composite
 def banded_matrices(draw):
-    """A random window matrix whose columns are each nonzero on one band
-    (or nowhere), in a random column order as detection's windows are, and
+    """A random window matrix whose columns are each nonzero on one band,
+    the bands' first rows in column order as every window matrix's are, and
     the rows of the products it is cut for."""
     n, k = draw(st.integers(1, 80)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     windows = np.zeros((n, k))
     tops = np.sort(rng.integers(0, n, k))
     for c, top in enumerate(tops):
-        width = rng.integers(0, min(draw(st.sampled_from([3, 12, 80])), n - top) + 1)
+        width = rng.integers(1, min(draw(st.sampled_from([3, 12, 80])), n - top) + 1)
         windows[top:top + width, c] = rng.uniform(-1, 1, width)
-    if draw(st.booleans()):
-        windows = windows[:, rng.permutation(k)]
     return windows, draw(st.sampled_from([1, 2, 3, 16, 32, 200, 3000]))
 
 
@@ -760,9 +759,7 @@ def test_field_windows_cover_every_nonzero(kind, ppu, r_per_unit, s1, s2, rows):
 def test_field_products_stay_below_the_one_thread_size(kind, units):
     # at the benchmark's 32 px per unit and r = 8, every block product of a
     # strip, G's included, is small enough for BLAS to run on one thread;
-    # so is every product of detection: the frame pass's B pieces and each
-    # column chunk of its A accumulation, and the band/flank products of A
-    # and of B^T
+    # so is every piece of detection's frame pass, B = frame R_along
     grid = GridSpec(units, units, 32, default_crop_rows(32))
     strips, size = frame_strips(grid.s1 * 32, grid.width)
     wy, reach, pieces = _field_windows(PsfModel(kind, 8.0), grid, size)
@@ -770,17 +767,8 @@ def test_field_products_stay_below_the_one_thread_size(kind, units):
         units_of_g = (min((rows.stop - 1) // 32 + 1 + reach, units)
                       - max(rows.start // 32 - reach, 0))
         assert (rows.stop - rows.start) * units_of_g * units < _BLOCK_MADDS
-    left, right, row_axis, col_axis = _grid_windows(grid, DetectConfig())
-    for rows, cols, block, chunks in left:
-        assert block.shape == (len(cols), rows.stop - rows.start)
-        assert [i for chunk in chunks for i in range(grid.width)[chunk]] == \
-            list(range(grid.width))
-        for chunk in chunks:
-            assert block.size * len(range(grid.width)[chunk]) < _BLOCK_MADDS
-    for pieces, rows in ((pieces, size),
-                         (right, frame_strips(grid.height, grid.width)[1]),
-                         (row_axis[2], frame_strips(units, grid.width)[1]),
-                         (col_axis[2], frame_strips(units, grid.height)[1])):
+    right = _grid_windows(grid, DetectConfig())[0]
+    for pieces, rows in ((pieces, size), (right, frame_strips(grid.height, grid.width)[1])):
         for cols, lo, hi, block in pieces:
             assert rows * (hi - lo) * block.shape[1] < _BLOCK_MADDS
 

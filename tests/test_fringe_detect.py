@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
-from darkfringe.forward_model import (GridSpec, IntensityImage, PsfModel, banded_times,
+from darkfringe import forward_model
+from darkfringe.forward_model import (GridSpec, IntensityImage, PsfModel, quantize_16bit,
                                       simulate_measurement_2d)
 from darkfringe.fringe_detect import DetectConfig, FringeMaps, _grid_windows, recognize_fringes
 from darkfringe.patterns import make_patterns
@@ -25,18 +26,30 @@ def test_fringe_maps_shape_consistency():
                    measurement_index=1)
 
 
-def test_window_product_rows_do_not_depend_on_strip_edges():
-    # the frame pass's B = frame R_along (s2 columns): 91 px
-    # rows go in strips of 720 rows, so 721 rows would leave a one-row last
-    # strip and 722 a two-row one; a one-row product runs as a
-    # matrix-vector product whose sums differ in the last bit
-    grid = GridSpec(3, 7, 13)
-    right = _grid_windows(grid, DetectConfig())[1]
-    levels = np.random.default_rng(0).integers(0, 1 << 16, (722, grid.width))
-    a = levels.astype(">u2")
-    k = grid.s2
-    short = banded_times(a[:721], right, np.zeros((721, k)))
-    assert short.tobytes() == banded_times(a, right, np.zeros((722, k)))[:721].tobytes()
+def test_maps_do_not_depend_on_strip_edges(monkeypatch):
+    # 3 x 7 units of 13 px, 1 row cropped top and bottom: 37 rows of 91 px.
+    # Strips of 2, 3 or 8 rows cut unit rows and bands apart, 36 rows would
+    # leave a one-row last strip (folded into the one before) and 1000 take
+    # the frame whole. Random levels put band and flank means close, so at
+    # alpha 0.9 a sum that lost a row would flip some decision; every sum of
+    # a levels frame is an exact integer, so each layout gives the
+    # per-boundary reference's maps
+    grid = GridSpec(3, 7, 13, 1)
+    levels = np.random.default_rng(5).integers(0, 1 << 16, (grid.height, grid.width))
+    img = IntensityImage(levels.astype(">u2"))
+    cfg = DetectConfig(band_halfwidth=2, fringe_ratio_alpha=0.9)
+    want = reference_recognize_fringes(img, grid, cfg)
+    assert want.row_map.any() and want.col_map.any()
+    assert not (want.row_map.all() or want.col_map.all())
+    try:
+        for strip_rows in (2, 3, 8, 36, 1000):
+            monkeypatch.setattr(forward_model, "STRIP_PIXELS", strip_rows * grid.width)
+            _grid_windows.cache_clear()
+            got = recognize_fringes(img, grid, cfg)
+            assert np.array_equal(got.row_map, want.row_map), strip_rows
+            assert np.array_equal(got.col_map, want.col_map), strip_rows
+    finally:
+        _grid_windows.cache_clear()
 
 
 def test_constant_image_gives_zero_edges_and_no_fringes():
@@ -110,9 +123,10 @@ def test_detection_survives_crop(sim16):
 
 
 def detection_case(s1, s2, ppu, crop, halfwidth, alpha, kind, radius,
-                   noise, seed, pattern, zeroed=None):
+                   noise, seed, pattern, zeroed=None, levels=False):
     """A simulated frame with its grid and detection config; `zeroed` is an
-    optional (row, col, height, width) rectangle set to 0."""
+    optional (row, col, height, width) rectangle set to 0, and a `levels`
+    frame is then read out by quantize_16bit, as the pipeline's are."""
     grid = GridSpec(s1, s2, ppu, crop)
     obj = random_quantized_object(s1, s2, 4, seed)
     values = simulate_measurement_2d(obj, make_patterns(4, s1, s2).patterns[pattern],
@@ -120,14 +134,15 @@ def detection_case(s1, s2, ppu, crop, halfwidth, alpha, kind, radius,
     if zeroed is not None:
         r0, c0, h, w = zeroed
         values[r0:r0 + h, c0:c0 + w] = 0.0
+    img = IntensityImage(values)
     cfg = DetectConfig(band_halfwidth=halfwidth, fringe_ratio_alpha=alpha)
-    return IntensityImage(values), grid, cfg
+    return quantize_16bit(img) if levels else img, grid, cfg
 
 
 @st.composite
 def detection_cases(draw):
     """detection_case inputs drawn within their valid ranges; some frames
-    get an all-zero rectangle."""
+    get an all-zero rectangle, and some are read out to 16-bit levels."""
     s1, s2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     ppu = draw(st.sampled_from([8, 16, 32]))
     crop = draw(st.integers(0, (s1 * ppu - 1) // 2))
@@ -138,7 +153,8 @@ def detection_cases(draw):
                   radius=draw(st.floats(1.0, ppu / 2)),
                   noise=draw(st.sampled_from([0.0, 0.01, 0.03])),
                   seed=draw(st.integers(0, 2**16)),
-                  pattern=draw(st.integers(0, 3)))
+                  pattern=draw(st.integers(0, 3)),
+                  levels=draw(st.booleans()))
     if draw(st.booleans()):
         h, w = s1 * ppu - 2 * crop, s2 * ppu
         params["zeroed"] = (draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)),
@@ -172,6 +188,12 @@ def test_half_turn_fringe_filling_its_band_is_detected():
 @given(detection_cases())
 @example(detection_case(**HALF_TURN_CASES[0]))
 @example(detection_case(**HALF_TURN_CASES[1]))
+# a one-unit-wide grid, whose frame holds no row boundary
+@example(detection_case(s1=4, s2=1, ppu=16, crop=1, halfwidth=2, alpha=0.7, kind="gaussian",
+                        radius=4.0, noise=0.01, seed=3, pattern=2, levels=True))
+# rows [10, 22) survive the crop, so the bands on lines 8 and 24 are empty
+@example(detection_case(s1=4, s2=3, ppu=8, crop=10, halfwidth=2, alpha=0.7, kind="box",
+                        radius=2.0, noise=0.0, seed=4, pattern=1, levels=True))
 def test_matches_per_boundary_reference(case):
     img, grid, cfg = case
     got = recognize_fringes(img, grid, cfg, measurement_index=3)
