@@ -331,17 +331,17 @@ def banded(windows: np.ndarray, rows: int) -> tuple:
     hi = len(windows) - np.argmax(nonzero[::-1], axis=0)
     k = windows.shape[1]
     runs = [(slice(None), 0, len(windows))] if rows == 1 else []
-    start = 0
-    while rows > 1 and start < k:
+    first = 0
+    while rows > 1 and first < k:
         # lo is sorted, so a run spans from its first lo to the running max of hi
-        madds = (rows * (np.maximum.accumulate(hi[start:]) - lo[start])
-                 * np.arange(1, k - start + 1))
+        madds = (rows * (np.maximum.accumulate(hi[first:]) - lo[first])
+                 * np.arange(1, k - first + 1))
         width = max(int(np.count_nonzero(madds < _BLOCK_MADDS)), 2)
-        if k - start == width + 1:
+        if k - first == width + 1:
             width += 1 if width == 2 else -1
-        cols = slice(start, min(start + width, k))
+        cols = slice(first, min(first + width, k))
         runs.append((cols, int(lo[cols].min()), int(hi[cols].max())))
-        start = cols.stop
+        first = cols.stop
     pieces = []
     for cols, start, stop in runs:
         block = np.ascontiguousarray(windows[start:stop, cols])
