@@ -7,11 +7,12 @@ data (the 16-bit measurement frames, the path plans `paths` wrote), so both
 write the same files; `simulate` writes object.cf32 too, which `metrics
 --truth` reads, and `mark-invalid` refuses a fringe map whose kind=/j= header
 is not the one its file name says. Each stage checks every frame, 0/1 grid
-and plan it reads against the --s1 x --s2 grid, so another grid's artifacts
-fail the stage, naming the file and both shapes. A --config file of
-key=value lines seeds the options; explicit flags override it. A
-configuration that RunConfig.check rejects, and an argument that a study
-tool rejects, is a usage error; the CLI's own rule is only --j's range 1..m.
+and plan it reads against the --s1 x --s2 grid, and the reference library
+against --m, so another run's artifacts fail the stage, naming the file and
+both shapes or counts. A --config file of key=value lines seeds the
+options; explicit flags override it. A configuration that RunConfig.check
+rejects, and an argument that a study tool rejects, is a usage error; the
+CLI's own rule is only --j's range 1..m.
 Exit status: 0 on success, 1 on usage errors, 2 when a stage fails, with the
 stage named on stderr.
 
@@ -33,7 +34,7 @@ from .boundary_logic import InvalidBoundaryMaps
 from .forward_model import PSF_KINDS, ComplexField, IntensityImage, fringe_radius_sweep
 from .fringe_detect import FringeMaps
 from .path_search import PathPlan, blocking_montecarlo
-from .patterns import make_patterns
+from .patterns import ReferenceLibrary, make_patterns
 from .pipeline import RunConfig, run_pipeline, stage
 
 
@@ -202,6 +203,13 @@ def _run_stage(args, cfg: RunConfig) -> str:
         fitted(path, plan.parent, (cfg.s1, cfg.s2))
         return plan
 
+    def library() -> ReferenceLibrary:
+        path = outdir / "reference_library.csv"
+        lib = fileio.read_reference_library_csv(path)
+        if len(lib) != cfg.m:
+            raise ValueError(f"{str(path)!r} holds {len(lib)} ratios, but m = {cfg.m}")
+        return lib
+
     def fringe_maps(j: int) -> FringeMaps:
         return FringeMaps(row_map=fringe_map(j, "row"), col_map=fringe_map(j, "col"),
                           measurement_index=j)
@@ -221,8 +229,7 @@ def _run_stage(args, cfg: RunConfig) -> str:
         return f"wrote fringe maps for measurement {args.j} to {outdir}"
     if command == "mark-invalid":
         invalid, _ = stage("mark-invalid", lambda: pipeline.mark_invalid(
-            cfg, [fringe_maps(j) for j in indices],
-            fileio.read_reference_library_csv(outdir / "reference_library.csv"), save))
+            cfg, [fringe_maps(j) for j in indices], library(), save))
         return f"{int(invalid.matrix_a.sum() + invalid.matrix_b.sum())} invalid boundaries"
     if command == "paths":
         plans = stage("paths", lambda: pipeline.plan(cfg, InvalidBoundaryMaps(

@@ -27,15 +27,14 @@ power of two that brings its peak amplitude into [0.5, 1), and the frame's
 scale undoes it exactly, so an object of any amplitude float32 holds gives
 a frame in float32's range.
 The camera reads it out once, in place, as 16-bit levels rint(value * s)
-with s = 65535 / peak (:func:`quantize_16bit`), each row's levels written
-over that row's own floats, then packed, so a readout allocates no second
-frame; the packed levels and their scale are the measurement every later
-stage computes from, laid out as the PGM file stores them. The
-whole uncropped frame is simulated, and every frame-sized pass (F, |F|^2 and
-its max, the readout) runs over row strips of about STRIP_PIXELS pixels
-(:func:`frame_strips`), the noise and clip over flat cuts of 4/5 as many; a
-slice crops the frame to the grid. Every frame-sized pass runs on two
-threads through :func:`_on_two_threads`.
+with s = 65535 / peak (:func:`quantize_16bit`), written straight to their
+packed place, so a readout allocates no second frame; the packed levels
+and their scale are the measurement every later stage computes from, laid
+out as the PGM file stores them. The whole uncropped frame is simulated,
+and every frame-sized pass (F, |F|^2 and its max, the readout) runs over
+row strips of about STRIP_PIXELS pixels (:func:`frame_strips`) on the
+calling thread, the noise and clip over flat cuts of 4/5 as many on two
+threads (:func:`_on_two_threads`); a slice crops the frame to the grid.
 
 F = Wy source Wx^T, like detection's B = frame R_along, is a product with a
 banded window matrix: one routine (:func:`banded`, :func:`_banded_strip`)
@@ -375,15 +374,14 @@ def _unit_window(model: PsfModel, x: np.ndarray, unit_len: int, n_units: int) ->
 
 
 def field_profile_1d(phases, unit_len: int, model: PsfModel,
-                     x: np.ndarray | None = None,
-                     amplitudes=None) -> np.ndarray:
+                     x: np.ndarray | None = None) -> np.ndarray:
     """Complex field along one axis for a row of uniform pixel-units.
 
-    Each unit k of length ``unit_len`` spans [k*unit_len, (k+1)*unit_len] and
-    contributes amp_k * exp(i*phase_k) * (P(x-left_k) - P(x-right_k)). By
-    default the field is sampled at pixel centers x = j + 0.5 over the full
-    row; pass ``x`` to sample arbitrary positions (e.g. exactly on a
-    boundary).
+    Each unit k of length ``unit_len`` spans [k*unit_len, (k+1)*unit_len],
+    has amplitude 1 and contributes exp(i*phase_k) * (P(x-left_k) -
+    P(x-right_k)). By default the field is sampled at pixel centers
+    x = j + 0.5 over the full row; pass ``x`` to sample arbitrary positions
+    (e.g. exactly on a boundary).
     """
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 1:
@@ -395,16 +393,13 @@ def field_profile_1d(phases, unit_len: int, model: PsfModel,
         x = np.arange(n * unit_len) + 0.5
     else:
         x = np.asarray(x, dtype=float)
-    amps = np.ones(n) if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    coeff = amps * np.exp(1j * phases)
-    return _unit_window(model, x, unit_len, n) @ coeff
+    return _unit_window(model, x, unit_len, n) @ np.exp(1j * phases)
 
 
 def intensity_profile_1d(phases, unit_len: int, model: PsfModel,
-                         x: np.ndarray | None = None,
-                         amplitudes=None) -> np.ndarray:
+                         x: np.ndarray | None = None) -> np.ndarray:
     """Squared modulus of :func:`field_profile_1d`, pointwise."""
-    f = field_profile_1d(phases, unit_len, model, x=x, amplitudes=amplitudes)
+    f = field_profile_1d(phases, unit_len, model, x=x)
     return np.abs(f) ** 2
 
 
@@ -428,24 +423,27 @@ def gamma_second_derivative(model: PsfModel, a1: float, phi1: float, phi2: float
     return 4.0 * (term1 + term2)
 
 
-def alternating_phases(delta_phi: float, n_units: int = 8) -> np.ndarray:
-    """Phase vector [d, 0, d, 0, ...] of n_units entries."""
-    phases = np.zeros(n_units)
+_SWEEP_UNITS = 8   # units in the radius sweep's alternating phase row
+
+
+def alternating_phases(delta_phi: float) -> np.ndarray:
+    """Phase vector [d, 0, d, 0, ...] of _SWEEP_UNITS entries."""
+    phases = np.zeros(_SWEEP_UNITS)
     phases[::2] = delta_phi
     return phases
 
 
-def fringe_radius_sweep(delta_phis, radii, unit_len: int, model_kind: str,
-                        n_units: int = 8, step: float = 0.05) -> list[tuple[float, float, float]]:
+def fringe_radius_sweep(delta_phis, radii, unit_len: int,
+                        model_kind: str) -> list[tuple[float, float, float]]:
     """Boundary intensity vs. kernel radius for the alternating phase row.
 
-    For each (delta_phi, radius) the 1D intensity of the n_units-long
-    alternating vector is sampled at pixel centers; the value reported is the
-    intensity at the pixel nearest the central symmetry axis, normalized by
-    the intensity at the center of the unit left of that axis. Sampling at
-    pixel centers is what a camera sees: a fringe narrower than one pixel
-    leaves the near-axis sample at the plateau level, so the small-radius end
-    of every curve sits high.
+    For each (delta_phi, radius) the 1D intensity of the alternating vector
+    (:func:`alternating_phases`) is sampled at pixel centers; the value
+    reported is the intensity at the pixel nearest the central symmetry
+    axis, normalized by the intensity at the center of the unit left of that
+    axis. Sampling at pixel centers is what a camera sees: a fringe narrower
+    than one pixel leaves the near-axis sample at the plateau level, so the
+    small-radius end of every curve sits high.
 
     Returns rows (delta_phi, radius, relative_intensity).
     """
@@ -455,14 +453,14 @@ def fringe_radius_sweep(delta_phis, radii, unit_len: int, model_kind: str,
         raise ValueError("sweep sets must be non-empty")
     if unit_len < 1:
         raise ValueError("unit_len must be a positive integer")
-    axis = (n_units // 2) * unit_len
+    axis = (_SWEEP_UNITS // 2) * unit_len
     rows = []
     for r in radii:
         # table must reach across the whole row so far units still telescope
-        extent = max(_EXTENT_RADII * r, (n_units + 1) * unit_len)
-        model = PsfModel(model_kind, r, step=step, extent=extent)
+        extent = max(_EXTENT_RADII * r, (_SWEEP_UNITS + 1) * unit_len)
+        model = PsfModel(model_kind, r, extent=extent)
         for dphi in delta_phis:
-            profile = intensity_profile_1d(alternating_phases(dphi, n_units), unit_len, model)
+            profile = intensity_profile_1d(alternating_phases(dphi), unit_len, model)
             near_axis = 0.5 * (profile[axis - 1] + profile[axis])
             plateau = profile[axis - unit_len // 2]
             rows.append((float(dphi), float(r), float(near_axis / plateau)))
@@ -492,11 +490,11 @@ def _field_windows(model: PsfModel, grid: GridSpec, rows: int) -> tuple:
     return wy, _reach(wy, ppu) if s2 > 1 else s1, banded(wx.T.astype(np.complex64), rows)
 
 
-def _on_two_threads(worker: ThreadPoolExecutor, body, items, scratch, *args) -> list:
+def _on_two_threads(worker: ThreadPoolExecutor, body, items, scratch, *args) -> None:
     """body(item, scratch[t], *args) for every item, on the calling thread
     (t = 0) and on `worker`, a one-thread pool (t = 1): the one place where
-    a pass is split between two threads. Returns the calling thread's
-    results, then the worker's.
+    a pass is split between two threads, and only for the noise cuts and
+    the amplitude medians, the passes measured to gain from it.
 
     Both threads take items from one shared iterator (each next() runs under
     the GIL, so every item goes to exactly one thread) until none is left,
@@ -510,17 +508,18 @@ def _on_two_threads(worker: ThreadPoolExecutor, body, items, scratch, *args) -> 
     shared = iter(items)
 
     def take(own):
-        return [body(item, own, *args) for item in shared]
+        for item in shared:
+            body(item, own, *args)
 
     second = worker.submit(take, scratch[1])
-    return take(scratch[0]) + second.result()
+    take(scratch[0])
+    second.result()
 
 
 def _power(rows: slice, field: np.ndarray, source: np.ndarray, wy: np.ndarray,
            reach: int, ppu: int, pieces: tuple, frame: np.ndarray) -> float:
     """|F|^2 of one row strip into its float32 rows of `frame`, its F
-    through the thread's complex64 strip buffer `field`; returns the strip's
-    max."""
+    through the complex64 strip buffer `field`; returns the strip's max."""
     power = frame[rows]
     lo = max(rows.start // ppu - reach, 0)
     hi = min((rows.stop - 1) // ppu + 1 + reach, len(source))
@@ -607,21 +606,21 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     the frame in float64 (a noiseless level by at most 1), and the noisy
     ones also from those that drew numpy's float64 standard normals.
 
-    Both passes run on two threads (:func:`_on_two_threads`). The |F|^2
-    pass takes the row strips (:func:`frame_strips`): a strip's rows of G
-    take only the units within Wy's reach of the strip, and its F is their
-    banded product by the pieces of Wx^T (:func:`_banded_strip`;
-    :func:`_field_windows`, cached per PSF and grid). |F|^2 goes straight
-    into the frame, whose max is the largest strip max. The noise pass cuts
-    each noise half into flat ranges of an even number of pixels, 4/5 of as
-    many as a thread's strip buffer holds, so a pair never spans two cuts,
-    and each cut seeks its offset in its half's stream (:func:`_add_noise`).
-    The caller allocates the frame and, per thread, one complex64 strip
-    buffer, which also holds the thread's uniforms, transform and scaled
-    noise, and one generator. The frame is bit for bit that of the
-    whole-frame complex64 product: the terms left out are exact zeros, and
-    the complex product is kept because two real products for Re F and Im F
-    can differ from it in the last bit.
+    The |F|^2 pass takes the row strips (:func:`frame_strips`) on the
+    calling thread: a strip's rows of G take only the units within Wy's
+    reach of the strip, and its F is their banded product by the pieces of
+    Wx^T (:func:`_banded_strip`; :func:`_field_windows`, cached per PSF and
+    grid). |F|^2 goes straight into the frame, whose max is the largest
+    strip max. Only the noise pass runs on two threads
+    (:func:`_on_two_threads`): it cuts each noise half into flat ranges of
+    an even number of pixels, 4/5 of as many as a thread's strip buffer
+    holds, so a pair never spans two cuts, and each cut seeks its offset in
+    its half's stream (:func:`_add_noise`). The caller allocates the frame
+    and, per thread, one complex64 strip buffer, which also holds the
+    thread's uniforms, transform and scaled noise, and one generator. The
+    frame is bit for bit that of the whole-frame complex64 product: the
+    terms left out are exact zeros, and the complex product is kept because
+    two real products for Re F and Im F can differ from it in the last bit.
     """
     if obj.shape != (grid.s1, grid.s2):
         raise ValueError(f"object shape {obj.shape} does not match grid "
@@ -649,17 +648,17 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     # three rows at least, so that a one-pixel-wide frame's buffer holds a
     # noise pair and its scratch (five float32 words)
     buffers = np.empty((2, max(size, 3), width), dtype=np.complex64)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        peak = max(_on_two_threads(worker, _power, strips, buffers, source, *windows, frame))
-        if noise_sigma > 0:
-            # even cuts of 2/5 as many pairs as a thread's buffer holds words
-            flat, half, cut = frame.reshape(-1), height // 2 * width, buffers[0].size * 2 // 5 * 2
-            cuts = [(k, lo, view[lo:lo + cut])
-                    for k, view in enumerate((flat[:half], flat[half:]))
-                    for lo in range(0, len(view), cut)]
-            # one generator per thread, which each cut sets to its stream's start
-            rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
-            starts = [rng.bit_generator.state for rng in rngs]
+    peak = max(_power(rows, buffers[0], source, *windows, frame) for rows in strips)
+    if noise_sigma > 0:
+        # even cuts of 2/5 as many pairs as a thread's buffer holds words
+        flat, half, cut = frame.reshape(-1), height // 2 * width, buffers[0].size * 2 // 5 * 2
+        cuts = [(k, lo, view[lo:lo + cut])
+                for k, view in enumerate((flat[:half], flat[half:]))
+                for lo in range(0, len(view), cut)]
+        # one generator per thread, which each cut sets to its stream's start
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+        starts = [rng.bit_generator.state for rng in rngs]
+        with ThreadPoolExecutor(max_workers=1) as worker:
             _on_two_threads(worker, _add_noise, cuts, list(zip(buffers, rngs)),
                             starts, np.float32(noise_sigma * peak))
     return IntensityImage(frame[grid.crop_rows:height - grid.crop_rows],
@@ -668,10 +667,10 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
 
 def _read_out(rows: slice, buffer: np.ndarray, vals: np.ndarray, scale: float,
               levels: np.ndarray) -> None:
-    """rint(value * scale) of one row strip, in float64 through this
-    thread's float64 strip `buffer`, cast into the strip's rows of `levels`,
-    which may lie over the strip's own rows of `vals`: the strip is read
-    whole into the buffer before any of its levels is written."""
+    """rint(value * scale) of one row strip, in float64 through the float64
+    strip `buffer`, cast into the strip's rows of `levels`, which may lie
+    over `vals`: the strip is read whole into the buffer before any of its
+    levels is written."""
     scaled = buffer[:rows.stop - rows.start]
     # float64 by its dtype: a float32 frame times a Python float is float32
     np.multiply(vals[rows], scale, out=scaled, dtype=float)
@@ -690,15 +689,12 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
     first byte, as a PGM file and read_pgm16 hold them: they share the
     frame's memory (and keep it alive), its float values are gone, and no
     levels-sized array is allocated. A frame that is not C-contiguous, or
-    that is read-only, is copied first. Both passes, the peak and the scaled
-    rint and cast, run over the row strips (:func:`frame_strips`) on two
-    threads (:func:`_on_two_threads`), the peak pass ending before the
-    readout pass starts; each thread scales its strips through its own
-    float64 strip buffer, which the calling thread allocates, and writes a
-    strip's levels over the first 2 * width bytes of its own rows, which no
-    other strip reads. Then rows [a, 2a) move to their packed place for a =
-    1, 2, 4, ..., each over rows already moved and ending before its source
-    starts: log2(height) slice copies, nothing allocated.
+    that is read-only, is copied first. After one max for the peak, the row
+    strips (:func:`frame_strips`) are read out in order through one float64
+    strip buffer, each strip's levels written straight to their packed
+    place: its rows [a, b) are read whole into the buffer first, and their
+    packed bytes [2wa, 2wb) (w the width) end below 4wb (8wb for float64),
+    where the next strip's values start.
     """
     vals = img.values
     if is_levels(vals):
@@ -707,16 +703,10 @@ def quantize_16bit(img: IntensityImage) -> IntensityImage:
         vals = vals.copy()
     height, width = vals.shape
     strips, size = frame_strips(height, width)
-    buffers = np.empty((2, size, width))
-    levels = vals.view(LEVELS)[:, :width]
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        peak = max(_on_two_threads(worker, lambda rows, _: float(vals[rows].max()),
-                                   strips, buffers))
-        scale = 65535.0 / peak if peak > 0 else 1.0
-        _on_two_threads(worker, _read_out, strips, buffers, vals, scale, levels)
+    peak = float(vals.max())
+    scale = 65535.0 / peak if peak > 0 else 1.0
     packed = vals.reshape(-1).view(LEVELS)[:height * width].reshape(height, width)
-    a = 1
-    while a < height:
-        packed[a:2 * a] = levels[a:2 * a]
-        a *= 2
+    buffer = np.empty((size, width))
+    for rows in strips:
+        _read_out(rows, buffer, vals, scale, packed)
     return IntensityImage(packed, scale * img.scale)

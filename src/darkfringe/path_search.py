@@ -305,19 +305,19 @@ def random_invalid_maps(s1: int, s2: int, sigma: float,
         matrix_b=rng.random((s1 - 1, s2)) < sigma)
 
 
-def blocking_montecarlo(grid: tuple[int, int], sigmas, trials: int, seed: int,
-                        origin: tuple[int, int] = (0, 0)) -> list[BlockingStats]:
+def blocking_montecarlo(grid: tuple[int, int], sigmas, trials: int,
+                        seed: int) -> list[BlockingStats]:
     """Estimate how often the planner misses units that are actually connected.
 
     For each sigma, random invalid maps are drawn; a unit counts as blocked
-    when breadth-first search proves it connected to the origin but the plan
-    leaves it UNREACHABLE (true enclosures are dead ends, not blocking). The
-    reported rate is the blocked fraction of all oracle-connected units
-    pooled over the trials, i.e. the per-path blocking probability, for the
-    single pass and for the transpose retry. Per-trial seeds derive from the
-    batch seed, so results do not depend on evaluation order. Each sigma is
-    a probability: an empty list, or a sigma outside [0, 1] or NaN, is a
-    ValueError.
+    when breadth-first search proves it connected to the origin (0, 0) but
+    the plan leaves it UNREACHABLE (true enclosures are dead ends, not
+    blocking). The reported rate is the blocked fraction of all
+    oracle-connected units pooled over the trials, i.e. the per-path
+    blocking probability, for the single pass and for the transpose retry.
+    Per-trial seeds derive from the batch seed, so results do not depend on
+    evaluation order. Each sigma is a probability: an empty list, or a sigma
+    outside [0, 1] or NaN, is a ValueError.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for meaningful rates")
@@ -328,6 +328,7 @@ def blocking_montecarlo(grid: tuple[int, int], sigmas, trials: int, seed: int,
         if not 0 <= sigma <= 1:
             raise ValueError(f"sigma must be in [0, 1], got {sigma}")
     s1, s2 = grid
+    origin = (0, 0)
     out = []
     for si, sigma in enumerate(sigmas):
         single_blocked = 0

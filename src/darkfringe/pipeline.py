@@ -44,7 +44,7 @@ from .boundary_logic import EdgeRatios, InvalidBoundaryMaps, mark_invalid_and_ra
 from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
                             default_crop_rows, quantize_16bit, simulate_measurement_2d)
 from .fringe_detect import DetectConfig, FringeMaps, recognize_fringes
-from .patterns import (ReferenceLibrary, encode_8bit, expand_to_pixels,
+from .patterns import (PatternSet, ReferenceLibrary, encode_8bit, expand_to_pixels,
                        make_patterns, reference_library)
 from .path_search import PathPlan, plan_with_retry
 from .reconstruct import (ScoreMetrics, compose_and_score, estimate_amplitude,
@@ -168,15 +168,16 @@ def stage(name: str, body, *args):
         raise StageError(name, exc) from exc
 
 
-def write_patterns(cfg: RunConfig, save) -> ReferenceLibrary:
-    """The m pattern PGMs and the reference library of their ratios."""
+def write_patterns(cfg: RunConfig, save) -> tuple[PatternSet, ReferenceLibrary]:
+    """The m pattern PGMs and the reference library of their ratios; returns
+    the pattern set, which the run simulates through, and the library."""
     pattern_set = make_patterns(cfg.m, cfg.s1, cfg.s2)
     for j, pattern in enumerate(pattern_set.patterns, start=1):
         grey = expand_to_pixels(encode_8bit(pattern), cfg.pixels_per_unit)
         save(f"pattern_j{j}.pgm", fileio.write_pgm8, grey)
     lib = reference_library(pattern_set)
     save("reference_library.csv", fileio.write_reference_library_csv, lib)
-    return lib
+    return pattern_set, lib
 
 
 def load_object(cfg: RunConfig, save) -> ComplexField:
@@ -188,8 +189,8 @@ def load_object(cfg: RunConfig, save) -> ComplexField:
     else:
         obj = fileio.read_complex_field(cfg.object_file)
         if obj.shape != (cfg.s1, cfg.s2):
-            raise ValueError(f"object shape {obj.shape} does not match grid "
-                             f"({cfg.s1}, {cfg.s2})")
+            raise ValueError(f"object shape {obj.shape} in {cfg.object_file!r} does not "
+                             f"match grid ({cfg.s1}, {cfg.s2})")
         if not np.any(obj.values):
             raise ValueError(f"object {cfg.object_file!r} is zero everywhere")
     save("object.cf32", fileio.write_complex_field, obj)
@@ -301,10 +302,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     try:
         stage("config", cfg.check)
-        lib = stage("patterns", write_patterns, cfg, save)
+        pattern_set, lib = stage("patterns", write_patterns, cfg, save)
         obj = stage("object", load_object, cfg, save)
         maps = []
-        for j, pattern in enumerate(make_patterns(cfg.m, cfg.s1, cfg.s2).patterns, start=1):
+        for j, pattern in enumerate(pattern_set.patterns, start=1):
             image = stage("simulate", simulate, cfg, obj, pattern, j, save)
             maps.append(stage("detect", detect, cfg, image, j, save))
             del image   # the next frame is simulated without this one's levels

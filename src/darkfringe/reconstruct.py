@@ -1,11 +1,12 @@
 """Assemble the complex image from planned paths and edge ratios.
 
-A unit's phase is the origin phase plus the argument of the product of edge
-ratios along its path (conjugated when an edge is traversed against its
-stored orientation). A plan is its parent grid, so the products come from one
-pass over the units, parents first: a unit's product is its parent's times
-the ratio of the edge its entering move crosses, the same multiplications in
-the same order as a walk of the unit's whole path, which is never built.
+A unit's phase is the argument of the product of edge ratios along its
+path from the origin, whose phase is 0 (a ratio is conjugated when an edge
+is traversed against its stored orientation). A plan is its parent grid, so
+the products come from one pass over the units, parents first: a unit's
+product is its parent's times the ratio of the edge its entering move
+crosses, the same multiplications in the same order as a walk of the unit's
+whole path, which is never built.
 Accumulating the product instead of summing arguments keeps quantized ratios
 exact: products of {1, i, -1, -i} never leave that set. Several origins are
 fused per unit by a circular mean anchored at the first origin that reaches it.
@@ -65,7 +66,7 @@ def _entering_ratios(plan: PathPlan, ratios: EdgeRatios) -> np.ndarray:
     return rho
 
 
-def accumulate_phase(plan: PathPlan, ratios: EdgeRatios, origin_phase: float = 0.0) -> np.ndarray:
+def accumulate_phase(plan: PathPlan, ratios: EdgeRatios) -> np.ndarray:
     """Phase grid from multiplicative ratio accumulation along planned paths.
 
     Stored orientations: horizontal ratio = right over left, vertical ratio =
@@ -91,8 +92,7 @@ def accumulate_phase(plan: PathPlan, ratios: EdgeRatios, origin_phase: float = 0
     for u in order[1:].tolist():
         product[u] = product[parent[u]] * rho_u[u]
     phase = np.full(s1 * s2, np.nan)
-    phase[order] = np.mod(origin_phase + np.angle([product[u] for u in order.tolist()]),
-                          2.0 * np.pi)
+    phase[order] = np.mod(np.angle([product[u] for u in order.tolist()]), 2.0 * np.pi)
     return phase.reshape(s1, s2)
 
 
@@ -231,7 +231,7 @@ def retrieve_phase(invalid: InvalidBoundaryMaps | None, ratios: EdgeRatios,
     contributors = []
     base = None
     for k, (origin, plan) in enumerate(zip(origins, plans)):
-        ph = accumulate_phase(plan, ratios, origin_phase=0.0)
+        ph = accumulate_phase(plan, ratios)
         known = ~np.isnan(ph)
         if k == 0:
             offset = 0.0

@@ -249,7 +249,7 @@ def reference_plan_with_retry(invalid, origins) -> ReferencePlan:
     return plan
 
 
-def reference_accumulate_phase(plan, ratios, origin_phase=0.0) -> np.ndarray:
+def reference_accumulate_phase(plan, ratios) -> np.ndarray:
     """Walk every unit's whole move string, multiplying edge ratios."""
     s1, s2 = len(plan.paths), len(plan.paths[0])
     phase = np.full((s1, s2), np.nan)
@@ -274,7 +274,7 @@ def reference_accumulate_phase(plan, ratios, origin_phase=0.0) -> np.ndarray:
                 product *= rho
                 dr, dc = MOVES[mv]
                 rr, cc = rr + dr, cc + dc
-            phase[r, c] = np.mod(origin_phase + np.angle(product), 2.0 * np.pi)
+            phase[r, c] = np.mod(np.angle(product), 2.0 * np.pi)
     return phase
 
 

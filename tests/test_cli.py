@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,6 +195,21 @@ def test_pipeline_bad_quadrature_step_writes_nothing(tmp_path):
         run_pipeline(RunConfig(s1=2, s2=2, quadrature_step=0.3, outdir=str(outdir)))
     assert info.value.stage == "config"
     assert not any(outdir.iterdir())
+
+
+def test_pipeline_builds_the_pattern_set_once(tmp_path):
+    # the patterns stage's pattern set is the one the frames are simulated
+    # through: no stage rebuilds it
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_patterns(*args)
+
+    with mock.patch.object(pipeline, "make_patterns", counted):
+        run_pipeline(RunConfig(s1=4, s2=4, pixels_per_unit=8, psf_radius=2.0, m=3,
+                               outdir=str(tmp_path)))
+    assert calls == [(3, 4, 4)]
 
 
 # 4 x 4 units at 8 px/unit, r = 2: a band of half-width 4 does not fit a unit
@@ -614,6 +630,13 @@ def _maps_of_another_grid(tmp_path):
     return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
 
 
+def _library_of_another_m(tmp_path):
+    # an m = 3 run's reference library beside an m = 4 run's fringe maps
+    _run_stages(tmp_path, ["patterns"], ["simulate"],
+                *(["detect", "--j", j] for j in "1234"), ["patterns", "--m", "3"])
+    return ["mark-invalid", "--outdir", str(tmp_path), *SMALL_RUN]
+
+
 def _matrices_of_another_grid(tmp_path):
     _run_stages(tmp_path, ["patterns"], ["simulate"],
                 *(["detect", "--j", j] for j in "1234"), ["mark-invalid"], grid=THREE_BY_THREE)
@@ -630,6 +653,12 @@ def _empty_matrix(tmp_path):
 def _frame_of_another_grid(tmp_path):
     _run_stages(tmp_path, ["simulate"], grid=THREE_BY_THREE)
     return ["detect", "--outdir", str(tmp_path), *SMALL_RUN, "--j", "1"]
+
+
+def _object_of_another_grid(tmp_path):
+    fio.write_complex_field(tmp_path / "obj.cf32", ComplexField(np.ones((4, 4), complex)))
+    return ["pipeline", "--outdir", str(tmp_path / "run"), *SMALL_RUN, *THREE_BY_THREE,
+            "--object-file", str(tmp_path / "obj.cf32")]
 
 
 def _zero_object(tmp_path):
@@ -656,11 +685,15 @@ def _zero_object(tmp_path):
     ("mark-invalid", _library_j0, r"reference_library\.csv' line 2: .*expected j=1"),
     ("mark-invalid", _maps_of_another_grid,
      r"fringes_row_j1\.csv' holds shape \(3, 2\), but the 4 x 4 grid needs \(4, 3\)"),
+    ("mark-invalid", _library_of_another_m,
+     r"reference_library\.csv' holds 3 ratios, but m = 4"),
     ("paths", _matrices_of_another_grid,
      r"matrix_a\.csv' holds shape \(3, 2\), but the 4 x 4 grid needs \(4, 3\)"),
     ("paths", _empty_matrix,
      r"matrix_a\.csv' holds shape \(0,\), but the 4 x 4 grid needs \(4, 3\)"),
     ("object", _zero_object, "zero.cf32' is zero everywhere"),
+    ("object", _object_of_another_grid,
+     r"object shape \(4, 4\) in '.*obj\.cf32' does not match grid \(3, 3\)"),
     ("metrics", _wrong_shape_metrics, ""),
     ("metrics", _wrong_shape_metrics,
      r"rec\.cf32' holds shape \(4, 4\), but '.*truth\.cf32' holds shape \(3, 3\)"),
@@ -668,9 +701,9 @@ def _zero_object(tmp_path):
         "reconstruct-missing-plan", "detect-frame-of-another-grid",
         "reconstruct-edge-ratios-of-another-grid", "reconstruct-plan-from-another-grid",
         "mark-invalid-misfiled-map", "mark-invalid-library-j0",
-        "mark-invalid-maps-of-another-grid", "paths-matrices-of-another-grid",
-        "paths-empty-matrix",
-        "simulate-zero-object", "metrics-wrong-shape", "metrics-names-both-files"])
+        "mark-invalid-maps-of-another-grid", "mark-invalid-library-of-another-m",
+        "paths-matrices-of-another-grid", "paths-empty-matrix",
+        "simulate-zero-object", "pipeline-object-of-another-grid", "metrics-wrong-shape", "metrics-names-both-files"])
 def test_cli_stage_failure_names_the_stage(tmp_path, capsys, stage, argv, why):
     argv = argv(tmp_path)
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -506,9 +507,10 @@ def test_noise_is_standard_normal():
 
 @pytest.mark.parametrize("pool", THREAD_ORDERS[1:])
 def test_frames_do_not_depend_on_which_thread_takes_a_strip(pool):
-    # both passes share their strips or cuts between the two threads: with
-    # one side taking every strip and cut, |F|^2, the peak and both noise
-    # streams are still the oracle's bit for bit, over many cuts per half
+    # the noise pass shares its cuts between the two threads: with one side
+    # taking every cut, both noise streams are still the oracle's bit for
+    # bit, over many cuts per half (|F|^2 and its peak run on the calling
+    # thread either way)
     case = _grid_case(12, 6, 8, PsfModel("gaussian", 3.0))
     want = reference_simulate_measurement_2d(*case).values.tobytes()
     with strip_sizes()[1], thread_order(forward_model, pool):
@@ -525,15 +527,14 @@ READOUT_FRAMES = {
 
 
 @pytest.mark.parametrize("frame", READOUT_FRAMES.values(), ids=READOUT_FRAMES)
-@pytest.mark.parametrize("pool", THREAD_ORDERS)
-def test_readout_does_not_depend_on_which_thread_takes_a_strip(frame, pool):
-    # one row (one strip), an all-zero frame (scale 1) and many strips: with
-    # two threads, or one side taking every strip of both passes, the levels
-    # and scale are the one-thread readout's; the readout consumes its
+@pytest.mark.parametrize("strips", [0, 1], ids=["strips", "small-strips"])
+def test_readout_matches_the_reference(frame, strips):
+    # one row (one strip), an all-zero frame (scale 1) and many strips: the
+    # levels and scale are the reference readout's; the readout consumes its
     # frame, so each call reads out its own copy of the shared one
     img = IntensityImage(frame.copy())
     want = reference_quantize_16bit(img)
-    with strip_sizes()[1], thread_order(forward_model, pool):
+    with strip_sizes()[strips]:
         got = quantize_16bit(img)
     assert got.scale == want.scale
     assert got.values.tobytes() == want.values.tobytes()
@@ -559,10 +560,10 @@ def test_concurrent_simulations_match_the_reference():
 
 
 def test_concurrent_readouts_match_the_reference():
-    # four callers at once, each with its own worker thread, more threads
-    # than cores and a short switch interval: every readout is still the
-    # one-thread readout, so no call writes into another's levels or strips
-    # (each reads out its own copy of the frame, which the readout consumes)
+    # four callers at once, more threads than cores and a short switch
+    # interval: every readout is still the reference readout, so no call
+    # writes into another's levels or strip buffer (each reads out its own
+    # copy of the frame, which the readout consumes)
     img = IntensityImage(np.random.default_rng(3).random((120, 90)) * 5.0)
     want = reference_quantize_16bit(img)
     interval = sys.getswitchinterval()
@@ -590,13 +591,13 @@ IN_PLACE_FRAMES = {
 
 @pytest.mark.parametrize("make", IN_PLACE_FRAMES.values(), ids=IN_PLACE_FRAMES)
 @pytest.mark.parametrize("strips", [0, 1], ids=["strips", "small-strips"])
-def test_readout_writes_each_rows_levels_over_that_row(make, strips):
-    # each row's levels are read out over that row's own floats and then
-    # packed: the levels are C-contiguous from the frame's first byte, so
-    # they share the frame's memory and no levels-sized array is allocated;
-    # they are the levels and scale of a readout of a copy into a new array,
-    # for float32 and float64 frames, a row-cropped view, an odd width and
-    # one row
+def test_readout_packs_levels_into_the_frames_memory(make, strips):
+    # each strip's levels are written straight to their packed place, over
+    # floats already read: the levels are C-contiguous from the frame's
+    # first byte, so they share the frame's memory and no levels-sized array
+    # is allocated; they are the levels and scale of a readout of a copy
+    # into a new array, for float32 and float64 frames, a row-cropped view,
+    # an odd width and one row
     img = IntensityImage(make(), scale=0.25)
     want = reference_quantize_16bit(IntensityImage(make(), scale=0.25))
     with strip_sizes()[strips]:
@@ -606,6 +607,30 @@ def test_readout_writes_each_rows_levels_over_that_row(make, strips):
     assert got.values.flags.c_contiguous
     assert got.scale == want.scale
     assert got.values.tobytes() == want.values.tobytes()
+
+
+class _PoolConstructed(Exception):
+    pass
+
+
+def _refuse_pool(max_workers):
+    raise _PoolConstructed
+
+
+@pytest.mark.parametrize("strips", [0, 1], ids=["strips", "small-strips"])
+def test_only_the_noise_pass_starts_a_worker(strips):
+    # |F|^2, its peak and the readout run on the calling thread: a noiseless
+    # simulation and a readout of every frame construct no thread pool,
+    # while a noisy simulation still starts one for its noise cuts
+    obj, pattern, model, grid, noise, seed = _grid_case(3, 7, 8, PsfModel("gaussian", 2.0))
+    frames = [*READOUT_FRAMES.values(), *(make() for make in IN_PLACE_FRAMES.values())]
+    with strip_sizes()[strips], mock.patch.object(forward_model, "ThreadPoolExecutor",
+                                                  _refuse_pool):
+        quantize_16bit(simulate_measurement_2d(obj, pattern, model, grid, 0.0, seed))
+        for frame in frames:
+            quantize_16bit(IntensityImage(frame.copy()))
+        with pytest.raises(_PoolConstructed):
+            simulate_measurement_2d(obj, pattern, model, grid, noise, seed)
 
 
 @pytest.mark.parametrize("make", [lambda f: f[:, ::2], lambda f: f.T,

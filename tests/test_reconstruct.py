@@ -40,17 +40,10 @@ def empty_invalid(s1, s2):
                                np.zeros((s1 - 1, s2), bool))
 
 
-def test_accumulate_origin_keeps_origin_phase():
-    plan = plan_paths(empty_invalid(2, 2), (0, 0))
-    ratios = truth_edge_ratios(ComplexField(np.ones((2, 2), complex)))
-    phase = accumulate_phase(plan, ratios, origin_phase=0.7)
-    assert phase[0, 0] == pytest.approx(0.7)
-
-
 def test_accumulate_single_right_step():
     obj = ComplexField(np.array([[1.0 + 0j, 1j]]))
     plan = plan_paths(empty_invalid(1, 2), (0, 0))
-    phase = accumulate_phase(plan, truth_edge_ratios(obj), origin_phase=0.0)
+    phase = accumulate_phase(plan, truth_edge_ratios(obj))
     assert phase[0, 1] == np.pi / 2
 
 
