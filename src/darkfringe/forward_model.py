@@ -61,6 +61,8 @@ PSF_KINDS = ("box", "exponential", "gaussian")
 _EXTENT_RADII = 20.0
 # most entries of a primitive table: 128 MB per float64 array
 _TABLE_ENTRIES = 1 << 24
+# units in the radius sweep's alternating phase row
+_SWEEP_UNITS = 8
 
 
 def _kernel_profile(kind: str, radius: float, x: np.ndarray) -> np.ndarray:
@@ -423,9 +425,6 @@ def gamma_second_derivative(model: PsfModel, a1: float, phi1: float, phi2: float
     return 4.0 * (term1 + term2)
 
 
-_SWEEP_UNITS = 8   # units in the radius sweep's alternating phase row
-
-
 def alternating_phases(delta_phi: float) -> np.ndarray:
     """Phase vector [d, 0, d, 0, ...] of _SWEEP_UNITS entries."""
     phases = np.zeros(_SWEEP_UNITS)
@@ -502,8 +501,8 @@ def _on_two_threads(worker: ThreadPoolExecutor, body, items, scratch, *args) -> 
     one thread, the other takes more. The calling thread allocates each
     thread's scratch and whatever the pass writes, so the worker allocates
     no buffer; a body runs only numpy and file reads, never a public
-    function, and which thread takes an item changes no bit. A public call
-    starts one worker for all of its passes (a start costs ~0.2 ms).
+    function, and which thread takes an item changes no bit. Each caller
+    starts its worker for that one pass (a start costs ~0.2 ms).
     """
     shared = iter(items)
 

@@ -310,14 +310,14 @@ def blocking_montecarlo(grid: tuple[int, int], sigmas, trials: int,
     """Estimate how often the planner misses units that are actually connected.
 
     For each sigma, random invalid maps are drawn; a unit counts as blocked
-    when breadth-first search proves it connected to the origin (0, 0) but
-    the plan leaves it UNREACHABLE (true enclosures are dead ends, not
-    blocking). The reported rate is the blocked fraction of all
-    oracle-connected units pooled over the trials, i.e. the per-path
-    blocking probability, for the single pass and for the transpose retry.
-    Per-trial seeds derive from the batch seed, so results do not depend on
-    evaluation order. Each sigma is a probability: an empty list, or a sigma
-    outside [0, 1] or NaN, is a ValueError.
+    when breadth-first search proves it connected to unit (0, 0) but the plan
+    leaves it UNREACHABLE (true enclosures are dead ends, not blocking). The
+    reported rate is the blocked fraction of all oracle-connected units
+    pooled over the trials, i.e. the per-path blocking probability, for the
+    single pass and for the transpose retry. Per-trial seeds derive from the
+    batch seed, so results do not depend on evaluation order. Each sigma is
+    a probability: an empty list, or a sigma outside [0, 1] or NaN, is a
+    ValueError.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for meaningful rates")

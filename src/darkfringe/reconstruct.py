@@ -1,12 +1,11 @@
 """Assemble the complex image from planned paths and edge ratios.
 
-A unit's phase is the argument of the product of edge ratios along its
-path from the origin, whose phase is 0 (a ratio is conjugated when an edge
-is traversed against its stored orientation). A plan is its parent grid, so
-the products come from one pass over the units, parents first: a unit's
-product is its parent's times the ratio of the edge its entering move
-crosses, the same multiplications in the same order as a walk of the unit's
-whole path, which is never built.
+A unit's phase (the origin's is 0) is the argument of the product of edge
+ratios along its path (conjugated when an edge is traversed against its
+stored orientation). A plan is its parent grid, so the products come from one
+pass over the units, parents first: a unit's product is its parent's times
+the ratio of the edge its entering move crosses, the same multiplications in
+the same order as a walk of the unit's whole path, which is never built.
 Accumulating the product instead of summing arguments keeps quantized ratios
 exact: products of {1, i, -1, -i} never leave that set. Several origins are
 fused per unit by a circular mean anchored at the first origin that reaches it.
