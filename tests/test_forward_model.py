@@ -527,15 +527,30 @@ READOUT_FRAMES = {
 
 
 @pytest.mark.parametrize("frame", READOUT_FRAMES.values(), ids=READOUT_FRAMES)
-@pytest.mark.parametrize("strips", [0, 1], ids=["strips", "small-strips"])
-def test_readout_matches_the_reference(frame, strips):
-    # one row (one strip), an all-zero frame (scale 1) and many strips: the
-    # levels and scale are the reference readout's; the readout consumes its
-    # frame, so each call reads out its own copy of the shared one
+@pytest.mark.parametrize("pool", THREAD_ORDERS)
+def test_readout_does_not_depend_on_which_thread_takes_a_strip(frame, pool):
+    # one row (one strip), an all-zero frame (scale 1) and many strips, over
+    # small strips: the readout runs on the calling thread, so with two
+    # threads, or one side taking every strip of the module's two-thread
+    # passes, the levels and scale are the reference readout's; the readout
+    # consumes its frame, so each call reads out its own copy of the shared one
     img = IntensityImage(frame.copy())
     want = reference_quantize_16bit(img)
-    with strip_sizes()[strips]:
+    with strip_sizes()[1], thread_order(forward_model, pool):
         got = quantize_16bit(img)
+    assert got.scale == want.scale
+    assert got.values.tobytes() == want.values.tobytes()
+    if not frame.any():
+        assert got.scale == 1.0 and not got.values.any()
+
+
+@pytest.mark.parametrize("frame", READOUT_FRAMES.values(), ids=READOUT_FRAMES)
+def test_readout_matches_the_reference(frame):
+    # the same frames over the package's own row strips: the levels and
+    # scale are the reference readout's
+    img = IntensityImage(frame.copy())
+    want = reference_quantize_16bit(img)
+    got = quantize_16bit(img)
     assert got.scale == want.scale
     assert got.values.tobytes() == want.values.tobytes()
     if not frame.any():
