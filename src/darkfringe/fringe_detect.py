@@ -13,22 +13,27 @@ column boundary's along a unit column. So detection takes the along sums
 first, in one pass over the frame's row strips (:func:`frame_strips`):
 
 - A (s1 x width), each unit row's eroded along span of rows summed;
-- B = frame R_along (height x s2), R_along holding the indicator windows of
-  each unit column's eroded along span, by forward_model's banded pieces
-  (:func:`banded`), the one matrix product of detection.
+- B = frame R_along (s1 ppu x s2, zero on the cropped rows), R_along holding
+  the indicator windows of each unit column's eroded along span, by
+  forward_model's banded pieces (:func:`banded`), the one matrix product of
+  detection.
 
-A band or flank sum is then a difference of two running sums: of A along x
-for the row boundaries, of B along y for the column boundaries, each taken
-in place after a leading zero column or row. A measurement holds 16-bit
-levels, so every sum is an integer below 2^53, which float64 holds exactly:
-the sums, and with them the decisions, do not depend on the order they are
-taken in, nor on where the strip edges fall. A float frame's sums are
-rounded, so a boundary whose band mean lies within rounding of alpha times
-its flank mean may be decided either way. Every decision compares two means of the same frame,
-so the frame's scale never enters. B's pieces stay below forward_model's
-one-thread size, so BLAS runs them on the calling thread, and detection runs
-there alone. The pieces, spans and the unit rows each strip meets are cached
-per (grid, config), so the m frames of a run build them once.
+Read as whole units of ppu entries, A along x for the row boundaries and B
+along y for the column boundaries give every band and flank sum as a window
+sum: a band is one unit's last band_halfwidth entries and the next unit's
+first ones, a flank the entries around a unit's centre. The pixel counts
+are the same window sums of a frame of ones, so a band or flank that the
+crop shortens or empties is counted as it is summed. A measurement holds
+16-bit levels, so every sum is an integer below 2^53, which float64 holds
+exactly: the sums, and with them the decisions, do not depend on the order
+they are taken in, nor on where the strip edges fall. A float frame's sums
+are rounded, so a boundary whose band mean lies within rounding of alpha
+times its flank mean may be decided either way. Every decision compares two
+means of the same frame, so the frame's scale never enters. B's pieces stay
+below forward_model's one-thread size, so BLAS runs them on the calling
+thread, and detection runs there alone. The pieces, the unit rows each strip
+meets and the pixel counts are cached per (grid, config), so the m frames of
+a run build them once.
 """
 
 from __future__ import annotations
@@ -90,76 +95,70 @@ class FringeMaps:
         return self.col_map.shape[1]
 
 
-def _clip(a, b, lo: int, hi: int) -> np.ndarray:
-    """Read-only (start, stop) rows of the spans [a, b) clipped to the
-    pixels [lo, hi) of an axis and shifted so lo maps to 0: both in
-    [0, hi - lo], an empty span with start == stop, so they index running
-    sums of hi - lo + 1 entries."""
-    a = np.clip(a, lo, hi)
-    spans = np.stack([a, np.clip(b, a, hi)]) - lo
-    spans.flags.writeable = False
-    return spans
-
-
-def _axis_spans(n_units: int, ppu: int, lo: int, hi: int, cfg: DetectConfig) -> tuple:
-    """The :func:`_clip` spans of one image axis covering pixels [lo, hi):
-    the span along each unit, eroded by a margin at both ends to stay clear
-    of crossing fringes; the band on each boundary line; and the two flank
-    interiors of each boundary, one centered in each unit."""
-    units = np.arange(n_units)
-    margin = min(cfg.band_halfwidth + 1, (ppu - 1) // 2)
-    lines, hw = units[1:] * ppu, cfg.band_halfwidth
-    center, half = units * ppu + ppu // 2, max(1, ppu // 8)
-    flanks = _clip(center - half, center + half, lo, hi)
-    return (_clip(units * ppu + margin, (units + 1) * ppu - margin, lo, hi),
-            _clip(lines - hw, lines + hw, lo, hi), flanks[:, :-1], flanks[:, 1:])
-
-
 @lru_cache(maxsize=4)
 def _grid_windows(grid: GridSpec, cfg: DetectConfig) -> tuple:
     """What detection's frame pass and decisions read, cached per (grid,
     config): the :func:`banded` pieces of the column axis' along windows
-    R_along (width x s2 indicators), for B = frame R_along; per row strip of
-    the cropped frame (:func:`frame_strips`), the (unit row, strip rows)
-    pairs of the eroded along spans it meets, for A (s1 x width), each unit
-    row's along rows summed; and the :func:`_axis_spans` of the row axis
-    and of the column axis.
+    R_along (width x s2 indicators of each unit column's eroded along
+    span), for B = frame R_along; per row strip of the cropped frame
+    (:func:`frame_strips`), the (unit row, strip rows) pairs of the eroded
+    along spans it meets, for A (s1 x width), each unit row's along rows
+    summed; and the band and flank pixel counts of every boundary, the
+    :func:`_window_sums` of a frame of ones.
     """
     ppu, height, width, crop = grid.pixels_per_unit, grid.height, grid.width, grid.crop_rows
-    rows_axis = _axis_spans(grid.s1, ppu, crop, crop + height, cfg)
-    cols_axis = _axis_spans(grid.s2, ppu, 0, width, cfg)
+    margin = min(cfg.band_halfwidth + 1, (ppu - 1) // 2)
     strips, size = frame_strips(height, width)
-    tops, bottoms = rows_axis[0].tolist()
     meets = []
     for rows in strips:
         spans = []
         for u in range((rows.start + crop) // ppu, (rows.stop - 1 + crop) // ppu + 1):
-            top, bottom = max(tops[u], rows.start), min(bottoms[u], rows.stop)
+            top = max(u * ppu + margin - crop, rows.start)
+            bottom = min((u + 1) * ppu - margin - crop, rows.stop)
             if top < bottom:
                 spans.append((u, slice(top - rows.start, bottom - rows.start)))
         meets.append(tuple(spans))
-    pixel, (a, b) = np.arange(width)[:, None], cols_axis[0]
-    return (banded(((pixel >= a) & (pixel < b)).astype(float), size), tuple(meets),
-            rows_axis, cols_axis)
+    pixel, units = np.arange(width)[:, None], np.arange(grid.s2) * ppu
+    right = banded(((pixel >= units + margin) & (pixel < units + ppu - margin)).astype(float),
+                   size)
+    ones = np.broadcast_to(np.float64(1), (height, width))
+    return right, tuple(meets), _window_sums(ones, grid, cfg, right, meets)
 
 
-def _boundary_decisions(sums, along, band, flank_a, flank_b, alpha: float):
-    """(present, zero_flank) maps of the boundaries across one axis, a row
-    per unit along it: `sums` holds the running sums of the frame's along
-    sums across the boundaries, after a leading zero, and the spans are
-    :func:`_axis_spans` entries (`along` the other axis'). A boundary is
-    present where its band mean falls below alpha times its flank mean, or
-    where a band or flank is empty or the flank mean is not positive
-    (zero_flank)."""
-    def total(span):
-        return sums[:, span[1]] - sums[:, span[0]]
+def _window_sums(values: np.ndarray, grid: GridSpec, cfg: DetectConfig,
+                 right: tuple, meets: tuple) -> tuple:
+    """The (band, flank) sums of a frame's row boundaries (s1 x s2-1) and of
+    its column boundaries (s2 x s1-1): window sums of its A and B, taken in
+    one pass over the row strips and read as whole units of ppu entries."""
+    ppu, hw, crop = grid.pixels_per_unit, cfg.band_halfwidth, grid.crop_rows
+    strips, size = frame_strips(grid.height, grid.width)
+    buffer = np.empty((size, grid.width))
+    along_l = np.zeros((grid.s1, grid.width))
+    along_r = np.zeros((grid.s1 * ppu, grid.s2))
+    for rows, spans in zip(strips, meets):
+        part = buffer[:rows.stop - rows.start]
+        np.copyto(part, values[rows])
+        _banded_strip(part, right, along_r[rows.start + crop:rows.stop + crop])
+        for u, span in spans:
+            along_l[u] += part[span].sum(axis=0)
+    centre, half = ppu // 2, max(1, ppu // 8)
+    sums = []
+    for units in (along_l.reshape(grid.s1, grid.s2, ppu),
+                  along_r.reshape(grid.s1, ppu, grid.s2).transpose(2, 0, 1)):
+        flank = units[..., centre - half:centre + half].sum(axis=-1)
+        sums.append((units[:, :-1, ppu - hw:].sum(axis=-1) + units[:, 1:, :hw].sum(axis=-1),
+                     flank[:, :-1] + flank[:, 1:]))
+    return tuple(sums)
 
-    count = (along[1] - along[0])[:, None]
-    nb = count * (band[1] - band[0])
-    nf = count * (flank_a[1] - flank_a[0] + flank_b[1] - flank_b[0])
+
+def _boundary_decisions(band, flank, nb, nf, alpha: float):
+    """(present, zero_flank) maps of a set of boundaries from their band and
+    flank sums and pixel counts (nb, nf). A boundary is present where its
+    band mean falls below alpha times its flank mean, or where a band or
+    flank is empty or the flank mean is not positive (zero_flank)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        flank_mean = (total(flank_a) + total(flank_b)) / nf
-        dark = total(band) / nb < alpha * flank_mean
+        flank_mean = flank / nf
+        dark = band / nb < alpha * flank_mean
     zero_flank = (nb == 0) | (nf == 0) | ~(flank_mean > 0)
     return zero_flank | dark, zero_flank
 
@@ -177,22 +176,11 @@ def recognize_fringes(img: IntensityImage, grid: GridSpec,
     grid.check_frame(img)
     if 2 * cfg.band_halfwidth >= grid.pixels_per_unit:
         raise ValueError("band_halfwidth must be below pixels_per_unit / 2")
-    right, meets, rows_axis, cols_axis = _grid_windows(grid, cfg)
-    strips, size = frame_strips(grid.height, grid.width)
-    buffer = np.empty((size, grid.width))
-    along_l = np.zeros((grid.s1, grid.width + 1))   # a zero column, then A
-    along_r = np.zeros((grid.height + 1, grid.s2))  # a zero row, then B
-    for rows, spans in zip(strips, meets):
-        part = buffer[:rows.stop - rows.start]
-        np.copyto(part, img.values[rows])
-        _banded_strip(part, right, along_r[rows.start + 1:rows.stop + 1])
-        for u, span in spans:
-            along_l[u, 1:] += part[span].sum(axis=0)
-    np.cumsum(along_l, axis=1, out=along_l)
-    np.cumsum(along_r, axis=0, out=along_r)
+    right, meets, (row_counts, col_counts) = _grid_windows(grid, cfg)
+    row_sums, col_sums = _window_sums(img.values, grid, cfg, right, meets)
     alpha = cfg.fringe_ratio_alpha
-    row_map, zf_row = _boundary_decisions(along_l, rows_axis[0], *cols_axis[1:], alpha)
-    col_map, zf_col = _boundary_decisions(along_r.T, cols_axis[0], *rows_axis[1:], alpha)
+    row_map, zf_row = _boundary_decisions(*row_sums, *row_counts, alpha)
+    col_map, zf_col = _boundary_decisions(*col_sums, *col_counts, alpha)
     col_map, zf_col = col_map.T, zf_col.T
 
     diagnostics = {}

@@ -144,7 +144,7 @@ def detection_cases(draw):
     """detection_case inputs drawn within their valid ranges; some frames
     get an all-zero rectangle, and some are read out to 16-bit levels."""
     s1, s2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    ppu = draw(st.sampled_from([8, 16, 32]))
+    ppu = draw(st.sampled_from([4, 5, 7, 8, 16, 32]))
     crop = draw(st.integers(0, (s1 * ppu - 1) // 2))
     params = dict(s1=s1, s2=s2, ppu=ppu, crop=crop,
                   halfwidth=draw(st.integers(1, (ppu - 1) // 2)),
