@@ -76,7 +76,7 @@ def _parse_origins(text: str) -> tuple[tuple[int, int], ...]:
 _CONFIG_CASTS = {
     "s1": int, "s2": int, "pixels_per_unit": int, "psf_kind": str,
     "psf_radius": float, "m": int, "noise_sigma": float, "crop_rows": int,
-    "quadrature_step": float, "band_halfwidth": int, "fringe_ratio_alpha": float,
+    "band_halfwidth": int, "fringe_ratio_alpha": float,
     "origins": _parse_origins, "seed": int, "outdir": str, "object_file": str,
 }
 

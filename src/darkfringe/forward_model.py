@@ -9,9 +9,8 @@ appears there; its depth is governed by the closed-form boundary curvature
 implemented in :func:`gamma_second_derivative`.
 
 All rectangle integrals of p are evaluated as differences of the kernel's
-primitive P, which is tabulated once per kernel by cumulative trapezoid so the
-same mechanism serves all kernel families (the Gaussian has no elementary
-primitive).
+primitive P, which every kernel family has in closed form (the Gaussian's
+through erf).
 
 A simulated frame is |F|^2 plus sigma * max|F|^2 * z, clipped at zero, with
 z standard normal: a float32 Box-Muller transform of float32 uniforms from
@@ -40,14 +39,15 @@ F = Wy source Wx^T, like detection's B = frame R_along, is a product with a
 banded window matrix: one routine (:func:`banded`, :func:`_banded_strip`)
 takes both in pieces of consecutive columns that hold every nonzero of
 their columns, each small enough for BLAS to run it on the thread that
-calls it. The tabulated primitive saturates in float, so each PSF window is
-exactly zero beyond a few units of its own (its reach); a frame is bit for
-bit the whole-frame product's, from complex64 windows cached per PSF and
-grid.
+calls it. The primitive saturates in float (the box's at r, the others'
+where expm1 and erf reach their limits), so each PSF window is exactly zero
+beyond a few units of its own (its reach); a frame is bit for bit the
+whole-frame product's, from complex64 windows cached per PSF and grid.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,115 +57,79 @@ import numpy as np
 
 PSF_KINDS = ("box", "exponential", "gaussian")
 
-# table reach in units of the kernel radius; tails beyond are clamped
-_EXTENT_RADII = 20.0
-# most entries of a primitive table: 128 MB per float64 array
-_TABLE_ENTRIES = 1 << 24
 # units in the radius sweep's alternating phase row
 _SWEEP_UNITS = 8
+# most pixels in that row: its float64 primitive array holds 9 per pixel
+# (19 MB at this bound)
+_SWEEP_PIXELS = 1 << 18
 
 
-def _kernel_profile(kind: str, radius: float, x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    if kind == "box":
-        return (ax <= radius).astype(float)
-    if kind == "exponential":
-        return np.exp(-2.0 * ax / radius)
-    if kind == "gaussian":
-        return np.exp(-((x / radius) ** 2))
-    raise ValueError(f"unknown PSF kind {kind!r}; expected one of {PSF_KINDS}")
-
-
+@dataclass(frozen=True)
 class PsfModel:
-    """Symmetric nonnegative 1D kernel with a tabulated primitive.
+    """Symmetric nonnegative 1D kernel p and its primitive P, both exact.
 
     Parameters
     ----------
     kind : {"box", "exponential", "gaussian"}
         box: 1 inside [-r, r], 0 outside; exponential: exp(-2|x|/r);
-        gaussian: exp(-(x/r)^2).
+        gaussian: exp(-(x/r)^2). Case is ignored.
     radius : float
-        Kernel radius r in image pixels (> 0).
-    step : float
-        Tabulation step of the primitive, in image pixels (<= 0.25).
-    extent : float, optional
-        Half-reach of the primitive table. Defaults to 20 r; P is clamped to
-        its end value beyond, which is exact for the box kernel and loses
-        only the (negligible) tail mass for the other two. A table of more
-        than _TABLE_ENTRIES entries is refused before it is allocated.
+        Kernel radius r in image pixels (> 0 and finite).
 
-    Two models are equal when their (kind, radius, step, extent) are, which
-    fixes the table, so separately built models share cached windows.
+    P(x) is the integral of p over [0, x], in closed form: box sign(x)
+    min(|x|, r), exponential -sign(x) (r/2) expm1(-2|x|/r), gaussian
+    sign(x) (r sqrt(pi)/2) erf(|x|/r). Two models are equal when their
+    (kind, radius) are, so separately built models share cached windows.
     """
 
-    def __init__(self, kind: str, radius: float, step: float = 0.05,
-                 extent: float | None = None):
-        kind = kind.lower()
+    kind: str
+    radius: float
+
+    def __post_init__(self):
+        kind = self.kind.lower()
         if kind not in PSF_KINDS:
             raise ValueError(f"unknown PSF kind {kind!r}; expected one of {PSF_KINDS}")
-        if not 0 < radius < np.inf:
-            raise ValueError(f"PSF radius must be positive and finite, got {radius!r}")
-        if not 0 < step <= 0.25:
-            raise ValueError("primitive table step must be in (0, 0.25]")
-        self.kind = kind
-        self.radius = float(radius)
-        self.step = float(step)
-        self.extent = float(extent) if extent is not None else _EXTENT_RADII * self.radius
-        if not 0 < self.extent < np.inf:
-            raise ValueError("table extent must be positive and finite")
-        n = np.ceil(self.extent / self.step) + 1
-        if n > _TABLE_ENTRIES:
-            raise ValueError(f"primitive table of step {self.step!r} over extent "
-                             f"{self.extent!r} needs {n:.0f} entries, over {_TABLE_ENTRIES}")
-        self._xs = np.arange(int(n)) * self.step
-        ps = _kernel_profile(kind, self.radius, self._xs)
-        # P(0) = 0 by construction; odd extension P(-x) = -P(x) is applied at
-        # evaluation time, which keeps the antisymmetry exact in floats.
-        # cumulative trapezoid, in scipy's cumulative_trapezoid's expression
-        steps = np.diff(self._xs) * (ps[1:] + ps[:-1]) / 2.0
-        self._table = np.concatenate(([0.0], np.cumsum(steps)))
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"PSF radius must be positive and finite, got {self.radius!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "radius", float(self.radius))
 
     def p(self, x) -> np.ndarray:
         """Kernel value p(x); symmetric in x."""
-        return _kernel_profile(self.kind, self.radius, np.asarray(x, dtype=float))
+        ax = np.abs(np.asarray(x, dtype=float))
+        if self.kind == "box":
+            return (ax <= self.radius).astype(float)
+        if self.kind == "exponential":
+            return np.exp(-2.0 * ax / self.radius)
+        return np.exp(-((ax / self.radius) ** 2))
 
     def primitive(self, x) -> np.ndarray:
-        """Tabulated primitive P(x) with P(0)=0 and P(-x)=-P(x)."""
+        """Primitive P(x) with P(0) = 0 and, exactly in floats, P(-x) = -P(x)."""
         x = np.asarray(x, dtype=float)
-        ax = np.minimum(np.abs(x), self._xs[-1])
-        vals = np.interp(ax, self._xs, self._table)
+        ax, r = np.abs(x), self.radius
+        if self.kind == "box":
+            vals = np.minimum(ax, r)
+        elif self.kind == "exponential":
+            vals = -(r / 2.0) * np.expm1(-2.0 * ax / r)
+        else:
+            # numpy has no erf: math.erf once per distinct argument
+            args, where = np.unique(ax / r, return_inverse=True)
+            erfs = np.array([math.erf(t) for t in args.tolist()])
+            vals = (r * np.sqrt(np.pi) / 2.0) * erfs[where].reshape(ax.shape)
         return np.sign(x) * vals
 
     def dp(self, x) -> np.ndarray:
-        """Kernel derivative p'(x).
-
-        Analytic for the smooth kinds. The box kernel is discontinuous, so
-        its derivative is estimated by a one-sided second difference of the
-        primitive table (zero away from the jump, which is all the closed
-        form ever needs under good locality).
-        """
+        """Kernel derivative p'(x). The box kernel's is 0 for |x| != r and a
+        delta at |x| = r, where it raises ValueError."""
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential":
             return -(2.0 / self.radius) * np.sign(x) * np.exp(-2.0 * np.abs(x) / self.radius)
         if self.kind == "gaussian":
             return -(2.0 * x / self.radius**2) * np.exp(-((x / self.radius) ** 2))
-        h = self.step
-        return (self.primitive(x) - 2.0 * self.primitive(x - h)
-                + self.primitive(x - 2.0 * h)) / h**2
-
-    def _key(self) -> tuple:
-        return self.kind, self.radius, self.step, self.extent
-
-    def __eq__(self, other):
-        if not isinstance(other, PsfModel):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"PsfModel(kind={self.kind!r}, radius={self.radius}, step={self.step})"
+        if np.any(np.abs(x) == self.radius):
+            raise ValueError(f"the box kernel's derivative at |x| = r = {self.radius} "
+                             f"is a delta")
+        return np.zeros_like(x)
 
 
 @dataclass
@@ -442,7 +406,9 @@ def fringe_radius_sweep(delta_phis, radii, unit_len: int,
     axis, normalized by the intensity at the center of the unit left of that
     axis. Sampling at pixel centers is what a camera sees: a fringe narrower
     than one pixel leaves the near-axis sample at the plateau level, so the
-    small-radius end of every curve sits high.
+    small-radius end of every curve sits high. The row holds at most
+    _SWEEP_PIXELS pixels (unit_len up to 32768), so that the arrays it is
+    computed through stay tens of MB.
 
     Returns rows (delta_phi, radius, relative_intensity).
     """
@@ -452,12 +418,13 @@ def fringe_radius_sweep(delta_phis, radii, unit_len: int,
         raise ValueError("sweep sets must be non-empty")
     if unit_len < 1:
         raise ValueError("unit_len must be a positive integer")
+    if _SWEEP_UNITS * unit_len > _SWEEP_PIXELS:
+        raise ValueError(f"a row of {_SWEEP_UNITS} units of {unit_len} px exceeds "
+                         f"{_SWEEP_PIXELS} px")
     axis = (_SWEEP_UNITS // 2) * unit_len
     rows = []
     for r in radii:
-        # table must reach across the whole row so far units still telescope
-        extent = max(_EXTENT_RADII * r, (_SWEEP_UNITS + 1) * unit_len)
-        model = PsfModel(model_kind, r, extent=extent)
+        model = PsfModel(model_kind, r)
         for dphi in delta_phis:
             profile = intensity_profile_1d(alternating_phases(dphi), unit_len, model)
             near_axis = 0.5 * (profile[axis - 1] + profile[axis])
@@ -469,7 +436,7 @@ def fringe_radius_sweep(delta_phis, radii, unit_len: int,
 def _reach(window: np.ndarray, ppu: int) -> int:
     """Units between a pixel's own unit and the farthest unit whose window is
     nonzero at that pixel, over the window matrix (pixels x units): its
-    nonzero band, which the tabulated primitive's saturation makes finite."""
+    nonzero band, which the primitive's saturation in float makes finite."""
     pixel, unit = np.nonzero(window)
     return int(np.abs(unit - pixel // ppu).max(initial=0))
 

@@ -70,7 +70,6 @@ class RunConfig:
     m: int = 4
     noise_sigma: float = 0.0
     crop_rows: int | None = None           # None: default_crop_rows(pixels_per_unit)
-    quadrature_step: float = 0.05
     band_halfwidth: int = 2
     fringe_ratio_alpha: float = 0.7
     origins: tuple[tuple[int, int], ...] = ((0, 0),)
@@ -90,7 +89,7 @@ class RunConfig:
                         pixels_per_unit=self.pixels_per_unit, crop_rows=crop)
 
     def psf(self) -> PsfModel:
-        return PsfModel(self.psf_kind, self.psf_radius, step=self.quadrature_step)
+        return PsfModel(self.psf_kind, self.psf_radius)
 
     def amplitude_erode(self) -> int:
         """Pixels eroded from each side of a unit before its amplitude is
@@ -102,8 +101,8 @@ class RunConfig:
         what the stages build, check noise, seed, m and origins, and run the
         amplitude stage's interior-pixel check, which implies detection's
         2 * band_halfwidth < pixels_per_unit. The PSF radius is bounded by
-        the frame's larger side before the PSF is built, since its table
-        grows with the radius."""
+        the frame's larger side: a kernel wider than the frame spreads every
+        unit over all of it, so no fringe is left to detect."""
         grid = self.grid()
         side = max(grid.s1, grid.s2) * grid.pixels_per_unit
         if self.psf_radius > side:

@@ -35,7 +35,7 @@ def gamma_quadrature(kind: str, r: float, a1: float, phi1: float, phi2: float,
 
     Two equal-amplitude units spanning [-a1, 0] and [0, a1]; the field at x is
     exp(i phi1) * int_{-a1}^{0} p(x - t) dt + exp(i phi2) * int_{0}^{a1}.
-    Completely independent of the primitive-table machinery.
+    Completely independent of the closed-form primitives.
     """
 
     def integral(lo, hi):

@@ -58,7 +58,7 @@ def test_criterion_2_kind_agreement_on_phase_vector(report):
     for r in (18.0, 34.0):
         mins = {}
         for kind in ("box", "exponential", "gaussian"):
-            model = PsfModel(kind, r, extent=max(20 * r, 9 * unit_len))
+            model = PsfModel(kind, r)
             prof = intensity_profile_1d(omega, unit_len, model)
             interiors = np.concatenate(
                 [prof[k * unit_len + unit_len // 4: k * unit_len + 3 * unit_len // 4]
@@ -88,7 +88,7 @@ def test_criterion_3_radius_sweep_behavior(report):
     axis = 4.0 * unit_len
 
     def axis_neighborhood(r):
-        model = PsfModel("gaussian", r, extent=max(20 * r, 9 * unit_len))
+        model = PsfModel("gaussian", r)
         return intensity_profile_1d(phases, unit_len, model,
                                     x=np.array([axis - 1.0, axis, axis + 1.0]))
 

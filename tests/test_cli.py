@@ -189,10 +189,10 @@ def test_runs_draw_no_frame_noise_of_another_run():
     assert not np.array_equal(frames[0].values, frames[1].values)
 
 
-def test_pipeline_bad_quadrature_step_writes_nothing(tmp_path):
+def test_pipeline_unknown_psf_kind_writes_nothing(tmp_path):
     outdir = tmp_path / "run"
     with pytest.raises(StageError) as info:
-        run_pipeline(RunConfig(s1=2, s2=2, quadrature_step=0.3, outdir=str(outdir)))
+        run_pipeline(RunConfig(s1=2, s2=2, psf_kind="airy", outdir=str(outdir)))
     assert info.value.stage == "config"
     assert not any(outdir.iterdir())
 
@@ -292,7 +292,6 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--quadrature-step", "0.3"],
     ["--band-halfwidth", "0"],
     ["--m", "1"],
     ["--s1", "4", "--s2", "4", "--origins", "9,9"],
@@ -309,20 +308,17 @@ def test_pipeline_plans_each_origin_once(tmp_path, monkeypatch):
     ["--psf-radius", "nan"],
     ["--psf-radius", "inf"],
     ["--psf-radius", "1e308"],
-    # a finite radius above the frame's larger side (32 px), bounded before
-    # the PSF tabulates 20 r / step entries
+    # a finite radius above the frame's larger side (32 px)
     SMALL_RUN[:-1] + ["1e12"],
     SMALL_RUN[:-1] + ["33"],
     # no SeedSequence takes a negative seed
     SMALL_RUN + ["--seed", "-5"],
-    # a primitive table of 1.6e11 entries is refused before it is allocated
-    ["--s1", "2", "--s2", "2", "--quadrature-step", "1e-9"],
-], ids=["quadrature-step", "band-halfwidth", "m", "origins", "noise-sigma",
+], ids=["band-halfwidth", "m", "origins", "noise-sigma",
         "pixels-per-unit", "crop-rows", "band-wider-than-unit",
         "erosion-leaves-no-interior", "crop-leaves-no-interior",
         "noise-sigma-nan", "noise-sigma-inf", "psf-radius-nan", "psf-radius-inf",
         "psf-table-extent-inf", "psf-radius-1e12", "psf-radius-above-frame",
-        "seed-negative", "psf-table-too-large"])
+        "seed-negative"])
 def test_cli_bad_run_config_is_usage_error(tmp_path, capsys, flags):
     outdir = tmp_path / "run"
     assert main(["pipeline", "--outdir", str(outdir)] + flags) == 1
@@ -413,16 +409,19 @@ def test_cli_config_removed_edge_threshold_key(tmp_path):
 
 
 def test_cli_removed_highpass_sigma_is_usage_error(tmp_path, capsys):
-    # detection has no high-pass image any more, so its width is no setting:
-    # neither the flag nor the config key runs, and neither writes a file
+    # detection has no high-pass image any more, so its width is no setting,
+    # and the PSF's primitive is exact, so it has no quadrature step: neither
+    # the flag nor the config key runs, and neither writes a file
     outdir = tmp_path / "run"
-    assert main(["pipeline", "--highpass-sigma", "2", "--outdir", str(outdir)]) == 1
-    assert "usage error" in capsys.readouterr().err
     config = tmp_path / "old.cfg"
-    config.write_text("highpass_sigma=2\n")
-    assert main(["pipeline", "--config", str(config), "--outdir", str(outdir)]) == 1
-    assert "usage error: unknown config key 'highpass_sigma'" in capsys.readouterr().err
-    assert not outdir.exists()
+    for key, value in (("highpass_sigma", "2"), ("quadrature_step", "0.05")):
+        flag = "--" + key.replace("_", "-")
+        assert main(["pipeline", flag, value, "--outdir", str(outdir)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        config.write_text(f"{key}={value}\n")
+        assert main(["pipeline", "--config", str(config), "--outdir", str(outdir)]) == 1
+        assert f"usage error: unknown config key '{key}'" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 def test_cli_run_with_no_known_unit_fails_in_metrics(tmp_path, capsys):
@@ -466,7 +465,7 @@ def test_cli_psf_sweep(tmp_path):
     (["montecarlo-blocking", "--sigmas", "nan"], "sigma must be in [0, 1], got nan"),
     (["montecarlo-blocking", "--sigmas", ""], "need at least one sigma"),
     (["psf-sweep", "--unit-len", "1000000000"],
-     "primitive table of step 0.05 over extent 9000000000.0 needs 180000000001 entries"),
+     "a row of 8 units of 1000000000 px exceeds 262144 px"),
 ], ids=["trials-50", "radius-0", "unit-len-0", "sigma-1.5", "sigma-negative", "sigma-nan",
         "sigmas-empty", "unit-len-table-too-large"])
 def test_cli_study_tool_bad_argument_is_usage_error(tmp_path, capsys, argv, why):

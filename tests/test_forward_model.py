@@ -5,8 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import stats
-from scipy.integrate import cumulative_trapezoid
+from scipy import special, stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +13,7 @@ import darkfringe.forward_model as forward_model
 from darkfringe.forward_model import (_BLOCK_MADDS, PSF_KINDS, STRIP_PIXELS,
                                       ComplexField, GridSpec,
                                       IntensityImage, PsfModel,
-                                      _field_windows, _kernel_profile, _reach,
+                                      _field_windows, _reach,
                                       _unit_window, alternating_phases, banded,
                                       default_crop_rows,
                                       field_profile_1d, frame_strips,
@@ -77,26 +76,40 @@ def test_primitive_matches_analytic_gaussian():
     assert np.allclose(model.primitive(xs), expect, rtol=1e-5)
 
 
+def closed_form_primitive(kind, r, x):
+    """The integral of p over [0, x] by each kind's textbook formula, the
+    Gaussian's through scipy's erf."""
+    if kind == "box":
+        return np.clip(x, -r, r)
+    if kind == "exponential":
+        return np.sign(x) * (r / 2.0) * (1.0 - np.exp(-2.0 * np.abs(x) / r))
+    return (r * np.sqrt(np.pi) / 2.0) * special.erf(x / r)
+
+
 @given(st.sampled_from(["box", "exponential", "gaussian"]),
-       st.floats(0.05, 40.0), st.floats(0.001, 0.25))
+       st.floats(0.05, 40.0), st.integers(1, 64), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
-def test_primitive_table_is_cumulative_trapezoid(kind, radius, step):
-    model = PsfModel(kind, radius, step=step)
-    xs = model._xs
-    want = np.concatenate(([0.0], cumulative_trapezoid(_kernel_profile(kind, radius, xs), xs)))
-    assert model._table.tobytes() == want.tobytes()
+def test_primitives_match_closed_forms(kind, radius, unit_len, n_units):
+    # P on pixel centers and boundaries over and beyond the row, and the
+    # unit windows built from it, within 1e-12 of the closed forms
+    model = PsfModel(kind, radius)
+    x = np.arange(-2 * unit_len, (n_units + 2) * unit_len + 1, 0.5)
+    assert np.abs(model.primitive(x) - closed_form_primitive(kind, radius, x)).max() <= 1e-12
+    edges = np.arange(n_units + 1) * float(unit_len)
+    prim = closed_form_primitive(kind, radius, x[:, None] - edges[None, :])
+    got = _unit_window(model, x, unit_len, n_units)
+    assert np.abs(got - (prim[:, :-1] - prim[:, 1:])).max() <= 1e-12
 
 
 def test_psf_models_are_equal_by_value():
     # separately built models of one kernel are one cache key
-    model = PsfModel("Gaussian", 8, step=0.05)
-    same = PsfModel("gaussian", 8.0, extent=160.0)
+    model = PsfModel("Gaussian", 8)
+    same = PsfModel("gaussian", 8.0)
     assert model == same and hash(model) == hash(same) and len({model, same}) == 1
-    assert model != PsfModel("gaussian", 8.0, step=0.04)
-    assert model != PsfModel("gaussian", 8.0, extent=100.0)
+    assert (model.kind, model.radius) == ("gaussian", 8.0)
     assert model != PsfModel("exponential", 8.0)
     assert model != PsfModel("gaussian", 7.5)
-    assert model != ("gaussian", 8.0, 0.05, 160.0)
+    assert model != ("gaussian", 8.0)
 
 
 def test_psf_model_validation():
@@ -105,7 +118,7 @@ def test_psf_model_validation():
     with pytest.raises(ValueError):
         PsfModel("box", -1.0)
     with pytest.raises(ValueError):
-        PsfModel("box", 2.0, step=0.5)
+        PsfModel("box", float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +126,11 @@ def test_psf_model_validation():
 
 
 def test_field_single_unit_center_box():
-    # full kernel support inside the unit: the integral is the whole mass 2r,
-    # up to the trapezoid's half-cell at each jump of the box profile
-    model = PsfModel("box", 2.0, step=0.01)
+    # full kernel support inside the unit: the integral is the whole mass 2r
+    model = PsfModel("box", 2.0)
     unit_len = 64
     f = field_profile_1d([0.0], unit_len, model, x=np.array([unit_len / 2]))
-    assert f[0] == pytest.approx(4.0, rel=5e-3)
+    assert f[0] == 4.0
     assert abs(f[0].imag) < 1e-12
 
 
@@ -174,7 +186,7 @@ EQ3_OMEGA = np.array([0.5, 0.0, -0.5, 1.0, 0.5, 0.0, -0.5, 1.0]) * np.pi
 
 
 def test_eq3_vector_has_minima_at_stepped_boundaries():
-    model = PsfModel("gaussian", 18.0, extent=9 * 125)
+    model = PsfModel("gaussian", 18.0)
     mins = _fringe_minima(EQ3_OMEGA, 125, model)
     # every boundary of the vector carries a quarter-turn step: dip to ~0.5
     assert np.all(mins < 0.6)
@@ -185,7 +197,7 @@ def test_eq3_vector_has_minima_at_stepped_boundaries():
 def test_fringe_minima_agree_across_kinds(radius):
     mins = {}
     for kind in ("box", "exponential", "gaussian"):
-        model = PsfModel(kind, radius, extent=max(20 * radius, 9 * 125))
+        model = PsfModel(kind, radius)
         mins[kind] = _fringe_minima(EQ3_OMEGA, 125, model)
     kinds = list(mins)
     for i, k1 in enumerate(kinds):
@@ -293,7 +305,7 @@ def test_sweep_axis_local_min_then_max():
     phases = alternating_phases(0.1 * np.pi)
     axis = 4 * 512.0
     for r, expect_max in ((34.0, False), (1024.0, True)):
-        model = PsfModel("gaussian", r, extent=max(20 * r, 9 * 512))
+        model = PsfModel("gaussian", r)
         vals = intensity_profile_1d(phases, 512, model,
                                     x=np.array([axis - 1.0, axis, axis + 1.0]))
         if expect_max:
@@ -874,7 +886,7 @@ def test_type_validation():
     with pytest.raises(ValueError):
         GridSpec(4, 4, 0)
     with pytest.raises(ValueError):
-        PsfModel("gaussian", 8.0, step=0.3)
+        PsfModel("gaussian", 0.0)
     with pytest.raises(ValueError):
         GridSpec(0, 4, 32)
     g = GridSpec(4, 5, 32, crop_rows=2)

@@ -166,11 +166,15 @@ def detection_cases(draw):
 # noiseless box-PSF frames of a half-turn fringe that fills its band: the band
 # is dark and its flanks flat, the case a high-pass ridge test once vetoed
 HALF_TURN_CASES = [
-    dict(s1=1, s2=2, ppu=16, crop=0, halfwidth=3, alpha=0.75, kind="box", radius=1.0,
+    dict(s1=1, s2=2, ppu=16, crop=0, halfwidth=1, alpha=0.75, kind="box", radius=1.0,
          noise=0.0, seed=0, pattern=1),
     dict(s1=2, s2=1, ppu=16, crop=0, halfwidth=4, alpha=0.75, kind="box", radius=2.0,
          noise=0.0, seed=0, pattern=1),
 ]
+# the first case with a band of half-width 3: its 2 fringe pixels of
+# intensity 1 among 6 give band/flank = (2 * 1 + 4 * 4) / 6 / 4 = 0.75,
+# exactly alpha, and a fringe needs a band mean below alpha * flank mean
+HALF_TURN_TIE = {**HALF_TURN_CASES[0], "halfwidth": 3}
 
 
 def test_half_turn_fringe_filling_its_band_is_detected():
@@ -182,6 +186,8 @@ def test_half_turn_fringe_filling_its_band_is_detected():
         got = recognize_fringes(img, grid, cfg)
         assert np.array_equal(got.row_map, want.row_map)
         assert np.array_equal(got.col_map, want.col_map)
+    got = recognize_fringes(*detection_case(**HALF_TURN_TIE))
+    assert not got.row_map.any() and not got.col_map.any()
 
 
 @settings(max_examples=150, deadline=None)
