@@ -59,8 +59,8 @@ PSF_KINDS = ("box", "exponential", "gaussian")
 
 # units in the radius sweep's alternating phase row
 _SWEEP_UNITS = 8
-# most pixels in that row: its float64 primitive array holds 9 per pixel
-# (19 MB at this bound)
+# most pixels in that row: its float64 unit windows hold 8 per pixel
+# (16 MB at this bound)
 _SWEEP_PIXELS = 1 << 18
 
 
@@ -112,10 +112,9 @@ class PsfModel:
         elif self.kind == "exponential":
             vals = -(r / 2.0) * np.expm1(-2.0 * ax / r)
         else:
-            # numpy has no erf: math.erf once per distinct argument
-            args, where = np.unique(ax / r, return_inverse=True)
-            erfs = np.array([math.erf(t) for t in args.tolist()])
-            vals = (r * np.sqrt(np.pi) / 2.0) * erfs[where].reshape(ax.shape)
+            # numpy has no erf: math.erf per element
+            erfs = np.array([math.erf(t) for t in (ax / r).ravel().tolist()])
+            vals = (r * np.sqrt(np.pi) / 2.0) * erfs.reshape(ax.shape)
         return np.sign(x) * vals
 
     def dp(self, x) -> np.ndarray:
@@ -328,15 +327,22 @@ def default_crop_rows(pixels_per_unit: int) -> int:
     return int(np.ceil(2 * pixels_per_unit / 32))
 
 
-def _unit_window(model: PsfModel, x: np.ndarray, unit_len: int, n_units: int) -> np.ndarray:
-    """Windows P(x - left_k) - P(x - right_k) for units k = 0..n_units-1.
+def _unit_window(model: PsfModel, unit_len: int, n_units: int) -> np.ndarray:
+    """Windows P(x - left_k) - P(x - right_k) at the pixel centers x = j + 0.5
+    for units k = 0..n_units-1, unit k spanning [k*unit_len, (k+1)*unit_len].
 
-    Returns an array of shape (len(x), n_units). Unit k spans
-    [k*unit_len, (k+1)*unit_len] along the sampled axis.
+    Returns an array of shape (n_units * unit_len, n_units). Every x - edge
+    is one of the 2n half-integer offsets in (-n, n), n the row's pixels,
+    and exactly that offset's float, so P is evaluated once per offset and
+    each window is gathered from the table's differences one unit apart.
     """
-    edges = np.arange(n_units + 1) * float(unit_len)
-    prim = model.primitive(x[:, None] - edges[None, :])
-    return prim[:, :-1] - prim[:, 1:]
+    n = n_units * unit_len
+    prim = model.primitive(np.arange(-n, n) + 0.5)
+    # steps[i] = P(o + unit_len) - P(o) at the offset o = i - n + 0.5
+    steps = prim[unit_len:] - prim[:-unit_len]
+    # unit k's right edge lies (k + 1) unit_len from the row's start
+    return np.stack([steps[n - right:2 * n - right]
+                     for right in range(unit_len, n + 1, unit_len)], axis=1)
 
 
 def field_profile_1d(phases, unit_len: int, model: PsfModel,
@@ -346,8 +352,8 @@ def field_profile_1d(phases, unit_len: int, model: PsfModel,
     Each unit k of length ``unit_len`` spans [k*unit_len, (k+1)*unit_len],
     has amplitude 1 and contributes exp(i*phase_k) * (P(x-left_k) -
     P(x-right_k)). By default the field is sampled at pixel centers
-    x = j + 0.5 over the full row; pass ``x`` to sample arbitrary positions
-    (e.g. exactly on a boundary).
+    x = j + 0.5 over the full row (:func:`_unit_window`); pass ``x`` to
+    sample arbitrary positions (e.g. exactly on a boundary).
     """
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 1:
@@ -356,10 +362,12 @@ def field_profile_1d(phases, unit_len: int, model: PsfModel,
         raise ValueError("unit_len must be a positive integer")
     n = phases.size
     if x is None:
-        x = np.arange(n * unit_len) + 0.5
+        window = _unit_window(model, unit_len, n)
     else:
-        x = np.asarray(x, dtype=float)
-    return _unit_window(model, x, unit_len, n) @ np.exp(1j * phases)
+        edges = np.arange(n + 1) * float(unit_len)
+        prim = model.primitive(np.asarray(x, dtype=float)[:, None] - edges)
+        window = prim[:, :-1] - prim[:, 1:]
+    return window @ np.exp(1j * phases)
 
 
 def intensity_profile_1d(phases, unit_len: int, model: PsfModel,
@@ -448,8 +456,8 @@ def _field_windows(model: PsfModel, grid: GridSpec, rows: int) -> tuple:
     `rows` rows (the grid's). The reach and the pieces are those of the
     complex64 windows, whose zeros are the ones the products leave out."""
     ppu, s1, s2 = grid.pixels_per_unit, grid.s1, grid.s2
-    wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).astype(np.complex64)
-    wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
+    wy = _unit_window(model, ppu, s1).astype(np.complex64)
+    wx = _unit_window(model, ppu, s2)
     wy.flags.writeable = False
     # a one-column G is a matrix-vector product, whose sums group each term
     # by its place in the whole row of Wy: it takes every unit
@@ -567,10 +575,7 @@ def simulate_measurement_2d(obj: ComplexField, pattern: ComplexField, model: Psf
     kernel. The source, Wy, Wx^T and F are complex64 and the frame float32;
     the noise scale, float32(noise_sigma * max|F|^2), the add and the clip
     are float32. The halves and pairs are fixed by the frame, not by the
-    strips, so no frame depends on where strip edges fall. The frames differ
-    in bytes from those of versions that formed F in complex128 and held
-    the frame in float64 (a noiseless level by at most 1), and the noisy
-    ones also from those that drew numpy's float64 standard normals.
+    strips, so no frame depends on where strip edges fall.
 
     The |F|^2 pass takes the row strips (:func:`frame_strips`) on the
     calling thread: a strip's rows of G take only the units within Wy's

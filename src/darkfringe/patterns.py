@@ -75,7 +75,7 @@ def encode_8bit(pattern: ComplexField) -> np.ndarray:
 
     theta in [0, 2*pi) maps to floor(theta / (2*pi) * 255), the truncating
     variant: pi/2 -> 63, pi -> 127, 3*pi/2 -> 191, 0 -> 0. Levels come back
-    as uint8, so a pixel export of them is one byte per pixel.
+    as uint8, one byte per unit, as a pattern file stores them.
     """
     mags = np.abs(pattern.values)
     if not np.allclose(mags, 1.0, atol=1e-9):
@@ -94,15 +94,3 @@ def reference_library(pattern_set: PatternSet) -> ReferenceLibrary:
     return ReferenceLibrary(
         {j: complex(np.conj(q)) for j, q in enumerate(pattern_set.ratios, start=1)})
 
-
-def expand_to_pixels(values: np.ndarray, pixels_per_unit: int) -> np.ndarray:
-    """Repeat each unit into a pixels_per_unit square block (file export only).
-
-    The blocks keep the dtype of `values`: uint8 levels from
-    :func:`encode_8bit` expand to one byte per pixel.
-    """
-    if pixels_per_unit < 1:
-        raise ValueError("pixels_per_unit must be positive")
-    values = np.asarray(values)
-    return np.repeat(np.repeat(values, pixels_per_unit, axis=0),
-                     pixels_per_unit, axis=1)

@@ -44,8 +44,8 @@ from .boundary_logic import EdgeRatios, InvalidBoundaryMaps, mark_invalid_and_ra
 from .forward_model import (ComplexField, GridSpec, IntensityImage, PsfModel,
                             default_crop_rows, quantize_16bit, simulate_measurement_2d)
 from .fringe_detect import DetectConfig, FringeMaps, recognize_fringes
-from .patterns import (PatternSet, ReferenceLibrary, encode_8bit, expand_to_pixels,
-                       make_patterns, reference_library)
+from .patterns import (PatternSet, ReferenceLibrary, encode_8bit, make_patterns,
+                       reference_library)
 from .path_search import PathPlan, plan_with_retry
 from .reconstruct import (ScoreMetrics, compose_and_score, estimate_amplitude,
                           interior_pixels, retrieve_phase)
@@ -168,12 +168,12 @@ def stage(name: str, body, *args):
 
 
 def write_patterns(cfg: RunConfig, save) -> tuple[PatternSet, ReferenceLibrary]:
-    """The m pattern PGMs and the reference library of their ratios; returns
-    the pattern set, which the run simulates through, and the library."""
+    """The m pattern PGMs, one pixel per unit (s2 wide, s1 high), and the
+    reference library of their ratios; returns the pattern set, which the
+    run simulates through, and the library."""
     pattern_set = make_patterns(cfg.m, cfg.s1, cfg.s2)
     for j, pattern in enumerate(pattern_set.patterns, start=1):
-        grey = expand_to_pixels(encode_8bit(pattern), cfg.pixels_per_unit)
-        save(f"pattern_j{j}.pgm", fileio.write_pgm8, grey)
+        save(f"pattern_j{j}.pgm", fileio.write_pgm8, encode_8bit(pattern))
     lib = reference_library(pattern_set)
     save("reference_library.csv", fileio.write_reference_library_csv, lib)
     return pattern_set, lib
@@ -256,11 +256,12 @@ def reconstruct(cfg: RunConfig, ratios: EdgeRatios, plans: list[PathPlan],
 def score(cfg: RunConfig, rec: ComplexField, obj: ComplexField, save) -> ScoreMetrics:
     """Metrics of the reconstruction, whose units of amplitude 0 are UNKNOWN,
     against the object rounded to the complex64 of object.cf32 and divided
-    by its peak amplitude, written as metrics.csv."""
+    by its peak amplitude when that is positive, written as metrics.csv."""
     amplitude = np.abs(rec.values)
     phase = np.where(amplitude > 0, np.mod(np.angle(rec.values), 2 * np.pi), np.nan)
     stored = obj.values.astype(np.complex64).astype(complex)
-    truth = ComplexField(stored / np.abs(stored).max())
+    peak = np.abs(stored).max()
+    truth = ComplexField(stored / peak if peak > 0 else stored)
     metrics = compose_and_score(phase, amplitude, truth)
     save("metrics.csv", fileio.write_metrics_csv,
          metrics.phase_rmse, metrics.complex_l2, metrics.unknown_frac)

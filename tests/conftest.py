@@ -349,8 +349,8 @@ def reference_simulate_measurement_2d(obj, pattern, model, grid, noise_sigma,
     product = obj.values * pattern.values
     k = -int(np.frexp(np.abs(product).max())[1])
     source = (product * 2.0 ** k).astype(np.complex64)
-    wy = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).astype(np.complex64)
-    wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
+    wy = _unit_window(model, ppu, s1).astype(np.complex64)
+    wx = _unit_window(model, ppu, s2)
     wx_t = np.ascontiguousarray(wx.T.astype(np.complex64))
     intensity = np.abs(wy @ source @ wx_t) ** 2
     if noise_sigma > 0:
@@ -585,14 +585,13 @@ def reference_read_path_plan_csv(path, origin: tuple[int, int]) -> df.PathPlan:
     return plan
 
 
-def reference_pattern_pgm(path, pattern, pixels_per_unit) -> None:
-    """8-bit pattern file from int64 levels expanded to int64 pixels."""
+def reference_pattern_pgm(path, pattern) -> None:
+    """8-bit pattern file from int64 levels, one pixel per unit."""
     theta = np.mod(np.angle(pattern.values), 2.0 * np.pi)
     levels = np.mod(np.floor(theta / (2.0 * np.pi) * 255.0).astype(np.int64), 256)
-    grey = np.repeat(np.repeat(levels, pixels_per_unit, axis=0), pixels_per_unit, axis=1)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{grey.shape[1]} {grey.shape[0]}\n255\n".encode())
-        fh.write(grey.astype(np.uint8).tobytes())
+        fh.write(f"P5\n{levels.shape[1]} {levels.shape[0]}\n255\n".encode())
+        fh.write(levels.astype(np.uint8).tobytes())
 
 
 def reference_estimate_amplitude(images, grid, erode=3) -> np.ndarray:

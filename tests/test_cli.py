@@ -446,6 +446,22 @@ def test_cli_run_with_no_known_unit_fails_in_metrics(tmp_path, capsys):
         assert manifest["files"][name] == hashlib.sha256((outdir / name).read_bytes()).hexdigest()
 
 
+def test_cli_metrics_with_zero_truth_fails_naming_it(tmp_path, capsys):
+    # an all-zero truth has no peak to divide by: the metrics stage says so,
+    # with no division warning on the way
+    rec, truth = tmp_path / "ones.cf32", tmp_path / "zeros.cf32"
+    fio.write_complex_field(rec, ComplexField(np.ones((4, 4))))
+    fio.write_complex_field(truth, ComplexField(np.zeros((4, 4))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["metrics", "--s1", "4", "--s2", "4", "--pixels-per-unit", "8",
+                     "--psf-radius", "2", "--outdir", str(tmp_path / "run"),
+                     "--reconstruction", str(rec), "--truth", str(truth)]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert "error: stage 'metrics' failed: the truth is zero on all 16 known units" in err
+
+
 def test_cli_psf_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["psf-sweep", "--kind", "gaussian", "--radii", "2,18,34",

@@ -40,6 +40,17 @@ def test_psf_eval_box():
     assert model.p(2.5) == 0.0
 
 
+def test_box_derivative_is_zero_off_the_edges():
+    # p is flat inside and outside [-r, r]; at |x| = r its derivative is a delta
+    model = PsfModel("box", 2.0)
+    x = np.array([-5.0, -2.5, -1.999, 0.0, 1.0, 2.001, 7.0])
+    assert np.array_equal(model.dp(x), np.zeros_like(x))
+    assert model.dp(0.5) == 0.0
+    for edge in (2.0, -2.0, [0.0, 2.0]):
+        with pytest.raises(ValueError, match="delta"):
+            model.dp(edge)
+
+
 def test_psf_eval_gaussian_center():
     assert PsfModel("gaussian", 7.3).p(0.0) == 1.0
 
@@ -90,15 +101,26 @@ def closed_form_primitive(kind, r, x):
        st.floats(0.05, 40.0), st.integers(1, 64), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_primitives_match_closed_forms(kind, radius, unit_len, n_units):
-    # P on pixel centers and boundaries over and beyond the row, and the
-    # unit windows built from it, within 1e-12 of the closed forms
+    # P on pixel centers and boundaries over and beyond the row, the unit
+    # windows at pixel centers, and the field on the boundaries, within 1e-12
+    # of the closed forms
     model = PsfModel(kind, radius)
     x = np.arange(-2 * unit_len, (n_units + 2) * unit_len + 1, 0.5)
     assert np.abs(model.primitive(x) - closed_form_primitive(kind, radius, x)).max() <= 1e-12
-    edges = np.arange(n_units + 1) * float(unit_len)
-    prim = closed_form_primitive(kind, radius, x[:, None] - edges[None, :])
-    got = _unit_window(model, x, unit_len, n_units)
-    assert np.abs(got - (prim[:, :-1] - prim[:, 1:])).max() <= 1e-12
+
+    def closed_form_windows(at):
+        edges = np.arange(n_units + 1) * float(unit_len)
+        prim = closed_form_primitive(kind, radius, at[:, None] - edges[None, :])
+        return prim[:, :-1] - prim[:, 1:]
+
+    centers = np.arange(n_units * unit_len) + 0.5
+    got = _unit_window(model, unit_len, n_units)
+    assert np.abs(got - closed_form_windows(centers)).max() <= 1e-12
+    boundaries = np.arange(-2, n_units + 3) * float(unit_len)
+    phases = 0.7 * np.arange(n_units)
+    want = closed_form_windows(boundaries) @ np.exp(1j * phases)
+    got = field_profile_1d(phases, unit_len, model, x=boundaries)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_psf_models_are_equal_by_value():
@@ -705,8 +727,8 @@ def test_single_precision_levels_are_within_one_of_a_float64_readout(case):
     for kind in PSF_KINDS:
         psf = PsfModel(kind, model.radius)
         got = quantize_16bit(simulate_measurement_2d(obj, pattern, psf, grid, 0.0, seed=0))
-        wy = _unit_window(psf, np.arange(grid.s1 * ppu) + 0.5, ppu, grid.s1)
-        wx = _unit_window(psf, np.arange(grid.s2 * ppu) + 0.5, ppu, grid.s2)
+        wy = _unit_window(psf, ppu, grid.s1)
+        wx = _unit_window(psf, ppu, grid.s2)
         power = np.abs(wy @ (obj.values * pattern.values) @ wx.T)[crop:len(wy) - crop] ** 2
         peak = power.max()
         want = np.rint(power * (65535.0 / peak if peak > 0 else 1.0))
@@ -733,7 +755,7 @@ def test_simulated_frames_are_float32_and_kept_as_they_are():
 @pytest.mark.parametrize("kind, reach", [("gaussian", 2), ("exponential", 5), ("box", 1)])
 def test_window_reach_at_32_px_per_unit(kind, reach):
     # r = 8: where the tabulated primitive saturates, the windows are zero
-    window = _unit_window(PsfModel(kind, 8.0), np.arange(16 * 32) + 0.5, 32, 16)
+    window = _unit_window(PsfModel(kind, 8.0), 32, 16)
     assert _reach(window, 32) == reach
 
 
@@ -796,12 +818,12 @@ def test_field_windows_cover_every_nonzero(kind, ppu, r_per_unit, s1, s2, rows):
     wy, reach, pieces = _field_windows(model, GridSpec(s1, s2, ppu), rows)
     # both windows are cached as complex64, the dtype of the field products
     assert not wy.flags.writeable and wy.dtype == np.complex64
-    want = _unit_window(model, np.arange(s1 * ppu) + 0.5, ppu, s1).astype(np.complex64)
+    want = _unit_window(model, ppu, s1).astype(np.complex64)
     assert wy.tobytes() == want.tobytes()
     pixel, unit = np.nonzero(wy)
     assert np.all(np.abs(unit - pixel // ppu) <= reach)
     # the pieces are banded's pieces of the complex64 Wx^T
-    wx = _unit_window(model, np.arange(s2 * ppu) + 0.5, ppu, s2)
+    wx = _unit_window(model, ppu, s2)
     assert all(block.dtype == np.complex64 for *_, block in pieces)
     check_banded_pieces(wx.T.astype(np.complex64), rows, pieces)
 

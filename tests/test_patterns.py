@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 import darkfringe as df
 from darkfringe.forward_model import PsfModel, intensity_profile_1d
-from darkfringe.fileio import write_pgm8
-from darkfringe.patterns import (encode_8bit, expand_to_pixels, make_patterns,
-                                 reference_library)
+from darkfringe.fileio import read_pgm8, write_pgm8
+from darkfringe.patterns import encode_8bit, make_patterns, reference_library
 
 from conftest import reference_pattern_pgm
 
@@ -125,28 +124,32 @@ def test_signature_completeness_noiseless(sim16):
         assert np.array_equal(got.col_map, want.col_map)
 
 
-def test_expand_to_pixels():
-    grid = np.array([[1, 2], [3, 4]])
-    big = expand_to_pixels(grid, 3)
-    assert big.shape == (6, 6)
-    assert np.all(big[0:3, 0:3] == 1) and np.all(big[3:6, 3:6] == 4)
-
-
 def test_pattern_levels_are_bytes():
     for p in make_patterns(6, 3, 5).patterns:
         levels = encode_8bit(p)
         assert levels.dtype == np.uint8
-        assert expand_to_pixels(levels, 4).dtype == np.uint8
+        assert levels.shape == (3, 5)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 8), st.integers(1, 19), st.integers(1, 19),
-       st.sampled_from([4, 5, 8, 13, 16, 32]))
-def test_pattern_files_match_int64_reference(m, s1, s2, ppu):
-    # uint8 levels expanded byte by byte write the same file as int64 ones
+@given(st.integers(2, 8), st.integers(1, 19), st.integers(1, 19))
+def test_pattern_files_match_int64_reference(m, s1, s2):
+    # uint8 levels write the same file as int64 ones
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.pgm", Path(tmp) / "want.pgm"
         for pattern in make_patterns(m, s1, s2).patterns:
-            write_pgm8(got, expand_to_pixels(encode_8bit(pattern), ppu))
-            reference_pattern_pgm(want, pattern, ppu)
+            write_pgm8(got, encode_8bit(pattern))
+            reference_pattern_pgm(want, pattern)
             assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_pipeline_pattern_files_hold_one_pixel_per_unit(m, tmp_path):
+    # each pattern file is the s1 x s2 grid of its levels, s2 wide, s1 high
+    cfg = df.RunConfig(s1=4, s2=5, pixels_per_unit=8, psf_radius=2.0, m=m,
+                       outdir=str(tmp_path))
+    df.run_pipeline(cfg)
+    for j, pattern in enumerate(make_patterns(m, 4, 5).patterns, start=1):
+        got = read_pgm8(tmp_path / f"pattern_j{j}.pgm")
+        assert got.shape == (4, 5)
+        assert np.array_equal(got, encode_8bit(pattern))
