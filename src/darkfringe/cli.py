@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fileio, pipeline
 from .boundary_logic import InvalidBoundaryMaps
-from .forward_model import PSF_KINDS, ComplexField, IntensityImage, fringe_radius_sweep
+from .forward_model import PSF_KINDS, IntensityImage, fringe_radius_sweep
 from .fringe_detect import FringeMaps
 from .path_search import PathPlan, blocking_montecarlo
 from .patterns import ReferenceLibrary, make_patterns
@@ -245,14 +245,20 @@ def _run_stage(args, cfg: RunConfig) -> str:
         unknown = int(np.count_nonzero(rec.values == 0))
         return f"wrote reconstruction.cf32 ({unknown} unknown units)"
 
-    def fields() -> tuple[ComplexField, ComplexField]:
+    def scored():
+        """--reconstruction scored against --truth; files of two shapes, or
+        a pair with no score, are an error naming both."""
         rec, truth = map(fileio.read_complex_field, (args.reconstruction, args.truth))
         if rec.shape != truth.shape:
             raise ValueError(f"{args.reconstruction!r} holds shape {rec.shape}, but "
                              f"{args.truth!r} holds shape {truth.shape}")
-        return rec, truth
+        try:
+            return pipeline.score(cfg, rec, truth, save)
+        except ValueError as exc:
+            raise ValueError(f"{exc}, scoring {args.reconstruction!r} against the truth "
+                             f"{args.truth!r}") from None
 
-    metrics = stage("metrics", lambda: pipeline.score(cfg, *fields(), save))
+    metrics = stage("metrics", scored)
     return (f"phase_rmse={metrics.phase_rmse!r} complex_l2={metrics.complex_l2!r} "
             f"unknown_frac={metrics.unknown_frac!r}")
 

@@ -67,18 +67,13 @@ def write_pgm16(path, img: IntensityImage) -> None:
         fh.write(np.ascontiguousarray(values, dtype=LEVELS))
 
 
-def _check_payload(fh, path, nbytes: int, kind: str) -> None:
-    """A format error naming the file unless `nbytes` of pixel data follow."""
+def _read_payload(fh, path, nbytes: int, kind: str) -> bytes:
+    """Exactly `nbytes` of pixel data, or a format error naming the file; a
+    header claiming more than the file holds allocates nothing."""
     found = os.fstat(fh.fileno()).st_size - fh.tell()
     if found < nbytes:
         raise ValueError(f"truncated {kind} file {str(path)!r}: expected "
                          f"{nbytes} data bytes, found {found}")
-
-
-def _read_payload(fh, path, nbytes: int, kind: str) -> bytes:
-    """Exactly `nbytes` of pixel data, or a format error naming the file; a
-    header claiming more than the file holds allocates nothing."""
-    _check_payload(fh, path, nbytes, kind)
     return fh.read(nbytes)
 
 
@@ -136,31 +131,6 @@ def read_pgm16(path) -> IntensityImage:
         raw = np.frombuffer(_read_payload(fh, path, width * height * 2, "PGM"),
                             dtype=LEVELS)
     return IntensityImage(raw.reshape(height, width), scale)
-
-
-def _pgm16_layout(path, height: int, width: int) -> tuple[int, float]:
-    """The offset of the levels in a 16-bit PGM of a height x width frame,
-    and its scale, checked as read_pgm16 checks the file, without reading
-    the levels: a bad header or scale, another shape, or fewer data bytes
-    than the frame's is a format error naming the file."""
-    with _reading(path), open(path, "rb") as fh:
-        found_width, found_height, meta = _read_pgm_header(fh, path, 65535)
-        scale = _pgm_scale(meta, path)
-        if (found_height, found_width) != (height, width):
-            raise ValueError(f"PGM {str(path)!r} holds a {found_height} x {found_width} "
-                             f"frame, expected {height} x {width}")
-        _check_payload(fh, path, height * width * 2, "PGM")
-        return fh.tell(), scale
-
-
-def _read_band(fh, path, offset: int, band: np.ndarray) -> None:
-    """Fill the C-contiguous `band` with the bytes of the open unbuffered
-    file `fh` from `offset` on; a file that ends first (it shrank after
-    _pgm16_layout checked it) is a format error naming it."""
-    fh.seek(offset)
-    if fh.readinto(band) != band.nbytes:
-        raise ValueError(f"truncated PGM file {str(path)!r}: it ends before byte "
-                         f"{offset + band.nbytes}")
 
 
 def write_pgm8(path, values: np.ndarray) -> None:

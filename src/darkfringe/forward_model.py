@@ -409,12 +409,13 @@ def fringe_radius_sweep(delta_phis, radii, unit_len: int,
     """Boundary intensity vs. kernel radius for the alternating phase row.
 
     For each (delta_phi, radius) the 1D intensity of the alternating vector
-    (:func:`alternating_phases`) is sampled at pixel centers; the value
-    reported is the intensity at the pixel nearest the central symmetry
-    axis, normalized by the intensity at the center of the unit left of that
-    axis. Sampling at pixel centers is what a camera sees: a fringe narrower
-    than one pixel leaves the near-axis sample at the plateau level, so the
-    small-radius end of every curve sits high. The row holds at most
+    (:func:`alternating_phases`) is sampled at pixel centers, through one
+    window matrix per radius (:func:`_unit_window`); the value reported is
+    the intensity at the pixel nearest the central symmetry axis, normalized
+    by the intensity at the center of the unit left of that axis. Sampling
+    at pixel centers is what a camera sees: a fringe narrower than one pixel
+    leaves the near-axis sample at the plateau level, so the small-radius
+    end of every curve sits high. The row holds at most
     _SWEEP_PIXELS pixels (unit_len up to 32768), so that the arrays it is
     computed through stay tens of MB.
 
@@ -432,9 +433,10 @@ def fringe_radius_sweep(delta_phis, radii, unit_len: int,
     axis = (_SWEEP_UNITS // 2) * unit_len
     rows = []
     for r in radii:
-        model = PsfModel(model_kind, r)
+        window = _unit_window(PsfModel(model_kind, r), unit_len, _SWEEP_UNITS)
         for dphi in delta_phis:
-            profile = intensity_profile_1d(alternating_phases(dphi), unit_len, model)
+            # intensity_profile_1d's product, on the radius's one window
+            profile = np.abs(window @ np.exp(1j * alternating_phases(dphi))) ** 2
             near_axis = 0.5 * (profile[axis - 1] + profile[axis])
             plateau = profile[axis - unit_len // 2]
             rows.append((float(dphi), float(r), float(near_axis / plateau)))
@@ -467,17 +469,17 @@ def _field_windows(model: PsfModel, grid: GridSpec, rows: int) -> tuple:
 def _on_two_threads(worker: ThreadPoolExecutor, body, items, scratch, *args) -> None:
     """body(item, scratch[t], *args) for every item, on the calling thread
     (t = 0) and on `worker`, a one-thread pool (t = 1): the one place where
-    a pass is split between two threads, and only for the noise cuts and
-    the amplitude medians, the passes measured to gain from it.
+    a pass is split between two threads, and only for the noise cuts, the
+    pass measured to gain from it.
 
     Both threads take items from one shared iterator (each next() runs under
     the GIL, so every item goes to exactly one thread) until none is left,
     so neither waits for a fixed share of the other's: when the host slows
     one thread, the other takes more. The calling thread allocates each
     thread's scratch and whatever the pass writes, so the worker allocates
-    no buffer; a body runs only numpy and file reads, never a public
-    function, and which thread takes an item changes no bit. Each caller
-    starts its worker for that one pass (a start costs ~0.2 ms).
+    no buffer; a body runs only numpy, never a public function, and which
+    thread takes an item changes no bit. Each caller starts its worker for
+    that one pass (a start costs ~0.2 ms).
     """
     shared = iter(items)
 

@@ -13,8 +13,8 @@ as the PGM file stores them, so no second frame is allocated and the file
 is written by one write. run_pipeline streams each one through simulate
 and detect, writing its PGM file, and drops its levels (and so the frame's
 memory) before the next is simulated, so a run holds one frame at a time
-whatever m is; the reconstruct stage reads the amplitudes back from the
-measurement PGM files in bands. The CLI stage subcommands read their
+whatever m is; the reconstruct stage reads the measurement PGM files back
+one at a time for the amplitudes. The CLI stage subcommands read their
 inputs back from the output directory and call the same functions (the
 simulate subcommand loops over the frames). The data are the same either
 way: a measurement is its 16-bit levels and scale, in memory as in its PGM
@@ -93,8 +93,9 @@ class RunConfig:
 
     def amplitude_erode(self) -> int:
         """Pixels eroded from each side of a unit before its amplitude is
-        taken; one more than the band half-width keeps the fringe bands out."""
-        return self.band_halfwidth + 1
+        taken: a quarter of the unit, leaving its central half, and at least
+        one more than the band half-width, which keeps the fringe bands out."""
+        return max(self.pixels_per_unit // 4, self.band_halfwidth + 1)
 
     def check(self) -> None:
         """Raise ValueError if a stage would reject this configuration: build

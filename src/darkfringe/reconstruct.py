@@ -9,33 +9,23 @@ the same order as a walk of the unit's whole path, which is never built.
 Accumulating the product instead of summing arguments keeps quantized ratios
 exact: products of {1, i, -1, -i} never leave that set. Several origins are
 fused per unit by a circular mean anchored at the first origin that reaches it.
-Amplitudes come from a median over eroded unit interiors pooled across all
-measurements, read from their 16-bit PGM files one unit row's band of pixel
-rows at a time into band and pool buffers the calling thread allocates, so
-no whole frame is ever held; the unit rows are shared between two threads
-(:func:`forward_model._on_two_threads`; the reads and the partition release
-the GIL). A measurement's 16-bit levels enter the pool divided by their
-frame's scale, since each frame has its own. A unit row's medians come from
-one partition at the middle of each pool, where np.median also partitions
-below the middle and at the end (for its NaN check): on a 2-core Xeon host
-the amplitudes of four 2048^2 frames took 32-39 ms from levels held in
-memory, against 102-104 ms with np.median; read from their files (page
-cache warm) they take 44-47 ms. Scoring removes the global phase offset that intensity
-measurements can never determine.
+Amplitudes are the square roots of each unit's mean intensity over its
+central window, pooled over the m frames, whose pattern factors (m-th
+roots of unity) cancel the neighbours' cross terms in the mean; each frame
+is read once from its 16-bit PGM file and summed exactly as integers.
+Scoring removes the global phase offset that intensity measurements can
+never determine.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio
 from .boundary_logic import EdgeRatios, InvalidBoundaryMaps
-from .forward_model import LEVELS, ComplexField, GridSpec, _on_two_threads
+from .forward_model import ComplexField, GridSpec
 from .path_search import PathPlan, plan_with_retry
 
 
@@ -119,81 +109,37 @@ def interior_pixels(grid: GridSpec, erode: int) -> tuple[slice, list[tuple[int, 
     return inner, unit_rows
 
 
-def _row_medians(x: np.ndarray) -> np.ndarray:
-    """np.median(x, axis=1) bit for bit, for a 2D float array holding no NaN
-    (so the median's NaN check has nothing to catch), partitioning x in
-    place at its middle column alone: np.median also partitions at the
-    column below the middle of an even row and at the last column, and that
-    several-place partition costs several times one. An even row's median
-    is the mean of the largest value below the middle and the middle value,
-    (a + b) / 2 as np.median's mean takes it.
-    """
-    half = x.shape[1] // 2
-    x.partition(half, axis=1)
-    if x.shape[1] % 2:
-        return x[:, half].copy()
-    return (x[:, :half].max(axis=1) + x[:, half]) / 2
-
-
-def _pooled_medians(unit_row: tuple[int, slice], scratch: tuple, frames: list[tuple],
-                    grid: GridSpec, inner: slice, amp: np.ndarray) -> None:
-    """sqrt of the median of each unit's pooled interior intensities in one
-    unit row, given as (i, pixel rows), into row i of `amp`.
-
-    `scratch` is this thread's band and pool buffers and its handles on the
-    frames' files; a frame is (path, offset of its levels, scale). Each
-    frame's band of pixel rows is read into the band buffer and its
-    interiors divided by the frame's scale into the pool buffer, as (s2, m,
-    rows, cols), which is then partitioned in place by :func:`_row_medians`.
-    """
-    i, rows = unit_row
-    band_buffer, pool_buffer, files = scratch
-    ppu, s2, width, m = grid.pixels_per_unit, grid.s2, grid.width, len(frames)
-    band = band_buffer[:(rows.stop - rows.start) * width].reshape(-1, width)
-    block = band.reshape(-1, s2, ppu)[:, :, inner].transpose(1, 0, 2)
-    shape = (s2, m, *block.shape[1:])
-    pool = pool_buffer[:math.prod(shape)].reshape(shape)
-    for k, (fh, (path, offset, scale)) in enumerate(zip(files, frames)):
-        fileio._read_band(fh, path, offset + rows.start * width * 2, band)
-        np.divide(block, scale, out=pool[:, k])
-    amp[i] = np.sqrt(_row_medians(pool.reshape(s2, -1)))
-
-
 def estimate_amplitude(paths: list, grid: GridSpec, erode: int = 3) -> np.ndarray:
-    """Per-unit amplitude from the median interior intensity of the
-    measurement frames in the 16-bit PGM files `paths`.
+    """Per-unit amplitude from the mean intensity of each unit's interior
+    over the measurement frames in the 16-bit PGM files `paths`.
 
-    Interiors are eroded by `erode` pixels per side (band halfwidth + 1 keeps
-    the fringe bands out), pixel intensities (each frame's levels divided by
-    its own scale) are pooled over all measurements (patterns are
-    unit-modulus, so every frame sees the same amplitudes), and the square
-    root of the pooled median is normalized to a maximum of 1.
-    On the calling thread, every file's header, scale, shape (the grid's)
-    and data size are checked first, a bad file failing with a format error
-    that names it, and then every unit row for surviving pixels
-    (:func:`interior_pixels`). The unit rows' medians are then taken on two
-    threads (:func:`forward_model._on_two_threads`), each reading one unit
-    row's band of pixel rows of one file at a time into a band buffer and
-    pooling it over the measurements into a pool buffer; the calling thread
-    allocates both and opens each file once for each thread, so no array
-    holds a whole frame.
+    Interiors are eroded by `erode` pixels per side (:func:`interior_pixels`;
+    RunConfig.amplitude_erode keeps each unit's central half and the fringe
+    bands out). Each frame is read once; its levels over every interior are
+    summed exactly as int64 and divided by the frame's own scale. The
+    pattern factors q_j^(r+c) are the m-th roots of unity, so the mean over
+    the m frames cancels every cross term between two units whose r + c
+    differ by a non-multiple of m, edge neighbours among them: within the
+    central window the mean is close to the unit's own |a|^2. The square
+    root of the mean over all frames and pixels is normalized to a maximum
+    of 1. A frame of another shape than the grid's is a format error naming
+    its file.
     """
     if not paths:
         raise ValueError("need at least one measurement file")
-    frames = [(path, *fileio._pgm16_layout(path, grid.height, grid.width))
-              for path in paths]
     inner, unit_rows = interior_pixels(grid, erode)
-    height = max(rows.stop - rows.start for _, rows in unit_rows)
-    cols = len(range(grid.pixels_per_unit)[inner])
-    s2 = grid.s2
-    bands = np.empty((2, height * grid.width), dtype=LEVELS)
-    pools = np.empty((2, s2 * len(frames) * height * cols))
-    amp = np.zeros((grid.s1, s2))
-    with contextlib.ExitStack() as stack, ThreadPoolExecutor(max_workers=1) as worker:
-        scratch = [(band, pool, [stack.enter_context(open(path, "rb", buffering=0))
-                                 for path, _, _ in frames])
-                   for band, pool in zip(bands, pools)]
-        _on_two_threads(worker, _pooled_medians, unit_rows, scratch, frames, grid, inner, amp)
+    ppu, s2 = grid.pixels_per_unit, grid.s2
+    total = np.zeros((grid.s1, s2))
+    for path in paths:
+        frame = fileio.read_pgm16(path)
+        if frame.values.shape != (grid.height, grid.width):
+            raise ValueError(f"PGM {str(path)!r} holds a {frame.height} x {frame.width} "
+                             f"frame, expected {grid.height} x {grid.width}")
+        for i, rows in unit_rows:
+            column_sums = frame.values[rows].sum(axis=0, dtype=np.int64)
+            total[i] += column_sums.reshape(s2, ppu)[:, inner].sum(axis=1) / frame.scale
+    pixels = [(rows.stop - rows.start) * len(range(ppu)[inner]) for _, rows in unit_rows]
+    amp = np.sqrt(total / (len(paths) * np.array(pixels)[:, None]))
     peak = amp.max()
     if peak > 0:
         amp /= peak

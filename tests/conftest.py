@@ -317,8 +317,8 @@ def reference_retrieve_phase(invalid, ratios, origins, planner=None):
 
 
 # -- frame-sized passes as whole-frame expressions: simulation, PGM I/O,
-# pattern export and the amplitude median as they were before they ran in
-# row strips and on two threads, kept as oracles
+# pattern export and the amplitudes, written out without row strips or
+# threads and kept as oracles
 
 
 def reference_standard_normal(rng, n: int) -> np.ndarray:
@@ -594,20 +594,29 @@ def reference_pattern_pgm(path, pattern) -> None:
         fh.write(levels.astype(np.uint8).tobytes())
 
 
-def reference_estimate_amplitude(images, grid, erode=3) -> np.ndarray:
-    """One thread, one unit row at a time: sqrt of the pooled median of the
-    eroded unit interiors over all frames, normalized to a maximum of 1."""
-    ppu, s2, crop = grid.pixels_per_unit, grid.s2, grid.crop_rows
-    amp = np.zeros((grid.s1, s2))
+def reference_estimate_amplitude(frames, grid, erode=3) -> np.ndarray:
+    """One pass over the 16-bit frames, one unit at a time: the exact integer
+    sum of the unit's eroded interior levels divided by the frame's scale,
+    added up over the frames in order; sqrt of that over the number of
+    frames times the unit's interior pixels, normalized to a maximum of 1."""
+    ppu, crop = grid.pixels_per_unit, grid.crop_rows
+    rows = []
     for i in range(grid.s1):
         top = max(i * ppu + erode, crop) - crop
-        bottom = min((i + 1) * ppu - erode - crop, grid.height)
-        pool = np.stack([img.values[top:max(top, bottom)].reshape(-1, s2, ppu)
-                         [:, :, erode:ppu - erode].transpose(1, 0, 2)
-                         for img in images], axis=1)
-        if pool.size == 0:
+        bottom = max(min((i + 1) * ppu - erode - crop, grid.height), top)
+        if (bottom - top) * max(ppu - 2 * erode, 0) == 0:
             raise ValueError(f"unit {(i, 0)} has no surviving interior pixels")
-        amp[i] = np.sqrt(np.median(pool.reshape(s2, -1), axis=1))
+        rows.append((top, bottom))
+    total = np.zeros((grid.s1, grid.s2))
+    count = np.zeros((grid.s1, grid.s2), dtype=int)
+    for frame in frames:
+        levels = frame.values.astype(np.int64)
+        for i, (top, bottom) in enumerate(rows):
+            for c in range(grid.s2):
+                block = levels[top:bottom, c * ppu + erode:(c + 1) * ppu - erode]
+                total[i, c] += int(block.sum()) / frame.scale
+                count[i, c] = block.size
+    amp = np.sqrt(total / (len(frames) * count))
     peak = amp.max()
     return amp / peak if peak > 0 else amp
 

@@ -425,12 +425,17 @@ def test_cli_removed_highpass_sigma_is_usage_error(tmp_path, capsys):
 
 
 def test_cli_run_with_no_known_unit_fails_in_metrics(tmp_path, capsys):
-    # noise at twice the peak at 8 px/unit: every unit's amplitude median is
-    # 0, so no unit of the reconstruction is known and the run has no score
+    # an object dark but for unit (15, 15): every boundary between two dark
+    # units is dark in all m frames, so it is invalid, and each origin
+    # reaches only itself, whose amplitude is 0. No unit of the
+    # reconstruction is known and the run has no score
+    values = np.zeros((16, 16), complex)
+    values[15, 15] = 1.0
+    fio.write_complex_field(tmp_path / "dark.cf32", ComplexField(values))
     outdir = tmp_path / "run"
     assert main(["pipeline", "--s1", "16", "--s2", "16", "--pixels-per-unit", "8",
-                 "--psf-radius", "2", "--noise-sigma", "2", "--seed", "2",
-                 "--origins", "0,0;15,15", "--outdir", str(outdir)]) == 2
+                 "--psf-radius", "2", "--object-file", str(tmp_path / "dark.cf32"),
+                 "--seed", "2", "--origins", "0,0;0,15", "--outdir", str(outdir)]) == 2
     err = capsys.readouterr().err
     assert "error: stage 'metrics' failed: no unit of the reconstruction is known" in err
     assert not (outdir / "metrics.csv").exists()
@@ -460,6 +465,30 @@ def test_cli_metrics_with_zero_truth_fails_naming_it(tmp_path, capsys):
     assert not caught
     err = capsys.readouterr().err
     assert "error: stage 'metrics' failed: the truth is zero on all 16 known units" in err
+    assert f"against the truth {str(truth)!r}" in err
+
+
+def test_cli_psf_sweep_builds_one_window_per_radius(tmp_path):
+    # the default sweep (9 phase differences x 3 radii) builds one window
+    # matrix per radius and writes the bytes of one intensity profile per
+    # (radius, phase difference), each through its own windows
+    out = tmp_path / "sweep.csv"
+    with mock.patch.object(forward_model, "_unit_window",
+                           wraps=forward_model._unit_window) as windows:
+        assert main(["psf-sweep", "--out", str(out)]) == 0
+    assert [call.args[0].radius for call in windows.call_args_list] == [2.0, 18.0, 34.0]
+    rows = []
+    for r in (2.0, 18.0, 34.0):
+        model = forward_model.PsfModel("gaussian", r)
+        for k in range(1, 10):
+            dphi = round(0.1 * k, 1) * np.pi
+            profile = forward_model.intensity_profile_1d(
+                forward_model.alternating_phases(dphi), 512, model)
+            axis = 4 * 512
+            rows.append((dphi, r, float(0.5 * (profile[axis - 1] + profile[axis])
+                                        / profile[axis - 256])))
+    fio.write_sweep_csv(tmp_path / "reference.csv", rows)
+    assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_cli_psf_sweep(tmp_path):
@@ -744,8 +773,8 @@ def _bad_scale(path):
     (_bad_scale, r"bad scale 'nan' in PGM '.*measurement_j2\.pgm'"),
 ], ids=["truncated", "wrong-shape", "bad-scale"])
 def test_cli_reconstruct_names_a_bad_measurement_file(tmp_path, capsys, damage, why):
-    # the amplitudes read bands of the measurement PGMs: every file is checked
-    # before any band is read, and a bad one fails the stage, named
+    # the amplitudes read each measurement PGM whole: a bad one fails the
+    # stage, named
     _run_stages(tmp_path, ["patterns"], ["simulate"],
                 *(["detect", "--j", j] for j in "1234"), ["mark-invalid"], ["paths"])
     damage(tmp_path / "measurement_j2.pgm")
@@ -757,9 +786,9 @@ def test_cli_reconstruct_names_a_bad_measurement_file(tmp_path, capsys, damage, 
 
 def test_pipeline_memory_does_not_grow_with_m(tmp_path):
     # frames stream through simulate -> detect one at a time and the
-    # amplitudes read bands of the PGM files, so a run at m = 8 holds no more
-    # than one at m = 4, within less than one frame's 16-bit levels (the
-    # first run builds the cached windows both measured runs share)
+    # amplitudes read the PGM files one at a time, so a run at m = 8 holds
+    # no more than one at m = 4, within less than one frame's 16-bit levels
+    # (the first run builds the cached windows both measured runs share)
     base = RunConfig(s1=16, s2=16, pixels_per_unit=32, noise_sigma=0.01, seed=5)
     run_pipeline(replace(base, outdir=str(tmp_path / "warm")))
     peaks = {}

@@ -462,29 +462,6 @@ def test_pgm16_truncated_names_file(tmp_path):
         fio.read_pgm16(path)
 
 
-def test_pgm16_bands_read_as_the_reader_reads(tmp_path):
-    # the amplitudes' band reads: the layout's offset and scale, then any
-    # band of rows read into a caller's buffer, are the reader's levels
-    path = tmp_path / "frame.pgm"
-    frame = quantize_16bit(IntensityImage(np.random.default_rng(4).random((9, 6))))
-    fio.write_pgm16(path, frame)
-    offset, scale = fio._pgm16_layout(path, 9, 6)
-    assert scale == fio.read_pgm16(path).scale == frame.scale
-    band = np.empty((3, 6), dtype=frame.values.dtype)
-    with open(path, "rb", buffering=0) as fh:
-        for top in (0, 4, 6):
-            fio._read_band(fh, path, offset + top * 6 * 2, band)
-            assert band.tobytes() == frame.values[top:top + 3].tobytes()
-        # a file that ends before the band does (it shrank after its check)
-        with pytest.raises(ValueError, match=r"frame\.pgm.*ends before byte"):
-            fio._read_band(fh, path, offset + 7 * 6 * 2, band)
-    with pytest.raises(ValueError, match=r"frame\.pgm' holds a 9 x 6 frame, expected 9 x 7"):
-        fio._pgm16_layout(path, 9, 7)
-    _truncate(path, 1)
-    with pytest.raises(ValueError, match=r"frame\.pgm.*expected 108 data bytes, found 107"):
-        fio._pgm16_layout(path, 9, 6)
-
-
 def test_pgm8_truncated_names_file(tmp_path):
     path = tmp_path / "pattern.pgm"
     fio.write_pgm8(path, np.zeros((8, 8), dtype=int))
